@@ -64,6 +64,7 @@ ScenarioResult run_scenario(const phys::TsvArrayGeometry& geom, const phys::Matr
 CrosstalkResult analyze_crosstalk(const phys::TsvArrayGeometry& geom, const phys::Matrix& cap,
                                   std::size_t victim, const DriverParams& driver,
                                   const SimOptions& options) {
+  options.validate();
   if (victim >= geom.count()) throw std::invalid_argument("analyze_crosstalk: victim index");
   CrosstalkResult out;
   // Quiet victim at 0, all aggressors rising together at t = period.

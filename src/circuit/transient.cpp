@@ -13,7 +13,9 @@ constexpr int kGround = Netlist::kGround;
 }  // namespace
 
 TransientSim::TransientSim(const Netlist& netlist, double dt) : net_(netlist), dt_(dt) {
-  if (!(dt > 0.0)) throw std::invalid_argument("TransientSim: dt must be positive");
+  if (!(dt > 0.0) || !std::isfinite(dt)) {
+    throw std::invalid_argument("TransientSim: dt must be finite and positive");
+  }
   n_nodes_ = net_.node_count();
   n_src_ = static_cast<int>(net_.sources().size());
   n_ind_ = static_cast<int>(net_.inductors().size());
@@ -22,21 +24,26 @@ TransientSim::TransientSim(const Netlist& netlist, double dt) : net_(netlist), d
   x_.assign(static_cast<std::size_t>(dim_), 0.0);
   rhs_.assign(static_cast<std::size_t>(dim_), 0.0);
   cap_v_.assign(net_.capacitors().size(), 0.0);
+  v_src_.resize(static_cast<std::size_t>(n_src_));
+  for (int s = 0; s < n_src_; ++s) {
+    v_src_[static_cast<std::size_t>(s)] = net_.sources()[static_cast<std::size_t>(s)].v(t_);
+  }
+  v_next_.assign(static_cast<std::size_t>(n_src_), 0.0);
   src_energy_.assign(static_cast<std::size_t>(n_src_), 0.0);
   src_charge_pos_.assign(static_cast<std::size_t>(n_src_), 0.0);
-  assemble();
-  factorize();
+  phys::Matrix a = assemble();
+  factorize(a);
 }
 
-void TransientSim::assemble() {
-  lu_ = phys::Matrix(static_cast<std::size_t>(dim_), static_cast<std::size_t>(dim_));
+phys::Matrix TransientSim::assemble() const {
+  phys::Matrix a(static_cast<std::size_t>(dim_), static_cast<std::size_t>(dim_));
   const auto idx = [](int node) { return static_cast<std::size_t>(node - 1); };
-  const auto stamp_conductance = [&](int a, int b, double g) {
-    if (a != kGround) lu_(idx(a), idx(a)) += g;
-    if (b != kGround) lu_(idx(b), idx(b)) += g;
-    if (a != kGround && b != kGround) {
-      lu_(idx(a), idx(b)) -= g;
-      lu_(idx(b), idx(a)) -= g;
+  const auto stamp_conductance = [&](int p, int q, double g) {
+    if (p != kGround) a(idx(p), idx(p)) += g;
+    if (q != kGround) a(idx(q), idx(q)) += g;
+    if (p != kGround && q != kGround) {
+      a(idx(p), idx(q)) -= g;
+      a(idx(q), idx(p)) -= g;
     }
   };
   for (const auto& r : net_.resistors()) stamp_conductance(r.a, r.b, 1.0 / r.ohms);
@@ -46,86 +53,102 @@ void TransientSim::assemble() {
     const auto& src = net_.sources()[static_cast<std::size_t>(s)];
     const std::size_t row = static_cast<std::size_t>(n_nodes_ + s);
     if (src.plus != kGround) {
-      lu_(row, idx(src.plus)) = 1.0;
-      lu_(idx(src.plus), row) = 1.0;
+      a(row, idx(src.plus)) = 1.0;
+      a(idx(src.plus), row) = 1.0;
     }
     if (src.minus != kGround) {
-      lu_(row, idx(src.minus)) = -1.0;
-      lu_(idx(src.minus), row) = -1.0;
+      a(row, idx(src.minus)) = -1.0;
+      a(idx(src.minus), row) = -1.0;
     }
   }
   for (int l = 0; l < n_ind_; ++l) {
     const auto& ind = net_.inductors()[static_cast<std::size_t>(l)];
     const std::size_t row = static_cast<std::size_t>(n_nodes_ + n_src_ + l);
     if (ind.a != kGround) {
-      lu_(row, idx(ind.a)) = 1.0;
-      lu_(idx(ind.a), row) = 1.0;
+      a(row, idx(ind.a)) = 1.0;
+      a(idx(ind.a), row) = 1.0;
     }
     if (ind.b != kGround) {
-      lu_(row, idx(ind.b)) = -1.0;
-      lu_(idx(ind.b), row) = -1.0;
+      a(row, idx(ind.b)) = -1.0;
+      a(idx(ind.b), row) = -1.0;
     }
-    lu_(row, row) = -ind.henries / dt_;
+    a(row, row) = -ind.henries / dt_;
   }
+  return a;
 }
 
-void TransientSim::factorize() {
+void TransientSim::factorize(phys::Matrix& a) {
   const int n = dim_;
+  const auto at = [&](int r, int c) -> double& {
+    return a(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+  };
   pivot_.resize(static_cast<std::size_t>(n));
   for (int k = 0; k < n; ++k) {
     // Partial pivoting.
     int p = k;
-    double best = std::abs(lu_(static_cast<std::size_t>(k), static_cast<std::size_t>(k)));
+    double best = std::abs(at(k, k));
     for (int r = k + 1; r < n; ++r) {
-      const double v = std::abs(lu_(static_cast<std::size_t>(r), static_cast<std::size_t>(k)));
+      const double v = std::abs(at(r, k));
       if (v > best) {
         best = v;
         p = r;
       }
     }
     if (best < 1e-300) throw std::runtime_error("TransientSim: singular MNA matrix");
-    pivot_[static_cast<std::size_t>(k)] = p;
+    pivot_[static_cast<std::size_t>(k)] = static_cast<std::size_t>(p);
     if (p != k) {
-      for (int c = 0; c < n; ++c) {
-        std::swap(lu_(static_cast<std::size_t>(k), static_cast<std::size_t>(c)),
-                  lu_(static_cast<std::size_t>(p), static_cast<std::size_t>(c)));
-      }
+      for (int c = 0; c < n; ++c) std::swap(at(k, c), at(p, c));
     }
-    const double pivot = lu_(static_cast<std::size_t>(k), static_cast<std::size_t>(k));
+    const double pivot = at(k, k);
     for (int r = k + 1; r < n; ++r) {
-      const double f = lu_(static_cast<std::size_t>(r), static_cast<std::size_t>(k)) / pivot;
-      lu_(static_cast<std::size_t>(r), static_cast<std::size_t>(k)) = f;
+      const double f = at(r, k) / pivot;
+      at(r, k) = f;
       if (f == 0.0) continue;
-      for (int c = k + 1; c < n; ++c) {
-        lu_(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) -=
-            f * lu_(static_cast<std::size_t>(k), static_cast<std::size_t>(c));
+      for (int c = k + 1; c < n; ++c) at(r, c) -= f * at(k, c);
+    }
+  }
+
+  // Keep the nonzeros only: a zero factor entry contributes nothing to the
+  // substitutions.
+  lower_.start.assign(1, 0);
+  upper_.start.assign(1, 0);
+  u_diag_.resize(static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) {
+    for (int c = 0; c < n; ++c) {
+      const double v = at(k, c);
+      if (c == k) {
+        u_diag_[static_cast<std::size_t>(k)] = v;
+      } else if (v != 0.0) {
+        SparseRows& rows = c < k ? lower_ : upper_;
+        rows.col.push_back(c);
+        rows.val.push_back(v);
       }
     }
+    lower_.start.push_back(lower_.col.size());
+    upper_.start.push_back(upper_.col.size());
   }
 }
 
 void TransientSim::solve_step() {
-  const int n = dim_;
-  // Apply row permutation, then forward/back substitution.
-  for (int k = 0; k < n; ++k) {
-    const int p = pivot_[static_cast<std::size_t>(k)];
-    if (p != k) std::swap(rhs_[static_cast<std::size_t>(k)], rhs_[static_cast<std::size_t>(p)]);
-    for (int c = 0; c < k; ++c) {
-      rhs_[static_cast<std::size_t>(k)] -=
-          lu_(static_cast<std::size_t>(k), static_cast<std::size_t>(c)) *
-          rhs_[static_cast<std::size_t>(c)];
+  const std::size_t n = rhs_.size();
+  double* b = rhs_.data();
+  // Apply the row permutation, then forward/back substitution over the
+  // nonzeros in column order.
+  for (std::size_t k = 0; k < n; ++k) {
+    if (pivot_[k] != k) std::swap(b[k], b[pivot_[k]]);
+    double v = b[k];
+    for (std::size_t e = lower_.start[k]; e < lower_.start[k + 1]; ++e) {
+      v -= lower_.val[e] * b[lower_.col[e]];
     }
+    b[k] = v;
   }
-  for (int k = n - 1; k >= 0; --k) {
-    double v = rhs_[static_cast<std::size_t>(k)];
-    for (int c = k + 1; c < n; ++c) {
-      v -= lu_(static_cast<std::size_t>(k), static_cast<std::size_t>(c)) *
-           rhs_[static_cast<std::size_t>(c)];
+  for (std::size_t k = n; k-- > 0;) {
+    double v = b[k];
+    for (std::size_t e = upper_.start[k]; e < upper_.start[k + 1]; ++e) {
+      v -= upper_.val[e] * b[upper_.col[e]];
     }
-    rhs_[static_cast<std::size_t>(k)] =
-        v / lu_(static_cast<std::size_t>(k), static_cast<std::size_t>(k));
+    b[k] = v / u_diag_[k];
   }
-  x_ = rhs_;
 }
 
 double TransientSim::node_voltage(int node) const {
@@ -165,10 +188,10 @@ void TransientSim::step() {
     if (c.b != kGround) rhs_[static_cast<std::size_t>(c.b - 1)] -= hist;
   }
   // Source voltages at the new time.
-  std::vector<double> v_src(static_cast<std::size_t>(n_src_));
   for (int s = 0; s < n_src_; ++s) {
-    v_src[static_cast<std::size_t>(s)] = net_.sources()[static_cast<std::size_t>(s)].v(t_next);
-    rhs_[static_cast<std::size_t>(n_nodes_ + s)] = v_src[static_cast<std::size_t>(s)];
+    const double v = net_.sources()[static_cast<std::size_t>(s)].v(t_next);
+    v_next_[static_cast<std::size_t>(s)] = v;
+    rhs_[static_cast<std::size_t>(n_nodes_ + s)] = v;
   }
   // Inductor history (backward Euler: v = (L/dt)(i_new - i_old)).
   for (int l = 0; l < n_ind_; ++l) {
@@ -177,17 +200,25 @@ void TransientSim::step() {
     rhs_[static_cast<std::size_t>(n_nodes_ + n_src_ + l)] = -ind.henries / dt_ * i_prev;
   }
 
-  // Previous source powers/currents for trapezoidal integration.
-  std::vector<double> p_prev(static_cast<std::size_t>(n_src_));
-  std::vector<double> i_prev(static_cast<std::size_t>(n_src_));
-  for (int s = 0; s < n_src_; ++s) {
-    const double v_old = net_.sources()[static_cast<std::size_t>(s)].v(t_);
-    i_prev[static_cast<std::size_t>(s)] = source_current(s);
-    p_prev[static_cast<std::size_t>(s)] = v_old * i_prev[static_cast<std::size_t>(s)];
-  }
-
   solve_step();
   t_ = t_next;
+
+  // Accumulate delivered energies and sourced charge (trapezoid) from the
+  // previous solution (still in x_) and the new one (in rhs_). The MNA
+  // branch current flows into the + terminal; delivered current is its
+  // negation.
+  for (int s = 0; s < n_src_; ++s) {
+    const std::size_t row = static_cast<std::size_t>(n_nodes_ + s);
+    const double i_prev = -x_[row];
+    const double i_new = -rhs_[row];
+    const double p_prev = v_src_[static_cast<std::size_t>(s)] * i_prev;
+    const double p_new = v_next_[static_cast<std::size_t>(s)] * i_new;
+    src_energy_[static_cast<std::size_t>(s)] += 0.5 * (p_prev + p_new) * dt_;
+    src_charge_pos_[static_cast<std::size_t>(s)] +=
+        0.5 * (std::max(0.0, i_prev) + std::max(0.0, i_new)) * dt_;
+  }
+  x_.swap(rhs_);
+  v_src_.swap(v_next_);
 
   // Update capacitor voltage histories with the new node voltages.
   for (std::size_t k = 0; k < net_.capacitors().size(); ++k) {
@@ -195,15 +226,6 @@ void TransientSim::step() {
     const double va = c.a == kGround ? 0.0 : x_[static_cast<std::size_t>(c.a - 1)];
     const double vb = c.b == kGround ? 0.0 : x_[static_cast<std::size_t>(c.b - 1)];
     cap_v_[k] = va - vb;
-  }
-  // Accumulate delivered energies and sourced charge (trapezoid).
-  for (int s = 0; s < n_src_; ++s) {
-    const double i_new = source_current(s);
-    const double p_new = v_src[static_cast<std::size_t>(s)] * i_new;
-    src_energy_[static_cast<std::size_t>(s)] +=
-        0.5 * (p_prev[static_cast<std::size_t>(s)] + p_new) * dt_;
-    src_charge_pos_[static_cast<std::size_t>(s)] +=
-        0.5 * (std::max(0.0, i_prev[static_cast<std::size_t>(s)]) + std::max(0.0, i_new)) * dt_;
   }
 }
 

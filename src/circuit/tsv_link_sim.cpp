@@ -2,12 +2,28 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "circuit/transient.hpp"
 #include "phys/constants.hpp"
 
 namespace tsvcod::circuit {
+
+void SimOptions::validate() const {
+  if (!(frequency > 0.0) || !std::isfinite(frequency)) {
+    throw std::invalid_argument("SimOptions.frequency must be finite and > 0 (got " +
+                                std::to_string(frequency) + ")");
+  }
+  if (segments < 1) {
+    throw std::invalid_argument("SimOptions.segments must be >= 1 (got " +
+                                std::to_string(segments) + ")");
+  }
+  if (steps_per_cycle < 1) {
+    throw std::invalid_argument("SimOptions.steps_per_cycle must be >= 1 (got " +
+                                std::to_string(steps_per_cycle) + ")");
+  }
+}
 
 double tsv_resistance(const phys::TsvArrayGeometry& geom) {
   return phys::rho_cu * geom.length / (phys::pi * geom.radius * geom.radius);
@@ -25,6 +41,7 @@ LinkNetlist build_link_netlist(const phys::TsvArrayGeometry& geom, const phys::M
                                std::span<const Waveform> line_waveforms,
                                const DriverParams& driver, const SimOptions& options) {
   geom.validate();
+  options.validate();
   const std::size_t n = geom.count();
   if (cap.rows() != n || cap.cols() != n) {
     throw std::invalid_argument("build_link_netlist: capacitance matrix size mismatch");
@@ -32,7 +49,6 @@ LinkNetlist build_link_netlist(const phys::TsvArrayGeometry& geom, const phys::M
   if (line_waveforms.size() != n) {
     throw std::invalid_argument("build_link_netlist: one waveform per TSV required");
   }
-  if (options.segments < 1) throw std::invalid_argument("build_link_netlist: segments >= 1");
 
   const int seg = options.segments;
   const double r_seg = tsv_resistance(geom) / seg;
@@ -93,6 +109,7 @@ LinkNetlist build_link_netlist(const phys::TsvArrayGeometry& geom, const phys::M
 LinkSimResult simulate_link(const phys::TsvArrayGeometry& geom, const phys::Matrix& cap,
                             std::span<const std::uint64_t> line_words,
                             const DriverParams& driver, const SimOptions& options) {
+  options.validate();
   const std::size_t n = geom.count();
   if (line_words.size() < 2) throw std::invalid_argument("simulate_link: need >= 2 words");
   const double period = 1.0 / options.frequency;

@@ -32,6 +32,10 @@ struct SimOptions {
   int segments = 3;         ///< pi segments of the TSV model (3 = paper's 3-pi)
   int steps_per_cycle = 40;
   bool with_inductance = true;
+
+  /// Throws std::invalid_argument naming the field unless `frequency` is
+  /// finite and > 0, `segments` >= 1 and `steps_per_cycle` >= 1.
+  void validate() const;
 };
 
 struct LinkSimResult {

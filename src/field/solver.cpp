@@ -20,15 +20,32 @@ Complex harmonic_mean(Complex a, Complex b) {
   return 2.0 * a * b / s;
 }
 
+// Complex arithmetic spelled out in real and imaginary parts, in the exact
+// operation order the compiler emits for std::complex<double> (a*b is
+// (ar*br - ai*bi, ar*bi + ai*br); norm is re*re + im*im). Results are
+// bit-identical for finite operands; only the NaN-recovery call
+// (__muldc3) that std::complex multiplication carries is gone.
+inline Complex mul(Complex a, Complex b) {
+  return {a.real() * b.real() - a.imag() * b.imag(), a.real() * b.imag() + a.imag() * b.real()};
+}
+
+/// conj(a) * b, with the conjugate's negated imaginary part as an operand.
+inline Complex conj_mul(Complex a, Complex b) {
+  const double ai = -a.imag();
+  return {a.real() * b.real() - ai * b.imag(), a.real() * b.imag() + ai * b.real()};
+}
+
+inline double norm(Complex a) { return a.real() * a.real() + a.imag() * a.imag(); }
+
 double norm2(const std::vector<Complex>& v) {
   double acc = 0.0;
-  for (const auto& c : v) acc += std::norm(c);
+  for (const auto& c : v) acc += norm(c);
   return std::sqrt(acc);
 }
 
 Complex dot(const std::vector<Complex>& a, const std::vector<Complex>& b) {
   Complex acc{0.0, 0.0};
-  for (std::size_t i = 0; i < a.size(); ++i) acc += std::conj(a[i]) * b[i];
+  for (std::size_t i = 0; i < a.size(); ++i) acc += conj_mul(a[i], b[i]);
   return acc;
 }
 
@@ -76,6 +93,23 @@ void FieldProblem::update_coefficients() {
       if (iy + 1 < ny) w_north_[i] = harmonic_mean(grid_.eps(i), grid_.eps(grid_.index(ix, iy + 1)));
     }
   }
+  // Operator diagonal per unknown: every in-domain face weight (Dirichlet
+  // neighbours included), then the domain-boundary faces, which see a
+  // Dirichlet 0 through the cell's own permittivity.
+  diag_.assign(free_cells_.size(), Complex{});
+  for (std::size_t u = 0; u < free_cells_.size(); ++u) {
+    const std::size_t i = free_cells_[u];
+    const std::size_t ix = i % nx;
+    const std::size_t iy = i / nx;
+    Complex d{};
+    if (ix + 1 < nx) d += w_east_[i];
+    if (ix > 0) d += w_east_[i - 1];
+    if (iy + 1 < ny) d += w_north_[i];
+    if (iy > 0) d += w_north_[i - nx];
+    if (ix == 0 || ix + 1 == nx) d += grid_.eps(i);
+    if (iy == 0 || iy + 1 == ny) d += grid_.eps(i);
+    diag_[u] = d;
+  }
   std::lock_guard<std::mutex> lock(mg_mutex_);
   if (mg_) {
     std::vector<Complex> eps(n);
@@ -104,28 +138,30 @@ const Multigrid* FieldProblem::multigrid_for(const MultigridOptions& opts) const
 
 void FieldProblem::apply(const std::vector<Complex>& x, std::vector<Complex>& y) const {
   // y = A x where x is the unknown vector and A couples only free cells
-  // (Dirichlet contributions live in the right-hand side).
+  // (Dirichlet contributions live in the right-hand side). Unknowns are
+  // numbered in cell order, so a row-by-row walk meets them as u = 0, 1, ...
   const std::size_t nx = grid_.nx();
   const std::size_t ny = grid_.ny();
-  for (std::size_t u = 0; u < free_cells_.size(); ++u) {
-    const std::size_t i = free_cells_[u];
-    const std::size_t ix = i % nx;
-    const std::size_t iy = i / nx;
-    Complex diag{};
-    Complex off{};
-    auto face = [&](std::size_t j, Complex w) {
-      diag += w;
-      const std::int64_t fj = free_index_[j];
-      if (fj >= 0) off += w * x[static_cast<std::size_t>(fj)];
-    };
-    if (ix + 1 < nx) face(i + 1, w_east_[i]);
-    if (ix > 0) face(i - 1, w_east_[i - 1]);
-    if (iy + 1 < ny) face(i + nx, w_north_[i]);
-    if (iy > 0) face(i - nx, w_north_[i - nx]);
-    // Domain-boundary faces: Dirichlet 0 with the cell's own permittivity.
-    if (ix == 0 || ix + 1 == nx) diag += grid_.eps(i);
-    if (iy == 0 || iy + 1 == ny) diag += grid_.eps(i);
-    y[u] = diag * x[u] - off;
+  const std::int64_t* index = free_index_.data();
+  const Complex* xs = x.data();
+  std::size_t u = 0;
+  for (std::size_t iy = 0; iy < ny; ++iy) {
+    const bool has_north = iy + 1 < ny;
+    const bool has_south = iy > 0;
+    for (std::size_t ix = 0, i = iy * nx; ix < nx; ++ix, ++i) {
+      if (index[i] < 0) continue;
+      Complex off{};
+      const auto face = [&](std::size_t j, Complex w) {
+        const std::int64_t fj = index[j];
+        if (fj >= 0) off += mul(w, xs[fj]);
+      };
+      if (ix + 1 < nx) face(i + 1, w_east_[i]);
+      if (ix > 0) face(i - 1, w_east_[i - 1]);
+      if (has_north) face(i + nx, w_north_[i]);
+      if (has_south) face(i - nx, w_north_[i - nx]);
+      y[u] = mul(diag_[u], xs[u]) - off;
+      ++u;
+    }
   }
 }
 
@@ -160,8 +196,6 @@ std::vector<Complex> FieldProblem::solve(std::int32_t active, const SolverOption
   std::vector<double> residual_history;  // per-iteration, trace-only
   long long vcycles = 0;
   const std::size_t nu = free_cells_.size();
-  const std::size_t nx = grid_.nx();
-  const std::size_t ny = grid_.ny();
   if (!phi0.empty() && phi0.size() != grid_.size()) {
     throw std::invalid_argument("solve: warm-start potential must be full-grid sized");
   }
@@ -186,22 +220,6 @@ std::vector<Complex> FieldProblem::solve(std::int32_t active, const SolverOption
     // solution. Report it honestly instead of mimicking an iterative solve.
     trivial = true;
   } else {
-    // Jacobi diagonal (also the multigrid fallback's scaling).
-    std::vector<Complex> diag(nu, Complex{});
-    for (std::size_t u = 0; u < nu; ++u) {
-      const std::size_t i = free_cells_[u];
-      const std::size_t ix = i % nx;
-      const std::size_t iy = i / nx;
-      Complex d{};
-      if (ix + 1 < nx) d += w_east_[i];
-      if (ix > 0) d += w_east_[i - 1];
-      if (iy + 1 < ny) d += w_north_[i];
-      if (iy > 0) d += w_north_[i - nx];
-      if (ix == 0 || ix + 1 == nx) d += grid_.eps(i);
-      if (iy == 0 || iy + 1 == ny) d += grid_.eps(i);
-      diag[u] = d;
-    }
-
     // Left preconditioner application z = M^-1 y. The V-cycle operates on
     // full-grid vectors, so scatter/gather around it.
     Multigrid::Workspace ws;
@@ -213,7 +231,7 @@ std::vector<Complex> FieldProblem::solve(std::int32_t active, const SolverOption
     }
     auto precond = [&](const std::vector<Complex>& y, std::vector<Complex>& z) {
       if (!mg) {
-        for (std::size_t u = 0; u < nu; ++u) z[u] = y[u] / diag[u];
+        for (std::size_t u = 0; u < nu; ++u) z[u] = y[u] / diag_[u];
         return;
       }
       ++vcycles;
@@ -254,44 +272,67 @@ std::vector<Complex> FieldProblem::solve(std::int32_t active, const SolverOption
       std::vector<Complex> p(nu, Complex{}), v(nu, Complex{}), s(nu), t(nu);
       Complex rho{1.0, 0.0}, alpha{1.0, 0.0}, omega{1.0, 0.0};
       const double r0norm = norm2(r0);
-      res = norm2(r) / bnorm;
+      double rnorm = norm2(r);
+      Complex r0r = dot(r0, r);
+      res = rnorm / bnorm;
+      // The vector updates share passes with the reductions that read their
+      // results; each reduction still runs in index order.
       if (res >= opts.tolerance) {
         for (; it < opts.max_iterations; ++it) {
-          const Complex rho1 = dot(r0, r);
+          const Complex rho1 = r0r;
           // Breakdown guard, scaled like the alpha guard below: an
           // absolute 1e-300 cutoff false-triggers on well-scaled systems
           // whose norms are simply small.
-          if (std::abs(rho1) <= 1e-30 * r0norm * norm2(r)) break;
+          if (std::abs(rho1) <= 1e-30 * r0norm * rnorm) break;
           if (it == 0) {
             p = r;
           } else {
             const Complex beta = (rho1 / rho) * (alpha / omega);
-            for (std::size_t u = 0; u < nu; ++u) p[u] = r[u] + beta * (p[u] - omega * v[u]);
+            for (std::size_t u = 0; u < nu; ++u) p[u] = r[u] + mul(beta, p[u] - mul(omega, v[u]));
           }
           rho = rho1;
           apply_prec(p, v);
           // Breakdown guard: r0 ⟂ v makes alpha blow up to inf/NaN and taint
           // the whole potential vector. Bail out and report non-convergence.
-          const Complex r0v = dot(r0, v);
-          if (std::abs(r0v) <= 1e-30 * r0norm * norm2(v)) break;
+          Complex r0v{};
+          double vv = 0.0;
+          for (std::size_t u = 0; u < nu; ++u) {
+            r0v += conj_mul(r0[u], v[u]);
+            vv += norm(v[u]);
+          }
+          if (std::abs(r0v) <= 1e-30 * r0norm * std::sqrt(vv)) break;
           alpha = rho / r0v;
-          for (std::size_t u = 0; u < nu; ++u) s[u] = r[u] - alpha * v[u];
-          if (norm2(s) / bnorm < opts.tolerance) {
-            for (std::size_t u = 0; u < nu; ++u) x[u] += alpha * p[u];
-            res = norm2(s) / bnorm;
+          double ss = 0.0;
+          for (std::size_t u = 0; u < nu; ++u) {
+            s[u] = r[u] - mul(alpha, v[u]);
+            ss += norm(s[u]);
+          }
+          const double snorm = std::sqrt(ss);
+          if (snorm / bnorm < opts.tolerance) {
+            for (std::size_t u = 0; u < nu; ++u) x[u] += mul(alpha, p[u]);
+            res = snorm / bnorm;
             if (tracing) residual_history.push_back(res);
             ++it;
             break;
           }
           apply_prec(s, t);
-          const Complex tt = dot(t, t);
-          if (std::abs(tt) < 1e-300) break;
-          omega = dot(t, s) / tt;
+          Complex tt{}, ts{};
           for (std::size_t u = 0; u < nu; ++u) {
-            x[u] += alpha * p[u] + omega * s[u];
-            r[u] = s[u] - omega * t[u];
+            tt += conj_mul(t[u], t[u]);
+            ts += conj_mul(t[u], s[u]);
           }
-          res = norm2(r) / bnorm;
+          if (std::abs(tt) < 1e-300) break;
+          omega = ts / tt;
+          double rr = 0.0;
+          r0r = Complex{};
+          for (std::size_t u = 0; u < nu; ++u) {
+            x[u] += mul(alpha, p[u]) + mul(omega, s[u]);
+            r[u] = s[u] - mul(omega, t[u]);
+            rr += norm(r[u]);
+            r0r += conj_mul(r0[u], r[u]);
+          }
+          rnorm = std::sqrt(rr);
+          res = rnorm / bnorm;
           if (tracing) residual_history.push_back(res);
           if (res < opts.tolerance) {
             ++it;

@@ -12,6 +12,18 @@
 // count essentially flat as the grid is refined. Grids too small to coarsen
 // fall back to Jacobi automatically; `SolveStats::preconditioner` reports
 // what actually ran.
+//
+// The operator diagonal is assembled once per coefficient set
+// (update_coefficients) and serves both `apply` and the Jacobi scaling;
+// `apply` walks the grid row by row, so it needs no per-unknown index
+// division. Complex products in `apply` and the BiCGStab vector updates are
+// written out in real and imaginary parts in the order std::complex uses,
+// and each update shares a pass with the reductions over its result, which
+// still accumulate in index order. Results are therefore bit-identical to
+// the std::complex formulation for finite data: no operation is reordered,
+// none is contracted to an FMA (this file builds for baseline x86-64, which
+// has none), and only the NaN-recovery call of std::complex multiplication
+// is gone.
 
 #include <memory>
 #include <mutex>
@@ -112,6 +124,8 @@ class FieldProblem {
   // Face weights (relative permittivity harmonic means), east and north per cell.
   std::vector<Complex> w_east_;
   std::vector<Complex> w_north_;
+  // Operator diagonal per unknown (also the Jacobi preconditioner).
+  std::vector<Complex> diag_;
   mutable std::mutex mg_mutex_;
   mutable std::unique_ptr<Multigrid> mg_;
   mutable bool mg_attempted_ = false;

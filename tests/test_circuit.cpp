@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "circuit/netlist.hpp"
@@ -194,6 +195,70 @@ TEST(LinkSim, InputValidation) {
   phys::Matrix wrong(3, 3);
   std::vector<std::uint64_t> words(4, 0);
   EXPECT_THROW(simulate_link(geom, wrong, words), std::invalid_argument);
+
+  // Each bad SimOptions field is rejected with an error naming it; a zero
+  // clock or step count used to come back as dynamic_power == 0.
+  const auto expect_rejected = [&](SimOptions opts, const std::string& field) {
+    try {
+      simulate_link(geom, cap, words, {}, opts);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("SimOptions." + field), std::string::npos) << e.what();
+    }
+    std::vector<Waveform> waves(geom.count(), dc(0.0));
+    EXPECT_THROW(build_link_netlist(geom, cap, waves, {}, opts), std::invalid_argument) << field;
+  };
+  for (const double f : {0.0, -3e9, std::nan(""), HUGE_VAL}) {
+    SimOptions opts;
+    opts.frequency = f;
+    expect_rejected(opts, "frequency");
+  }
+  for (const int steps : {0, -1}) {
+    SimOptions opts;
+    opts.steps_per_cycle = steps;
+    expect_rejected(opts, "steps_per_cycle");
+  }
+  SimOptions no_segments;
+  no_segments.segments = 0;
+  expect_rejected(no_segments, "segments");
+  SimOptions one_step;
+  one_step.steps_per_cycle = 1;
+  EXPECT_GT(simulate_link(geom, cap, words, {}, one_step).cycles, 0u);
+}
+
+TEST(Transient, RejectsNonFiniteOrNonPositiveStep) {
+  Netlist net;
+  const int a = net.add_node();
+  net.resistor(a, Netlist::kGround, 1.0);
+  for (const double dt : {0.0, -1e-12, std::nan(""), HUGE_VAL}) {
+    try {
+      TransientSim sim(net, dt);
+      ADD_FAILURE() << "dt=" << dt << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("dt"), std::string::npos) << e.what();
+    }
+  }
+}
+
+// Bit-identity golden: the energies of a 3x3 link over 64 pseudo-random
+// words as hex floats, as the dense LU substitution computed them. The
+// sparse substitution must reproduce them exactly (DESIGN.md §5l); a change
+// to the order or the set of nonzero operations in the MNA solve can move
+// these bits.
+TEST(LinkSim, GoldenEnergiesAreBitIdentical) {
+  auto geom = phys::TsvArrayGeometry::itrs2018_min(3, 3);
+  const auto cap = tsv::analytic_capacitance(geom, std::vector<double>(geom.count(), 0.5));
+  std::vector<std::uint64_t> words(64);
+  std::uint64_t s = 0x9E3779B97F4A7C15ull;
+  for (auto& w : words) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    w = (s >> 33) & 0x1FF;
+  }
+  SimOptions opts;
+  opts.with_inductance = true;
+  EXPECT_EQ(simulate_link(geom, cap, words, {}, opts).dynamic_energy, 0x1.4886650ae4cd9p-37);
+  opts.with_inductance = false;
+  EXPECT_EQ(simulate_link(geom, cap, words, {}, opts).dynamic_energy, 0x1.48865f43d8bb9p-37);
 }
 
 }  // namespace

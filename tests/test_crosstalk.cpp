@@ -2,7 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/crosstalk.hpp"
@@ -57,6 +58,37 @@ TEST(Crosstalk, ValidatesVictimIndex) {
   const std::vector<double> pr(4, 0.5);
   const auto cap = tsv::analytic_capacitance(geom, pr);
   EXPECT_THROW(circuit::analyze_crosstalk(geom, cap, 99), std::invalid_argument);
+}
+
+TEST(Crosstalk, ValidatesSimOptions) {
+  // The scenarios floor the step count at 400 per cycle, so a zero count was
+  // silently accepted; both it and a bad clock must fail naming the field.
+  auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);
+  const auto cap = tsv::analytic_capacitance(geom, std::vector<double>(4, 0.5));
+  circuit::SimOptions bad_steps;
+  bad_steps.steps_per_cycle = 0;
+  circuit::SimOptions bad_clock;
+  bad_clock.frequency = std::nan("");
+  for (const auto& [opts, field] : {std::pair{bad_steps, "steps_per_cycle"},
+                                    std::pair{bad_clock, "frequency"}}) {
+    try {
+      circuit::analyze_crosstalk(geom, cap, 0, {}, opts);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  }
+}
+
+// Bit-identity golden: every field of the centre-victim analysis on a 3x3
+// array as hex floats, as the dense LU substitution computed them; the
+// sparse substitution must reproduce them exactly (DESIGN.md §5l).
+TEST(Crosstalk, GoldenFieldsAreBitIdentical) {
+  auto geom = phys::TsvArrayGeometry::itrs2018_min(3, 3);
+  const auto res = analyze(geom, 0.5, geom.index(1, 1));
+  EXPECT_EQ(res.victim_peak_noise, 0x1.39e5567ae0c45p-1);
+  EXPECT_EQ(res.victim_delay_quiet, 0x1.4285fe4049afp-36);
+  EXPECT_EQ(res.victim_delay_opposed, 0x1.5fd7fe17963e8p-35);
 }
 
 }  // namespace

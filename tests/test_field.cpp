@@ -12,6 +12,8 @@
 #include "field/grid.hpp"
 #include "field/solver.hpp"
 #include "phys/constants.hpp"
+#include "simd/dispatch.hpp"
+#include "tsv/linear_model.hpp"
 
 namespace {
 
@@ -429,6 +431,47 @@ TEST(Export, PotentialMapMatchesSolution) {
   EXPECT_LT(map[g.index(1, 1)], 0.2);
   const std::vector<Complex> wrong(3);
   EXPECT_THROW(field::potential_map(g, wrong), std::invalid_argument);
+}
+
+// Bit-identity golden: every C_R / DeltaC entry of a field fit on a 2x2
+// array at a 1 um cell as hex floats (x86-64), and the total BiCGStab
+// iteration count, as the std::complex formulation of the operator and the
+// BiCGStab updates computed them; the spelled-out arithmetic must reproduce
+// them exactly (DESIGN.md §5l). The values are pinned at the scalar dispatch
+// level, whose bits do not depend on the build type; the AVX2/AVX-512
+// smoother clones reassociate and contract, so their bits move with the
+// optimization level.
+TEST(Extractor, GoldenFieldFitIsBitIdentical) {
+  static const double kGolden[32] = {
+      // c_ref, row-major
+      0x1.a7c991509153ep-47, 0x1.74fa71a70b4fap-49, 0x1.74fa71a70b4f9p-49, 0x1.e6c9c490e1d84p-50,
+      0x1.74fa71a70b4fap-49, 0x1.a7c991506078ep-47, 0x1.e6c9c49132d4ep-50, 0x1.74fa71a70b4f8p-49,
+      0x1.74fa71a70b4f9p-49, 0x1.e6c9c49132d4ep-50, 0x1.a7c991506078dp-47, 0x1.74fa71a70b4fap-49,
+      0x1.e6c9c490e1d84p-50, 0x1.74fa71a70b4f8p-49, 0x1.74fa71a70b4fap-49, 0x1.a7c991509154p-47,
+      // delta_c, row-major
+      -0x1.796e595151118p-51, -0x1.dbc67a0cd0feep-51, -0x1.dbc67a0cd0ff3p-51, -0x1.926fb710562cfp-51,
+      -0x1.dbc67a0cd0feep-51, -0x1.796e595067c9p-51, -0x1.926fb70ca9039p-51, -0x1.dbc67a0cd0febp-51,
+      -0x1.dbc67a0cd0ff3p-51, -0x1.926fb70ca9039p-51, -0x1.796e595067c5p-51, -0x1.dbc67a0cd0ffbp-51,
+      -0x1.926fb710562cfp-51, -0x1.dbc67a0cd0febp-51, -0x1.dbc67a0cd0ffbp-51, -0x1.796e59515112p-51,
+  };
+  simd::ScopedLevel scalar(simd::Level::scalar);
+  auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);
+  field::ExtractionOptions opts;
+  opts.cell = 1_um;
+  opts.threads = 1;
+  opts.solver.preconditioner = field::Preconditioner::multigrid;
+  tsv::FieldFitStats stats;
+  const auto model = tsv::fit_from_field(geom, opts, &stats);
+  EXPECT_EQ(stats.solves, 8u);
+  EXPECT_EQ(stats.iterations, 84);
+  EXPECT_EQ(stats.preconditioner, field::Preconditioner::multigrid);
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(model.c_ref()(i, j), kGolden[4 * i + j]) << "c_ref(" << i << "," << j << ")";
+      EXPECT_EQ(model.delta_c()(i, j), kGolden[16 + 4 * i + j])
+          << "delta_c(" << i << "," << j << ")";
+    }
+  }
 }
 
 }  // namespace
