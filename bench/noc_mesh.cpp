@@ -1,13 +1,8 @@
 // Mesh-at-scale throughput baseline for the batched NoC engine: simulated
 // flits/sec across mesh sizes (2^3 up to 8x8x8) x traffic regimes (hotspot,
-// transpose, bursty-MEMS) x thread counts, against two baselines:
-//
-//   legacy — the pre-batched deque engine this kernel replaced, vendored
-//            verbatim from the repo history (noc_legacy.hpp); the headline
-//            speedup_vs_legacy column.
-//   ref    — the current deque golden model (noc/reference.hpp), which
-//            matches the batched engine's semantics bit-for-bit and anchors
-//            the correctness booleans.
+// transpose, bursty-MEMS) x thread counts, against the deque golden model
+// (noc/reference.hpp), which matches the batched engine's semantics
+// bit-for-bit and anchors the correctness booleans.
 //
 // Every row also runs the coded fabric (bus-invert on all vertical TSV
 // bundles) and checks the three invariants the engine promises:
@@ -34,7 +29,6 @@
 #include "common.hpp"
 #include "noc/reference.hpp"
 #include "noc/simulator.hpp"
-#include "noc_legacy.hpp"
 
 using namespace tsvcod;
 
@@ -127,8 +121,8 @@ int main(int argc, char** argv) {
                       "per-link adaptive coding on every vertical TSV bundle");
   std::printf("%zu cycles/run, best of %d reps, parallel at %d threads\n\n", cycles, reps,
               threads);
-  std::printf("%-20s %9s %9s %9s %9s %8s %8s %6s %6s %6s %8s\n", "config", "leg_Mf/s", "ref_Mf/s",
-              "1t_Mf/s", "Kt_Mf/s", "spd_leg", "spd_thr", "ref=", "1t=Kt", "coded", "tog_red%");
+  std::printf("%-20s %9s %9s %9s %8s %6s %6s %6s %8s\n", "config", "ref_Mf/s", "1t_Mf/s",
+              "Kt_Mf/s", "spd_thr", "ref=", "1t=Kt", "coded", "tog_red%");
 
   bench::BenchJson doc("noc_mesh");
   doc.param("cycles", static_cast<double>(cycles))
@@ -145,16 +139,11 @@ int main(int argc, char** argv) {
       // Interleave the engines inside each rep (taking each engine's best
       // across reps) so a background-load spike on the host degrades all
       // columns of a rep together instead of skewing one speedup ratio.
-      bench_legacy::LegacyStats legacy_stats;
       noc::SimStats ref_stats, serial_stats, parallel_stats;
       noc::SimOptions kt;
       kt.threads = threads;
-      double legacy_secs = 1e300, ref_secs = 1e300, serial_secs = 1e300, parallel_secs = 1e300;
+      double ref_secs = 1e300, serial_secs = 1e300, parallel_secs = 1e300;
       for (int rep = 0; rep < reps; ++rep) {
-        legacy_secs = std::min(legacy_secs, timed_seconds([&] {
-                        bench_legacy::LegacySimulator legacy(mesh, cfg);
-                        legacy_stats = legacy.run(cycles);
-                      }));
         ref_secs = std::min(ref_secs, timed_seconds([&] {
                      noc::ReferenceSimulator ref(mesh, cfg);
                      ref_stats = ref.run(cycles);
@@ -195,12 +184,9 @@ int main(int argc, char** argv) {
       all_ok = all_ok && ok;
 
       const double delivered = static_cast<double>(serial_stats.delivered);
-      const double legacy_mfps =
-          legacy_secs > 0 ? static_cast<double>(legacy_stats.delivered) / legacy_secs / 1e6 : 0.0;
       const double ref_mfps = ref_secs > 0 ? delivered / ref_secs / 1e6 : 0.0;
       const double serial_mfps = serial_secs > 0 ? delivered / serial_secs / 1e6 : 0.0;
       const double parallel_mfps = parallel_secs > 0 ? delivered / parallel_secs / 1e6 : 0.0;
-      const double speedup_vs_legacy = serial_secs > 0 ? legacy_secs / serial_secs : 0.0;
       const double speedup_vs_ref = serial_secs > 0 ? ref_secs / serial_secs : 0.0;
       const double speedup_threads = parallel_secs > 0 ? serial_secs / parallel_secs : 0.0;
       const double toggle_reduction_pct =
@@ -211,19 +197,16 @@ int main(int argc, char** argv) {
 
       char name[48];
       std::snprintf(name, sizeof name, "%zux%zux%zu/%s", dims.nx, dims.ny, dims.nz, regime.name);
-      std::printf("%-20s %9.2f %9.2f %9.2f %9.2f %7.1fx %7.1fx %6s %6s %6s %8.1f\n", name,
-                  legacy_mfps, ref_mfps, serial_mfps, parallel_mfps, speedup_vs_legacy,
-                  speedup_threads, ref_match ? "yes" : "NO", bit_identical ? "yes" : "NO",
+      std::printf("%-20s %9.2f %9.2f %9.2f %7.1fx %6s %6s %6s %8.1f\n", name, ref_mfps,
+                  serial_mfps, parallel_mfps, speedup_threads, ref_match ? "yes" : "NO", bit_identical ? "yes" : "NO",
                   coded_transparent ? "yes" : "NO", toggle_reduction_pct);
 
       doc.begin_row()
           .field("name", name)
           .field("nodes", static_cast<double>(mesh.node_count()))
-          .field("legacy_mflits_per_sec", legacy_mfps)
           .field("ref_mflits_per_sec", ref_mfps)
           .field("serial_mflits_per_sec", serial_mfps)
           .field("parallel_mflits_per_sec", parallel_mfps)
-          .field("speedup_vs_legacy", speedup_vs_legacy)
           .field("speedup_vs_ref", speedup_vs_ref)
           .field("speedup_threads", speedup_threads)
           .field("vlink_toggles_uncoded", static_cast<double>(uncoded_toggles))

@@ -319,12 +319,13 @@ std::string describe_eval_case(const EvalCase& ec) {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 3: StatsAccumulator vs a naive O(N * w^2) reference.
+// Oracle 3: StatsAccumulator and ChunkFolder vs a naive O(N * w^2) reference.
 // ---------------------------------------------------------------------------
 
 struct StatsCase {
   std::size_t width = 1;
   std::vector<std::uint64_t> words;
+  std::uint64_t fold_seed = 0;  ///< drives the ChunkFolder chunk sizes and window resets
 };
 
 StatsCase gen_stats_case(Rng& rng) {
@@ -339,6 +340,7 @@ StatsCase gen_stats_case(Rng& rng) {
     case 2: sc.words = gen_trace(rng, sc.width, 64 + 64 * rng.below(4) + rng.below(3)); break;
     default: sc.words = gen_trace(rng, sc.width, 2 + rng.below(300)); break;
   }
+  sc.fold_seed = rng.u64();
   return sc;
 }
 
@@ -392,34 +394,47 @@ std::optional<std::string> check_stats_case(const StatsCase& sc) {
   }
   const double nt = static_cast<double>(sc.words.size() - 1);
   const double nw = static_cast<double>(sc.words.size());
+  stats::SwitchingStats want;
+  want.width = w;
+  want.transitions = sc.words.size() - 1;
+  want.coupling = phys::Matrix(w, w);
+  for (std::size_t i = 0; i < w; ++i) {
+    want.self.push_back(self[i] / nt);
+    want.prob_one.push_back(ones[i] / nw);
+    want.coupling(i, i) = self[i] / nt;
+    for (std::size_t j = i + 1; j < w; ++j) {
+      want.coupling(i, j) = cross(i, j) / nt;
+      want.coupling(j, i) = cross(i, j) / nt;
+    }
+  }
 
   stats::StatsAccumulator acc(w);
   for (const auto word : sc.words) acc.add(word);
   if (acc.samples() != sc.words.size()) return "samples() disagrees with word count";
   const stats::SwitchingStats got = acc.finish();
-  if (got.width != w) return "finish() width mismatch";
-  if (got.transitions != sc.words.size() - 1) return "finish() transition count mismatch";
+  if (auto diff = stats_bitwise_diff(got, want, "accumulator")) return diff;
 
-  const auto fail = [&](const char* what, std::size_t i, std::size_t j, double g, double want) {
-    std::ostringstream os;
-    os.precision(17);
-    os << what << '[' << i << "][" << j << "]: accumulator " << g << " vs reference " << want;
-    return os.str();
-  };
-  for (std::size_t i = 0; i < w; ++i) {
-    if (got.prob_one[i] != ones[i] / nw) {
-      return fail("prob_one", i, i, got.prob_one[i], ones[i] / nw);
-    }
-    if (got.self[i] != self[i] / nt) return fail("self", i, i, got.self[i], self[i] / nt);
-    if (got.coupling(i, i) != self[i] / nt) {
-      return fail("coupling-diag", i, i, got.coupling(i, i), self[i] / nt);
-    }
-    for (std::size_t j = i + 1; j < w; ++j) {
-      const double want = cross(i, j) / nt;
-      if (got.coupling(i, j) != want) return fail("coupling", i, j, got.coupling(i, j), want);
-      if (got.coupling(j, i) != want) return fail("coupling-sym", j, i, got.coupling(j, i), want);
+  // The seam API: fold the trace through a ChunkFolder in random chunks
+  // (empty and 1-word ones included), closing tumbling windows at random
+  // points; the merged window counts must be the reference, bit for bit.
+  Rng plan(sc.fold_seed);
+  stats::ChunkFolder folder(w);
+  stats::SwitchingCounts merged(w);
+  const std::span<const std::uint64_t> all(sc.words);
+  for (std::size_t at = 0; at < all.size();) {
+    const std::size_t n = static_cast<std::size_t>(plan.chance(0.3) ? plan.below(2)
+                                                                    : plan.below(160));
+    const auto chunk = all.subspan(at, std::min(n, all.size() - at));
+    folder.fold(chunk);
+    at += chunk.size();
+    if (plan.chance(0.25)) {
+      merged.merge(folder.counts());
+      folder.reset_window();
     }
   }
+  merged.merge(folder.counts());
+  if (merged.words != sc.words.size()) return "ChunkFolder: merged windows lose words";
+  if (auto diff = stats_bitwise_diff(merged.finalize(), want, "ChunkFolder windows")) return diff;
 
   // The one-shot chunked reduction must be bitwise identical to the
   // streaming accumulator at every thread count (integer counters make the
@@ -455,7 +470,8 @@ std::vector<StatsCase> shrink_stats_case(const StatsCase& sc) {
 }
 
 std::string describe_stats_case(const StatsCase& sc) {
-  return "width=" + std::to_string(sc.width) + " words=" + hex_words(sc.words);
+  return "width=" + std::to_string(sc.width) + " fold_seed=" + std::to_string(sc.fold_seed) +
+         " words=" + hex_words(sc.words);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@
 //                     float epsilon times the absolute term mass.
 //   stats_reference   bit-plane StatsAccumulator vs a naive O(N * w^2)
 //                     recomputation (exact: both sums are integer-valued),
-//                     plus chunked parallel compute_stats at several thread
-//                     counts (bitwise identical, block tails included).
+//                     plus a ChunkFolder fold at random chunk sizes (0 and 1
+//                     included) and random window resets, and chunked
+//                     parallel compute_stats at several thread counts
+//                     (bitwise identical, block tails included).
 //   field_consistency Jacobi- vs multigrid-preconditioned BiCGStab vs a dense
 //                     complex LU factorization of the same operator, on random
 //                     conductor layouts.

@@ -201,7 +201,7 @@ class NocSimulator {
   std::vector<LinkId> vlinks_;
   std::vector<std::unique_ptr<core::CodedLink>> coded_;  ///< sender slot -> link
   std::vector<std::uint32_t> vstat_of_slot_;             ///< sender slot -> vstats_ index
-  mutable std::vector<stats::BitplaneAccumulator> vstats_;
+  mutable std::vector<stats::StatsAccumulator> vstats_;
   bool coded_attached_ = false;
 
   // Per-router counters (disjoint writes; reduced in index order).

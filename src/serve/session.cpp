@@ -61,6 +61,11 @@ SessionConfig validated(SessionConfig config) {
     throw std::invalid_argument("serve: drift window must be >= 2 words, got " +
                                 std::to_string(config.drift.window_words));
   }
+  if (!std::isfinite(config.drift.threshold) || config.drift.threshold < 0.0) {
+    throw std::invalid_argument(
+        "serve: drift threshold must be a finite number >= 0 (0 = off), got " +
+        std::to_string(config.drift.threshold));
+  }
   return config;
 }
 

@@ -46,7 +46,8 @@ struct DriftOptions {
   /// Tumbling-window length in words; the drift check runs once per window.
   /// Must be >= 2 (a window needs two words to have a transition).
   std::uint64_t window_words = 4096;
-  /// Trip level for drift_metric(); <= 0 disables drift detection entirely.
+  /// Trip level for drift_metric(); must be finite and >= 0, and 0 disables
+  /// drift detection entirely.
   double threshold = 0.25;
   /// Minimum words between the end of one swap and the next trip. 0 = one
   /// window length.
@@ -96,8 +97,8 @@ double drift_metric(const stats::SwitchingStats& window, const stats::SwitchingS
 class Session {
  public:
   /// Validates the config (width 1..64, model size, codec width-preserving,
-  /// window >= 2) with errors naming the offending field. The link starts on
-  /// the identity assignment.
+  /// window >= 2, threshold finite and >= 0) with errors naming the
+  /// offending field. The link starts on the identity assignment.
   Session(std::uint64_t id, SessionConfig config);
 
   std::uint64_t id() const { return id_; }

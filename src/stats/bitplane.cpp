@@ -297,61 +297,23 @@ SwitchingStats SwitchingCounts::finalize() const {
   return s;
 }
 
-BitplaneAccumulator::BitplaneAccumulator(std::size_t width)
+StatsAccumulator::StatsAccumulator(std::size_t width)
     : width_(width), mask_(mask_of(width)), counts_(width) {
   if (width == 0 || width > 64) {
-    throw std::invalid_argument("BitplaneAccumulator: width must be in [1, 64]");
+    throw std::invalid_argument("StatsAccumulator: width must be in [1, 64]");
   }
 }
 
-void BitplaneAccumulator::prime(std::uint64_t word) {
-  if (samples_ != 0 || primed_) {
-    // Name the exact state so the misuse is diagnosable: priming after a
-    // windowed reset (primed, zero samples) used to be indistinguishable
-    // from priming mid-stream, and silently overwriting the carried seam
-    // word mis-counts every transition of the new window.
-    std::ostringstream os;
-    os << "BitplaneAccumulator::prime: stream already started (";
-    if (primed_ && samples_ == 0) {
-      os << "already primed with a seam word — e.g. by reset_window(), which "
-            "carries the previous window's last word over";
-    } else {
-      os << samples_ << " words consumed" << (primed_ ? ", primed" : "");
-    }
-    os << "; " << n_ << " buffered transitions, width " << width_
-       << "). prime() is only valid on a fresh or fully reset() accumulator.";
-    throw std::logic_error(os.str());
-  }
-  prev_ = word & mask_;
+StatsAccumulator::StatsAccumulator(std::size_t width, std::uint64_t seam)
+    : StatsAccumulator(width) {
+  prev_ = seam & mask_;
   block_prev_ = prev_;
-  primed_ = true;
+  chained_ = true;
 }
 
-void BitplaneAccumulator::reset() {
-  counts_ = SwitchingCounts(width_);
-  samples_ = 0;
-  primed_ = false;
-  prev_ = 0;
-  block_prev_ = 0;
-  n_ = 0;
-  blocks_ = 0;
-}
-
-void BitplaneAccumulator::reset_window() {
-  if (samples_ == 0 && !primed_) return;  // no stream yet: nothing to carry
-  counts_ = SwitchingCounts(width_);
-  samples_ = 0;
-  n_ = 0;
-  blocks_ = 0;
-  // Continue the chain: the last word seen becomes the new window's seam
-  // word (primed, its ones already owned by the previous window).
-  block_prev_ = prev_;
-  primed_ = true;
-}
-
-void BitplaneAccumulator::add(std::uint64_t word) {
+void StatsAccumulator::add(std::uint64_t word) {
   word &= mask_;
-  if (samples_ == 0 && !primed_) {
+  if (!chained_) {
     // First word: its bits count toward `ones`, but there is no transition
     // yet, so it never enters a block.
     for (std::uint64_t v = word; v != 0; v &= v - 1) {
@@ -361,6 +323,7 @@ void BitplaneAccumulator::add(std::uint64_t word) {
     prev_ = word;
     block_prev_ = word;
     samples_ = 1;
+    chained_ = true;
     return;
   }
   block_[n_++] = word;
@@ -369,13 +332,13 @@ void BitplaneAccumulator::add(std::uint64_t word) {
   if (n_ == 64) flush_block();
 }
 
-void BitplaneAccumulator::add(std::span<const std::uint64_t> words) {
+void StatsAccumulator::add(std::span<const std::uint64_t> words) {
   std::size_t k = 0;
   const std::size_t n = words.size();
   while (k < n) {
     // On a block boundary with a full block available, reduce straight from
     // the caller's buffer instead of staging 64 words through block_.
-    if (n_ == 0 && (samples_ > 0 || primed_) && n - k >= 64) {
+    if (n_ == 0 && chained_ && n - k >= 64) {
       const std::uint64_t* src = words.data() + k;
       if (mask_ == ~std::uint64_t{0}) {
         flush_from(src);
@@ -392,22 +355,21 @@ void BitplaneAccumulator::add(std::span<const std::uint64_t> words) {
   }
 }
 
-void BitplaneAccumulator::flush_block() {
+void StatsAccumulator::flush_block() {
   flush_from(block_);
   n_ = 0;
 }
 
-void BitplaneAccumulator::flush_from(const std::uint64_t* block) {
+void StatsAccumulator::flush_from(const std::uint64_t* block) {
   block_fn()(width_, block, block_prev_, counts_);
   counts_.words += 64;
   counts_.transitions += 64;
   block_prev_ = block[63];
   prev_ = block_prev_;
   ++blocks_;
-  if (obs::metrics_enabled()) obs::metric_add("stats.bitplane.blocks_total");
 }
 
-SwitchingCounts BitplaneAccumulator::counts() const {
+SwitchingCounts StatsAccumulator::counts() const {
   SwitchingCounts out = counts_;
   // Scalar tail: the buffered partial block (and thereby every < 64 word
   // stream). Walking set bits keeps even the tail O(toggles) per word.
@@ -435,17 +397,16 @@ SwitchingCounts BitplaneAccumulator::counts() const {
   return out;
 }
 
-SwitchingCounts compute_counts(std::span<const std::uint64_t> words, std::size_t width,
-                               int threads) {
-  if (words.size() < 2 && !(width == 0 || width > 64)) {
-    throw_too_few_words(width, words.size());
-  }
-  return compute_counts_primed(false, 0, words, width, threads);
-}
+namespace {
 
-SwitchingCounts compute_counts_primed(bool primed, std::uint64_t prime,
-                                      std::span<const std::uint64_t> words, std::size_t width,
-                                      int threads) {
+/// Counts of `words`; when `seamed`, the transition chain starts at `seam`
+/// (the last word of the preceding chunk, whose one-bits that chunk already
+/// counted) and every word of `words` is a transition target. 0- and 1-word
+/// spans yield partial counts instead of throwing: chunk counts merge into a
+/// whole-stream total, so the >= 2 words rule only applies to the final
+/// counts (finalize() enforces it). Bit-identical at every thread count.
+SwitchingCounts count_chunk(bool seamed, std::uint64_t seam, std::span<const std::uint64_t> words,
+                            std::size_t width, int threads) {
   if (width == 0 || width > 64) {
     throw std::invalid_argument("compute_counts: width must be in [1, 64]");
   }
@@ -454,10 +415,10 @@ SwitchingCounts compute_counts_primed(bool primed, std::uint64_t prime,
   obs::Span span("stats.compute");
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Virtual word sequence S: the prime word (when primed) followed by
-  // `words`. Transition t is S[t] -> S[t+1]; only unprimed chunk 0 counts
+  // Virtual word sequence S: the seam word (when seamed) followed by
+  // `words`. Transition t is S[t] -> S[t+1]; only unseamed chunk 0 counts
   // S[0]'s one-bits, matching the streaming accumulator exactly.
-  const std::size_t transitions = words.size() - (primed ? 0 : 1);
+  const std::size_t transitions = words.size() - (seamed ? 0 : 1);
   // One chunk per resolved thread, but never so many that a chunk drops
   // below a useful run of blocks; the merge is exact, so the chunk count
   // only affects speed, never the result.
@@ -466,29 +427,25 @@ SwitchingCounts compute_counts_primed(bool primed, std::uint64_t prime,
   const std::size_t chunks =
       std::clamp<std::size_t>(transitions / min_chunk_transitions, 1, k);
 
-  // Chunk c owns transitions [tb, te): it is primed with the seam word
-  // S[tb] (whose bits were already counted upstream) and then consumes
+  // Chunk c owns transitions [tb, te): its chain starts at the seam word
+  // S[tb] (whose bits were already counted upstream) and it consumes
   // S(tb, te]. Ones and transitions both partition exactly.
-  const auto run_chunk = [&](BitplaneAccumulator& acc, std::size_t tb, std::size_t te) {
-    if (primed) {
-      acc.prime(tb == 0 ? prime : words[tb - 1]);
-      acc.add(words.subspan(tb, te - tb));
-    } else {
-      if (tb == 0) {
-        acc.add(words[0]);
-      } else {
-        acc.prime(words[tb]);
-      }
-      acc.add(words.subspan(tb + 1, te - tb));
+  const auto run_chunk = [&](std::size_t tb, std::size_t te) {
+    if (!seamed && tb == 0) {
+      StatsAccumulator acc(width);
+      acc.add(words.subspan(0, te + 1));
+      return acc;
     }
+    StatsAccumulator acc(width, seamed ? (tb == 0 ? seam : words[tb - 1]) : words[tb]);
+    acc.add(words.subspan(seamed ? tb : tb + 1, te - tb));
+    return acc;
   };
 
   std::uint64_t blocks = 0;
   std::uint64_t tail_words = 0;
   SwitchingCounts total(width);
   if (chunks == 1) {
-    BitplaneAccumulator acc(width);
-    run_chunk(acc, 0, transitions);
+    const StatsAccumulator acc = run_chunk(0, transitions);
     total = acc.counts();
     blocks = acc.blocks_flushed();
     tail_words = acc.pending();
@@ -498,8 +455,7 @@ SwitchingCounts compute_counts_primed(bool primed, std::uint64_t prime,
     opt::parallel_for(chunks, static_cast<int>(k), [&](std::size_t c) {
       const std::size_t tb = transitions * c / chunks;
       const std::size_t te = transitions * (c + 1) / chunks;
-      BitplaneAccumulator acc(width);
-      run_chunk(acc, tb, te);
+      const StatsAccumulator acc = run_chunk(tb, te);
       partial[c] = acc.counts();
       meta[c] = {acc.blocks_flushed(), acc.pending()};
     });
@@ -533,6 +489,55 @@ SwitchingCounts compute_counts_primed(bool primed, std::uint64_t prime,
   obs::profile_work("words", words.size());
   obs::profile_work("blocks", blocks);
   return total;
+}
+
+}  // namespace
+
+SwitchingCounts compute_counts(std::span<const std::uint64_t> words, std::size_t width,
+                               int threads) {
+  if (words.size() < 2 && !(width == 0 || width > 64)) {
+    throw_too_few_words(width, words.size());
+  }
+  return count_chunk(false, 0, words, width, threads);
+}
+
+ChunkFolder::ChunkFolder(std::size_t width, int threads)
+    : width_(width), threads_(threads), total_(width) {
+  if (width == 0 || width > 64) {
+    throw std::invalid_argument("ChunkFolder: width must be in [1, 64], got " +
+                                std::to_string(width));
+  }
+}
+
+void ChunkFolder::fold(std::span<const std::uint64_t> chunk) {
+  // Seam-chain invariant: an empty chunk carries no words and no
+  // transitions, so it must not touch the seam (chunk.back() on an empty
+  // span is UB, and even a masked read here would desync every later chunk).
+  if (chunk.empty()) return;
+  total_.merge(count_chunk(primed_, seam_, chunk, width_, threads_));
+  seam_ = chunk.back();
+  primed_ = true;
+}
+
+std::uint64_t ChunkFolder::seam() const {
+  if (!primed_) {
+    throw std::logic_error("ChunkFolder::seam: no word folded yet (unprimed, width " +
+                           std::to_string(width_) + ")");
+  }
+  return seam_;
+}
+
+void ChunkFolder::reset() {
+  total_ = SwitchingCounts(width_);
+  primed_ = false;
+  seam_ = 0;
+}
+
+void ChunkFolder::reset_window() {
+  // Keep the seam: the next window's first word still transitions from the
+  // previous window's last word, so tumbling windows merge back to the
+  // exact whole-stream counts.
+  total_ = SwitchingCounts(width_);
 }
 
 }  // namespace tsvcod::stats

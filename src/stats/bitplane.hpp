@@ -29,7 +29,8 @@
 // round). Exact integer counts also make merging associative, which is what
 // `compute_counts` exploits to chunk a trace across the shared thread pool
 // (chunks overlap one word at the seam so transitions partition exactly) with
-// results that are bit-identical at every thread count.
+// results that are bit-identical at every thread count, and what ChunkFolder
+// exploits to fold a stream incrementally, in tumbling windows.
 
 #include <cstdint>
 #include <span>
@@ -67,46 +68,23 @@ struct SwitchingCounts {
   SwitchingStats finalize() const;
 };
 
-/// Streaming bit-plane accumulator: buffers up to 64 transitions and flushes
-/// them through the transposed popcount reduction; anything still buffered is
-/// folded in with a scalar tail path when counts() / finish() is called, so
-/// partial blocks and short (< 64 word) streams are exact too.
-class BitplaneAccumulator {
+/// Streaming switching-statistics accumulator: buffers up to 64 transitions
+/// and flushes them through the transposed popcount reduction; anything still
+/// buffered is folded in with a scalar tail path when counts() / finish() is
+/// called, so partial blocks and short (< 64 word) streams are exact too.
+class StatsAccumulator {
  public:
-  explicit BitplaneAccumulator(std::size_t width);
+  explicit StatsAccumulator(std::size_t width);
+
+  /// Chunk accumulator: the transition chain starts at `seam` without
+  /// counting its bits — the seam word's one-bits belong to the chunk that
+  /// ended with it, so chunks linked this way merge to the whole stream.
+  StatsAccumulator(std::size_t width, std::uint64_t seam);
 
   std::size_t width() const { return width_; }
 
-  /// Number of words consumed so far.
+  /// Number of words consumed so far (the seam word is not one).
   std::size_t samples() const { return static_cast<std::size_t>(samples_); }
-
-  /// Seed the transition chain with `word` *without* counting its bits —
-  /// used by chunked reduction, where the seam word's ones belong to the
-  /// previous chunk. Only valid on a fresh (or fully reset()) accumulator:
-  /// once any word has been consumed, or after reset_window() carried the
-  /// previous window's last word over as the seam, re-priming would silently
-  /// break the seam-chain invariant (see below), so it throws a
-  /// std::logic_error naming the accumulator state instead.
-  void prime(std::uint64_t word);
-
-  /// Full power-on reset: counts cleared AND the transition chain forgotten.
-  /// prime() is valid again afterwards.
-  void reset();
-
-  /// Start a new counting window while *continuing* the transition chain:
-  /// counts (words, transitions, buffered tail) are cleared, but the last
-  /// word seen is carried over as the new window's seam word, exactly as if
-  /// prime() had been called with it. Tumbling windows produced this way
-  /// merge back to the exact whole-stream counts.
-  ///
-  /// Seam-chain invariant: at every moment, `prev_` is the last word of the
-  /// stream so far and exactly one accumulator "owns" its one-bits — the
-  /// window/chunk in which it was add()ed. A window reset transfers the word
-  /// but not the ownership (primed, not counted), and priming again on top
-  /// of that would either double-count or drop the seam transition — which
-  /// is why prime() rejects it. No-op on an accumulator that has seen no
-  /// words.
-  void reset_window();
 
   /// Feed the next word of the stream.
   void add(std::uint64_t word);
@@ -136,8 +114,8 @@ class BitplaneAccumulator {
   std::size_t width_;
   std::uint64_t mask_;
   std::uint64_t samples_ = 0;
-  bool primed_ = false;       ///< prev_ valid but not counted as a sample
-  std::uint64_t prev_ = 0;    ///< last word seen (masked)
+  bool chained_ = false;          ///< prev_ holds a word the next add() transitions from
+  std::uint64_t prev_ = 0;        ///< last word seen (masked)
   std::uint64_t block_prev_ = 0;  ///< word preceding block_[0]
   std::size_t n_ = 0;             ///< buffered transitions
   std::uint64_t blocks_ = 0;
@@ -152,17 +130,61 @@ class BitplaneAccumulator {
 SwitchingCounts compute_counts(std::span<const std::uint64_t> words, std::size_t width,
                                int threads = 1);
 
-/// Generalization used by chunked trace ingestion: when `primed`, the
-/// transition chain is seeded with `prime` (the last word of the preceding
-/// chunk, whose one-bits that chunk already counted) and every word of
-/// `words` is a transition target. Unprimed with `primed == false` this is
-/// compute_counts, except that 0- and 1-word spans yield partial counts
-/// instead of throwing — per-chunk counts merge into a whole-trace total, so
-/// the >= 2 words rule only applies to the final counts (finalize() enforces
-/// it). Bit-identical at every thread count, and merging the counts of a
-/// chunk sequence linked by seam words equals the counts of the whole trace.
-SwitchingCounts compute_counts_primed(bool primed, std::uint64_t prime,
-                                      std::span<const std::uint64_t> words, std::size_t width,
-                                      int threads = 1);
+/// Incremental seam-chained chunk reduction, the one home of the seam and
+/// window logic: fold() arbitrary chunk sizes (0, 1, 2, ... words — a
+/// streaming pipe delivers whatever it has) and the accumulated counts are
+/// bit-identical to one-shot compute_counts of the concatenated words, at
+/// every chunk partition and thread count.
+///
+/// Seam-chain invariant: after any sequence of fold() calls, the seam holds
+/// the last word ever folded and primed() says whether any word has been
+/// folded at all. The next non-empty chunk starts its transition chain at
+/// that word (whose one-bits the chunk that ended with it already counted),
+/// so transitions partition exactly across chunks. Empty chunks leave the
+/// seam untouched — advancing it without counting a transition (or reading
+/// `back()` of an empty span) would corrupt every later chunk.
+class ChunkFolder {
+ public:
+  /// `threads` is passed through to the parallel chunk reduction (0 =
+  /// TSVCOD_THREADS, as everywhere).
+  explicit ChunkFolder(std::size_t width, int threads = 1);
+
+  std::size_t width() const { return width_; }
+
+  /// Fold the next chunk of the stream. Empty chunks are no-ops; a 1-word
+  /// chunk adds one word (plus one transition once primed).
+  void fold(std::span<const std::uint64_t> chunk);
+
+  /// Everything folded so far (exact; mergeable).
+  const SwitchingCounts& counts() const { return total_; }
+
+  /// finalize()d counts; needs >= 2 words folded since the last reset.
+  SwitchingStats stats() const { return total_.finalize(); }
+
+  /// Words folded since construction / the last reset or window reset.
+  std::uint64_t words() const { return total_.words; }
+
+  /// True once at least one word has been folded (the seam word is live).
+  bool primed() const { return primed_; }
+  /// The seam word: last word folded. Only valid when primed().
+  std::uint64_t seam() const;
+
+  /// Full reset: counts cleared AND the seam chain forgotten (the next chunk
+  /// starts a fresh stream).
+  void reset();
+
+  /// Windowed reset: clear the counts but carry the seam word over, so the
+  /// next window's first word still forms a transition with the previous
+  /// window's last word. Tumbling windows produced this way sum (merge) to
+  /// the exact whole-stream counts. No-op on an unprimed folder.
+  void reset_window();
+
+ private:
+  std::size_t width_;
+  int threads_;
+  bool primed_ = false;
+  std::uint64_t seam_ = 0;
+  SwitchingCounts total_;
+};
 
 }  // namespace tsvcod::stats

@@ -2,51 +2,11 @@
 
 #include <chrono>
 #include <sstream>
-#include <stdexcept>
 
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
 
 namespace tsvcod::stats {
-
-ChunkFolder::ChunkFolder(std::size_t width, int threads)
-    : width_(width), threads_(threads), total_(width) {
-  if (width == 0 || width > 64) {
-    throw std::invalid_argument("ChunkFolder: width must be in [1, 64], got " +
-                                std::to_string(width));
-  }
-}
-
-void ChunkFolder::fold(std::span<const std::uint64_t> chunk) {
-  // Seam-chain invariant: an empty chunk carries no words and no
-  // transitions, so it must not touch the seam (chunk.back() on an empty
-  // span is UB, and even a masked read here would desync every later chunk).
-  if (chunk.empty()) return;
-  total_.merge(compute_counts_primed(primed_, prime_, chunk, width_, threads_));
-  prime_ = chunk.back();
-  primed_ = true;
-}
-
-std::uint64_t ChunkFolder::seam() const {
-  if (!primed_) {
-    throw std::logic_error("ChunkFolder::seam: no word folded yet (unprimed, width " +
-                           std::to_string(width_) + ")");
-  }
-  return prime_;
-}
-
-void ChunkFolder::reset() {
-  total_ = SwitchingCounts(width_);
-  primed_ = false;
-  prime_ = 0;
-}
-
-void ChunkFolder::reset_window() {
-  // Keep the seam: the next window's first word still transitions from the
-  // previous window's last word, so tumbling windows merge back to the
-  // exact whole-stream counts.
-  total_ = SwitchingCounts(width_);
-}
 
 SwitchingCounts compute_counts(streams::WordSource& source, std::size_t width, int threads) {
   obs::Span span("stats.ingest");

@@ -3,18 +3,11 @@
 //
 // Chunks from the source feed the chunked bit-plane reduction directly —
 // an mmap'd binary trace goes file pages -> kernel with no intermediate
-// vector. Consecutive chunks are linked by priming each one with the last
-// word of its predecessor (whose one-bits the predecessor already counted),
-// so the merged counts equal the counts of the whole trace exactly and the
-// result is bit-identical to materializing the trace and calling
-// compute_stats on it, at every width and thread count.
-//
-// The seam-chain bookkeeping lives in ChunkFolder so every chunked consumer
-// (batch ingestion here, the per-session accumulators in src/serve) shares
-// one hardened implementation: an empty chunk is a no-op that leaves the
-// seam untouched (naively updating the seam with `chunk.back()` on an empty
-// chunk is undefined behaviour), and a single-word chunk contributes exactly
-// its one transition once the chain is primed.
+// vector. Consecutive chunks are seam-chained through stats::ChunkFolder
+// (stats/bitplane.hpp, re-exported by this header), the same folder the
+// per-session accumulators in src/serve use, so the result is bit-identical
+// to materializing the trace and calling compute_stats on it, at every width
+// and thread count.
 //
 // Observability (when enabled): deterministic counters
 // trace.ingest.{count,words_total,bytes_total} on the metrics registry, and
@@ -28,62 +21,6 @@
 #include "streams/word_source.hpp"
 
 namespace tsvcod::stats {
-
-/// Incremental seam-chained chunk reduction: fold() arbitrary chunk sizes
-/// (0, 1, 2, ... words — a streaming pipe delivers whatever it has) and the
-/// accumulated counts are bit-identical to one-shot compute_counts of the
-/// concatenated words, at every chunk partition and thread count.
-///
-/// Seam-chain invariant: after any sequence of fold() calls, `prime_` holds
-/// the last word ever folded and `primed_` says whether any word has been
-/// folded at all. The next non-empty chunk is seeded with that word (its
-/// one-bits were already counted by the chunk that ended with it), so
-/// transitions partition exactly across chunks. Empty chunks MUST leave both
-/// fields untouched — advancing the seam without counting a transition (or
-/// reading `back()` of an empty span) silently corrupts every later chunk.
-class ChunkFolder {
- public:
-  /// `threads` is passed through to the parallel chunk reduction (0 =
-  /// TSVCOD_THREADS, as everywhere).
-  explicit ChunkFolder(std::size_t width, int threads = 1);
-
-  std::size_t width() const { return width_; }
-
-  /// Fold the next chunk of the stream. Empty chunks are no-ops; a 1-word
-  /// chunk adds one word (plus one transition once primed).
-  void fold(std::span<const std::uint64_t> chunk);
-
-  /// Everything folded so far (exact; mergeable).
-  const SwitchingCounts& counts() const { return total_; }
-
-  /// finalize()d counts; needs >= 2 words folded since the last reset.
-  SwitchingStats stats() const { return total_.finalize(); }
-
-  /// Words folded since construction / the last reset or window reset.
-  std::uint64_t words() const { return total_.words; }
-
-  /// True once at least one word has been folded (the seam word is live).
-  bool primed() const { return primed_; }
-  /// The seam word: last word folded. Only valid when primed().
-  std::uint64_t seam() const;
-
-  /// Full reset: counts cleared AND the seam chain forgotten (the next chunk
-  /// starts a fresh stream).
-  void reset();
-
-  /// Windowed reset: clear the counts but carry the seam word over, so the
-  /// next window's first word still forms a transition with the previous
-  /// window's last word. Tumbling windows produced this way sum (merge) to
-  /// the exact whole-stream counts. No-op on an unprimed folder.
-  void reset_window();
-
- private:
-  std::size_t width_;
-  int threads_;
-  bool primed_ = false;
-  std::uint64_t prime_ = 0;
-  SwitchingCounts total_;
-};
 
 /// Exact counts of the whole source. The source is reset first. Per the
 /// WordSource contract an empty chunk marks exhaustion; the per-chunk seam

@@ -1,7 +1,5 @@
 #include "stats/switching_stats.hpp"
 
-#include <stdexcept>
-
 namespace tsvcod::stats {
 
 std::vector<double> SwitchingStats::eps() const {
@@ -19,8 +17,6 @@ phys::Matrix SwitchingStats::t_matrix() const {
   }
   return t;
 }
-
-StatsAccumulator::StatsAccumulator(std::size_t width) : kernel_(width) {}
 
 SwitchingStats compute_stats(std::span<const std::uint64_t> words, std::size_t width,
                              int threads) {

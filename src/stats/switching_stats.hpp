@@ -5,43 +5,19 @@
 //   * self switching        E{db_i^2}      (db in {-1, 0, +1})
 //   * switching correlation E{db_i db_j}
 //   * 1-bit probability     E{b_i}         (drives the MOS capacitance)
-// `StatsAccumulator` measures them in one pass; `SwitchingStats` packages
-// them and builds the T matrix of Eq. 3.
-//
-// The accumulator is a thin wrapper over the block-transposed popcount
-// kernel in stats/bitplane.hpp: full 64-transition blocks are reduced with
-// bit-plane popcounts, partial blocks take an exact scalar tail path, and
-// all counters are integers — so `finish()` is bit-identical to the
-// historical per-word double-precision loop at every width and stream
-// length, while costing ~60x fewer operations per word at w = 64.
+// `StatsAccumulator` (stats/bitplane.hpp) measures them in one pass with a
+// block-transposed popcount kernel whose integer counters make `finish()`
+// bit-identical to the historical per-word double-precision loop at every
+// width and stream length; `SwitchingStats` packages them and builds the T
+// matrix of Eq. 3.
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "stats/bitplane.hpp"
 #include "stats/switching_types.hpp"
 
 namespace tsvcod::stats {
-
-class StatsAccumulator {
- public:
-  explicit StatsAccumulator(std::size_t width);
-
-  std::size_t width() const { return kernel_.width(); }
-
-  /// Feed the next word of the stream.
-  void add(std::uint64_t word) { kernel_.add(word); }
-
-  /// Number of words consumed so far.
-  std::size_t samples() const { return kernel_.samples(); }
-
-  /// Produce the statistics gathered so far (needs >= 2 words).
-  SwitchingStats finish() const { return kernel_.finish(); }
-
- private:
-  BitplaneAccumulator kernel_;
-};
 
 /// One-shot statistics of a word sequence. `threads` follows the repo-wide
 /// convention (0 = TSVCOD_THREADS env, else serial); the trace is chunked

@@ -1,7 +1,6 @@
 #pragma once
 // The packaged switching-statistics result type (paper Sec. 3, Eq. 1-3),
-// shared by the batch accumulator (switching_stats.hpp), the bit-plane
-// kernel (bitplane.hpp), the windowed estimator and the analytic DBT model.
+// shared by the accumulator (bitplane.hpp) and the analytic DBT model.
 
 #include <cstdint>
 #include <vector>

@@ -6,7 +6,7 @@
 // Unlike WordStream (one word per simulated clock cycle, infinite replay), a
 // WordSource is a *finite recorded trace* handed out as large contiguous
 // spans. Chunks never overlap; the consumer carries the seam word between
-// chunks itself (stats::compute_counts_primed does exactly that), so a
+// chunks itself (stats::ChunkFolder does exactly that), so a
 // source backed by an mmap'd binary trace is consumed zero-copy.
 
 #include <cstdint>

@@ -283,8 +283,14 @@ TEST(Ingest, PrimedCountsComposeAcrossSplits) {
   const auto whole = stats::compute_counts(words, 9);
   for (const std::size_t split : {1u, 64u, 65u, 150u, 300u}) {
     const std::span<const std::uint64_t> all(words);
-    auto counts = stats::compute_counts_primed(false, 0, all.subspan(0, split), 9);
-    counts.merge(stats::compute_counts_primed(true, words[split - 1], all.subspan(split), 9));
+    // Two tumbling windows split at `split`: the second starts its chain at
+    // the seam word, and the window counts merge to the whole trace.
+    stats::ChunkFolder folder(9);
+    folder.fold(all.subspan(0, split));
+    auto counts = folder.counts();
+    folder.reset_window();
+    folder.fold(all.subspan(split));
+    counts.merge(folder.counts());
     EXPECT_EQ(counts.words, whole.words) << split;
     EXPECT_EQ(counts.transitions, whole.transitions) << split;
     EXPECT_EQ(counts.ones, whole.ones) << split;

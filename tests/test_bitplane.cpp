@@ -161,7 +161,7 @@ TEST(Bitplane, BlockBoundaryEdgeCases) {
 }
 
 TEST(Bitplane, BlockAndTailAccountingMatchesTheStreamLength) {
-  stats::BitplaneAccumulator acc(8);
+  stats::StatsAccumulator acc(8);
   std::mt19937_64 rng(17);
   const auto words = make_trace(rng, 8, 131, 0);  // 130 transitions = 2 blocks + 2 tail
   for (const auto w : words) acc.add(w);
@@ -172,7 +172,7 @@ TEST(Bitplane, BlockAndTailAccountingMatchesTheStreamLength) {
   EXPECT_EQ(counts.words, 131u);
   EXPECT_EQ(counts.transitions, 130u);
 
-  stats::BitplaneAccumulator exact(8);
+  stats::StatsAccumulator exact(8);
   for (std::size_t i = 0; i < 65; ++i) exact.add(words[i]);
   EXPECT_EQ(exact.blocks_flushed(), 1u);
   EXPECT_EQ(exact.pending(), 0u);  // 64 transitions flush exactly one block
@@ -215,24 +215,17 @@ TEST(Bitplane, ManualChunkMergeEqualsWholeTrace) {
   const auto words = make_trace(rng, 21, 1000, 3);
   auto whole = stats::compute_counts(words, 21, 1);
 
-  // Two chunks overlapping one word at the seam: the second is primed with
-  // the seam word so its bits are not double counted.
+  // Two chunks overlapping one word at the seam: the second starts its
+  // chain at the seam word so its bits are not double counted.
   const std::size_t cut = 437;
-  stats::BitplaneAccumulator a(21), b(21);
+  stats::StatsAccumulator a(21), b(21, words[cut]);
   for (std::size_t t = 0; t <= cut; ++t) a.add(words[t]);
-  b.prime(words[cut]);
   for (std::size_t t = cut + 1; t < words.size(); ++t) b.add(words[t]);
   auto merged = a.counts();
   merged.merge(b.counts());
   EXPECT_EQ(merged.words, whole.words);
   EXPECT_EQ(merged.transitions, whole.transitions);
   expect_bitwise_equal(merged.finalize(), whole.finalize());
-}
-
-TEST(Bitplane, PrimeRejectsAStartedStream) {
-  stats::BitplaneAccumulator acc(4);
-  acc.add(1);
-  EXPECT_THROW(acc.prime(2), std::logic_error);
 }
 
 TEST(Bitplane, TooFewWordsErrorNamesWidthAndCount) {
@@ -282,7 +275,8 @@ TEST(Bitplane, RecordsBlockAndTailCountersWhenMetricsEnabled) {
   obs::reset_metrics();
   EXPECT_NE(json.find("\"stats.compute.count\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"stats.compute.words_total\":200"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"stats.bitplane.blocks_total\":3"), std::string::npos) << json;
+  // The 3 flushed blocks are the profile's `blocks` work counter, not a metric.
+  EXPECT_NE(json.find("\"stats.compute.chunks_total\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"stats.compute.tail_words_total\":7"), std::string::npos) << json;
 }
 
@@ -402,64 +396,6 @@ TEST(ChunkFolder, ResetForgetsTheSeamResetWindowCarriesIt) {
 TEST(ChunkFolder, RejectsOutOfRangeWidth) {
   EXPECT_THROW(stats::ChunkFolder(0), std::invalid_argument);
   EXPECT_THROW(stats::ChunkFolder(65), std::invalid_argument);
-}
-
-TEST(Bitplane, ResetWindowWindowsMergeToWholeStream) {
-  std::mt19937_64 rng(61);
-  const auto words = make_trace(rng, 13, 500, 2);
-  const auto whole = stats::compute_counts(words, 13, 1);
-
-  stats::BitplaneAccumulator acc(13);
-  stats::SwitchingCounts merged(13);
-  for (std::size_t t = 0; t < words.size(); ++t) {
-    acc.add(words[t]);
-    if ((t + 1) % 150 == 0) {  // window boundary (not block-aligned: 150 % 64 != 0)
-      merged.merge(acc.counts());
-      acc.reset_window();
-    }
-  }
-  merged.merge(acc.counts());
-  EXPECT_EQ(merged.words, whole.words);
-  EXPECT_EQ(merged.transitions, whole.transitions);
-  expect_counts_equal(merged, whole);
-}
-
-TEST(Bitplane, PrimeAfterResetWindowThrowsNamingTheState) {
-  // The silent mis-prime surface: after reset_window() the accumulator is
-  // primed with the carried seam word, and a prime() would overwrite it and
-  // mis-count the next window's first transition. The error must say so.
-  stats::BitplaneAccumulator acc(6);
-  acc.add(1);
-  acc.add(2);
-  acc.reset_window();
-  try {
-    acc.prime(7);
-    FAIL() << "prime() after reset_window() must throw";
-  } catch (const std::logic_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("seam word"), std::string::npos) << what;
-    EXPECT_NE(what.find("reset_window"), std::string::npos) << what;
-    EXPECT_NE(what.find("width 6"), std::string::npos) << what;
-  }
-
-  // Mid-stream prime still names the consumed-word state instead.
-  stats::BitplaneAccumulator busy(6);
-  busy.add(1);
-  try {
-    busy.prime(7);
-    FAIL() << "prime() mid-stream must throw";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("1 words consumed"), std::string::npos) << e.what();
-  }
-
-  // A full reset() returns to the power-on state where prime() is legal.
-  acc.reset();
-  EXPECT_NO_THROW(acc.prime(7));
-
-  // reset_window() before any stream exists is a no-op; prime() stays legal.
-  stats::BitplaneAccumulator fresh(6);
-  fresh.reset_window();
-  EXPECT_NO_THROW(fresh.prime(3));
 }
 
 }  // namespace

@@ -1,185 +1,19 @@
-// Tests for the extension features: windowed statistics, threaded field
+// Tests for the extension features: windowed re-assignment, threaded field
 // extraction, and the derived mapping constructions.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "core/link.hpp"
 #include "field/extractor.hpp"
-#include "stats/windowed.hpp"
+#include "stats/ingest.hpp"
 #include "streams/random_streams.hpp"
 
 namespace {
 
 using namespace tsvcod;
-
-TEST(Windowed, MatchesBatchOnStationaryStream) {
-  streams::GaussianAr1Stream src(8, 20.0, 0.4, 3);
-  stats::WindowedAccumulator win(8, 5000.0);
-  stats::StatsAccumulator batch(8);
-  for (int i = 0; i < 40000; ++i) {
-    const auto w = src.next();
-    win.add(w);
-    batch.add(w);
-  }
-  const auto a = win.snapshot();
-  const auto b = batch.finish();
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_NEAR(a.self[i], b.self[i], 0.05);
-    EXPECT_NEAR(a.prob_one[i], b.prob_one[i], 0.05);
-    for (std::size_t j = 0; j < 8; ++j) EXPECT_NEAR(a.coupling(i, j), b.coupling(i, j), 0.08);
-  }
-}
-
-TEST(Windowed, TracksRegimeChange) {
-  // Constant words, then full-toggle words: a short window must forget the
-  // quiet past within a few half-lives.
-  stats::WindowedAccumulator win(4, 100.0);
-  for (int i = 0; i < 2000; ++i) win.add(0b0000);
-  EXPECT_NEAR(win.snapshot().self[0], 0.0, 1e-9);
-  for (int i = 0; i < 1000; ++i) win.add(i % 2 ? 0b1111 : 0b0000);
-  EXPECT_GT(win.snapshot().self[0], 0.95);
-  EXPECT_GT(win.snapshot().prob_one[0], 0.4);
-}
-
-TEST(Windowed, LongWindowForgetsSlowly) {
-  stats::WindowedAccumulator slow(4, 100000.0);
-  for (int i = 0; i < 5000; ++i) slow.add(0b0000);
-  for (int i = 0; i < 100; ++i) slow.add(i % 2 ? 0b1111 : 0b0000);
-  // Only ~2 % of the window is the new regime.
-  EXPECT_LT(slow.snapshot().self[0], 0.1);
-}
-
-TEST(Windowed, Guards) {
-  EXPECT_THROW(stats::WindowedAccumulator(0, 10.0), std::invalid_argument);
-  EXPECT_THROW(stats::WindowedAccumulator(4, 0.0), std::invalid_argument);
-  stats::WindowedAccumulator w(4, 10.0);
-  w.add(1);
-  EXPECT_THROW(w.snapshot(), std::logic_error);
-}
-
-TEST(Windowed, ResetIsBitIdenticalToAFreshAccumulator) {
-  // reset() must return to the power-on state: the same adds afterwards give
-  // bitwise-identical estimates, with no phantom transition from the last
-  // pre-reset word into the first post-reset word.
-  std::mt19937_64 rng(321);
-  stats::WindowedAccumulator used(6, 200.0), fresh(6, 200.0);
-  for (int t = 0; t < 3000; ++t) used.add(rng() & 0x3F);
-  used.reset();
-  EXPECT_EQ(used.samples(), 0u);
-  EXPECT_THROW(used.snapshot(), std::logic_error) << "reset means < 2 samples again";
-
-  std::mt19937_64 replay(654);
-  std::vector<std::uint64_t> words(2000);
-  for (auto& w : words) w = replay() & 0x3F;
-  for (const auto w : words) {
-    used.add(w);
-    fresh.add(w);
-  }
-  const auto a = used.snapshot();
-  const auto b = fresh.snapshot();
-  EXPECT_EQ(a.self, b.self);
-  EXPECT_EQ(a.prob_one, b.prob_one);
-  for (std::size_t i = 0; i < 6; ++i) {
-    for (std::size_t j = 0; j < 6; ++j) EXPECT_EQ(a.coupling(i, j), b.coupling(i, j));
-  }
-}
-
-TEST(Windowed, ResetAtARegimeBoundaryDropsTheOldRegime) {
-  // Window-boundary interaction: without reset, the old regime bleeds into
-  // the estimate through the exponential tail; with reset it is gone
-  // entirely — the use case of re-arming the monitor after a hot-swap.
-  stats::WindowedAccumulator carried(4, 500.0), rearmed(4, 500.0);
-  for (int t = 0; t < 4000; ++t) {
-    carried.add(t % 2 ? 0b1111 : 0b0000);
-    rearmed.add(t % 2 ? 0b1111 : 0b0000);
-  }
-  rearmed.reset();
-  for (int t = 0; t < 300; ++t) {
-    carried.add(0b0000);
-    rearmed.add(0b0000);
-  }
-  EXPECT_GT(carried.snapshot().self[0], 0.3) << "exponential tail remembers the hot regime";
-  EXPECT_NEAR(rearmed.snapshot().self[0], 0.0, 1e-12) << "reset forgets it completely";
-}
-
-TEST(Windowed, MasksStrayBitsLikeTheBatchAccumulator) {
-  // Regression for the toggle-mask fast path: garbage above the declared
-  // width must not leak into the estimates — exactly the batch accumulator's
-  // masking contract, checked bitwise (same adds, same order).
-  std::mt19937_64 rng(123);
-  stats::WindowedAccumulator raw(5, 300.0), masked(5, 300.0);
-  for (int t = 0; t < 2000; ++t) {
-    const std::uint64_t word = rng();
-    raw.add(word);
-    masked.add(word & 0x1F);
-  }
-  const auto a = raw.snapshot();
-  const auto b = masked.snapshot();
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(a.self[i], b.self[i]);
-    EXPECT_EQ(a.prob_one[i], b.prob_one[i]);
-    for (std::size_t j = 0; j < 5; ++j) EXPECT_EQ(a.coupling(i, j), b.coupling(i, j));
-  }
-}
-
-TEST(Windowed, FastPathMatchesPerBitReference) {
-  // The pre-fast-path implementation, kept as a reference: decay everything,
-  // then walk every (i, j) pair with per-bit db values. The fast path must
-  // reproduce it bit for bit (it performs the same +-1.0 adds).
-  const std::size_t width = 9;
-  const double half_life = 250.0;
-  const double alpha = std::exp2(-1.0 / half_life);
-  std::vector<double> ones(width, 0.0), self(width, 0.0);
-  std::vector<double> cross(width * width, 0.0);
-  double ww = 0.0, wt = 0.0;
-  std::uint64_t prev = 0;
-  bool first = true;
-
-  stats::WindowedAccumulator win(width, half_life);
-  std::mt19937_64 rng(321);
-  std::uint64_t cur = 0;
-  for (int t = 0; t < 3000; ++t) {
-    cur ^= rng() & rng();
-    const std::uint64_t word = cur & ((std::uint64_t{1} << width) - 1);
-    win.add(word);
-
-    ww = ww * alpha + 1.0;
-    for (auto& v : ones) v *= alpha;
-    for (std::size_t i = 0; i < width; ++i) {
-      if ((word >> i) & 1u) ones[i] += 1.0;
-    }
-    if (!first) {
-      wt = wt * alpha + 1.0;
-      for (auto& v : self) v *= alpha;
-      for (auto& v : cross) v *= alpha;
-      for (std::size_t i = 0; i < width; ++i) {
-        const int dbi = static_cast<int>((word >> i) & 1u) - static_cast<int>((prev >> i) & 1u);
-        if (dbi == 0) continue;
-        self[i] += 1.0;
-        for (std::size_t j = i + 1; j < width; ++j) {
-          const int dbj = static_cast<int>((word >> j) & 1u) - static_cast<int>((prev >> j) & 1u);
-          if (dbj != 0) cross[i * width + j] += static_cast<double>(dbi * dbj);
-        }
-      }
-    }
-    prev = word;
-    first = false;
-  }
-
-  const auto s = win.snapshot();
-  for (std::size_t i = 0; i < width; ++i) {
-    EXPECT_EQ(s.self[i], self[i] / wt) << "self[" << i << "]";
-    EXPECT_EQ(s.prob_one[i], ones[i] / ww) << "prob_one[" << i << "]";
-    for (std::size_t j = i + 1; j < width; ++j) {
-      EXPECT_EQ(s.coupling(i, j), cross[i * width + j] / wt)
-          << "coupling(" << i << "," << j << ")";
-    }
-  }
-}
 
 TEST(ThreadedExtraction, MatchesSerialExactly) {
   auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);
@@ -235,26 +69,31 @@ TEST(Mappings, GreedyCouplingCompetitiveWithSawtooth) {
 
 TEST(AdaptiveLink, WindowedReassignmentFollowsTheSignal) {
   // Scenario: the link carries addresses, then switches to Gaussian data.
-  // Reoptimizing from the windowed snapshot must beat keeping the stale
-  // assignment.
+  // Reoptimizing from the phase-2 tumbling window must beat keeping the
+  // stale assignment.
   auto geom = phys::TsvArrayGeometry::itrs2018_relaxed(4, 4);
   const core::Link link(geom);
-  stats::WindowedAccumulator win(16, 2000.0);
+  stats::ChunkFolder win(16);
+  const auto fold = [&](streams::WordStream& src) {
+    std::vector<std::uint64_t> words(20000);
+    for (auto& w : words) w = src.next();
+    win.fold(words);
+  };
 
   streams::SequentialStream phase1(16, 0.02, 4);
-  for (int i = 0; i < 20000; ++i) win.add(phase1.next());
+  fold(phase1);
   core::OptimizeOptions opts;
   opts.schedule.iterations = 6000;
-  const auto a1 = core::optimize_assignment(win.snapshot(), link.model(), opts);
+  const auto a1 = core::optimize_assignment(win.stats(), link.model(), opts);
 
+  win.reset_window();  // phase boundary: close the window, keep the seam
   streams::GaussianAr1Stream phase2(16, 500.0, 0.0, 4);
-  for (int i = 0; i < 20000; ++i) win.add(phase2.next());
-  const auto snap2 = win.snapshot();
+  fold(phase2);
+  const auto snap2 = win.stats();
   const auto a2 = core::optimize_assignment(snap2, link.model(), opts);
 
   EXPECT_LT(a2.power, link.power(snap2, a1.assignment));
 }
-
 
 TEST(GreedyDescent, FindsExhaustiveOptimumOnSmallArrays) {
   auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);

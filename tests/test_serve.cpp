@@ -4,7 +4,9 @@
 // the asan-serve / tsan-serve presets exist for.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -112,6 +114,25 @@ TEST(Session, ConfigValidationNamesTheField) {
   cfg = config8();
   cfg.width = 6;  // model is 8-wide
   EXPECT_THROW(serve::Session(1, cfg), std::invalid_argument);
+}
+
+TEST(Session, RejectsADriftThresholdThatCanNeverTrip) {
+  // NaN compares false against every drift, and a negative threshold is not
+  // "off" (0 is): both would open a session whose detector silently never
+  // trips, so construction fails naming the field instead.
+  for (const double bad : {std::nan(""), -1.0, std::numeric_limits<double>::infinity()}) {
+    auto cfg = config8();
+    cfg.drift.threshold = bad;
+    try {
+      serve::Session session(1, cfg);
+      FAIL() << "threshold " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("drift threshold"), std::string::npos) << e.what();
+    }
+  }
+  auto off = config8();
+  off.drift.threshold = 0.0;  // detection off is a valid config
+  EXPECT_NO_THROW(serve::Session(1, off));
 }
 
 TEST(Session, StatsBitIdenticalToBatchAtRaggedChunkSizes) {

@@ -44,6 +44,39 @@ using namespace tsvcod;
 
 namespace {
 
+/// Strict non-negative integer: the whole string must be decimal digits. The
+/// error names `what` (a --flag or an open-frame option).
+std::size_t parse_size(const std::string& what, const std::string& v) {
+  bool ok = !v.empty() && v[0] != '-' && v[0] != '+';
+  std::uint64_t out = 0;
+  if (ok) {
+    try {
+      std::size_t used = 0;
+      out = std::stoull(v, &used, 10);
+      ok = used == v.size();
+    } catch (const std::exception&) {
+      ok = false;
+    }
+  }
+  if (!ok) throw std::runtime_error(what + " expects a non-negative integer, got: '" + v + "'");
+  return out;
+}
+
+/// Strict number: the whole string must parse.
+double parse_number(const std::string& what, const std::string& v) {
+  std::size_t used = 0;
+  double out = 0.0;
+  try {
+    out = std::stod(v, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (v.empty() || used != v.size()) {
+    throw std::runtime_error(what + " expects a number, got: '" + v + "'");
+  }
+  return out;
+}
+
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -76,32 +109,14 @@ class Args {
     return has(k) ? values_.at(k) : def;
   }
   double number_or(const std::string& k, double def) const {
-    return has(k) ? std::stod(values_.at(k)) : def;
+    return has(k) ? parse_number("--" + k, values_.at(k)) : def;
   }
-  std::size_t size(const std::string& k) const { return parse_size(k, str(k)); }
+  std::size_t size(const std::string& k) const { return parse_size("--" + k, str(k)); }
   std::size_t size_or(const std::string& k, std::size_t def) const {
-    return has(k) ? parse_size(k, values_.at(k)) : def;
+    return has(k) ? parse_size("--" + k, values_.at(k)) : def;
   }
 
  private:
-  static std::size_t parse_size(const std::string& k, const std::string& v) {
-    bool ok = !v.empty() && v[0] != '-' && v[0] != '+';
-    std::uint64_t out = 0;
-    if (ok) {
-      try {
-        std::size_t used = 0;
-        out = std::stoull(v, &used, 10);
-        ok = used == v.size();
-      } catch (const std::exception&) {
-        ok = false;
-      }
-    }
-    if (!ok) {
-      throw std::runtime_error("--" + k + " expects a non-negative integer, got: '" + v + "'");
-    }
-    return out;
-  }
-
   std::map<std::string, std::string> values_;
   bool help_ = false;
 };
@@ -187,14 +202,15 @@ serve::SessionConfig session_config(const Args& args, const tsv::LinearCapacitan
   cfg.stats_threads = threads_from(args);
 
   for (const auto& [key, value] : overrides) {
+    const std::string what = "open option '" + key + "'";
     if (key == "codec") {
       cfg.codec.name = value == "none" ? "" : value;
     } else if (key == "window") {
-      cfg.drift.window_words = std::stoull(value);
+      cfg.drift.window_words = parse_size(what, value);
     } else if (key == "threshold") {
-      cfg.drift.threshold = std::stod(value);
+      cfg.drift.threshold = parse_number(what, value);
     } else if (key == "cooldown") {
-      cfg.drift.cooldown_words = std::stoull(value);
+      cfg.drift.cooldown_words = parse_size(what, value);
     } else {
       throw std::runtime_error("serve: unknown open option '" + key +
                                "' (known: codec window threshold cooldown)");
