@@ -171,7 +171,8 @@ DiffReport diff_bench_json(const std::string& base_text, const std::string& cand
   for (const auto& b : base) {
     const auto it = cand_by_key.find(b.key);
     if (it == cand_by_key.end()) {
-      report.only_base.push_back(b.key);
+      (b.is_bool ? report.lost_checks : report.only_base).push_back(b.key);
+      report.regression = report.regression || b.is_bool;
       continue;
     }
     matched[b.key] = true;
@@ -229,25 +230,23 @@ std::string report_to_json(const DiffReport& report) {
     out += d.regression ? "true" : "false";
     out += '}';
   }
-  out += "],\"only_base\":[";
-  first = true;
-  for (const auto& k : report.only_base) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    append_escaped(out, k);
-    out += '"';
-  }
-  out += "],\"only_cand\":[";
-  first = true;
-  for (const auto& k : report.only_cand) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    append_escaped(out, k);
-    out += '"';
-  }
-  out += "]}";
+  out += ']';
+  const auto append_keys = [&out](const char* name, const std::vector<std::string>& keys) {
+    out += ",\"";
+    out += name;
+    out += "\":[";
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (i > 0) out += ',';
+      out += '"';
+      append_escaped(out, keys[i]);
+      out += '"';
+    }
+    out += ']';
+  };
+  append_keys("only_base", report.only_base);
+  append_keys("only_cand", report.only_cand);
+  append_keys("lost_checks", report.lost_checks);
+  out += '}';
   return out;
 }
 
@@ -269,6 +268,7 @@ std::string report_to_table(const DiffReport& report) {
   }
   for (const auto& k : report.only_base) out += "only in base:      " + k + "\n";
   for (const auto& k : report.only_cand) out += "only in candidate: " + k + "\n";
+  for (const auto& k : report.lost_checks) out += "lost check:        " + k + "  REGRESSION\n";
   out += report.regression ? "RESULT: REGRESSION\n" : "RESULT: ok\n";
   return out;
 }

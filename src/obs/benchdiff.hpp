@@ -25,7 +25,7 @@ enum class Direction {
   higher_better,  // name contains per_sec / per_second / speedup / throughput
   lower_better,   // name contains time / latency / misses / iterations / _ns / _ms
   two_sided,      // anything else numeric: |delta| gated
-  boolean,        // regression only on true -> false
+  boolean,        // regression on true -> false (a vanished one: DiffReport::lost_checks)
 };
 
 /// Heuristic applied to the metric part of a flattened key (after the last
@@ -51,8 +51,11 @@ struct DiffOptions {
 
 struct DiffReport {
   std::vector<MetricDiff> metrics;     // key-sorted
-  std::vector<std::string> only_base;  // present in base only (reported, not gated)
+  std::vector<std::string> only_base;  // numeric, present in base only (reported, not gated)
   std::vector<std::string> only_cand;
+  /// Booleans present in base only. A check that vanished cannot be told
+  /// apart from one that stopped passing, so each one is a regression.
+  std::vector<std::string> lost_checks;
   bool regression = false;
 };
 

@@ -3,12 +3,14 @@
 // and the standalone assignment_power() of the tracked assignment.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/evaluator.hpp"
 #include "core/link.hpp"
+#include "simd/dispatch.hpp"
 #include "streams/image_sensor.hpp"
 #include "streams/random_streams.hpp"
 
@@ -203,6 +205,57 @@ TEST(Evaluator, ScoreMovesMatchesApply) {
       ev.toggle_inversion(moves[k].a);
     } else {
       ev.swap_bits(moves[k].a, moves[k].b);
+    }
+  }
+
+  // Wide arrays (w = 8..64) against the dense O(N^2) assignment_power of each
+  // move applied on its own, at every SIMD level the host supports, from a
+  // start with swapped and inverted lines: the main vector loops only run at
+  // these widths. Tolerance is 1e-9 of the model's coefficient mass, the
+  // evaluator_drift oracle's bound.
+  const simd::Level top = simd::detected_level();
+  struct Shape {
+    std::size_t rows, cols;
+  };
+  for (const Shape sh : {Shape{2, 4}, Shape{4, 4}, Shape{4, 8}, Shape{8, 8}}) {
+    const std::size_t width = sh.rows * sh.cols;
+    const auto wide_model =
+        tsv::fit_from_analytic(phys::TsvArrayGeometry::itrs2018_min(sh.rows, sh.cols));
+    const auto wide_st = make_stats(width, 3);
+    double mass = 0.0;
+    for (std::size_t i = 0; i < width; ++i) {
+      for (std::size_t j = 0; j < width; ++j) {
+        mass += std::abs(wide_model.c_ref()(i, j)) + std::abs(wide_model.delta_c()(i, j));
+      }
+    }
+    std::mt19937_64 wide_rng(41);
+    std::uniform_int_distribution<std::size_t> wide_pick(0, width - 1);
+    std::vector<core::PowerEvaluator::Move> wide_moves(256);
+    for (auto& m : wide_moves) {
+      const std::size_t a = wide_pick(wide_rng);
+      std::size_t b = wide_pick(wide_rng);
+      while (b == a) b = wide_pick(wide_rng);
+      m = wide_rng() % 3 == 0 ? core::PowerEvaluator::Move{true, a, 0}
+                              : core::PowerEvaluator::Move{false, a, b};
+    }
+    for (int l = 0; l <= static_cast<int>(top); ++l) {
+      const auto level = static_cast<simd::Level>(l);
+      simd::ScopedLevel guard(level);
+      core::PowerEvaluator wide(wide_st, wide_model, core::SignedPermutation::identity(width));
+      for (std::size_t i = 0; i + 1 < width; i += 2) wide.swap_bits(i, width - 1 - i);
+      for (std::size_t i = 0; i < width; i += 3) wide.toggle_inversion(i);
+      std::vector<double> wide_scores(wide_moves.size());
+      wide.score_moves(wide_moves, wide_scores);
+      for (std::size_t k = 0; k < wide_moves.size(); ++k) {
+        core::SignedPermutation a = wide.assignment();
+        if (wide_moves[k].is_toggle) {
+          a.toggle_inversion(wide_moves[k].a);
+        } else {
+          a.swap_bits(wide_moves[k].a, wide_moves[k].b);
+        }
+        EXPECT_NEAR(wide_scores[k], core::assignment_power(wide_st, a, wide_model), 1e-9 * mass)
+            << "w=" << width << " level=" << simd::level_name(level) << " move " << k;
+      }
     }
   }
 }

@@ -541,6 +541,29 @@ TEST_F(ProfileTest, BenchdiffReportsOnlyKeysWithoutGating) {
   const bd::DiffReport removed = bd::diff_bench_json(extra, kBase, {});
   EXPECT_FALSE(removed.regression);
   ASSERT_EQ(removed.only_base.size(), 1u);
+  EXPECT_TRUE(removed.lost_checks.empty());
+}
+
+// A boolean that exists in the base and is missing from the candidate is a
+// check that no longer runs: it gates like a true -> false flip.
+TEST_F(ProfileTest, BenchdiffVanishedBooleanIsARegression) {
+  const std::string base =
+      R"({"bench":"g","results":[{"width":32,"words_per_sec":1e6,"bit_identical":true}]})";
+  const std::string cand = R"({"bench":"g","results":[{"width":32,"words_per_sec":1e6}]})";
+  const bd::DiffReport report = bd::diff_bench_json(base, cand, {});
+  EXPECT_TRUE(report.regression);
+  ASSERT_EQ(report.lost_checks.size(), 1u);
+  EXPECT_EQ(report.lost_checks[0], "w32.bit_identical");
+  EXPECT_TRUE(report.only_base.empty());
+  const std::string table = bd::report_to_table(report);
+  EXPECT_NE(table.find("lost check:        w32.bit_identical"), std::string::npos) << table;
+  EXPECT_NE(table.find("RESULT: REGRESSION"), std::string::npos) << table;
+  const json::Value doc = json::parse(bd::report_to_json(report));
+  EXPECT_TRUE(doc.find("regression")->boolean);
+  ASSERT_EQ(doc.find("lost_checks")->array.size(), 1u);
+  EXPECT_EQ(doc.find("lost_checks")->array[0].string, "w32.bit_identical");
+  // A boolean that appears only in the candidate is new, not lost.
+  EXPECT_FALSE(bd::diff_bench_json(cand, base, {}).regression);
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 // --benchmark_out files are accepted (see src/obs/benchdiff.hpp).
 //
 // Examples:
-//   tsvcod_benchdiff BENCH_stats.json fresh_stats.json
+//   tsvcod_benchdiff BENCH_serve.json fresh_serve.json
 //   tsvcod_benchdiff base.json cand.json --tolerance 25
 //       --metric-tolerance words_per_sec=40 --json diff.json
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -24,6 +26,18 @@ std::string read_file(const std::string& path) {
   std::ostringstream ss;
   ss << is.rdbuf();
   return ss.str();
+}
+
+/// Strict percentage: the whole string is a finite number >= 0. A NaN or
+/// negative tolerance would disable the gate it configures.
+double parse_pct(const std::string& text, const std::string& flag) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) || value < 0.0) {
+    throw std::runtime_error(flag + " expects a finite percentage >= 0, got: '" + text + "'");
+  }
+  return value;
 }
 
 void usage() {
@@ -47,7 +61,7 @@ int main(int argc, char** argv) {
       const std::string arg = argv[i];
       if (arg == "--tolerance") {
         if (++i >= argc) throw std::runtime_error("missing value for --tolerance");
-        options.tolerance_pct = std::stod(argv[i]);
+        options.tolerance_pct = parse_pct(argv[i], arg);
       } else if (arg == "--metric-tolerance") {
         if (++i >= argc) throw std::runtime_error("missing value for --metric-tolerance");
         const std::string spec = argv[i];
@@ -55,7 +69,7 @@ int main(int argc, char** argv) {
         if (eq == std::string::npos || eq == 0) {
           throw std::runtime_error("--metric-tolerance expects PATTERN=PCT, got: " + spec);
         }
-        options.per_metric.emplace_back(spec.substr(0, eq), std::stod(spec.substr(eq + 1)));
+        options.per_metric.emplace_back(spec.substr(0, eq), parse_pct(spec.substr(eq + 1), arg));
       } else if (arg == "--json") {
         if (++i >= argc) throw std::runtime_error("missing value for --json");
         json_out = argv[i];
