@@ -20,13 +20,21 @@ Complex harmonic_mean(Complex a, Complex b) {
   return 2.0 * a * b / s;
 }
 
-// Degenerate-geometry escape hatch: if coarsening stalls (max_levels or a
+// The one V-cycle configuration: sweeps around each coarse correction,
+// hierarchy depth cap, and the free-cell count at or below which coarsening
+// stops and the level is solved directly.
+constexpr int kPreSmooth = 1;
+constexpr int kPostSmooth = 1;
+constexpr std::size_t kMaxLevels = 24;
+constexpr std::size_t kCoarsestUnknowns = 256;
+
+// Degenerate-geometry escape hatch: if coarsening stalls (kMaxLevels or a
 // sliver dimension) while the level is still too big to factor densely,
 // replace the direct solve with extra smoothing sweeps.
 constexpr std::size_t kMaxDenseUnknowns = 4096;
 
 // ---------------------------------------------------------------------------
-// Smoother / residual kernels.
+// Gauss-Seidel / residual kernels.
 //
 // The scalar forms below are the reference semantics; the AVX2/AVX-512
 // clones vectorize the 5-point stencil over interior rows (both neighbors
@@ -94,13 +102,6 @@ void gs_color_scalar(const Stencil& s, const Complex* rhs, Complex* x, int color
 void residual_scalar(const Stencil& s, const Complex* rhs, const Complex* x, Complex* out) {
   for (std::size_t iy = 0; iy < s.ny; ++iy) {
     for (std::size_t ix = 0; ix < s.nx; ++ix) res_cell(s, rhs, x, out, ix, iy);
-  }
-}
-
-void jacobi_axpy_scalar(const Stencil& s, Complex* x, const Complex* scr, double damping) {
-  const std::size_t n = s.nx * s.ny;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!s.dir[i]) x[i] += damping * s.idg[i] * scr[i];
   }
 }
 
@@ -289,39 +290,6 @@ __attribute__((target("avx512f,avx512dq"))) void residual_avx512(const Stencil& 
   }
 }
 
-// x += damping * inv_diag * scratch over the whole array: inv_diag is zero
-// at Dirichlet cells, so the unguarded form adds exactly +-0 there.
-__attribute__((target("avx2,fma"))) void jacobi_axpy_avx2(const Stencil& s, Complex* x_c,
-                                                          const Complex* scr_c, double damping) {
-  const std::size_t nd = 2 * s.nx * s.ny;
-  const double* idg = reinterpret_cast<const double*>(s.idg);
-  const double* scr = reinterpret_cast<const double*>(scr_c);
-  double* x = reinterpret_cast<double*>(x_c);
-  const __m256d vd = _mm256_set1_pd(damping);
-  std::size_t d = 0;
-  for (; d + 4 <= nd; d += 4) {
-    const __m256d t = cmul256(_mm256_loadu_pd(idg + d), _mm256_loadu_pd(scr + d));
-    _mm256_storeu_pd(x + d, _mm256_fmadd_pd(vd, t, _mm256_loadu_pd(x + d)));
-  }
-  for (std::size_t i = d / 2; i < s.nx * s.ny; ++i) x_c[i] += damping * s.idg[i] * scr_c[i];
-}
-
-__attribute__((target("avx512f,avx512dq"))) void jacobi_axpy_avx512(const Stencil& s, Complex* x_c,
-                                                                    const Complex* scr_c,
-                                                                    double damping) {
-  const std::size_t nd = 2 * s.nx * s.ny;
-  const double* idg = reinterpret_cast<const double*>(s.idg);
-  const double* scr = reinterpret_cast<const double*>(scr_c);
-  double* x = reinterpret_cast<double*>(x_c);
-  const __m512d vd = _mm512_set1_pd(damping);
-  std::size_t d = 0;
-  for (; d + 8 <= nd; d += 8) {
-    const __m512d t = cmul512(_mm512_loadu_pd(idg + d), _mm512_loadu_pd(scr + d));
-    _mm512_storeu_pd(x + d, _mm512_fmadd_pd(vd, t, _mm512_loadu_pd(x + d)));
-  }
-  for (std::size_t i = d / 2; i < s.nx * s.ny; ++i) x_c[i] += damping * s.idg[i] * scr_c[i];
-}
-
 #pragma GCC diagnostic pop
 
 #endif  // TSVCOD_FIELD_X86_KERNELS
@@ -358,32 +326,14 @@ void residual_dispatch(const Stencil& s, const Complex* rhs, const Complex* x, C
   residual_scalar(s, rhs, x, out);
 }
 
-void jacobi_axpy(const Stencil& s, Complex* x, const Complex* scr, double damping) {
-#if defined(TSVCOD_FIELD_X86_KERNELS)
-  switch (simd::active_level()) {
-    case simd::Level::avx512:
-      jacobi_axpy_avx512(s, x, scr, damping);
-      return;
-    case simd::Level::avx2:
-      jacobi_axpy_avx2(s, x, scr, damping);
-      return;
-    default:
-      break;
-  }
-#endif
-  jacobi_axpy_scalar(s, x, scr, damping);
-}
-
 }  // namespace
 
-bool Multigrid::viable(std::size_t nx, std::size_t ny, std::size_t free_count,
-                       const MultigridOptions& opts) {
-  return nx >= 8 && ny >= 8 && opts.max_levels >= 2 && free_count > opts.coarsest_unknowns;
+bool Multigrid::viable(std::size_t nx, std::size_t ny, std::size_t free_count) {
+  return nx >= 8 && ny >= 8 && free_count > kCoarsestUnknowns;
 }
 
 Multigrid::Multigrid(std::size_t nx, std::size_t ny, const std::vector<std::uint8_t>& dirichlet,
-                     const std::vector<Complex>& eps, const MultigridOptions& opts)
-    : opts_(opts) {
+                     const std::vector<Complex>& eps) {
   if (dirichlet.size() != nx * ny || eps.size() != nx * ny) {
     throw std::invalid_argument("Multigrid: dirichlet/eps size must be nx*ny");
   }
@@ -398,9 +348,9 @@ Multigrid::Multigrid(std::size_t nx, std::size_t ny, const std::vector<std::uint
 
   // Coarsen structure (Dirichlet masks) until the level is small enough for
   // a direct solve or cannot shrink meaningfully any further.
-  while (static_cast<int>(levels_.size()) < opts_.max_levels) {
+  while (levels_.size() < kMaxLevels) {
     const Level& f = levels_.back();
-    if (f.free_count <= opts_.coarsest_unknowns) break;
+    if (f.free_count <= kCoarsestUnknowns) break;
     if (f.nx < 8 || f.ny < 8) break;
     Level c;
     c.nx = (f.nx + 1) / 2;
@@ -564,16 +514,9 @@ void Multigrid::residual(const Level& lv, const std::vector<Complex>& rhs,
 }
 
 void Multigrid::smooth(const Level& lv, const std::vector<Complex>& rhs, std::vector<Complex>& x,
-                       std::vector<Complex>& scratch, int sweeps) const {
+                       int sweeps) const {
   const Stencil st{lv.nx,          lv.ny,           lv.dirichlet.data(), lv.w_east.data(),
                    lv.w_north.data(), lv.diag.data(), lv.inv_diag.data()};
-  if (opts_.smoother == MultigridOptions::Smoother::damped_jacobi) {
-    for (int s = 0; s < sweeps; ++s) {
-      residual_dispatch(st, rhs.data(), x.data(), scratch.data());
-      jacobi_axpy(st, x.data(), scratch.data(), opts_.jacobi_damping);
-    }
-    return;
-  }
   // Red-black Gauss-Seidel: fixed (color, row-major) sweep order makes the
   // smoother a deterministic linear operator regardless of thread count.
   for (int s = 0; s < sweeps; ++s) {
@@ -582,10 +525,10 @@ void Multigrid::smooth(const Level& lv, const std::vector<Complex>& rhs, std::ve
 }
 
 void Multigrid::apply_smoother(const std::vector<Complex>& rhs, std::vector<Complex>& x,
-                               std::vector<Complex>& scratch, int sweeps) const {
+                               int sweeps) const {
   const Level& lv = levels_.front();
   const std::size_t n = lv.nx * lv.ny;
-  if (rhs.size() != n || x.size() != n || scratch.size() != n) {
+  if (rhs.size() != n || x.size() != n) {
     throw std::invalid_argument("Multigrid::apply_smoother: vectors must be nx*ny");
   }
   // Establish the x[dirichlet] == 0 invariant the kernels rely on (v_cycle
@@ -593,7 +536,7 @@ void Multigrid::apply_smoother(const std::vector<Complex>& rhs, std::vector<Comp
   for (std::size_t i = 0; i < n; ++i) {
     if (lv.dirichlet[i]) x[i] = Complex{};
   }
-  smooth(lv, rhs, x, scratch, sweeps);
+  smooth(lv, rhs, x, sweeps);
 }
 
 void Multigrid::apply_residual(const std::vector<Complex>& rhs, const std::vector<Complex>& x,
@@ -612,7 +555,7 @@ void Multigrid::solve_coarsest(const std::vector<Complex>& rhs, std::vector<Comp
   if (lu_.empty()) {
     // No factorization (degenerately large coarsest level): smooth hard.
     for (auto& v : x) v = Complex{};
-    smooth(lv, rhs, x, scratch, opts_.pre_smooth + opts_.post_smooth + 4);
+    smooth(lv, rhs, x, kPreSmooth + kPostSmooth + 4);
     return;
   }
   const std::size_t n = coarse_free_cells_.size();
@@ -644,7 +587,7 @@ void Multigrid::v_cycle(const std::vector<Complex>& r, std::vector<Complex>& z,
       break;
     }
     for (auto& v : ws.x[l]) v = Complex{};
-    smooth(lv, ws.r[l], ws.x[l], ws.scratch[l], opts_.pre_smooth);
+    smooth(lv, ws.r[l], ws.x[l], kPreSmooth);
     residual(lv, ws.r[l], ws.x[l], ws.scratch[l]);
     // Restrict: sum the residual over free fine children (adjoint of the
     // piecewise-constant prolongation below).
@@ -671,7 +614,7 @@ void Multigrid::v_cycle(const std::vector<Complex>& r, std::vector<Complex>& z,
         if (!lv.dirichlet[i]) ws.x[l][i] += ws.x[l + 1][(iy / 2) * cv.nx + ix / 2];
       }
     }
-    smooth(lv, ws.r[l], ws.x[l], ws.scratch[l], opts_.post_smooth);
+    smooth(lv, ws.r[l], ws.x[l], kPostSmooth);
   }
   z = ws.x[0];
 }

@@ -14,10 +14,12 @@
 // (the adjoint of piecewise-constant prolongation, which also carries the
 // h^2 factor between rediscretized levels).
 //
-// Smoothing is red-black Gauss-Seidel (deterministic fixed sweep order) or
-// damped Jacobi; the coarsest level is a dense complex LU solve. With a zero
+// The cycle is one fixed algorithm: one red-black Gauss-Seidel sweep
+// (deterministic fixed sweep order) before and one after the coarse
+// correction, coarsening until at most 256 free cells remain (24 levels at
+// most), and a dense complex LU solve on the coarsest level. With a zero
 // initial guess per level the V-cycle is one fixed linear operator, which
-// preconditioned BiCGStab requires. Both smoothers and the residual run
+// preconditioned BiCGStab requires. The smoother and the residual run
 // through the shared src/simd runtime dispatch: AVX2/AVX-512 stencil kernels
 // cover interior rows (relying on x == 0 at Dirichlet cells, which the
 // V-cycle maintains), scalar code covers boundaries and other hosts; every
@@ -34,29 +36,18 @@
 
 namespace tsvcod::field {
 
-struct MultigridOptions {
-  enum class Smoother : std::uint8_t { red_black_gs, damped_jacobi };
-  int pre_smooth = 1;               ///< smoothing sweeps before coarse correction
-  int post_smooth = 1;              ///< smoothing sweeps after coarse correction
-  int max_levels = 24;              ///< hierarchy depth cap
-  std::size_t coarsest_unknowns = 256;  ///< stop coarsening at/below this many free cells
-  Smoother smoother = Smoother::red_black_gs;
-  double jacobi_damping = 0.7;      ///< only for Smoother::damped_jacobi
-};
-
 class Multigrid {
  public:
   /// True when a hierarchy is worth building for a fine grid of `nx` x `ny`
   /// cells with `free_count` non-Dirichlet cells; callers fall back to plain
   /// Jacobi preconditioning otherwise.
-  static bool viable(std::size_t nx, std::size_t ny, std::size_t free_count,
-                     const MultigridOptions& opts);
+  static bool viable(std::size_t nx, std::size_t ny, std::size_t free_count);
 
   /// Build the hierarchy from the fine level: `dirichlet[i] != 0` marks
   /// pinned cells (conductors; the outer boundary is handled by the operator
   /// itself), `eps` the complex cell permittivities.
   Multigrid(std::size_t nx, std::size_t ny, const std::vector<std::uint8_t>& dirichlet,
-            const std::vector<Complex>& eps, const MultigridOptions& opts);
+            const std::vector<Complex>& eps);
 
   /// Recompute every level's coefficients (and the coarse factorization) for
   /// new fine-level permittivities. The Dirichlet structure must be the one
@@ -76,20 +67,15 @@ class Multigrid {
   /// Dirichlet entries of `r` are ignored and come back zero in `z`.
   void v_cycle(const std::vector<Complex>& r, std::vector<Complex>& z, Workspace& ws) const;
 
-  /// Apply `sweeps` passes of the configured smoother to the finest level,
-  /// in place on `x` (full-grid vectors; `scratch` is Jacobi workspace).
-  /// Dirichlet entries of `x` are zeroed on entry — the invariant the SIMD
-  /// stencil kernels rely on, which v_cycle maintains internally. Exposed
-  /// for the dispatch-equality tests and the smoother benchmarks.
-  void apply_smoother(const std::vector<Complex>& rhs, std::vector<Complex>& x,
-                      std::vector<Complex>& scratch, int sweeps) const;
+  /// Apply `sweeps` red-black Gauss-Seidel passes to the finest level, in
+  /// place on `x` (full-grid vectors). Dirichlet entries of `x` are zeroed on
+  /// entry — the invariant the SIMD stencil kernels rely on, which v_cycle
+  /// maintains internally. Exposed for the dispatch-equality tests.
+  void apply_smoother(const std::vector<Complex>& rhs, std::vector<Complex>& x, int sweeps) const;
   /// Finest-level residual out = rhs - A x (Dirichlet rows come back zero).
   /// Dirichlet entries of `x` must already be zero.
   void apply_residual(const std::vector<Complex>& rhs, const std::vector<Complex>& x,
                       std::vector<Complex>& out) const;
-
-  std::size_t levels() const { return levels_.size(); }
-  std::size_t coarsest_free_count() const { return levels_.back().free_count; }
 
  private:
   struct Level {
@@ -107,13 +93,12 @@ class Multigrid {
   void coarsen_eps(const Level& fine, Level& coarse) const;
   void factor_coarsest();
   void smooth(const Level& lv, const std::vector<Complex>& rhs, std::vector<Complex>& x,
-              std::vector<Complex>& scratch, int sweeps) const;
+              int sweeps) const;
   void residual(const Level& lv, const std::vector<Complex>& rhs,
                 const std::vector<Complex>& x, std::vector<Complex>& out) const;
   void solve_coarsest(const std::vector<Complex>& rhs, std::vector<Complex>& x,
                       std::vector<Complex>& scratch) const;
 
-  MultigridOptions opts_;
   std::vector<Level> levels_;
   // Dense LU (partial pivoting) of the coarsest-level operator over its free
   // cells, row-major n x n; empty when the coarsest level is still too large

@@ -1,8 +1,6 @@
 #include "field/solver.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -50,20 +48,6 @@ Complex dot(const std::vector<Complex>& a, const std::vector<Complex>& b) {
 }
 
 }  // namespace
-
-Preconditioner default_preconditioner() {
-  static const Preconditioner cached = [] {
-    const char* env = std::getenv("TSVCOD_PRECONDITIONER");
-    if (env && (std::strcmp(env, "jacobi") == 0)) return Preconditioner::jacobi;
-    if (env && std::strcmp(env, "multigrid") != 0 && std::strcmp(env, "mg") != 0 && *env) {
-      // Unknown value: fail loudly rather than silently benchmarking the
-      // wrong solver.
-      throw std::runtime_error("TSVCOD_PRECONDITIONER must be 'jacobi' or 'multigrid'");
-    }
-    return Preconditioner::multigrid;
-  }();
-  return cached;
-}
 
 FieldProblem::FieldProblem(const Grid& grid) : grid_(grid) {
   const std::size_t n = grid.size();
@@ -118,11 +102,11 @@ void FieldProblem::update_coefficients() {
   }
 }
 
-const Multigrid* FieldProblem::multigrid_for(const MultigridOptions& opts) const {
+const Multigrid* FieldProblem::multigrid() const {
   std::lock_guard<std::mutex> lock(mg_mutex_);
   if (!mg_attempted_) {
     mg_attempted_ = true;
-    if (Multigrid::viable(grid_.nx(), grid_.ny(), unknowns(), opts)) {
+    if (Multigrid::viable(grid_.nx(), grid_.ny(), unknowns())) {
       const std::size_t n = grid_.size();
       std::vector<std::uint8_t> dirichlet(n, 0);
       std::vector<Complex> eps(n);
@@ -130,7 +114,7 @@ const Multigrid* FieldProblem::multigrid_for(const MultigridOptions& opts) const
         dirichlet[i] = grid_.conductor(i) == kNoConductor ? 0 : 1;
         eps[i] = grid_.eps(i);
       }
-      mg_ = std::make_unique<Multigrid>(grid_.nx(), grid_.ny(), dirichlet, eps, opts);
+      mg_ = std::make_unique<Multigrid>(grid_.nx(), grid_.ny(), dirichlet, eps);
     }
   }
   return mg_.get();
@@ -207,7 +191,7 @@ std::vector<Complex> FieldProblem::solve(std::int32_t active, const SolverOption
   // Resolve the preconditioner: multigrid falls back to Jacobi when the grid
   // is too small to coarsen.
   const Multigrid* mg = nullptr;
-  if (opts.preconditioner == Preconditioner::multigrid) mg = multigrid_for(opts.multigrid);
+  if (opts.preconditioner == Preconditioner::multigrid) mg = multigrid();
   const Preconditioner pc = mg ? Preconditioner::multigrid : Preconditioner::jacobi;
 
   std::vector<Complex> x(nu, Complex{});

@@ -40,15 +40,10 @@ enum class Preconditioner : std::uint8_t {
   multigrid,  ///< GMG V-cycle, Jacobi fallback on grids too small to coarsen
 };
 
-/// Process-wide default: the TSVCOD_PRECONDITIONER environment variable
-/// ("jacobi" | "multigrid"/"mg") if set, else multigrid.
-Preconditioner default_preconditioner();
-
 struct SolverOptions {
   double tolerance = 1e-9;  ///< relative (preconditioned) residual target
   int max_iterations = 50000;
-  Preconditioner preconditioner = default_preconditioner();
-  MultigridOptions multigrid{};
+  Preconditioner preconditioner = Preconditioner::multigrid;
 };
 
 struct SolveStats {
@@ -111,10 +106,10 @@ class FieldProblem {
   const std::vector<std::size_t>& free_cells() const { return free_cells_; }
 
  private:
-  /// The hierarchy for multigrid solves, built on first use with the options
-  /// of the first multigrid caller (concurrent per-conductor solves share
-  /// identical options). Returns nullptr when the grid is not viable.
-  const Multigrid* multigrid_for(const MultigridOptions& opts) const;
+  /// The hierarchy for multigrid solves, built on first use and shared by
+  /// concurrent per-conductor solves. Returns nullptr when the grid is not
+  /// viable.
+  const Multigrid* multigrid() const;
 
   const Grid& grid_;
   // For each cell: index into the unknown vector, or -1 for Dirichlet cells.

@@ -1,8 +1,11 @@
 #include "obs/snapshot.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <stdexcept>
@@ -94,6 +97,20 @@ void stop_snapshots_lifecycle_locked(SnapshotState& st) {
 }
 
 }  // namespace
+
+std::chrono::milliseconds parse_snapshot_interval(const std::string& text,
+                                                  const std::string& source) {
+  char* end = nullptr;
+  const double seconds = std::strtod(text.c_str(), &end);
+  // Written so that nan fails too. The upper bound keeps the millisecond
+  // count, and the deadline the worker computes from it, far inside
+  // std::int64_t.
+  if (*end != '\0' || !(seconds > 0.0 && seconds <= 1e9)) {
+    throw std::runtime_error(source + " must be a finite number of seconds in (0, 1e9], got '" +
+                             text + "'");
+  }
+  return std::chrono::milliseconds(std::max<long long>(1, std::llround(seconds * 1000.0)));
+}
 
 void start_snapshots(std::string path, SnapshotOptions options) {
   if (options.interval.count() <= 0) {

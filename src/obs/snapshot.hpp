@@ -18,6 +18,15 @@ struct SnapshotOptions {
   int keep = 3;  // rotated copies beyond the live file; 0 = overwrite in place
 };
 
+/// The exporter period for a snapshot interval written in seconds, as the
+/// --snapshot-interval flag and the TSVCOD_SNAPSHOT_INTERVAL variable take
+/// it; `source` names which of them `text` came from. The whole text must be
+/// a finite number of seconds in (0, 1e9]; it is rounded to the nearest
+/// millisecond, and to 1 ms when shorter. Throws std::runtime_error naming
+/// `source` and quoting `text` otherwise.
+std::chrono::milliseconds parse_snapshot_interval(const std::string& text,
+                                                  const std::string& source);
+
 /// Start (or restart with new settings) the background exporter; enables the
 /// metrics layer implicitly since a snapshot of nothing is useless. Throws
 /// std::invalid_argument on a non-positive interval, naming the

@@ -140,18 +140,10 @@ void init_from_env() {
   const char* s = std::getenv("TSVCOD_SNAPSHOT");
   if (s && *s) {
     SnapshotOptions opts;
+    // A malformed interval fails fast naming the variable and its value
+    // instead of falling back to the default, which would hide a typo.
     if (const char* iv = std::getenv("TSVCOD_SNAPSHOT_INTERVAL"); iv && *iv) {
-      // A malformed or non-positive interval used to be silently ignored
-      // (falling back to the default), which hides typos; fail fast naming
-      // the variable and its value instead.
-      char* end = nullptr;
-      const double seconds = std::strtod(iv, &end);
-      if (!end || *end != '\0' || !(seconds > 0.0)) {
-        throw std::runtime_error(std::string("TSVCOD_SNAPSHOT_INTERVAL='") + iv +
-                                 "' is not a positive number of seconds");
-      }
-      opts.interval = std::chrono::milliseconds(static_cast<std::int64_t>(seconds * 1000.0));
-      if (opts.interval.count() <= 0) opts.interval = std::chrono::milliseconds(1);
+      opts.interval = parse_snapshot_interval(iv, "TSVCOD_SNAPSHOT_INTERVAL");
     }
     enable_metrics(true);
     start_snapshots(s, opts);

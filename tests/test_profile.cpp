@@ -353,10 +353,32 @@ TEST_F(ProfileTest, SnapshotIntervalMustBePositiveNamingTheKnob) {
                std::invalid_argument);
 }
 
+// The flag and the variable share one conversion: whole text, finite,
+// > 0, rounded to the nearest millisecond and to at least 1 ms.
+TEST_F(ProfileTest, SnapshotIntervalParsesSecondsToMilliseconds) {
+  using std::chrono::milliseconds;
+  EXPECT_EQ(obs::parse_snapshot_interval("1", "--snapshot-interval"), milliseconds(1000));
+  EXPECT_EQ(obs::parse_snapshot_interval("0.25", "--snapshot-interval"), milliseconds(250));
+  EXPECT_EQ(obs::parse_snapshot_interval("0.0015", "--snapshot-interval"), milliseconds(2));
+  EXPECT_EQ(obs::parse_snapshot_interval("1e-9", "--snapshot-interval"), milliseconds(1));
+  EXPECT_EQ(obs::parse_snapshot_interval("1e9", "--snapshot-interval"),
+            milliseconds(1'000'000'000'000));
+  for (const char* bad : {"inf", "nan", "-inf", "0", "1e10", "2s", ""}) {
+    try {
+      obs::parse_snapshot_interval(bad, "--snapshot-interval");
+      FAIL() << "'" << bad << "' must be rejected";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("--snapshot-interval must be a finite number"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::string("'") + bad + "'"), std::string::npos) << msg;
+    }
+  }
+}
+
 TEST_F(ProfileTest, InitFromEnvRejectsMalformedSnapshotInterval) {
   const std::string path = "/tmp/tsvcod_test_snapshot_env.json";
   setenv("TSVCOD_SNAPSHOT", path.c_str(), 1);
-  for (const char* bad : {"0", "-2", "fast", "1.5x", ""}) {
+  for (const char* bad : {"0", "-2", "fast", "1.5x", "inf", "nan", "1e10", ""}) {
     setenv("TSVCOD_SNAPSHOT_INTERVAL", bad, 1);
     if (*bad == '\0') {
       // Empty means unset: the default interval applies and startup succeeds.

@@ -21,16 +21,14 @@
 //   tsvcod_cli convert --trace bus.txt --width 16 --out bus.tsvb
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "coding/factory.hpp"
 #include "core/assignment_io.hpp"
 #include "core/link.hpp"
@@ -51,75 +49,7 @@ using namespace tsvcod;
 
 namespace {
 
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) throw std::runtime_error("expected --flag, got: " + key);
-      key = key.substr(2);
-      if (key == "verbose") {  // boolean flag, takes no value
-        values_[key] = "1";
-        continue;
-      }
-      if (i + 1 >= argc) throw std::runtime_error("missing value for --" + key);
-      values_[key] = argv[++i];
-    }
-  }
-
-  bool has(const std::string& k) const { return values_.count(k) > 0; }
-
-  std::string str(const std::string& k) const {
-    const auto it = values_.find(k);
-    if (it == values_.end()) throw std::runtime_error("missing required --" + k);
-    return it->second;
-  }
-  std::string str_or(const std::string& k, const std::string& def) const {
-    return has(k) ? values_.at(k) : def;
-  }
-  double number(const std::string& k) const { return std::stod(str(k)); }
-  double number_or(const std::string& k, double def) const {
-    return has(k) ? std::stod(values_.at(k)) : def;
-  }
-  std::size_t size(const std::string& k) const { return parse_size(k, str(k)); }
-  std::size_t size_or(const std::string& k, std::size_t def) const {
-    return has(k) ? parse_size(k, values_.at(k)) : def;
-  }
-
-  /// Comma-separated list of bit indices.
-  std::vector<std::size_t> index_list_or(const std::string& k) const {
-    std::vector<std::size_t> out;
-    if (!has(k)) return out;
-    std::istringstream ss(values_.at(k));
-    std::string tok;
-    while (std::getline(ss, tok, ',')) out.push_back(std::stoull(tok));
-    return out;
-  }
-
- private:
-  /// std::stoull silently accepts a sign ("-2" wraps to 2^64-2) and ignores
-  /// trailing junk; count-valued flags are bare non-negative integers, so
-  /// anything else is rejected with an error naming the flag.
-  static std::size_t parse_size(const std::string& k, const std::string& v) {
-    bool ok = !v.empty() && v[0] != '-' && v[0] != '+';
-    std::uint64_t out = 0;
-    if (ok) {
-      try {
-        std::size_t used = 0;
-        out = std::stoull(v, &used, 10);
-        ok = used == v.size();
-      } catch (const std::exception&) {
-        ok = false;
-      }
-    }
-    if (!ok) {
-      throw std::runtime_error("--" + k + " expects a non-negative integer, got: '" + v + "'");
-    }
-    return out;
-  }
-
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
 
 /// RAII guarantee that configured observability sinks are written on *every*
 /// exit path. The success path calls `finish()` (clean_exit=true + progress
@@ -226,14 +156,6 @@ stats::SwitchingStats line_stats_from(const Args& args, const core::Link& link,
   return stats::compute_stats(coded, link.width(), threads);
 }
 
-field::Preconditioner preconditioner_from(const Args& args) {
-  const std::string name = args.str_or("preconditioner", "");
-  if (name.empty()) return field::default_preconditioner();
-  if (name == "jacobi") return field::Preconditioner::jacobi;
-  if (name == "multigrid" || name == "mg") return field::Preconditioner::multigrid;
-  throw std::runtime_error("unknown --preconditioner (use jacobi|multigrid)");
-}
-
 int cmd_extract(const Args& args) {
   const auto geom = geometry_from(args);
   tsv::LinearCapacitanceModel model;
@@ -242,11 +164,8 @@ int cmd_extract(const Args& args) {
     field::ExtractionOptions fo;
     fo.cell = args.number_or("cell-um", 0.125) * 1e-6;
     fo.threads = threads_from(args);
-    fo.solver.preconditioner = preconditioner_from(args);
-    std::printf("running field extraction (%zux%zu, cell %.3f um, %s preconditioner)...\n",
-                geom.rows, geom.cols, fo.cell * 1e6,
-                fo.solver.preconditioner == field::Preconditioner::multigrid ? "multigrid"
-                                                                            : "jacobi");
+    std::printf("running field extraction (%zux%zu, cell %.3f um)...\n", geom.rows, geom.cols,
+                fo.cell * 1e6);
     tsv::FieldFitStats fit_stats;
     model = tsv::fit_from_field(geom, fo, &fit_stats);
     std::printf("field solves             : %zu (%lld iterations, %s preconditioner",
@@ -369,7 +288,6 @@ int cmd_fieldmap(const Args& args) {
   const std::vector<double> pr(geom.count(), args.number_or("probability", 0.5));
   field::ExtractionOptions fo;
   fo.cell = args.number_or("cell-um", 0.1) * 1e-6;
-  fo.solver.preconditioner = preconditioner_from(args);
   const auto grid = field::build_array_grid(geom, pr, fo);
   const std::string prefix = args.str("out");
 
@@ -447,8 +365,6 @@ void usage() {
       "               [--threads N]  (N=0: all hardware threads, same as\n"
       "                TSVCOD_THREADS=0; unset: TSVCOD_THREADS env, else serial;\n"
       "                results are identical at every thread count)\n"
-      "               [--preconditioner jacobi|multigrid]  (field solves; default\n"
-      "                multigrid, or the TSVCOD_PRECONDITIONER env override)\n"
       "               [--simd scalar|popcnt|avx2|avx512]  clamp the SIMD dispatch\n"
       "                level (wins over the TSVCOD_SIMD env; never raises above\n"
       "                what the CPU supports; results are level-invariant)\n"
@@ -488,7 +404,13 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   try {
-    const Args args(argc, argv, 2);
+    const Args args(argc, argv, 2,
+                    {"rows", "cols", "radius-um", "pitch-um", "length-um", "threads", "simd",
+                     "trace-out", "metrics-out", "profile-out", "snapshot-out",
+                     "snapshot-interval", "codec", "codec-period", "codec-stride", "codec-lambda",
+                     "backend", "cell-um", "out", "model", "trace", "no-invert", "iterations",
+                     "seed", "assignment", "probability", "to", "width"},
+                    {"verbose"});
     // Fail fast on a malformed TSVCOD_THREADS (clear error up front instead
     // of a surprise at the first parallel section).
     (void)opt::default_threads();
@@ -504,12 +426,10 @@ int main(int argc, char** argv) {
     if (args.has("profile-out")) obs::set_profile_path(args.str("profile-out"));
     if (args.has("snapshot-out")) {
       obs::SnapshotOptions snap;
-      const double seconds = args.number_or("snapshot-interval", 1.0);
-      if (seconds <= 0.0) {
-        throw std::runtime_error("--snapshot-interval (or TSVCOD_SNAPSHOT_INTERVAL) must be > 0 "
-                                 "seconds, got " + args.str("snapshot-interval"));
+      if (args.has("snapshot-interval")) {
+        snap.interval =
+            obs::parse_snapshot_interval(args.str("snapshot-interval"), "--snapshot-interval");
       }
-      snap.interval = std::chrono::milliseconds(static_cast<std::int64_t>(seconds * 1000.0));
       obs::start_snapshots(args.str("snapshot-out"), snap);
     } else if (args.has("snapshot-interval")) {
       throw std::runtime_error("--snapshot-interval needs --snapshot-out (or TSVCOD_SNAPSHOT)");

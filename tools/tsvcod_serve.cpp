@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "obs/obs.hpp"
 #include "obs/snapshot.hpp"
 #include "opt/parallel.hpp"
@@ -44,82 +45,9 @@ using namespace tsvcod;
 
 namespace {
 
-/// Strict non-negative integer: the whole string must be decimal digits. The
-/// error names `what` (a --flag or an open-frame option).
-std::size_t parse_size(const std::string& what, const std::string& v) {
-  bool ok = !v.empty() && v[0] != '-' && v[0] != '+';
-  std::uint64_t out = 0;
-  if (ok) {
-    try {
-      std::size_t used = 0;
-      out = std::stoull(v, &used, 10);
-      ok = used == v.size();
-    } catch (const std::exception&) {
-      ok = false;
-    }
-  }
-  if (!ok) throw std::runtime_error(what + " expects a non-negative integer, got: '" + v + "'");
-  return out;
-}
-
-/// Strict number: the whole string must parse.
-double parse_number(const std::string& what, const std::string& v) {
-  std::size_t used = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(v, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (v.empty() || used != v.size()) {
-    throw std::runtime_error(what + " expects a number, got: '" + v + "'");
-  }
-  return out;
-}
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key == "--help" || key == "-h") {
-        help_ = true;
-        continue;
-      }
-      if (key.rfind("--", 0) != 0) throw std::runtime_error("expected --flag, got: " + key);
-      key = key.substr(2);
-      if (key == "verbose") {  // boolean flag, takes no value
-        values_[key] = "1";
-        continue;
-      }
-      if (i + 1 >= argc) throw std::runtime_error("missing value for --" + key);
-      values_[key] = argv[++i];
-    }
-  }
-
-  bool help() const { return help_; }
-  bool has(const std::string& k) const { return values_.count(k) > 0; }
-
-  std::string str(const std::string& k) const {
-    const auto it = values_.find(k);
-    if (it == values_.end()) throw std::runtime_error("missing required --" + k);
-    return it->second;
-  }
-  std::string str_or(const std::string& k, const std::string& def) const {
-    return has(k) ? values_.at(k) : def;
-  }
-  double number_or(const std::string& k, double def) const {
-    return has(k) ? parse_number("--" + k, values_.at(k)) : def;
-  }
-  std::size_t size(const std::string& k) const { return parse_size("--" + k, str(k)); }
-  std::size_t size_or(const std::string& k, std::size_t def) const {
-    return has(k) ? parse_size("--" + k, values_.at(k)) : def;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  bool help_ = false;
-};
+using tools::Args;
+using tools::parse_number;
+using tools::parse_size;
 
 /// Flush observability sinks on every exit path (clean_exit=false when an
 /// exception unwinds past finish()).
@@ -239,8 +167,13 @@ void emit_polled(serve::Server& server) {
 }
 
 int run(int argc, char** argv) {
-  const Args args(argc, argv);
-  if (args.help()) {
+  const Args args(argc, argv, 1,
+                  {"rows", "cols", "radius-um", "pitch-um", "length-um", "model", "codec",
+                   "shards", "queue-capacity", "window", "drift-threshold", "cooldown",
+                   "reanneal-iterations", "chains", "seed", "threads", "metrics-out",
+                   "trace-out", "profile-out", "snapshot-out", "snapshot-interval"},
+                  {"verbose", "help"});
+  if (args.has("help")) {
     print_help();
     return 0;
   }
@@ -251,14 +184,10 @@ int run(int argc, char** argv) {
   if (args.has("profile-out")) obs::set_profile_path(args.str("profile-out"));
   if (args.has("snapshot-out")) {
     obs::SnapshotOptions snap;
-    const double seconds = args.number_or("snapshot-interval", 1.0);
-    if (!(seconds > 0.0)) {
-      throw std::runtime_error(
-          "--snapshot-interval (or TSVCOD_SNAPSHOT_INTERVAL) must be > 0 seconds, got " +
-          args.str("snapshot-interval"));
+    if (args.has("snapshot-interval")) {
+      snap.interval =
+          obs::parse_snapshot_interval(args.str("snapshot-interval"), "--snapshot-interval");
     }
-    snap.interval = std::chrono::milliseconds(static_cast<std::int64_t>(seconds * 1000.0));
-    if (snap.interval.count() <= 0) snap.interval = std::chrono::milliseconds(1);
     obs::start_snapshots(args.str("snapshot-out"), snap);
   } else if (args.has("snapshot-interval")) {
     throw std::runtime_error("--snapshot-interval needs --snapshot-out (or TSVCOD_SNAPSHOT)");
