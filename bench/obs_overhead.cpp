@@ -1,7 +1,7 @@
 // Observability overhead study: the cost of the obs layer on the two hot
 // paths it instruments (annealing and extraction), with obs disabled, with
-// metrics enabled, and with tracing enabled — plus per-operation costs of the
-// disabled fast path (one relaxed atomic load + branch). The acceptance
+// tracing enabled, and with profiling enabled — plus per-operation costs of
+// the disabled fast path (one relaxed atomic load + branch). The acceptance
 // criterion for the disabled configuration is <= 2% over a build that never
 // calls into obs at all; compare the `disabled` rows against the enabled ones
 // with --benchmark_format=json for the usual BENCH JSON.
@@ -19,23 +19,19 @@ using namespace tsvcod;
 
 namespace {
 
-enum class Mode { disabled, metrics, tracing, profiling };
+enum class Mode { disabled, tracing, profiling };
 
 void apply(Mode mode) {
   obs::enable_tracing(mode == Mode::tracing);
-  obs::enable_metrics(mode == Mode::metrics);
   obs::enable_profiling(mode == Mode::profiling);
   obs::reset_trace();
-  obs::reset_metrics();
   obs::reset_profile();
 }
 
 void teardown() {
   obs::enable_tracing(false);
-  obs::enable_metrics(false);
   obs::enable_profiling(false);
   obs::reset_trace();
-  obs::reset_metrics();
   obs::reset_profile();
 }
 
@@ -88,11 +84,11 @@ void BM_DisabledSpan(benchmark::State& state) {
   }
 }
 
-void BM_DisabledCounterAndMetric(benchmark::State& state) {
+void BM_DisabledCounterAndWork(benchmark::State& state) {
   teardown();
   for (auto _ : state) {
     obs::counter("bench.disabled.counter", 1.0);
-    obs::metric_add("bench.disabled.metric");
+    obs::profile_work("bench.disabled.work", 1);
   }
 }
 
@@ -111,10 +107,15 @@ void BM_EnabledSpan(benchmark::State& state) {
   teardown();
 }
 
-void BM_EnabledMetricAdd(benchmark::State& state) {
-  apply(Mode::metrics);
-  for (auto _ : state) {
-    obs::metric_add("bench.enabled.metric");
+// Per-operation cost of a work counter on an open profiled span: one
+// name lookup under the tree mutex and an atomic add.
+void BM_EnabledProfileWork(benchmark::State& state) {
+  apply(Mode::profiling);
+  {
+    obs::Span span("bench.profiled");
+    for (auto _ : state) {
+      obs::profile_work("bench.enabled.work", 1);
+    }
   }
   teardown();
 }
@@ -136,15 +137,13 @@ void BM_EnabledSpanProfiled(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_Annealing, disabled, Mode::disabled)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Annealing, metrics, Mode::metrics)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Annealing, tracing, Mode::tracing)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Annealing, profiling, Mode::profiling)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Extraction, disabled, Mode::disabled)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Extraction, metrics, Mode::metrics)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Extraction, tracing, Mode::tracing)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Extraction, profiling, Mode::profiling)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DisabledSpan);
-BENCHMARK(BM_DisabledCounterAndMetric);
+BENCHMARK(BM_DisabledCounterAndWork);
 BENCHMARK(BM_EnabledSpan);
-BENCHMARK(BM_EnabledMetricAdd);
+BENCHMARK(BM_EnabledProfileWork);
 BENCHMARK(BM_EnabledSpanProfiled);

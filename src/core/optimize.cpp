@@ -27,8 +27,6 @@ struct ChainOutcome {
   SignedPermutation assignment{1};
   double power = 0.0;  ///< exact (recomputed) power of `assignment`
   std::size_t evaluations = 0;
-  std::size_t accepted = 0;   ///< accepted annealing moves
-  std::size_t attempted = 0;  ///< attempted annealing moves (excl. probes)
 };
 
 // One annealing chain on the incremental evaluator. Candidate moves are
@@ -165,6 +163,7 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
     span.set_args("\"chain\":" + std::to_string(chain_index) +
                   ",\"evaluations\":" + std::to_string(evaluations) +
                   ",\"accepted\":" + std::to_string(accepted) +
+                  ",\"attempted\":" + std::to_string(attempted) +
                   ",\"best_power\":" + obs::json_number(best_power));
   }
   obs::profile_work("evaluations", evaluations);
@@ -173,7 +172,7 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
   // chains are compared on this exact value so the best-of reduction is
   // independent of per-chain accumulation order.
   const double exact = assignment_power(bit_stats, best, model);
-  return {std::move(best), exact, evaluations, accepted, attempted};
+  return {std::move(best), exact, evaluations};
 }
 
 }  // namespace
@@ -201,30 +200,12 @@ OptimizeResult optimize_assignment(const stats::SwitchingStats& bit_stats,
   });
 
   // Deterministic best-of reduction: strict < keeps the lowest chain index
-  // on ties. Metrics are recorded from this loop — logical chain order on
-  // one thread — so the metrics document is thread-count invariant.
-  const bool metrics = obs::metrics_enabled();
+  // on ties.
   std::size_t best_chain = 0;
   std::size_t evaluations = 0;
   for (std::size_t c = 0; c < chains; ++c) {
     evaluations += outcomes[c].evaluations;
     if (outcomes[c].power < outcomes[best_chain].power) best_chain = c;
-    if (metrics) {
-      const std::string prefix = "opt.chain" + std::to_string(c);
-      const auto& o = outcomes[c];
-      obs::metric_set(prefix + ".acceptance_rate",
-                      o.attempted > 0
-                          ? static_cast<double>(o.accepted) / static_cast<double>(o.attempted)
-                          : 0.0);
-      obs::metric_set(prefix + ".best_power", o.power);
-    }
-  }
-  if (metrics) {
-    obs::metric_add("opt.optimize.count");
-    obs::metric_add("opt.chains_total", chains);
-    obs::metric_add("opt.evaluations_total", evaluations);
-    obs::metric_set("opt.best_power", outcomes[best_chain].power);
-    obs::metric_set("opt.best_chain", static_cast<double>(best_chain));
   }
   if (span.traced()) {
     span.set_args("\"chains\":" + std::to_string(chains) +
@@ -251,10 +232,6 @@ std::vector<OptimizeResult> optimize_assignments(std::span<const stats::Switchin
     local.threads = 1;
     out[i] = optimize_assignment(bit_stats[i], model, local);
   });
-  if (obs::metrics_enabled()) {
-    obs::metric_add("opt.optimize_batch.count");
-    obs::metric_add("opt.optimize_batch.links_total", bit_stats.size());
-  }
   if (span.traced()) span.set_args("\"links\":" + std::to_string(bit_stats.size()));
   obs::profile_work("links", bit_stats.size());
   return out;

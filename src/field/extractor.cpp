@@ -134,7 +134,7 @@ void CapacitanceExtractor::repaint(std::span<const double> probabilities) {
   auto widths = depletion_widths(geom_, probabilities);
   if (problem_ && widths == last_widths_) {
     // Identical rasterization: the cached grid/problem is reused as-is.
-    obs::metric_add("field.extract.repaint_skipped");
+    obs::profile_work("repaints_skipped", 1);
     return;
   }
   obs::Span span(problem_ ? "field.extract.repaint" : "field.extract.setup");
@@ -146,7 +146,6 @@ void CapacitanceExtractor::repaint(std::span<const double> probabilities) {
     // Conductor layout is probability-independent: only dielectric annuli
     // moved, so the cached indexing/hierarchy stays and coefficients refresh.
     problem_->update_coefficients();
-    obs::metric_add("field.extract.reuse_repaints");
   }
 }
 
@@ -181,16 +180,6 @@ CapacitanceResult CapacitanceExtractor::extract(std::span<const double> probabil
   for (const auto& s : out.stats) point_iterations += s.iterations;
   total_iterations_ += point_iterations;
 
-  // Recorded from this serial section (logical order), never from workers.
-  if (obs::metrics_enabled()) {
-    obs::metric_add("field.extract.count");
-    obs::metric_add("field.extract.solves", n);
-    obs::metric_add("field.extract.warm_started_solves", warm);
-    obs::metric_add("field.extract.iterations_total",
-                    static_cast<std::uint64_t>(point_iterations));
-    obs::metric_set("field.extract.last_point_iterations",
-                    static_cast<double>(point_iterations));
-  }
   if (span.traced()) {
     span.set_args("\"conductors\":" + std::to_string(n) + ",\"warm_started\":" +
                   std::to_string(warm) + ",\"iterations\":" + std::to_string(point_iterations));

@@ -336,19 +336,6 @@ std::vector<Complex> FieldProblem::solve(std::int32_t active, const SolverOption
     stats->converged = converged;
   }
   const char* pc_name = pc == Preconditioner::multigrid ? "multigrid" : "jacobi";
-  if (obs::metrics_enabled()) {
-    obs::metric_add("field.solve.count");
-    obs::metric_add("field.solve.iterations_total", static_cast<std::uint64_t>(it));
-    obs::metric_add(pc == Preconditioner::multigrid ? "field.solve.preconditioner.multigrid"
-                                                    : "field.solve.preconditioner.jacobi");
-    if (vcycles > 0) obs::metric_add("field.solve.vcycles_total", static_cast<std::uint64_t>(vcycles));
-    if (trivial) obs::metric_add("field.solve.trivial_count");
-    if (!converged) obs::metric_add("field.solve.nonconverged_count");
-    if (!phi0.empty()) obs::metric_add("field.solve.warm_started_count");
-    static constexpr double kIterBounds[] = {0,  1,   2,   4,   8,    16,   32,
-                                             64, 128, 256, 512, 1024, 4096, 16384};
-    obs::metric_observe("field.solve.iterations", static_cast<double>(it), kIterBounds);
-  }
   if (tracing) {
     std::string args = "\"active\":" + std::to_string(active) +
                        ",\"unknowns\":" + std::to_string(nu) +
@@ -371,6 +358,10 @@ std::vector<Complex> FieldProblem::solve(std::int32_t active, const SolverOption
   }
   obs::profile_work("iterations", static_cast<std::uint64_t>(it));
   if (vcycles > 0) obs::profile_work("vcycles", static_cast<std::uint64_t>(vcycles));
+  if (pc == Preconditioner::jacobi) obs::profile_work("jacobi", 1);
+  if (trivial) obs::profile_work("trivial", 1);
+  if (!converged) obs::profile_work("nonconverged", 1);
+  if (!phi0.empty()) obs::profile_work("warm_started", 1);
 
   // Scatter to the full grid, Dirichlet values included.
   std::vector<Complex> phi(grid_.size(), Complex{});

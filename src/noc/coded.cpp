@@ -84,12 +84,6 @@ VerticalCodingPlan plan_vertical_coding(const Mesh3D& mesh, const TrafficConfig&
     plan.assignments.push_back(std::move(results[i].assignment));
   }
 
-  if (obs::metrics_enabled()) {
-    obs::metric_add("noc.coding_plan.count");
-    obs::metric_add("noc.coding_plan.links_total", plan.links.size());
-    obs::metric_set("noc.coding_plan.identity_power", plan.total_identity_power());
-    obs::metric_set("noc.coding_plan.optimized_power", plan.total_optimized_power());
-  }
   if (span.traced()) {
     span.set_args("\"links\":" + std::to_string(plan.links.size()) +
                   ",\"line_width\":" + std::to_string(plan.line_width) +

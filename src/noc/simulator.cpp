@@ -398,20 +398,6 @@ SimStats NocSimulator::run(std::size_t cycles) {
   s.link_coded_toggles = link_coded_toggles_;
 
   const std::uint64_t hops = total(link_flits_) - hops_before;
-  if (obs::metrics_enabled()) {
-    obs::metric_add("noc.run.count");
-    obs::metric_add("noc.cycles_total", cycles);
-    obs::metric_add("noc.flits.injected_total", s.injected - injected_before);
-    obs::metric_add("noc.flits.delivered_total", s.delivered - delivered_before);
-    obs::metric_add("noc.flit_hops_total", hops);
-    obs::metric_add("noc.stalled_cycles_total", s.stalled_cycles - stalls_before);
-    if (probing_) {
-      obs::metric_add("noc.probe.toggled_bits_total", probe_toggles_ - probe_toggles_before);
-    }
-    obs::metric_set("noc.mean_latency", s.mean_latency);
-    obs::metric_set("noc.max_queued", static_cast<double>(s.max_queued));
-    obs::metric_set("noc.threads", static_cast<double>(k));
-  }
   if (span.traced()) {
     span.set_args("\"cycles\":" + std::to_string(cycles) + ",\"threads\":" + std::to_string(k) +
                   ",\"injected\":" + std::to_string(s.injected - injected_before) +
@@ -421,6 +407,13 @@ SimStats NocSimulator::run(std::size_t cycles) {
   obs::profile_work("cycles", cycles);
   obs::profile_work("router_cycles", static_cast<std::uint64_t>(cycles) * n);
   obs::profile_work("flit_hops", hops);
+  const auto record_nonzero = [](const char* name, std::uint64_t amount) {
+    if (amount > 0) obs::profile_work(name, amount);
+  };
+  record_nonzero("injected", s.injected - injected_before);
+  record_nonzero("delivered", s.delivered - delivered_before);
+  record_nonzero("stalled_cycles", s.stalled_cycles - stalls_before);
+  record_nonzero("probe_toggled_bits", probe_toggles_ - probe_toggles_before);
   return s;
 }
 

@@ -108,18 +108,6 @@ const char* direction_name(Direction d) {
   return "two_sided";
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-}
-
 }  // namespace
 
 Direction direction_of(const std::string& key) {
@@ -218,9 +206,7 @@ std::string report_to_json(const DiffReport& report) {
   for (const auto& d : report.metrics) {
     if (!first) out += ',';
     first = false;
-    out += "{\"key\":\"";
-    append_escaped(out, d.key);
-    out += "\",\"base\":" + json_number(d.base);
+    out += "{\"key\":\"" + json_escape(d.key) + "\",\"base\":" + json_number(d.base);
     out += ",\"cand\":" + json_number(d.cand);
     out += ",\"delta_pct\":" + json_number(d.delta_pct);
     out += ",\"direction\":\"";
@@ -237,9 +223,7 @@ std::string report_to_json(const DiffReport& report) {
     out += "\":[";
     for (std::size_t i = 0; i < keys.size(); ++i) {
       if (i > 0) out += ',';
-      out += '"';
-      append_escaped(out, keys[i]);
-      out += '"';
+      out += '"' + json_escape(keys[i]) + '"';
     }
     out += ']';
   };

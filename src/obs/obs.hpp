@@ -1,9 +1,8 @@
 #pragma once
-// Structured observability layer: Chrome-trace-event tracing, a metrics
-// registry and a span-tree profiler (obs/profile.hpp), all runtime-toggled
-// and compiled so that the *disabled* path is a relaxed atomic load and a
-// branch — cheap enough to leave in every hot loop (bench/obs_overhead
-// measures it).
+// Structured observability layer: Chrome-trace-event tracing and a span-tree
+// profiler (obs/profile.hpp), runtime-toggled and compiled so that the
+// *disabled* path is a relaxed atomic load and a branch — cheap enough to
+// leave in every hot loop (bench/obs_overhead measures it).
 //
 // Tracing (`Span`, `instant`, `counter`) appends to per-thread buffers: a
 // worker only ever touches its own buffer (one uncontended per-buffer mutex,
@@ -12,30 +11,25 @@
 // `chrome://tracing` / Perfetto-loadable JSON document; call it from a
 // quiescent point (no parallel section in flight).
 //
-// Metrics are named counters (uint64), gauges (double) and fixed-bucket
-// histograms (uint64 bucket counts). Determinism contract: counter adds and
-// histogram observations are integer and commutative, so totals are
-// bit-identical at every thread count no matter which thread records them;
-// gauges are last-write-wins and must only be written from logical-order
-// (serial) code — the instrumented subsystems record them from post-reduction
-// loops. `metrics_to_json()` emits entries sorted by name, so the whole
-// document is bit-identical across thread counts.
+// Counting is the profiler's job: every count a subsystem records is either
+// the call count of a span path or a named work counter on one
+// (`profile_work`), so traces, profiles and snapshots (obs/snapshot.hpp)
+// describe a run in one vocabulary.
 //
-// Enablement: `TSVCOD_TRACE=<file>` / `TSVCOD_METRICS=<file>` environment
+// Enablement: `TSVCOD_TRACE=<file>` / `TSVCOD_PROFILE=<file>` environment
 // variables (picked up by `init_from_env`, which the CLI calls) or the CLI's
-// `--trace-out` / `--metrics-out` flags; programs can also toggle directly
-// via `enable_tracing` / `enable_metrics`.
+// `--trace-out` / `--profile-out` flags; programs can also toggle directly
+// via `enable_tracing` / `enable_profiling`.
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <string>
+#include <string_view>
 
 namespace tsvcod::obs {
 
 namespace detail {
 extern std::atomic<bool> g_trace_enabled;
-extern std::atomic<bool> g_metrics_enabled;
 extern std::atomic<bool> g_profile_enabled;
 
 struct ProfileNode;  // span-tree node (obs/profile.cpp)
@@ -55,16 +49,14 @@ ProfileNode* profile_adopt(ProfileNode* parent);  // returns the previous curren
 void profile_restore(ProfileNode* previous);
 }  // namespace detail
 
-/// One relaxed load: the whole cost of a disabled span/metric call site.
+/// One relaxed load: the whole cost of a disabled span/counter call site.
 inline bool trace_enabled() { return detail::g_trace_enabled.load(std::memory_order_relaxed); }
-inline bool metrics_enabled() { return detail::g_metrics_enabled.load(std::memory_order_relaxed); }
 inline bool profiling_enabled() { return detail::g_profile_enabled.load(std::memory_order_relaxed); }
 
 void enable_tracing(bool on = true);
-void enable_metrics(bool on = true);
 void enable_profiling(bool on = true);  // defined in obs/profile.cpp
 
-/// Read TSVCOD_TRACE / TSVCOD_METRICS / TSVCOD_PROFILE / TSVCOD_SNAPSHOT
+/// Read TSVCOD_TRACE / TSVCOD_PROFILE / TSVCOD_SNAPSHOT
 /// (+ TSVCOD_SNAPSHOT_INTERVAL): a non-empty value enables the layer and
 /// remembers the output path for `flush_outputs` (snapshots start their
 /// background exporter immediately — see obs/snapshot.hpp).
@@ -72,13 +64,11 @@ void init_from_env();
 
 /// Output paths ("" = none). Setting a non-empty path enables the layer.
 void set_trace_path(std::string path);
-void set_metrics_path(std::string path);
 void set_profile_path(std::string path);
 std::string trace_path();
-std::string metrics_path();
 std::string profile_path();
 
-/// Write the trace / metrics / profile JSON to their configured paths (no-op
+/// Write the trace / profile JSON to their configured paths (no-op
 /// for the unset ones; the profile additionally gets a `<path>.folded`
 /// collapsed-stack file). Returns true if anything was written. Every
 /// written JSON document carries a top-level `"clean_exit"` marker: pass
@@ -99,23 +89,18 @@ bool flush_outputs(bool clean_exit = true);
 using ProfileToken = detail::ProfileNode*;
 ProfileToken profile_current();
 
+/// Adopts `parent` for the scope, a null token included: a job submitted
+/// outside any span stays a root even when a thread that has a span open
+/// (say, a caller helping to drain the pool) happens to run it.
 class ProfileTaskScope {
  public:
-  explicit ProfileTaskScope(ProfileToken parent) {
-    if (parent) {
-      previous_ = detail::profile_adopt(parent);
-      adopted_ = true;
-    }
-  }
-  ~ProfileTaskScope() {
-    if (adopted_) detail::profile_restore(previous_);
-  }
+  explicit ProfileTaskScope(ProfileToken parent) : previous_(detail::profile_adopt(parent)) {}
+  ~ProfileTaskScope() { detail::profile_restore(previous_); }
   ProfileTaskScope(const ProfileTaskScope&) = delete;
   ProfileTaskScope& operator=(const ProfileTaskScope&) = delete;
 
  private:
-  detail::ProfileNode* previous_ = nullptr;
-  bool adopted_ = false;
+  detail::ProfileNode* previous_;
 };
 
 // ---------------------------------------------------------------------------
@@ -124,6 +109,9 @@ class ProfileTaskScope {
 
 /// Render a double as a JSON number (nonfinite values become null).
 std::string json_number(double v);
+
+/// Escape `s` for use inside a JSON string literal (quotes not included).
+std::string json_escape(std::string_view s);
 
 /// RAII scoped span: records a Chrome "X" (complete) event on destruction
 /// when tracing is enabled, and aggregates into the span-tree profiler when
@@ -183,31 +171,5 @@ std::string trace_to_json();
 
 /// Drop all buffered events and restart the trace clock.
 void reset_trace();
-
-// ---------------------------------------------------------------------------
-// Metrics
-// ---------------------------------------------------------------------------
-
-/// Monotonic counter; integer adds are commutative, hence thread-count
-/// invariant.
-void metric_add(const char* name, std::uint64_t delta = 1);
-void metric_add(const std::string& name, std::uint64_t delta);
-
-/// Last-write-wins gauge. Write only from logical-order (serial) code when
-/// determinism across thread counts is required.
-void metric_set(const char* name, double value);
-void metric_set(const std::string& name, double value);
-
-/// Histogram observation. `bounds` are the fixed upper bucket edges (sorted
-/// ascending; an implicit +inf bucket follows) and are latched on the first
-/// observation of `name`; later calls reuse the registered edges.
-void metric_observe(const char* name, double value, std::span<const double> bounds);
-
-/// Deterministic serialization: {"counters":{...},"gauges":{...},
-/// "histograms":{...}} with every map sorted by name.
-std::string metrics_to_json();
-
-/// Remove every registered metric (the next recording re-registers).
-void reset_metrics();
 
 }  // namespace tsvcod::obs

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <string>
@@ -57,26 +56,6 @@ std::int64_t now_ns() {
       .count();
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 std::uint64_t self_ns_of(const ProfileNode& node) {
   std::uint64_t children_total = 0;
   for (const auto& [name, child] : node.children) {
@@ -89,9 +68,8 @@ std::uint64_t self_ns_of(const ProfileNode& node) {
 }
 
 void node_to_json(const ProfileNode& node, ProfileFields fields, std::string& out) {
-  out += "{\"name\":\"";
-  append_escaped(out, node.name);
-  out += "\",\"count\":" + std::to_string(node.count.load(std::memory_order_relaxed));
+  out += "{\"name\":\"" + json_escape(node.name) + "\",\"count\":";
+  out += std::to_string(node.count.load(std::memory_order_relaxed));
   if (fields == ProfileFields::full) {
     out += ",\"total_ns\":" + std::to_string(node.total_ns.load(std::memory_order_relaxed));
     out += ",\"self_ns\":" + std::to_string(self_ns_of(node));
@@ -106,9 +84,8 @@ void node_to_json(const ProfileNode& node, ProfileFields fields, std::string& ou
   for (const auto& [name, amount] : node.work) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    append_escaped(out, name);
-    out += "\":" + std::to_string(amount.load(std::memory_order_relaxed));
+    out += '"' + json_escape(name) + "\":";
+    out += std::to_string(amount.load(std::memory_order_relaxed));
   }
   out += "},\"children\":[";
   first = true;
@@ -222,9 +199,7 @@ std::string profile_to_json(ProfileFields fields) {
     const PerfAvailability& perf = perf_availability();
     out += ",\"perf_counters\":{\"available\":";
     out += perf.available ? "true" : "false";
-    out += ",\"reason\":\"";
-    append_escaped(out, perf.reason);
-    out += "\"}";
+    out += ",\"reason\":\"" + json_escape(perf.reason) + "\"}";
   }
   out += ",\"roots\":[";
   bool first = true;

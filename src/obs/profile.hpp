@@ -41,8 +41,8 @@ enum class ProfileFields {
 /// when profiling is disabled or no profiled span is open.
 void profile_work(const char* name, std::uint64_t amount);
 
-/// Render the span tree. Call from a quiescent point (no parallel section in
-/// flight) — same contract as `trace_to_json`.
+/// Render the span tree. Safe while spans run (it takes the tree mutex and
+/// reads only atomics); only `reset_profile` needs quiescence.
 std::string profile_to_json(ProfileFields fields);
 
 /// Collapsed-stack text: one `path;to;span <self_ns>` line per node, paths in

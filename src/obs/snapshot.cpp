@@ -12,11 +12,13 @@
 #include <string>
 #include <thread>
 
-#include "obs/obs.hpp"
+#include "obs/profile.hpp"
 
 namespace tsvcod::obs {
 
 namespace {
+
+constexpr int kKeep = 3;  // rotated copies beyond the live file
 
 struct SnapshotState {
   // Serializes whole start/stop transitions (thread join happens under this
@@ -29,7 +31,7 @@ struct SnapshotState {
   std::condition_variable cv;
   std::thread worker;
   std::string path;
-  SnapshotOptions options;
+  std::chrono::milliseconds interval{0};
   std::uint64_t seq = 0;
   bool running = false;
   bool stop_requested = false;
@@ -40,20 +42,20 @@ SnapshotState& snapshot_state() {
   return *state;
 }
 
-/// Rotate path -> path.1 -> … -> path.keep, then write via temp + rename so
+/// Rotate path -> path.1 -> … -> path.3, then write via temp + rename so
 /// the live file is always a complete document. Rename failures (e.g. a
 /// missing predecessor) are expected and ignored.
 void write_snapshot_locked(SnapshotState& st, bool final_snapshot) {
-  for (int i = st.options.keep - 1; i >= 1; --i) {
+  for (int i = kKeep - 1; i >= 1; --i) {
     std::rename((st.path + "." + std::to_string(i)).c_str(),
                 (st.path + "." + std::to_string(i + 1)).c_str());
   }
-  if (st.options.keep > 0) std::rename(st.path.c_str(), (st.path + ".1").c_str());
+  std::rename(st.path.c_str(), (st.path + ".1").c_str());
 
   std::string body = "{\"seq\":" + std::to_string(st.seq++);
   body += ",\"final\":";
   body += final_snapshot ? "true" : "false";
-  body += ",\"metrics\":" + metrics_to_json() + "}";
+  body += ",\"profile\":" + profile_to_json(ProfileFields::full) + "}";
 
   const std::string tmp = st.path + ".tmp";
   {
@@ -69,7 +71,7 @@ void snapshot_loop() {
   auto& st = snapshot_state();
   std::unique_lock<std::mutex> lk(st.mu);
   while (!st.stop_requested) {
-    st.cv.wait_for(lk, st.options.interval, [&st] { return st.stop_requested; });
+    st.cv.wait_for(lk, st.interval, [&st] { return st.stop_requested; });
     if (st.stop_requested) break;
     write_snapshot_locked(st, /*final_snapshot=*/false);
   }
@@ -112,21 +114,20 @@ std::chrono::milliseconds parse_snapshot_interval(const std::string& text,
   return std::chrono::milliseconds(std::max<long long>(1, std::llround(seconds * 1000.0)));
 }
 
-void start_snapshots(std::string path, SnapshotOptions options) {
-  if (options.interval.count() <= 0) {
+void start_snapshots(std::string path, std::chrono::milliseconds interval) {
+  if (interval.count() <= 0) {
     throw std::invalid_argument(
-        "snapshots: interval must be > 0, got " + std::to_string(options.interval.count()) +
+        "snapshots: interval must be > 0, got " + std::to_string(interval.count()) +
         " ms (set --snapshot-interval / TSVCOD_SNAPSHOT_INTERVAL to a positive number of "
         "seconds)");
   }
-  if (options.keep < 0) options.keep = 0;
   auto& st = snapshot_state();
   std::lock_guard<std::mutex> lifecycle(st.lifecycle_mu);
   stop_snapshots_lifecycle_locked(st);
-  enable_metrics(true);
+  enable_profiling(true);
   std::lock_guard<std::mutex> lk(st.mu);
   st.path = std::move(path);
-  st.options = options;
+  st.interval = interval;
   st.stop_requested = false;
   st.running = true;
   st.worker = std::thread(snapshot_loop);

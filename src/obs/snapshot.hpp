@@ -1,22 +1,21 @@
 #pragma once
-// Periodic metrics snapshots: a background thread serializes the metrics
-// registry to a file at a fixed interval, rotating older snapshots to
-// `<path>.1` … `<path>.keep` so a crashed or wedged process still leaves a
+// Periodic profile snapshots: a background thread serializes the span-tree
+// profile to a file at a fixed interval, rotating older snapshots to
+// `<path>.1` … `<path>.3` so a crashed or wedged process still leaves a
 // recent history behind. Writes go through a temp file + rename, so readers
-// (tail -f loops, the future tsvcod_serve scraper) never observe a torn
-// document. Each snapshot is `{"seq":N,"final":bool,"metrics":{…}}` where
-// `metrics` is exactly `metrics_to_json()`; `final` is true only for the
-// closing snapshot written by `stop_snapshots`.
+// (tail -f loops, a scraper) never observe a torn document. Each snapshot is
+// `{"seq":N,"final":bool,"profile":{…}}` where `profile` is exactly
+// `profile_to_json(ProfileFields::full)`, the document `--profile-out`
+// writes; `final` is true only for the closing snapshot written by
+// `stop_snapshots`.
 
 #include <chrono>
 #include <string>
 
 namespace tsvcod::obs {
 
-struct SnapshotOptions {
-  std::chrono::milliseconds interval{1000};
-  int keep = 3;  // rotated copies beyond the live file; 0 = overwrite in place
-};
+/// The exporter period when neither the flag nor the variable sets one.
+inline constexpr std::chrono::milliseconds kDefaultSnapshotInterval{1000};
 
 /// The exporter period for a snapshot interval written in seconds, as the
 /// --snapshot-interval flag and the TSVCOD_SNAPSHOT_INTERVAL variable take
@@ -28,11 +27,12 @@ std::chrono::milliseconds parse_snapshot_interval(const std::string& text,
                                                   const std::string& source);
 
 /// Start (or restart with new settings) the background exporter; enables the
-/// metrics layer implicitly since a snapshot of nothing is useless. Throws
+/// profiler implicitly since a snapshot of nothing is useless. Throws
 /// std::invalid_argument on a non-positive interval, naming the
 /// --snapshot-interval flag / TSVCOD_SNAPSHOT_INTERVAL env var (a silent
 /// clamp used to turn a typo into a 1 ms busy loop).
-void start_snapshots(std::string path, SnapshotOptions options = {});
+void start_snapshots(std::string path,
+                     std::chrono::milliseconds interval = kDefaultSnapshotInterval);
 
 /// Stop the exporter: joins the thread, then writes one last snapshot with
 /// `"final":true` — always written after the worker has exited, so it is the

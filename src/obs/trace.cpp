@@ -18,7 +18,6 @@ namespace tsvcod::obs {
 
 namespace detail {
 std::atomic<bool> g_trace_enabled{false};
-std::atomic<bool> g_metrics_enabled{false};
 }  // namespace detail
 
 namespace {
@@ -84,30 +83,9 @@ void push_event(Event ev) {
   buf.events.push_back(std::move(ev));
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 struct Paths {
   std::mutex mu;
   std::string trace;
-  std::string metrics;
   std::string profile;
 };
 
@@ -128,25 +106,20 @@ void enable_tracing(bool on) {
   detail::g_trace_enabled.store(on, std::memory_order_relaxed);
 }
 
-void enable_metrics(bool on) { detail::g_metrics_enabled.store(on, std::memory_order_relaxed); }
-
 void init_from_env() {
   const char* t = std::getenv("TSVCOD_TRACE");
   if (t && *t) set_trace_path(t);
-  const char* m = std::getenv("TSVCOD_METRICS");
-  if (m && *m) set_metrics_path(m);
   const char* p = std::getenv("TSVCOD_PROFILE");
   if (p && *p) set_profile_path(p);
   const char* s = std::getenv("TSVCOD_SNAPSHOT");
   if (s && *s) {
-    SnapshotOptions opts;
+    std::chrono::milliseconds interval = kDefaultSnapshotInterval;
     // A malformed interval fails fast naming the variable and its value
     // instead of falling back to the default, which would hide a typo.
     if (const char* iv = std::getenv("TSVCOD_SNAPSHOT_INTERVAL"); iv && *iv) {
-      opts.interval = parse_snapshot_interval(iv, "TSVCOD_SNAPSHOT_INTERVAL");
+      interval = parse_snapshot_interval(iv, "TSVCOD_SNAPSHOT_INTERVAL");
     }
-    enable_metrics(true);
-    start_snapshots(s, opts);
+    start_snapshots(s, interval);
   }
 }
 
@@ -158,22 +131,9 @@ void set_trace_path(std::string path) {
   if (!trace_path().empty()) enable_tracing(true);
 }
 
-void set_metrics_path(std::string path) {
-  {
-    std::lock_guard<std::mutex> lk(paths().mu);
-    paths().metrics = std::move(path);
-  }
-  if (!metrics_path().empty()) enable_metrics(true);
-}
-
 std::string trace_path() {
   std::lock_guard<std::mutex> lk(paths().mu);
   return paths().trace;
-}
-
-std::string metrics_path() {
-  std::lock_guard<std::mutex> lk(paths().mu);
-  return paths().metrics;
 }
 
 void set_profile_path(std::string path) {
@@ -216,10 +176,6 @@ bool flush_outputs(bool clean_exit) {
     write_file(trace_path(), with_clean_exit(trace_to_json(), clean_exit));
     wrote = true;
   }
-  if (metrics_enabled() && !metrics_path().empty()) {
-    write_file(metrics_path(), with_clean_exit(metrics_to_json(), clean_exit));
-    wrote = true;
-  }
   if (profiling_enabled() && !profile_path().empty()) {
     write_file(profile_path(), with_clean_exit(profile_to_json(ProfileFields::full), clean_exit));
     write_file(profile_path() + ".folded", profile_to_collapsed());
@@ -233,6 +189,29 @@ std::string json_number(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char hex[8];
+          std::snprintf(hex, sizeof hex, "\\u%04x", c);
+          out += hex;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 void Span::begin(const char* name) {
@@ -315,9 +294,7 @@ std::string trace_to_json() {
   for (const auto& [tid, ev] : all) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"";
-    append_escaped(out, ev.name);
-    out += "\",\"cat\":\"tsvcod\",\"ph\":\"";
+    out += "{\"name\":\"" + json_escape(ev.name) + "\",\"cat\":\"tsvcod\",\"ph\":\"";
     out += ev.ph;
     out += "\",\"pid\":1,\"tid\":" + std::to_string(tid);
     out += ",\"ts\":" + std::to_string(ev.ts_us);

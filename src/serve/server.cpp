@@ -6,6 +6,7 @@
 
 #include "core/power.hpp"
 #include "obs/obs.hpp"
+#include "obs/profile.hpp"
 #include "opt/parallel.hpp"
 
 namespace tsvcod::serve {
@@ -52,13 +53,13 @@ Server::Server(ServerOptions options) : options_(options) {
 Server::~Server() { drain(); }
 
 void Server::open_session(std::uint64_t id, SessionConfig config) {
+  obs::Span span("serve.open");
   auto session = std::make_shared<Session>(id, std::move(config));
   std::lock_guard<std::mutex> lk(sessions_mu_);
   if (!sessions_.emplace(id, std::move(session)).second) {
     throw std::invalid_argument("serve: session " + std::to_string(id) + " is already open");
   }
   ++sessions_opened_;
-  obs::metric_add("serve.sessions_opened_total");
 }
 
 std::shared_ptr<Session> Server::find_session(std::uint64_t id) const {
@@ -105,7 +106,10 @@ void Server::ingest(std::uint64_t id, std::vector<std::uint64_t> words) {
       std::lock_guard<std::mutex> lk(idle_mu_);
       ++pending_units_;
     }
-    opt::ThreadPool::shared().submit([this, &shard] { drain_shard(shard); });
+    opt::ThreadPool::shared().submit([this, &shard, parent = obs::profile_current()] {
+      obs::ProfileTaskScope scope(parent);
+      drain_shard(shard);
+    });
   }
 }
 
@@ -129,21 +133,22 @@ void Server::drain_shard(Shard& shard) {
 
 void Server::process_batch(Batch batch) {
   try {
-    const Session::IngestResult result = batch.session->ingest(batch.words);
+    // The span closes before the re-anneal is scheduled, so the re-anneal
+    // job is the batch's sibling in the profile, not its child.
+    const Session::IngestResult result = [&] {
+      obs::Span span("serve.batch");
+      Session::IngestResult r = batch.session->ingest(batch.words);
+      obs::profile_work("words", batch.words.size());
+      if (r.new_desyncs > 0) obs::profile_work("desyncs", r.new_desyncs);
+      if (r.tripped) obs::profile_work("trips", 1);
+      return r;
+    }();
     {
       std::lock_guard<std::mutex> lk(stats_mu_);
       ++batches_total_;
       words_total_ += batch.words.size();
     }
-    obs::metric_add("serve.batches_total");
-    obs::metric_add("serve.words_total", batch.words.size());
-    if (result.new_desyncs > 0) {
-      obs::metric_add("serve.desyncs_total", result.new_desyncs);
-    }
-    if (result.tripped) {
-      obs::metric_add("serve.trips_total");
-      schedule_reanneal(batch.session, result);
-    }
+    if (result.tripped) schedule_reanneal(batch.session, result);
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lk(events_mu_);
     errors_.push_back("session " + std::to_string(batch.session->id()) + ": " + e.what());
@@ -158,29 +163,36 @@ void Server::schedule_reanneal(std::shared_ptr<Session> session, Session::Ingest
   }
   const Clock::time_point tripped_at = Clock::now();
   opt::ThreadPool::shared().submit(
-      [this, session = std::move(session), trip = std::move(trip), tripped_at] {
-        try {
-          const core::OptimizeResult annealed = core::optimize_assignment(
-              trip.window_stats, session->model(), session->optimize_options());
-          SwapEvent event;
-          event.session = session->id();
-          event.drift = trip.drift;
-          event.words_at_trip = trip.words_at_trip;
-          event.evaluations = annealed.evaluations;
-          event.power_before =
-              core::assignment_power(trip.window_stats, trip.current, session->model());
-          event.power_after = annealed.power;
-          event.installed = session->install(annealed.assignment);
-          event.latency_ms = ms_between(tripped_at, Clock::now());
-          if (event.installed) obs::metric_add("serve.swaps_total");
-          std::lock_guard<std::mutex> lk(events_mu_);
-          swaps_.push_back(std::move(event));
-        } catch (const std::exception& e) {
-          session->abandon_reanneal();
-          obs::metric_add("serve.reanneal_failures_total");
-          std::lock_guard<std::mutex> lk(events_mu_);
-          errors_.push_back("session " + std::to_string(session->id()) +
-                            " re-anneal failed: " + e.what());
+      [this, session = std::move(session), trip = std::move(trip), tripped_at,
+       parent = obs::profile_current()] {
+        obs::ProfileTaskScope scope(parent);
+        {
+          // Closed before finish_unit(), so drain() never returns with the
+          // span still open.
+          obs::Span span("serve.reanneal");
+          try {
+            const core::OptimizeResult annealed = core::optimize_assignment(
+                trip.window_stats, session->model(), session->optimize_options());
+            SwapEvent event;
+            event.session = session->id();
+            event.drift = trip.drift;
+            event.words_at_trip = trip.words_at_trip;
+            event.evaluations = annealed.evaluations;
+            event.power_before =
+                core::assignment_power(trip.window_stats, trip.current, session->model());
+            event.power_after = annealed.power;
+            event.installed = session->install(annealed.assignment);
+            event.latency_ms = ms_between(tripped_at, Clock::now());
+            if (event.installed) obs::profile_work("swaps", 1);
+            std::lock_guard<std::mutex> lk(events_mu_);
+            swaps_.push_back(std::move(event));
+          } catch (const std::exception& e) {
+            session->abandon_reanneal();
+            obs::profile_work("failures", 1);
+            std::lock_guard<std::mutex> lk(events_mu_);
+            errors_.push_back("session " + std::to_string(session->id()) +
+                              " re-anneal failed: " + e.what());
+          }
         }
         finish_unit();
       });

@@ -23,10 +23,10 @@
 // queued batches AND all in-flight re-anneals have landed — the quiescent
 // point the daemon uses for stats frames, close, and shutdown.
 //
-// Observability: commutative counters serve.{sessions_opened,batches,words,
-// desyncs,trips,swaps,reanneal_failures}_total on the metrics registry, so
+// Observability: spans serve.open, serve.batch (work `words`, `desyncs`,
+// `trips`) and serve.reanneal (work `swaps`, `failures`) in the profile, so
 // the snapshot exporter (obs/snapshot.hpp) publishes service health for
-// free.
+// free. Pool jobs adopt the span current where they were submitted.
 
 #include <condition_variable>
 #include <cstdint>

@@ -467,15 +467,6 @@ SwitchingCounts count_chunk(bool seamed, std::uint64_t seam, std::span<const std
     }
   }
 
-  if (obs::metrics_enabled()) {
-    // Deterministic counters only: words/sec is timing, so it lives on the
-    // trace counter track below, keeping the metrics document bit-identical
-    // across runs and thread counts.
-    obs::metric_add("stats.compute.count");
-    obs::metric_add("stats.compute.words_total", words.size());
-    obs::metric_add("stats.compute.chunks_total", chunks);
-    obs::metric_add("stats.compute.tail_words_total", tail_words);
-  }
   if (span.traced()) {
     const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     if (secs > 0.0) {
@@ -487,7 +478,11 @@ SwitchingCounts count_chunk(bool seamed, std::uint64_t seam, std::span<const std
     span.set_args(os.str());
   }
   obs::profile_work("words", words.size());
+  // blocks, chunks and tail_words describe how the work was split, so past
+  // one chunk they follow the thread count; words is the invariant total.
   obs::profile_work("blocks", blocks);
+  obs::profile_work("chunks", chunks);
+  if (tail_words > 0) obs::profile_work("tail_words", tail_words);
   return total;
 }
 

@@ -23,11 +23,6 @@ SwitchingCounts compute_counts(streams::WordSource& source, std::size_t width, i
   }
   const std::uint64_t words_total = folder.words();
 
-  if (obs::metrics_enabled()) {
-    obs::metric_add("trace.ingest.count");
-    obs::metric_add("trace.ingest.words_total", words_total);
-    obs::metric_add("trace.ingest.bytes_total", source.bytes());
-  }
   if (span.traced()) {
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -36,7 +31,7 @@ SwitchingCounts compute_counts(streams::WordSource& source, std::size_t width, i
       obs::counter("trace.ingest.bytes_per_sec", static_cast<double>(source.bytes()) / secs);
     }
     std::ostringstream os;
-    os << "\"source\":\"" << source.source() << "\",\"words\":" << words_total
+    os << "\"source\":\"" << obs::json_escape(source.source()) << "\",\"words\":" << words_total
        << ",\"width\":" << width;
     span.set_args(os.str());
   }

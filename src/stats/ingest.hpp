@@ -9,10 +9,9 @@
 // to materializing the trace and calling compute_stats on it, at every width
 // and thread count.
 //
-// Observability (when enabled): deterministic counters
-// trace.ingest.{count,words_total,bytes_total} on the metrics registry, and
-// timing-based trace.ingest.{words_per_sec,bytes_per_sec} samples on the
-// trace counter track.
+// Observability (when enabled): a stats.ingest span with `words` and `bytes`
+// work counters, and timing-based trace.ingest.{words_per_sec,bytes_per_sec}
+// samples on the trace counter track.
 
 #include <span>
 

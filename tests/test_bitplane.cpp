@@ -9,7 +9,7 @@
 #include <span>
 #include <vector>
 
-#include "obs/obs.hpp"
+#include "obs/profile.hpp"
 #include "phys/matrix.hpp"
 #include "stats/bitplane.hpp"
 #include "stats/ingest.hpp"
@@ -264,20 +264,19 @@ TEST(Bitplane, SubsetStatsValidatesBitIndices) {
   }
 }
 
-TEST(Bitplane, RecordsBlockAndTailCountersWhenMetricsEnabled) {
-  obs::reset_metrics();
-  obs::enable_metrics(true);
+TEST(Bitplane, RecordsBlockAndTailCountersWhenProfiling) {
+  obs::reset_profile();
+  obs::enable_profiling(true);
   std::mt19937_64 rng(47);
   const auto words = make_trace(rng, 8, 200, 0);  // 199 transitions: 3 blocks + 7 tail
   (void)stats::compute_stats(words, 8, 1);
-  obs::enable_metrics(false);
-  const std::string json = obs::metrics_to_json();
-  obs::reset_metrics();
-  EXPECT_NE(json.find("\"stats.compute.count\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"stats.compute.words_total\":200"), std::string::npos) << json;
-  // The 3 flushed blocks are the profile's `blocks` work counter, not a metric.
-  EXPECT_NE(json.find("\"stats.compute.chunks_total\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"stats.compute.tail_words_total\":7"), std::string::npos) << json;
+  obs::enable_profiling(false);
+  const std::string json = obs::profile_to_json(obs::ProfileFields::deterministic);
+  obs::reset_profile();
+  EXPECT_NE(json.find("{\"name\":\"stats.compute\",\"count\":1,\"work\":{\"blocks\":3,"
+                      "\"chunks\":1,\"tail_words\":7,\"words\":200}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(Bitplane, MasksBitsAboveWidthLikeTheScalarPath) {

@@ -1,12 +1,13 @@
 // Tests for the observability layer (src/obs): the trace output must be
 // schema-valid Chrome trace-event JSON with properly nested per-thread spans,
-// the metrics document must be bit-identical at every thread count (the
-// determinism contract of DESIGN.md §5d), and disabled tracing/metrics must
-// record nothing at all.
+// arguments taken from outside (file paths) must be escaped, disabled
+// tracing must record nothing at all, and the NoC simulator's work counters
+// must match its SimStats.
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <limits>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,8 +16,11 @@
 #include "field/extractor.hpp"
 #include "noc/simulator.hpp"
 #include "obs/obs.hpp"
+#include "obs/profile.hpp"
 #include "opt/parallel.hpp"
+#include "stats/ingest.hpp"
 #include "streams/random_streams.hpp"
+#include "streams/word_source.hpp"
 
 namespace {
 
@@ -189,9 +193,9 @@ class ObsTest : public ::testing::Test {
   void TearDown() override { clear(); }
   static void clear() {
     obs::enable_tracing(false);
-    obs::enable_metrics(false);
+    obs::enable_profiling(false);
     obs::reset_trace();
-    obs::reset_metrics();
+    obs::reset_profile();
   }
 };
 
@@ -230,16 +234,11 @@ TEST_F(ObsTest, DisabledRecordsNothing) {
     EXPECT_FALSE(span.active());
     obs::instant("nor.this");
     obs::counter("nor.that", 1.0);
-    obs::metric_add("no.counter");
-    obs::metric_set("no.gauge", 1.0);
-    const double bounds[] = {1.0, 2.0};
-    obs::metric_observe("no.histogram", 1.5, bounds);
   }
   JValue doc;
   ASSERT_TRUE(JsonParser(obs::trace_to_json()).parse(doc));
   ASSERT_NE(doc.find("traceEvents"), nullptr);
   EXPECT_TRUE(doc.find("traceEvents")->array.empty());
-  EXPECT_EQ(obs::metrics_to_json(), "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
 }
 
 TEST_F(ObsTest, TraceIsSchemaValidChromeJson) {
@@ -360,101 +359,6 @@ TEST_F(ObsTest, ResetDropsBufferedEvents) {
   EXPECT_TRUE(doc.find("traceEvents")->array.empty());
 }
 
-// ---------------------------------------------------------------------------
-// Metrics layer
-// ---------------------------------------------------------------------------
-
-TEST_F(ObsTest, MetricsDocumentIsBitIdenticalAcrossThreadCounts) {
-  const auto run_at = [](int threads) {
-    obs::reset_metrics();
-    obs::enable_metrics(true);
-    run_instrumented_workload(threads);
-    const std::string json = obs::metrics_to_json();
-    obs::enable_metrics(false);
-    return json;
-  };
-  const std::string serial = run_at(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(run_at(2), serial) << "2 threads";
-  EXPECT_EQ(run_at(8), serial) << "8 threads";
-}
-
-TEST_F(ObsTest, MetricsJsonIsValidAndCarriesSubsystems) {
-  obs::enable_metrics(true);
-  run_instrumented_workload(2);
-  obs::enable_metrics(false);
-
-  JValue doc;
-  ASSERT_TRUE(JsonParser(obs::metrics_to_json()).parse(doc));
-  const JValue* counters = doc.find("counters");
-  const JValue* gauges = doc.find("gauges");
-  const JValue* histograms = doc.find("histograms");
-  ASSERT_NE(counters, nullptr);
-  ASSERT_NE(gauges, nullptr);
-  ASSERT_NE(histograms, nullptr);
-
-  ASSERT_NE(counters->find("field.solve.count"), nullptr);
-  ASSERT_NE(counters->find("field.extract.count"), nullptr);
-  ASSERT_NE(counters->find("opt.optimize.count"), nullptr);
-  ASSERT_NE(counters->find("opt.evaluations_total"), nullptr);
-  ASSERT_NE(gauges->find("opt.chain0.acceptance_rate"), nullptr);
-  ASSERT_NE(histograms->find("field.solve.iterations"), nullptr);
-
-  // Per-conductor solves of the 2x2 extraction: 4 solves, all counted.
-  EXPECT_GE(counters->find("field.solve.count")->number, 4.0);
-  const double rate = gauges->find("opt.chain0.acceptance_rate")->number;
-  EXPECT_GE(rate, 0.0);
-  EXPECT_LE(rate, 1.0);
-  const JValue* hist = histograms->find("field.solve.iterations");
-  ASSERT_NE(hist->find("bounds"), nullptr);
-  ASSERT_NE(hist->find("counts"), nullptr);
-  EXPECT_EQ(hist->find("counts")->array.size(), hist->find("bounds")->array.size() + 1);
-}
-
-TEST_F(ObsTest, HistogramBucketsFollowBounds) {
-  obs::enable_metrics(true);
-  const double bounds[] = {1.0, 10.0};
-  obs::metric_observe("h", 0.5, bounds);   // <= 1      -> bucket 0
-  obs::metric_observe("h", 1.0, bounds);   // == bound  -> bucket 0 (inclusive upper edge)
-  obs::metric_observe("h", 3.0, bounds);   // <= 10     -> bucket 1
-  obs::metric_observe("h", 100.0, bounds); // overflow  -> bucket 2
-  obs::enable_metrics(false);
-
-  JValue doc;
-  ASSERT_TRUE(JsonParser(obs::metrics_to_json()).parse(doc));
-  const JValue* h = doc.find("histograms")->find("h");
-  ASSERT_NE(h, nullptr);
-  const auto& counts = h->find("counts")->array;
-  ASSERT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts[0].number, 2.0);
-  EXPECT_EQ(counts[1].number, 1.0);
-  EXPECT_EQ(counts[2].number, 1.0);
-  EXPECT_EQ(h->find("count")->number, 4.0);
-
-  // Summary statistics ride along: exact min/max, fixed-point-exact sum.
-  ASSERT_NE(h->find("min"), nullptr);
-  ASSERT_NE(h->find("max"), nullptr);
-  ASSERT_NE(h->find("sum"), nullptr);
-  EXPECT_EQ(h->find("min")->number, 0.5);
-  EXPECT_EQ(h->find("max")->number, 100.0);
-  EXPECT_EQ(h->find("sum")->number, 104.5);
-}
-
-TEST_F(ObsTest, HistogramWithNoFiniteObservationsReportsNullStats) {
-  obs::enable_metrics(true);
-  const double bounds[] = {1.0};
-  obs::metric_observe("empty", std::numeric_limits<double>::infinity(), bounds);
-  obs::enable_metrics(false);
-
-  JValue doc;
-  ASSERT_TRUE(JsonParser(obs::metrics_to_json()).parse(doc));
-  const JValue* h = doc.find("histograms")->find("empty");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->find("min")->kind, JValue::Null);
-  EXPECT_EQ(h->find("max")->kind, JValue::Null);
-  EXPECT_EQ(h->find("sum")->kind, JValue::Null);
-}
-
 TEST_F(ObsTest, NocSimulatorRecordsLinkActivity) {
   noc::Mesh3D mesh(2, 2, 2);
   noc::TrafficConfig cfg;
@@ -464,9 +368,9 @@ TEST_F(ObsTest, NocSimulatorRecordsLinkActivity) {
   noc::NocSimulator sim(mesh, cfg);
   sim.probe_link(noc::LinkId{noc::NodeId{0, 0, 0}, noc::Direction::ZPlus});
 
-  obs::enable_metrics(true);
+  obs::enable_profiling(true);
   const auto stats = sim.run(400);
-  obs::enable_metrics(false);
+  obs::enable_profiling(false);
 
   // SimStats-side counters.
   ASSERT_EQ(stats.link_flits.size(), mesh.node_count() * noc::kPortCount);
@@ -478,19 +382,50 @@ TEST_F(ObsTest, NocSimulatorRecordsLinkActivity) {
   for (const auto t : stats.link_toggles) toggles += t;
   EXPECT_GT(toggles, 0u);
 
-  // Metrics-side mirror.
+  // The noc.run span's work counters mirror them.
   JValue doc;
-  ASSERT_TRUE(JsonParser(obs::metrics_to_json()).parse(doc));
-  const JValue* counters = doc.find("counters");
-  ASSERT_NE(counters->find("noc.run.count"), nullptr);
-  EXPECT_EQ(counters->find("noc.run.count")->number, 1.0);
-  ASSERT_NE(counters->find("noc.flit_hops_total"), nullptr);
-  EXPECT_EQ(counters->find("noc.flit_hops_total")->number, static_cast<double>(hops));
-  ASSERT_NE(counters->find("noc.cycles_total"), nullptr);
-  EXPECT_EQ(counters->find("noc.cycles_total")->number, 400.0);
-  ASSERT_NE(counters->find("noc.probe.toggled_bits_total"), nullptr);
-  EXPECT_EQ(counters->find("noc.probe.toggled_bits_total")->number,
+  ASSERT_TRUE(JsonParser(obs::profile_to_json(obs::ProfileFields::deterministic)).parse(doc));
+  const auto& roots = doc.find("roots")->array;
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(roots[0].find("name")->string, "noc.run");
+  EXPECT_EQ(roots[0].find("count")->number, 1.0);
+  const JValue* work = roots[0].find("work");
+  ASSERT_NE(work->find("cycles"), nullptr);
+  EXPECT_EQ(work->find("cycles")->number, 400.0);
+  ASSERT_NE(work->find("flit_hops"), nullptr);
+  EXPECT_EQ(work->find("flit_hops")->number, static_cast<double>(hops));
+  ASSERT_NE(work->find("probe_toggled_bits"), nullptr);
+  EXPECT_EQ(work->find("probe_toggled_bits")->number,
             static_cast<double>(stats.probe_toggled_bits));
+}
+
+// A trace path is user input: quotes and backslashes in it must come out of
+// the stats.ingest span arguments escaped, and round-trip through a parser.
+TEST_F(ObsTest, TraceEscapesIngestSourcePath) {
+  const std::string path = "/tmp/tsvcod_obs_we\"ird\\name.txt";
+  {
+    std::ofstream os(path);
+    for (int i = 0; i < 64; ++i) os << "0x" << std::hex << (i * 7 % 16) << '\n';
+  }
+  obs::enable_tracing(true);
+  {
+    const auto source = streams::open_word_source(path);
+    (void)stats::compute_counts(*source, 4, 1);
+  }
+  obs::enable_tracing(false);
+  std::remove(path.c_str());
+
+  const std::string json = obs::trace_to_json();
+  JValue doc;
+  ASSERT_TRUE(JsonParser(json).parse(doc)) << json.substr(0, 400);
+  const JValue* ingest = nullptr;
+  for (const auto& ev : doc.find("traceEvents")->array) {
+    if (ev.find("name")->string == "stats.ingest") ingest = &ev;
+  }
+  ASSERT_NE(ingest, nullptr);
+  ASSERT_NE(ingest->find("args"), nullptr);
+  ASSERT_NE(ingest->find("args")->find("source"), nullptr);
+  EXPECT_EQ(ingest->find("args")->find("source")->string, path);
 }
 
 }  // namespace

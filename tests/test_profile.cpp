@@ -16,6 +16,7 @@
 
 #include "core/link.hpp"
 #include "field/extractor.hpp"
+#include "field/solver.hpp"
 #include "obs/benchdiff.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -38,10 +39,8 @@ class ProfileTest : public ::testing::Test {
   static void clear() {
     obs::stop_snapshots();
     obs::enable_tracing(false);
-    obs::enable_metrics(false);
     obs::enable_profiling(false);
     obs::reset_trace();
-    obs::reset_metrics();
     obs::reset_profile();
   }
 };
@@ -150,6 +149,52 @@ TEST_F(ProfileTest, ParallelForAggregatesUnderSubmittingSpan) {
   ASSERT_NE(item, nullptr) << "worker spans must nest under the submitting span";
   EXPECT_EQ(item->find("count")->number, 16.0);
   EXPECT_EQ(item->find("work")->find("items")->number, 16.0);
+}
+
+// A job submitted outside any span stays a root even when the thread that
+// runs it has a span of its own open (a caller helping to drain the pool).
+TEST_F(ProfileTest, TaskScopeWithNullTokenOpensRootSpans) {
+  obs::enable_profiling(true);
+  {
+    obs::Span outer("outer");
+    obs::ProfileTaskScope scope(nullptr);
+    obs::Span job("job");
+  }
+  obs::enable_profiling(false);
+
+  const json::Value doc = json::parse(obs::profile_to_json(obs::ProfileFields::deterministic));
+  const json::Value* roots = doc.find("roots");
+  ASSERT_EQ(roots->array.size(), 2u);
+  const json::Value* job = child_named(*roots, "job");
+  ASSERT_NE(job, nullptr) << "the job must be a root, not a child of outer";
+  EXPECT_EQ(job->find("count")->number, 1.0);
+  EXPECT_TRUE(child_named(*roots, "outer")->find("children")->array.empty());
+}
+
+// Solver outcomes that only happen sometimes are work counters on
+// field.solve, recorded only when they occur.
+TEST_F(ProfileTest, NonconvergedSolveRecordsWorkCounter) {
+  field::Grid g(8e-6, 8e-6, 0.25e-6);
+  g.fill(field::Complex{1.0, 0.0});
+  g.paint_disk(4e-6, 4e-6, 1e-6, field::Complex{1.0, 0.0}, 0);
+  const field::FieldProblem problem(g);
+  field::SolverOptions opts;
+  opts.max_iterations = 1;
+  field::SolveStats stats;
+  obs::enable_profiling(true);
+  (void)problem.solve(0, opts, &stats);
+  obs::enable_profiling(false);
+  ASSERT_FALSE(stats.converged);
+
+  const json::Value doc = json::parse(obs::profile_to_json(obs::ProfileFields::deterministic));
+  const json::Value* solve = child_named(*doc.find("roots"), "field.solve");
+  ASSERT_NE(solve, nullptr);
+  const json::Value* work = solve->find("work");
+  ASSERT_NE(work->find("nonconverged"), nullptr);
+  EXPECT_EQ(work->find("nonconverged")->number, 1.0);
+  EXPECT_EQ(work->find("iterations")->number, static_cast<double>(stats.iterations));
+  EXPECT_EQ(work->find("trivial"), nullptr);
+  EXPECT_EQ(work->find("warm_started"), nullptr);
 }
 
 TEST_F(ProfileTest, InstrumentedSubsystemsAppearInTree) {
@@ -294,52 +339,88 @@ TEST_F(ProfileTest, ResetDropsTree) {
 // Snapshot exporter
 // ---------------------------------------------------------------------------
 
+std::string slurp(const std::string& path) {
+  std::ifstream is(path);
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
 TEST_F(ProfileTest, SnapshotsRotateAndMarkFinal) {
   const std::string path = "/tmp/tsvcod_test_snapshot.json";
-  for (const char* suffix : {"", ".1", ".2"}) std::remove((path + suffix).c_str());
+  const char* const files[] = {"", ".1", ".2", ".3"};
+  for (const char* suffix : files) std::remove((path + suffix).c_str());
 
-  obs::SnapshotOptions opts;
-  opts.interval = std::chrono::milliseconds(10);
-  opts.keep = 2;
-  obs::start_snapshots(path, opts);
+  obs::start_snapshots(path, std::chrono::milliseconds(10));
   EXPECT_TRUE(obs::snapshots_running());
   EXPECT_EQ(obs::snapshot_path(), path);
-  EXPECT_TRUE(obs::metrics_enabled()) << "snapshots imply the metrics layer";
+  EXPECT_TRUE(obs::profiling_enabled()) << "snapshots imply the profiler";
 
-  obs::metric_add("snapshot.test.counter", 3);
+  {
+    obs::Span span("snapshot.test");
+    obs::profile_work("units", 3);
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   obs::stop_snapshots();
   EXPECT_FALSE(obs::snapshots_running());
   EXPECT_EQ(obs::snapshot_path(), "");
 
-  const auto slurp = [](const std::string& p) {
-    std::ifstream is(p);
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
-  };
   const json::Value live = json::parse(slurp(path));
   ASSERT_NE(live.find("seq"), nullptr);
   EXPECT_TRUE(live.find("final")->boolean) << "stop_snapshots writes the final snapshot";
-  const json::Value* metrics = live.find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  EXPECT_EQ(metrics->find("counters")->find("snapshot.test.counter")->number, 3.0);
+  const json::Value* profile = live.find("profile");
+  ASSERT_NE(profile, nullptr);
+  EXPECT_EQ(profile->find("schema")->string, "tsvcod.profile.v1");
+  EXPECT_EQ(profile->find("fields")->string, "full");
+  const json::Value* node = child_named(*profile->find("roots"), "snapshot.test");
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->find("work")->find("units")->number, 3.0);
 
-  // >= 10 periodic writes happened before the final one, so the rotation
-  // chain exists and sequence numbers decrease down the chain.
-  const json::Value prev = json::parse(slurp(path + ".1"));
-  EXPECT_FALSE(prev.find("final")->boolean);
-  EXPECT_LT(prev.find("seq")->number, live.find("seq")->number);
-  EXPECT_FALSE(slurp(path + ".2").empty());
+  // >= 10 periodic writes happened before the final one, so the three-deep
+  // rotation chain exists and sequence numbers decrease down the chain.
+  double seq = live.find("seq")->number;
+  for (const char* suffix : {".1", ".2", ".3"}) {
+    const json::Value prev = json::parse(slurp(path + suffix));
+    EXPECT_FALSE(prev.find("final")->boolean) << suffix;
+    EXPECT_LT(prev.find("seq")->number, seq) << suffix;
+    seq = prev.find("seq")->number;
+  }
+  EXPECT_TRUE(slurp(path + ".4").empty()) << "only three rotated copies are kept";
 
-  for (const char* suffix : {"", ".1", ".2"}) std::remove((path + suffix).c_str());
+  for (const char* suffix : files) std::remove((path + suffix).c_str());
+}
+
+// profile_to_json is safe while spans run: snapshots every 1 ms race
+// parallel spans that add work, and the final snapshot's total is exact.
+TEST_F(ProfileTest, SnapshotsReadProfileWhileSpansRun) {
+  const std::string path = "/tmp/tsvcod_test_snapshot_live.json";
+  obs::start_snapshots(path, std::chrono::milliseconds(1));
+  constexpr std::size_t kItems = 2000;
+  {
+    obs::Span parent("live.parent");
+    opt::parallel_for(kItems, 4, [](std::size_t) {
+      obs::Span item("live.item");
+      obs::profile_work("units", 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    });
+  }
+  obs::stop_snapshots();
+
+  const json::Value doc = json::parse(slurp(path));
+  EXPECT_TRUE(doc.find("final")->boolean);
+  const json::Value* parent = child_named(*doc.find("profile")->find("roots"), "live.parent");
+  ASSERT_NE(parent, nullptr);
+  const json::Value* item = child_named(*parent->find("children"), "live.item");
+  ASSERT_NE(item, nullptr);
+  EXPECT_EQ(item->find("count")->number, static_cast<double>(kItems));
+  EXPECT_EQ(item->find("work")->find("units")->number, static_cast<double>(kItems));
+  EXPECT_GT(doc.find("seq")->number, 0.0) << "periodic snapshots ran while the spans did";
+  for (const char* suffix : {"", ".1", ".2", ".3"}) std::remove((path + suffix).c_str());
 }
 
 TEST_F(ProfileTest, SnapshotIntervalMustBePositiveNamingTheKnob) {
-  obs::SnapshotOptions opts;
-  opts.interval = std::chrono::milliseconds(0);
   try {
-    obs::start_snapshots("/tmp/tsvcod_test_snapshot_bad.json", opts);
+    obs::start_snapshots("/tmp/tsvcod_test_snapshot_bad.json", std::chrono::milliseconds(0));
     FAIL() << "non-positive interval must throw";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -348,9 +429,9 @@ TEST_F(ProfileTest, SnapshotIntervalMustBePositiveNamingTheKnob) {
   }
   EXPECT_FALSE(obs::snapshots_running()) << "a rejected start leaves the exporter stopped";
 
-  opts.interval = std::chrono::milliseconds(-5);
-  EXPECT_THROW(obs::start_snapshots("/tmp/tsvcod_test_snapshot_bad.json", opts),
-               std::invalid_argument);
+  EXPECT_THROW(
+      obs::start_snapshots("/tmp/tsvcod_test_snapshot_bad.json", std::chrono::milliseconds(-5)),
+      std::invalid_argument);
 }
 
 // The flag and the variable share one conversion: whole text, finite,
@@ -411,11 +492,8 @@ TEST_F(ProfileTest, StopRacingPeriodicWritesAlwaysLeavesFinalTrue) {
   const std::string path = "/tmp/tsvcod_test_snapshot_race.json";
   for (int round = 0; round < 8; ++round) {
     std::remove(path.c_str());
-    obs::SnapshotOptions opts;
-    opts.interval = std::chrono::milliseconds(1);
-    opts.keep = 0;
-    obs::start_snapshots(path, opts);
-    obs::metric_add("snapshot.race.counter");
+    obs::start_snapshots(path, std::chrono::milliseconds(1));
+    { obs::Span span("snapshot.race"); }
     // Vary how far into the periodic cadence the stop lands.
     std::this_thread::sleep_for(std::chrono::microseconds(300 * round));
     std::thread stopper([] { obs::stop_snapshots(); });
@@ -423,15 +501,12 @@ TEST_F(ProfileTest, StopRacingPeriodicWritesAlwaysLeavesFinalTrue) {
     stopper.join();
     EXPECT_FALSE(obs::snapshots_running());
 
-    std::ifstream is(path);
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    const json::Value doc = json::parse(ss.str());  // rename keeps it untorn
+    const json::Value doc = json::parse(slurp(path));  // rename keeps it untorn
     ASSERT_NE(doc.find("final"), nullptr);
     EXPECT_TRUE(doc.find("final")->boolean)
         << "round " << round << ": final:true must be the last document";
   }
-  std::remove(path.c_str());
+  for (const char* suffix : {"", ".1", ".2", ".3"}) std::remove((path + suffix).c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ using tools::Args;
 /// exit path. The success path calls `finish()` (clean_exit=true + progress
 /// messages); if an exception or early error unwinds past it, the destructor
 /// still flushes whatever was recorded, marked `"clean_exit":false`, so a
-/// failed run leaves a usable partial trace/metrics/profile behind.
+/// failed run leaves a usable partial trace/profile behind.
 class ObsFlusher {
  public:
   ObsFlusher() = default;
@@ -80,9 +80,6 @@ class ObsFlusher {
       if (!obs::trace_path().empty()) {
         std::printf("trace written to %s (load in Perfetto / chrome://tracing)\n",
                     obs::trace_path().c_str());
-      }
-      if (!obs::metrics_path().empty()) {
-        std::printf("metrics written to %s\n", obs::metrics_path().c_str());
       }
       if (!obs::profile_path().empty()) {
         std::printf("profile written to %s (+ %s.folded for flamegraph tools)\n",
@@ -371,12 +368,11 @@ void usage() {
       "               [--verbose]  report the resolved SIMD level, thread count and\n"
       "                active observability sinks\n"
       "               [--trace-out FILE]    write a Chrome/Perfetto trace of the run\n"
-      "               [--metrics-out FILE]  write the metrics registry as JSON\n"
       "               [--profile-out FILE]  write the span-tree profile as JSON plus\n"
       "                FILE.folded collapsed stacks for flamegraph tools\n"
       "               [--snapshot-out FILE [--snapshot-interval SECONDS]]  export the\n"
-      "                metrics registry periodically (rotating FILE.1..FILE.3)\n"
-      "                (TSVCOD_TRACE / TSVCOD_METRICS / TSVCOD_PROFILE /\n"
+      "                profile periodically (rotating FILE.1..FILE.3)\n"
+      "                (TSVCOD_TRACE / TSVCOD_PROFILE /\n"
       "                 TSVCOD_SNAPSHOT(+_INTERVAL) env set the same outputs;\n"
       "                 outputs are flushed even when a run fails, marked\n"
       "                 \"clean_exit\":false)\n"
@@ -406,7 +402,7 @@ int main(int argc, char** argv) {
   try {
     const Args args(argc, argv, 2,
                     {"rows", "cols", "radius-um", "pitch-um", "length-um", "threads", "simd",
-                     "trace-out", "metrics-out", "profile-out", "snapshot-out",
+                     "trace-out", "profile-out", "snapshot-out",
                      "snapshot-interval", "codec", "codec-period", "codec-stride", "codec-lambda",
                      "backend", "cell-um", "out", "model", "trace", "no-invert", "iterations",
                      "seed", "assignment", "probability", "to", "width"},
@@ -422,15 +418,13 @@ int main(int argc, char** argv) {
     // Observability: env first, explicit flags override.
     obs::init_from_env();
     if (args.has("trace-out")) obs::set_trace_path(args.str("trace-out"));
-    if (args.has("metrics-out")) obs::set_metrics_path(args.str("metrics-out"));
     if (args.has("profile-out")) obs::set_profile_path(args.str("profile-out"));
     if (args.has("snapshot-out")) {
-      obs::SnapshotOptions snap;
-      if (args.has("snapshot-interval")) {
-        snap.interval =
-            obs::parse_snapshot_interval(args.str("snapshot-interval"), "--snapshot-interval");
-      }
-      obs::start_snapshots(args.str("snapshot-out"), snap);
+      obs::start_snapshots(args.str("snapshot-out"),
+                           args.has("snapshot-interval")
+                               ? obs::parse_snapshot_interval(args.str("snapshot-interval"),
+                                                              "--snapshot-interval")
+                               : obs::kDefaultSnapshotInterval);
     } else if (args.has("snapshot-interval")) {
       throw std::runtime_error("--snapshot-interval needs --snapshot-out (or TSVCOD_SNAPSHOT)");
     }
@@ -450,9 +444,9 @@ int main(int argc, char** argv) {
       const auto sink = [](const std::string& path) {
         return path.empty() ? std::string("off") : path;
       };
-      std::printf("obs sinks    : trace=%s metrics=%s profile=%s snapshot=%s\n",
-                  sink(obs::trace_path()).c_str(), sink(obs::metrics_path()).c_str(),
-                  sink(obs::profile_path()).c_str(), sink(obs::snapshot_path()).c_str());
+      std::printf("obs sinks    : trace=%s profile=%s snapshot=%s\n",
+                  sink(obs::trace_path()).c_str(), sink(obs::profile_path()).c_str(),
+                  sink(obs::snapshot_path()).c_str());
     }
 
     int rc = 2;

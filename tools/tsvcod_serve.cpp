@@ -17,7 +17,7 @@
 //     [--drift-threshold X]                  trip level (default 0.25; 0 = off)
 //     [--cooldown WORDS]                     min words between swaps
 //     [--reanneal-iterations N] [--chains N] [--seed S] [--threads N]
-//     [--metrics-out FILE] [--trace-out FILE] [--profile-out FILE]
+//     [--trace-out FILE] [--profile-out FILE]
 //     [--snapshot-out FILE [--snapshot-interval SECONDS]] [--verbose]
 //
 // EOF on stdin is an implicit shutdown: outstanding work is drained and the
@@ -108,7 +108,7 @@ void print_help() {
       "service: [--codec gray|correlator|t0|none] [--shards N] [--queue-capacity N]\n"
       "         [--window WORDS] [--drift-threshold X] [--cooldown WORDS]\n"
       "         [--reanneal-iterations N] [--chains N] [--seed S] [--threads N]\n"
-      "obs    : [--metrics-out FILE] [--trace-out FILE] [--profile-out FILE]\n"
+      "obs    : [--trace-out FILE] [--profile-out FILE]\n"
       "         [--snapshot-out FILE [--snapshot-interval SECONDS]] [--verbose]\n");
 }
 
@@ -170,8 +170,8 @@ int run(int argc, char** argv) {
   const Args args(argc, argv, 1,
                   {"rows", "cols", "radius-um", "pitch-um", "length-um", "model", "codec",
                    "shards", "queue-capacity", "window", "drift-threshold", "cooldown",
-                   "reanneal-iterations", "chains", "seed", "threads", "metrics-out",
-                   "trace-out", "profile-out", "snapshot-out", "snapshot-interval"},
+                   "reanneal-iterations", "chains", "seed", "threads", "trace-out",
+                   "profile-out", "snapshot-out", "snapshot-interval"},
                   {"verbose", "help"});
   if (args.has("help")) {
     print_help();
@@ -180,15 +180,13 @@ int run(int argc, char** argv) {
 
   obs::init_from_env();
   if (args.has("trace-out")) obs::set_trace_path(args.str("trace-out"));
-  if (args.has("metrics-out")) obs::set_metrics_path(args.str("metrics-out"));
   if (args.has("profile-out")) obs::set_profile_path(args.str("profile-out"));
   if (args.has("snapshot-out")) {
-    obs::SnapshotOptions snap;
-    if (args.has("snapshot-interval")) {
-      snap.interval =
-          obs::parse_snapshot_interval(args.str("snapshot-interval"), "--snapshot-interval");
-    }
-    obs::start_snapshots(args.str("snapshot-out"), snap);
+    obs::start_snapshots(args.str("snapshot-out"),
+                         args.has("snapshot-interval")
+                             ? obs::parse_snapshot_interval(args.str("snapshot-interval"),
+                                                            "--snapshot-interval")
+                             : obs::kDefaultSnapshotInterval);
   } else if (args.has("snapshot-interval")) {
     throw std::runtime_error("--snapshot-interval needs --snapshot-out (or TSVCOD_SNAPSHOT)");
   }
