@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
       .param("reps", reps);
 
   bool ok = true;
-  for (const int sessions : {1, 8}) {
+  for (const int sessions : {1, 2, 4, 8}) {
     const ThroughputRow row = run_throughput(sessions, words_each, kBatch, reps);
     ok = ok && row.bit_identical && row.desyncs == 0;
     std::printf("%10s %16.3e %8llu %6s\n",

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -93,6 +94,21 @@ CodecCase gen_codec_case(Rng& rng) {
   return cc;
 }
 
+/// The case's words through a twin link's batched round trip, one span per
+/// stretch between the case's atomic resets; mismatches summed.
+std::size_t batched_mismatches(core::CodedLink& link, const CodecCase& cc) {
+  const std::span<const std::uint64_t> all(cc.words);
+  std::size_t mismatches = 0;
+  for (std::size_t begin = 0; begin < all.size();) {
+    std::size_t end = begin + 1;
+    while (end < all.size() && !cc.reset_before[end]) ++end;
+    if (cc.reset_before[begin]) link.reset();
+    mismatches += link.roundtrip(all.subspan(begin, end - begin));
+    begin = end;
+  }
+  return mismatches;
+}
+
 std::optional<std::string> check_codec_case(const CodecCase& cc) {
   core::CodedLink link(cc.assignment, coding::make_codec(cc.spec, cc.width));
   if (link.payload_width() != cc.width) return "payload width disagrees with codec width_in";
@@ -106,20 +122,38 @@ std::optional<std::string> check_codec_case(const CodecCase& cc) {
       return os.str();
     }
   }
+  // A twin link runs the same words as batched spans and must count exactly
+  // the mismatches the per-word path counts.
+  core::CodedLink twin(cc.assignment, coding::make_codec(cc.spec, cc.width));
+  if (const std::size_t bad = batched_mismatches(twin, cc); bad != 0) {
+    return "batched round trip counts " + std::to_string(bad) +
+           " mismatches where the per-word path counts none";
+  }
   if (cc.desync) {
     // Desync the pair on purpose (tx-only reset), then verify the atomic
     // reset() restores decodability no matter how confused the pair got.
+    const std::span<const std::uint64_t> all(cc.words);
+    const std::size_t third = all.size() / 3;
+    const auto same_count = [&](std::span<const std::uint64_t> words,
+                                const char* part) -> std::optional<std::string> {
+      std::size_t bad = 0;
+      for (const std::uint64_t w : words) bad += link.roundtrip(w) != w;
+      const std::size_t twin_bad = twin.roundtrip(words);
+      if (bad == twin_bad) return std::nullopt;
+      return std::string("desync scenario, ") + part + " third: batched round trip counts " +
+             std::to_string(twin_bad) + " mismatches, per-word path " + std::to_string(bad);
+    };
     link.reset();
-    const std::size_t third = cc.words.size() / 3;
-    for (std::size_t k = 0; k < third; ++k) (void)link.roundtrip(cc.words[k]);
+    twin.reset();
+    if (auto err = same_count(all.first(third), "first")) return err;
     link.transmitter().reset();
-    for (std::size_t k = third; k < 2 * third; ++k) {
-      try {
-        (void)link.roundtrip(cc.words[k]);  // may mismatch or throw; both fine here
-      } catch (const std::exception&) {
-      }
+    twin.transmitter().reset();
+    try {
+      if (auto err = same_count(all.subspan(third, third), "desynced")) return err;
+    } catch (const std::exception&) {  // a desynced decoder may throw; fine here
     }
     link.reset();
+    twin.reset();
     for (std::size_t k = 2 * third; k < cc.words.size(); ++k) {
       const std::uint64_t got = link.roundtrip(cc.words[k]);
       if (got != cc.words[k]) {
@@ -128,6 +162,10 @@ std::optional<std::string> check_codec_case(const CodecCase& cc) {
            << std::hex << cc.words[k] << ", received 0x" << got;
         return os.str();
       }
+    }
+    if (const std::size_t bad = twin.roundtrip(all.subspan(2 * third)); bad != 0) {
+      return "batched round trip counts " + std::to_string(bad) +
+             " mismatches after the atomic reset where the per-word path counts none";
     }
   }
   return std::nullopt;

@@ -22,7 +22,7 @@ std::uint64_t CorrelatorCodec::encode(std::uint64_t word) {
   word &= streams::width_mask(width_);
   const std::uint64_t prev = enc_history_[enc_pos_];
   enc_history_[enc_pos_] = word;
-  enc_pos_ = (enc_pos_ + 1) % period_;
+  if (++enc_pos_ == period_) enc_pos_ = 0;
   return (word ^ prev ^ mask_) & streams::width_mask(width_);
 }
 
@@ -31,7 +31,7 @@ std::uint64_t CorrelatorCodec::decode(std::uint64_t code) {
   const std::uint64_t prev = dec_history_[dec_pos_];
   const std::uint64_t word = (code ^ mask_ ^ prev) & streams::width_mask(width_);
   dec_history_[dec_pos_] = word;
-  dec_pos_ = (dec_pos_ + 1) % period_;
+  if (++dec_pos_ == period_) dec_pos_ = 0;
   return word;
 }
 

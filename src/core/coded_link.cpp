@@ -1,16 +1,40 @@
 #include "core/coded_link.hpp"
 
+#include <bit>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "streams/word_stream.hpp"
 
 namespace tsvcod::core {
 
-CodedLink::CodedLink(SignedPermutation assignment, std::unique_ptr<coding::Codec> codec)
-    : assignment_(std::move(assignment)), tx_(std::move(codec)) {
+PermutationTable::PermutationTable(const SignedPermutation& p, bool inverse)
+    : groups_((p.size() + kBits - 1) / kBits), table_(groups_ * kEntries, 0) {
+  const auto map = [&](std::uint64_t x) { return inverse ? p.unapply_word(x) : p.apply_word(x); };
+  zero_ = map(0);
+  for (std::size_t g = 0; g < groups_; ++g) {
+    std::uint64_t* t = &table_[g * kEntries];
+    // Entries with top bit j are the entries below 2^j plus bit j's image
+    // (none for bits above the width).
+    for (unsigned j = 0; j < kBits; ++j) {
+      const std::size_t bit = kBits * g + j;
+      const std::uint64_t image = bit < p.size() ? map(std::uint64_t{1} << bit) ^ zero_ : 0;
+      for (std::size_t v = 0; v < (std::size_t{1} << j); ++v) {
+        t[(std::size_t{1} << j) | v] = t[v] ^ image;
+      }
+    }
+  }
+}
+
+CodedLink::CodedLink(const SignedPermutation& assignment, std::unique_ptr<coding::Codec> codec)
+    : apply_(PermutationTable::forward(assignment)),
+      unapply_(PermutationTable::inverse(assignment)),
+      line_width_(assignment.size()),
+      tx_(std::move(codec)) {
   if (!tx_) throw std::invalid_argument("CodedLink: null codec");
-  if (assignment_.size() != tx_->width_out()) {
-    throw std::invalid_argument("CodedLink: assignment size " +
-                                std::to_string(assignment_.size()) +
+  if (line_width_ != tx_->width_out()) {
+    throw std::invalid_argument("CodedLink: assignment size " + std::to_string(line_width_) +
                                 " does not match codec output width " +
                                 std::to_string(tx_->width_out()));
   }
@@ -21,25 +45,45 @@ CodedLink::CodedLink(SignedPermutation assignment, std::unique_ptr<coding::Codec
 }
 
 SignedPermutation CodedLink::assignment_snapshot() const {
-  std::lock_guard<std::mutex> lk(*mu_);
-  return assignment_;
+  std::vector<std::size_t> line_of_bit(line_width_);
+  std::vector<std::uint8_t> inverted(line_width_);
+  {
+    std::lock_guard<std::mutex> lk(*mu_);
+    const std::uint64_t zero = apply_(0);
+    for (std::size_t bit = 0; bit < line_width_; ++bit) {
+      line_of_bit[bit] = static_cast<std::size_t>(std::countr_zero(apply_(1ull << bit) ^ zero));
+      inverted[bit] = (zero >> line_of_bit[bit]) & 1u;
+    }
+  }
+  return SignedPermutation(std::move(line_of_bit), std::move(inverted));
 }
 
 std::uint64_t CodedLink::transmit(std::uint64_t word) {
   std::lock_guard<std::mutex> lk(*mu_);
-  return assignment_.apply_word(tx_->encode(word));
+  return apply_(tx_->encode(word));
 }
 
 std::uint64_t CodedLink::receive(std::uint64_t lines) {
   std::lock_guard<std::mutex> lk(*mu_);
-  return rx_->decode(assignment_.unapply_word(lines));
+  return rx_->decode(unapply_(lines));
 }
 
 std::uint64_t CodedLink::roundtrip(std::uint64_t word) {
   // One critical section for both halves: a concurrent reset / hot-swap can
   // only land between whole words, never between a word's encode and decode.
   std::lock_guard<std::mutex> lk(*mu_);
-  return rx_->decode(assignment_.unapply_word(assignment_.apply_word(tx_->encode(word))));
+  return rx_->decode(unapply_(apply_(tx_->encode(word))));
+}
+
+std::size_t CodedLink::roundtrip(std::span<const std::uint64_t> words) {
+  const std::uint64_t mask = streams::width_mask(payload_width());
+  std::size_t mismatches = 0;
+  std::lock_guard<std::mutex> lk(*mu_);
+  for (const std::uint64_t word : words) {
+    const std::uint64_t payload = word & mask;
+    mismatches += rx_->decode(unapply_(apply_(tx_->encode(payload)))) != payload;
+  }
+  return mismatches;
 }
 
 void CodedLink::reset() {
@@ -48,14 +92,19 @@ void CodedLink::reset() {
   rx_->reset();
 }
 
-void CodedLink::reset(SignedPermutation next) {
-  if (next.size() != assignment_.size()) {
+void CodedLink::reset(const SignedPermutation& next) {
+  if (next.size() != line_width_) {
     throw std::invalid_argument("CodedLink::reset: new assignment size " +
                                 std::to_string(next.size()) + " does not match line width " +
-                                std::to_string(assignment_.size()));
+                                std::to_string(line_width_));
   }
+  // Build the tables off the lock. The swaps hand the old buffers to the
+  // locals, which free them after the lock is released.
+  PermutationTable apply = PermutationTable::forward(next);
+  PermutationTable unapply = PermutationTable::inverse(next);
   std::lock_guard<std::mutex> lk(*mu_);
-  assignment_ = std::move(next);
+  std::swap(apply_, apply);
+  std::swap(unapply_, unapply);
   tx_->reset();
   rx_->reset();
 }

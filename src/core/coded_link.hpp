@@ -13,36 +13,76 @@
 //
 // Thread safety: transmit / receive / roundtrip / reset are serialized by an
 // internal mutex, so a reset (including the assignment hot-swap overload)
-// can land between whole words of concurrent traffic without ever splitting
-// the tx/rx pair — the swap mechanism the streaming service (src/serve)
-// relies on. roundtrip() holds the lock across both halves, so interleaved
-// roundtrips from several threads keep the endpoint histories in lockstep.
-// The uncontended lock is a few nanoseconds against a codec's encode cost;
-// single-threaded callers are unaffected.
+// lands only between whole words of roundtrip(word), or whole spans of
+// roundtrip(span), and never splits the tx/rx pair — the swap mechanism the
+// streaming service (src/serve) relies on. When one thread owns the link, as
+// a serve session does, the lock is never contended, but it is not free: an
+// uncontended lock/unlock is ~10 ns on a 4-vCPU Xeon, about what the rest of
+// a width-8 round trip costs. Streaming callers therefore use
+// roundtrip(span), one lock per chunk. The link keeps its assignment only as
+// lookup tables (PermutationTable); reset(next) builds the new ones before it
+// takes the lock, so a swap holds it only to swap the tables in and reset the
+// two codecs.
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <vector>
 
 #include "coding/codec.hpp"
 #include "core/assignment.hpp"
 
 namespace tsvcod::core {
 
+/// A signed permutation's word map as lookup tables. The map is linear over
+/// XOR once its image of zero (the inversions) is taken out, so
+///   map(x) = map(0) ^ T_0[x & 3] ^ T_1[(x >> 2) & 3] ^ ...
+/// with one 4-entry table per 2-bit group of the input width. Equal to
+/// SignedPermutation::apply_word (forward) or unapply_word (inverse) for
+/// every 64-bit input; bits above the width map to nothing.
+///
+/// Why 2-bit groups: a NoC attaches a link to each of its hundreds of
+/// vertical links. At 33 lines the two 2-bit tables of a link take 1,088 B,
+/// against ~600 B for the SignedPermutation they replace, and the 8x8x8 NoC
+/// plan's peak memory stays where it was; 4-bit tables (2,304 B) grew it by
+/// ~6 % and byte tables (20 KiB) by ~70 %. A width-8 map is four lookups.
+class PermutationTable {
+ public:
+  static PermutationTable forward(const SignedPermutation& p) { return {p, false}; }
+  static PermutationTable inverse(const SignedPermutation& p) { return {p, true}; }
+
+  std::uint64_t operator()(std::uint64_t x) const {
+    std::uint64_t out = zero_;
+    const std::uint64_t* t = table_.data();
+    for (std::size_t g = 0; g < groups_; ++g, t += kEntries, x >>= kBits) {
+      out ^= t[x & (kEntries - 1)];
+    }
+    return out;
+  }
+
+ private:
+  static constexpr unsigned kBits = 2;
+  static constexpr std::size_t kEntries = std::size_t{1} << kBits;
+
+  PermutationTable(const SignedPermutation& p, bool inverse);
+
+  std::size_t groups_ = 0;
+  std::vector<std::uint64_t> table_;  ///< groups_ x kEntries, group-major
+  std::uint64_t zero_ = 0;
+};
+
 class CodedLink {
  public:
   /// `assignment` maps the codec's output lines to TSVs; its size must equal
   /// the codec's output width. The receiver endpoint is a clone of `codec`
   /// taken before any traffic, so both endpoints start in the power-on state.
-  CodedLink(SignedPermutation assignment, std::unique_ptr<coding::Codec> codec);
+  CodedLink(const SignedPermutation& assignment, std::unique_ptr<coding::Codec> codec);
 
   std::size_t payload_width() const { return tx_->width_in(); }
-  std::size_t line_width() const { return assignment_.size(); }
+  std::size_t line_width() const { return line_width_; }
 
-  /// The live assignment. Only stable while no concurrent reset(next) can
-  /// run; concurrent readers should take assignment_snapshot() instead.
-  const SignedPermutation& assignment() const { return assignment_; }
-  /// Copy of the live assignment, taken under the link lock.
+  /// The live assignment, read back from the tables under the link lock.
   SignedPermutation assignment_snapshot() const;
 
   /// Transmitter side: encode a payload word and place it on the TSV lines.
@@ -54,6 +94,11 @@ class CodedLink {
   /// halves happen under one lock acquisition, so a concurrent reset can
   /// never land between them.
   std::uint64_t roundtrip(std::uint64_t word);
+  /// Full chain for every word of `words`, in order, under one lock
+  /// acquisition. Returns how many words' payload bits (`word & payload
+  /// mask`) did not come back; each word counts as it would through
+  /// roundtrip(word & mask).
+  std::size_t roundtrip(std::span<const std::uint64_t> words);
 
   /// Atomic pair reset: both endpoints return to the power-on state in one
   /// call. Resetting a single endpoint of a stateful pair desyncs the link;
@@ -66,8 +111,9 @@ class CodedLink {
   /// concurrently through roundtrip() observes a clean cut — every word is
   /// encoded, assigned, unassigned and decoded under exactly one assignment
   /// and one consistent pair state, so the swap causes zero decode desyncs.
-  /// `next.size()` must equal the current line width.
-  void reset(SignedPermutation next);
+  /// `next.size()` must equal the line width. `next`'s tables are built
+  /// before the lock is taken.
+  void reset(const SignedPermutation& next);
 
   /// Endpoint access for desync experiments and statistics probes. Resetting
   /// through these bypasses the atomicity guarantee on purpose.
@@ -75,7 +121,9 @@ class CodedLink {
   coding::Codec& receiver() { return *rx_; }
 
  private:
-  SignedPermutation assignment_;
+  PermutationTable apply_;    ///< the live assignment, bits -> lines
+  PermutationTable unapply_;  ///< its inverse, lines -> bits
+  std::size_t line_width_;    ///< fixed at construction; read without the lock
   std::unique_ptr<coding::Codec> tx_;
   std::unique_ptr<coding::Codec> rx_;
   // unique_ptr keeps the link movable (std::mutex is not); never null.

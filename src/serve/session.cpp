@@ -151,8 +151,6 @@ Session::IngestResult Session::ingest(std::span<const std::uint64_t> words) {
   std::lock_guard<std::mutex> lk(mu_);
   ++batches_;
   const std::uint64_t desyncs_before = desyncs_;
-  const std::uint64_t mask =
-      config_.width == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << config_.width) - 1);
 
   std::size_t offset = 0;
   while (offset < words.size()) {
@@ -162,11 +160,9 @@ Session::IngestResult Session::ingest(std::span<const std::uint64_t> words) {
         static_cast<std::size_t>(std::min<std::uint64_t>(room, words.size() - offset));
     const std::span<const std::uint64_t> chunk = words.subspan(offset, take);
 
-    // Traffic first (per word, decode-verified), then the vectorized fold.
-    for (const std::uint64_t raw : chunk) {
-      const std::uint64_t payload = raw & mask;
-      if (link_.roundtrip(payload) != payload) ++desyncs_;
-    }
+    // Traffic first (every word decode-verified, one link lock per chunk),
+    // then the vectorized fold.
+    desyncs_ += link_.roundtrip(chunk);
     window_.fold(chunk);
     words_ += take;
     offset += take;

@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <random>
 #include <set>
-#include <thread>
 
 #include "core/assignment.hpp"
 #include "core/link.hpp"
@@ -373,119 +371,6 @@ TEST(Link, MeasureChecksWidth) {
 TEST(Link, ReductionPercentHelpers) {
   EXPECT_DOUBLE_EQ(core::reduction_pct(2.0, 1.0), 50.0);
   EXPECT_DOUBLE_EQ(core::reduction_pct(0.0, 1.0), 0.0);
-}
-
-// --- CodedLink: atomic reset of stateful codec pairs -----------------------
-
-TEST(CodedLink, RoundTripAcrossAtomicReset) {
-  // Regression for the desync hazard: resetting a stateful tx/rx pair must
-  // be one operation. Interleave resets with traffic and require identity
-  // throughout (a one-sided reset breaks this for history-keeping codecs).
-  std::mt19937_64 rng(5);
-  for (const auto& name : coding::codec_names()) {
-    coding::CodecSpec spec;
-    spec.name = name;
-    spec.period = 2;
-    auto codec = coding::make_codec(spec, 8);
-    const std::size_t lines = codec->width_out();
-    const auto a = SignedPermutation::random(lines, rng, std::vector<std::uint8_t>(lines, 1));
-    core::CodedLink link(a, std::move(codec));
-    for (int round = 0; round < 4; ++round) {
-      for (int k = 0; k < 50; ++k) {
-        const std::uint64_t w = rng() & 0xFFu;
-        EXPECT_EQ(link.roundtrip(w), w) << name << " round " << round << " word " << k;
-      }
-      link.reset();
-    }
-  }
-}
-
-TEST(CodedLink, OneSidedResetDesyncsAndAtomicResetRecovers) {
-  // Demonstrate the failure mode CodedLink exists to prevent. Correlator,
-  // period 1: code = word ^ prev. After tx-only reset the decoder still
-  // holds its history, so the same word decodes wrongly.
-  coding::CodecSpec spec;
-  spec.name = "correlator";
-  core::CodedLink link(SignedPermutation::identity(4), coding::make_codec(spec, 4));
-  EXPECT_EQ(link.roundtrip(0x5), 0x5u);
-
-  link.transmitter().reset();        // the forbidden one-sided reset
-  EXPECT_NE(link.roundtrip(0x5), 0x5u);  // pair is now desynced
-
-  link.reset();                      // atomic: both endpoints together
-  EXPECT_EQ(link.roundtrip(0x5), 0x5u);
-  EXPECT_EQ(link.roundtrip(0xA), 0xAu);
-}
-
-TEST(CodedLink, ReceiverIsCloneOfTransmitter) {
-  // Constructing from a codec that has already seen traffic must still give
-  // a synchronized pair: the ctor resets before cloning.
-  coding::CodecSpec spec;
-  spec.name = "bus-invert";
-  auto codec = coding::make_codec(spec, 7);
-  (void)codec->encode(0x7F);
-  (void)codec->encode(0x00);
-  core::CodedLink link(SignedPermutation::identity(8), std::move(codec));
-  for (std::uint64_t w : {0x7Full, 0x00ull, 0x55ull, 0x2Aull}) {
-    EXPECT_EQ(link.roundtrip(w), w);
-  }
-}
-
-TEST(CodedLink, RejectsMismatchedAssignment) {
-  coding::CodecSpec spec;
-  spec.name = "bus-invert";  // 7 payload bits -> 8 lines
-  EXPECT_THROW(core::CodedLink(SignedPermutation::identity(7), coding::make_codec(spec, 7)),
-               std::invalid_argument);
-}
-
-TEST(CodedLink, HotSwapUnderConcurrentTrafficNeverDesyncs) {
-  // The streaming service's core guarantee, at the link level: assignment
-  // hot-swaps (reset(next)) landing mid-stream between atomic roundtrips
-  // from several traffic threads must cause zero decode desyncs. Correlator
-  // is the adversarial choice — any split of the stateful tx/rx pair, or a
-  // word encoded under one assignment and unassigned under another, decodes
-  // wrongly immediately.
-  coding::CodecSpec spec;
-  spec.name = "correlator";
-  core::CodedLink link(SignedPermutation::identity(8), coding::make_codec(spec, 8));
-
-  constexpr int kTrafficThreads = 4;
-  constexpr int kWordsPerThread = 20000;
-  constexpr int kSwaps = 200;
-  std::atomic<std::uint64_t> desyncs{0};
-  std::atomic<bool> go{false};
-
-  std::vector<std::thread> traffic;
-  traffic.reserve(kTrafficThreads);
-  for (int t = 0; t < kTrafficThreads; ++t) {
-    traffic.emplace_back([&, t] {
-      std::mt19937_64 rng(101 + t);
-      while (!go.load()) {}
-      for (int k = 0; k < kWordsPerThread; ++k) {
-        const std::uint64_t w = rng() & 0xFFu;
-        if (link.roundtrip(w) != w) desyncs.fetch_add(1);
-      }
-    });
-  }
-  std::thread swapper([&] {
-    std::mt19937_64 rng(77);
-    const std::vector<std::uint8_t> invertible(8, 1);
-    while (!go.load()) {}
-    for (int s = 0; s < kSwaps; ++s) {
-      link.reset(SignedPermutation::random(8, rng, invertible));
-      std::this_thread::yield();
-    }
-  });
-
-  go.store(true);
-  for (auto& t : traffic) t.join();
-  swapper.join();
-  EXPECT_EQ(desyncs.load(), 0u);
-
-  // The link is still a synchronized pair after the last swap.
-  for (std::uint64_t w : {0x00ull, 0xFFull, 0x5Aull, 0xA5ull}) {
-    EXPECT_EQ(link.roundtrip(w), w);
-  }
 }
 
 TEST(Link, CodedChainMatchesArrayWidth) {

@@ -1,17 +1,25 @@
 // Streaming service layer: frame protocol, per-session seam-chained
-// statistics, sharded ingestion with backpressure, and the drift-triggered
-// re-anneal + atomic hot-swap path. The concurrency tests here are the ones
-// the asan-serve / tsan-serve presets exist for.
+// statistics, sharded ingestion with backpressure, the drift-triggered
+// re-anneal + atomic hot-swap path, and the CodedLink every session streams
+// through. The concurrency tests here are the ones the asan-serve /
+// tsan-serve presets exist for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <set>
+#include <span>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "coding/factory.hpp"
+#include "core/coded_link.hpp"
 #include "phys/tsv_geometry.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -401,6 +409,250 @@ TEST(Protocol, MalformedFramesFailLoudly) {
   EXPECT_THROW(serve::parse_options("novalue"), std::runtime_error);
   EXPECT_THROW(serve::parse_options("a=1 a=2"), std::runtime_error);
   EXPECT_TRUE(serve::parse_options("").empty());
+}
+
+// --- CodedLink: atomic reset and hot swap of stateful codec pairs ----------
+
+TEST(CodedLink, RoundTripAcrossAtomicReset) {
+  // Regression for the desync hazard: resetting a stateful tx/rx pair must
+  // be one operation. Interleave resets with traffic and require identity
+  // throughout (a one-sided reset breaks this for history-keeping codecs).
+  std::mt19937_64 rng(5);
+  for (const auto& name : coding::codec_names()) {
+    coding::CodecSpec spec;
+    spec.name = name;
+    spec.period = 2;
+    auto codec = coding::make_codec(spec, 8);
+    const std::size_t lines = codec->width_out();
+    const auto a = core::SignedPermutation::random(lines, rng, std::vector<std::uint8_t>(lines, 1));
+    core::CodedLink link(a, std::move(codec));
+    for (int round = 0; round < 4; ++round) {
+      for (int k = 0; k < 50; ++k) {
+        const std::uint64_t w = rng() & 0xFFu;
+        EXPECT_EQ(link.roundtrip(w), w) << name << " round " << round << " word " << k;
+      }
+      link.reset();
+    }
+  }
+}
+
+TEST(CodedLink, OneSidedResetDesyncsAndAtomicResetRecovers) {
+  // Demonstrate the failure mode CodedLink exists to prevent. Correlator,
+  // period 1: code = word ^ prev. After tx-only reset the decoder still
+  // holds its history, so the same word decodes wrongly.
+  coding::CodecSpec spec;
+  spec.name = "correlator";
+  core::CodedLink link(core::SignedPermutation::identity(4), coding::make_codec(spec, 4));
+  EXPECT_EQ(link.roundtrip(0x5), 0x5u);
+
+  link.transmitter().reset();        // the forbidden one-sided reset
+  EXPECT_NE(link.roundtrip(0x5), 0x5u);  // pair is now desynced
+
+  link.reset();                      // atomic: both endpoints together
+  EXPECT_EQ(link.roundtrip(0x5), 0x5u);
+  EXPECT_EQ(link.roundtrip(0xA), 0xAu);
+}
+
+TEST(CodedLink, ReceiverIsCloneOfTransmitter) {
+  // Constructing from a codec that has already seen traffic must still give
+  // a synchronized pair: the ctor resets before cloning.
+  coding::CodecSpec spec;
+  spec.name = "bus-invert";
+  auto codec = coding::make_codec(spec, 7);
+  (void)codec->encode(0x7F);
+  (void)codec->encode(0x00);
+  core::CodedLink link(core::SignedPermutation::identity(8), std::move(codec));
+  for (std::uint64_t w : {0x7Full, 0x00ull, 0x55ull, 0x2Aull}) {
+    EXPECT_EQ(link.roundtrip(w), w);
+  }
+}
+
+TEST(CodedLink, RejectsMismatchedAssignment) {
+  coding::CodecSpec spec;
+  spec.name = "bus-invert";  // 7 payload bits -> 8 lines
+  EXPECT_THROW(core::CodedLink(core::SignedPermutation::identity(7), coding::make_codec(spec, 7)),
+               std::invalid_argument);
+}
+
+TEST(CodedLink, HotSwapUnderConcurrentTrafficNeverDesyncs) {
+  // The streaming service's core guarantee, at the link level: assignment
+  // hot-swaps (reset(next)) landing mid-stream between atomic roundtrips
+  // from several traffic threads must cause zero decode desyncs. Correlator
+  // is the adversarial choice — any split of the stateful tx/rx pair, or a
+  // word encoded under one assignment and unassigned under another, decodes
+  // wrongly immediately.
+  coding::CodecSpec spec;
+  spec.name = "correlator";
+  core::CodedLink link(core::SignedPermutation::identity(8), coding::make_codec(spec, 8));
+
+  constexpr int kTrafficThreads = 4;
+  constexpr int kWordsPerThread = 20000;
+  constexpr int kSwaps = 200;
+  std::atomic<std::uint64_t> desyncs{0};
+  std::atomic<bool> go{false};
+
+  std::vector<std::thread> traffic;
+  traffic.reserve(kTrafficThreads);
+  for (int t = 0; t < kTrafficThreads; ++t) {
+    traffic.emplace_back([&, t] {
+      std::mt19937_64 rng(101 + t);
+      while (!go.load()) {}
+      for (int k = 0; k < kWordsPerThread; ++k) {
+        const std::uint64_t w = rng() & 0xFFu;
+        if (link.roundtrip(w) != w) desyncs.fetch_add(1);
+      }
+    });
+  }
+  std::thread swapper([&] {
+    std::mt19937_64 rng(77);
+    const std::vector<std::uint8_t> invertible(8, 1);
+    while (!go.load()) {}
+    for (int s = 0; s < kSwaps; ++s) {
+      link.reset(core::SignedPermutation::random(8, rng, invertible));
+      std::this_thread::yield();
+    }
+  });
+
+  go.store(true);
+  for (auto& t : traffic) t.join();
+  swapper.join();
+  EXPECT_EQ(desyncs.load(), 0u);
+
+  // The link is still a synchronized pair after the last swap.
+  for (std::uint64_t w : {0x00ull, 0xFFull, 0x5Aull, 0xA5ull}) {
+    EXPECT_EQ(link.roundtrip(w), w);
+  }
+}
+
+TEST(CodedLink, BatchRoundtripMatchesPerWord) {
+  // The link's lookup tables against the bit-walk reference (and read back
+  // as the assignment), transmit and receive against a hand-wired chain on
+  // cloned codecs, and the batched round trip against a twin link driven
+  // word by word — in sync, after a one-sided desync, and after the atomic
+  // reset that recovers from it.
+  std::mt19937_64 rng(19);
+  for (const auto& name : coding::codec_names()) {
+    std::set<std::size_t> widths;
+    for (const std::size_t w : {1, 7, 8, 9, 33, 63, 64}) {
+      widths.insert(std::min(w, coding::codec_max_width(name)));
+    }
+    for (const std::size_t width : widths) {
+      SCOPED_TRACE(name + " width " + std::to_string(width));
+      coding::CodecSpec spec;
+      spec.name = name;
+      spec.period = 3;
+      spec.inversion_mask = rng();
+      const auto prototype = coding::make_codec(spec, width);
+      const std::size_t lines = prototype->width_out();
+      const auto p =
+          core::SignedPermutation::random(lines, rng, std::vector<std::uint8_t>(lines, 1));
+
+      const auto apply = core::PermutationTable::forward(p);
+      const auto unapply = core::PermutationTable::inverse(p);
+      const bool exhaustive = lines == 8;
+      for (std::uint64_t k = 0; k < (exhaustive ? 256u : 4096u); ++k) {
+        const std::uint64_t x = exhaustive ? k : rng();  // bits above the width too
+        ASSERT_EQ(apply(x), p.apply_word(x)) << std::hex << x;
+        ASSERT_EQ(unapply(x), p.unapply_word(x)) << std::hex << x;
+      }
+
+      const std::uint64_t mask = streams::width_mask(width);
+      std::vector<std::uint64_t> words(3000);
+      for (auto& w : words) w = rng();
+
+      core::CodedLink link(p, prototype->clone());
+      EXPECT_EQ(link.assignment_snapshot(), p);
+      const auto tx = prototype->clone();
+      const auto rx = prototype->clone();
+      for (std::size_t k = 0; k < 500; ++k) {
+        const std::uint64_t lines_word = link.transmit(words[k] & mask);
+        ASSERT_EQ(lines_word, p.apply_word(tx->encode(words[k] & mask))) << "word " << k;
+        ASSERT_EQ(link.receive(lines_word), rx->decode(p.unapply_word(lines_word)))
+            << "word " << k;
+      }
+      const auto q =
+          core::SignedPermutation::random(lines, rng, std::vector<std::uint8_t>(lines, 1));
+      link.reset(q);
+      EXPECT_EQ(link.assignment_snapshot(), q);
+
+      core::CodedLink batch(p, prototype->clone());
+      core::CodedLink single(p, prototype->clone());
+      std::size_t offset = 0;
+      for (int phase = 0; phase < 3; ++phase) {
+        if (phase == 1) {  // the forbidden one-sided reset, on both twins
+          batch.transmitter().reset();
+          single.transmitter().reset();
+        } else if (phase == 2) {
+          batch.reset();
+          single.reset();
+        }
+        std::size_t batch_bad = 0;
+        std::size_t single_bad = 0;
+        const std::size_t end = offset + words.size() / 3;
+        while (offset < end) {
+          const std::size_t take = std::min<std::size_t>(rng() % 70, end - offset);  // 0 too
+          const std::span<const std::uint64_t> chunk(words.data() + offset, take);
+          batch_bad += batch.roundtrip(chunk);
+          for (const std::uint64_t w : chunk) {
+            single_bad += single.roundtrip(w & mask) != (w & mask);
+          }
+          offset += take;
+        }
+        EXPECT_EQ(batch_bad, single_bad) << "phase " << phase;
+        if (phase != 1) {
+          EXPECT_EQ(batch_bad, 0u) << "phase " << phase;
+        } else if (name == "correlator") {
+          EXPECT_GT(batch_bad, 0u) << "a one-sided reset must desync the correlator";
+        }
+      }
+    }
+  }
+}
+
+TEST(CodedLink, TwoSwappersUnderBatchedTrafficNeverDesync) {
+  // Two hot-swappers race each other and batched traffic. Each swap lands
+  // between whole spans, and the line-width check of one reset(next) must
+  // not read state the other is replacing (TSan vets this).
+  coding::CodecSpec spec;
+  spec.name = "correlator";
+  core::CodedLink link(core::SignedPermutation::identity(8), coding::make_codec(spec, 8));
+
+  constexpr int kTrafficThreads = 2;
+  constexpr int kChunksPerThread = 400;
+  constexpr std::size_t kChunkWords = 64;
+  constexpr int kSwapsPerSwapper = 200;
+  std::atomic<std::uint64_t> desyncs{0};
+  std::atomic<bool> go{false};
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kTrafficThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(301 + t);
+      std::vector<std::uint64_t> chunk(kChunkWords);
+      while (!go.load()) {}
+      for (int c = 0; c < kChunksPerThread; ++c) {
+        for (auto& w : chunk) w = rng();  // the link masks to the payload width
+        desyncs.fetch_add(link.roundtrip(chunk));
+      }
+    });
+  }
+  for (int s = 0; s < 2; ++s) {
+    threads.emplace_back([&, s] {
+      std::mt19937_64 rng(501 + s);
+      const std::vector<std::uint8_t> invertible(8, 1);
+      while (!go.load()) {}
+      for (int k = 0; k < kSwapsPerSwapper; ++k) {
+        link.reset(core::SignedPermutation::random(8, rng, invertible));
+        std::this_thread::yield();
+      }
+    });
+  }
+
+  go.store(true);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(desyncs.load(), 0u);
+  const std::vector<std::uint64_t> tail{0x00, 0xFF, 0x5A, 0xA5, 0x1FF};
+  EXPECT_EQ(link.roundtrip(tail), 0u);
 }
 
 }  // namespace
