@@ -7,8 +7,18 @@
 // Evaluated on three representative workloads over a 4x4 array (r=2, d=8):
 // Gray-coded Gaussian data (many near-stable-0 lines -> inversions + MOS
 // matter), plain Gaussian data (balanced probabilities -> reordering does
-// the work), and an image stream with a stable redundant line.
+// the work), and an image stream with a stable redundant line. All three
+// columns run the same annealer with the same options; only the permitted
+// moves (b) or the objective's capacitance model (c) change.
+//
+// `--check` exits 1 unless the claims recorded in EXPERIMENTS.md hold. A
+// MOS-blind objective cannot see a stable line's polarity (it costs no
+// switching either way), so where its search leaves one is luck: over seeds
+// 1-5 its Gray-coded loss ranges from ~0.01 to ~1.7 pp, and one seed's value
+// moves with the SIMD level's rounding. That claim is judged on the mean over
+// seeds 1-5; the table prints seed 1.
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "coding/gray.hpp"
@@ -20,72 +30,93 @@ using namespace tsvcod;
 
 namespace {
 
-void run(const char* name, const std::vector<std::uint64_t>& words, const core::Link& link) {
+/// Reductions (%) versus the mean random assignment.
+struct Row {
+  const char* name;
+  double full, no_inversions, mos_blind;
+  double mos_blind_mean;  ///< over seeds 1..blind_seeds
+};
+
+Row run(const char* name, const std::vector<std::uint64_t>& words, const core::Link& link,
+        unsigned blind_seeds = 1) {
   const auto st = stats::compute_stats(words, link.width());
   const auto base = core::random_assignment_power(st, link.model(), 300);
+  const auto pct = [&](double power) { return core::reduction_pct(base.mean, power); };
 
   auto opts = bench::default_study().optimize;
   const auto full = core::optimize_assignment(st, link.model(), opts);
 
   auto no_inv = opts;
-  no_inv.allow_inversions = false;
+  no_inv.allow_invert.assign(st.width, 0);
   const auto reorder_only = core::optimize_assignment(st, link.model(), no_inv);
 
-  // MOS-blind objective: optimize against the fixed C_R matrix, then price
+  // MOS-blind objective: optimize against C_R alone (zero DeltaC), then price
   // the found assignment with the full probability-aware model.
-  const phys::Matrix c_fixed = link.model().c_ref();
-  std::mt19937_64 rng(opts.seed);
-  const auto energy = [&](const core::SignedPermutation& a) {
-    return core::assignment_power_fixed_c(st, a, c_fixed);
+  const tsv::LinearCapacitanceModel blind(link.model().c_ref(), phys::Matrix(st.width, st.width));
+  const auto mos_blind = [&](unsigned seed) {
+    const auto a = core::optimize_assignment(st, blind, bench::default_study(seed).optimize);
+    return pct(core::assignment_power(st, a.assignment, link.model()));
   };
-  const auto neighbor = [&](const core::SignedPermutation& a, std::mt19937_64& r) {
-    auto next = a;
-    std::uniform_int_distribution<std::size_t> pick(0, st.width - 1);
-    if (r() % 3 == 0) {
-      next.toggle_inversion(pick(r));
-    } else {
-      next.swap_bits(pick(r), pick(r));
-    }
-    return next;
-  };
-  const auto mos_blind =
-      opt::anneal(core::SignedPermutation::identity(st.width), energy, neighbor,
-                  opts.schedule, rng);
-  const double mos_blind_power = core::assignment_power(st, mos_blind, link.model());
 
+  Row row{name, pct(full.power), pct(reorder_only.power), mos_blind(1), 0.0};
+  row.mos_blind_mean = row.mos_blind / blind_seeds;
+  for (unsigned seed = 2; seed <= blind_seeds; ++seed) {
+    row.mos_blind_mean += mos_blind(seed) / blind_seeds;
+  }
   std::printf("%-24s full %5.1f %%   no-inversions %5.1f %%   MOS-blind %5.1f %%\n", name,
-              core::reduction_pct(base.mean, full.power),
-              core::reduction_pct(base.mean, reorder_only.power),
-              core::reduction_pct(base.mean, mos_blind_power));
+              row.full, row.no_inversions, row.mos_blind);
+  return row;
+}
+
+/// Prints a failed claim; returns whether it held.
+bool claim(bool ok, const Row& row, const char* what) {
+  if (!ok) std::printf("CHECK FAILED (%s): %s\n", row.name, what);
+  return ok;
+}
+
+std::vector<std::uint64_t> take(streams::WordStream& src, std::uint64_t mask = ~0ull) {
+  std::vector<std::uint64_t> words;
+  for (int i = 0; i < 40000; ++i) words.push_back(src.next() & mask);
+  return words;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bool check = argc == 2 && std::strcmp(argv[1], "--check") == 0;
+  if (argc > 1 && !check) {
+    std::fprintf(stderr, "usage: ablation_inversions [--check]\n");
+    return 2;
+  }
   bench::print_header("Ablation: reordering vs inversions vs MOS-aware objective (4x4 r=2 d=8)",
                       "supports Sec. 3: inversions + MOS model matter most for skewed-probability "
                       "streams");
   const auto geom = phys::TsvArrayGeometry::itrs2018_relaxed(4, 4);
   const core::Link link(geom);
 
-  {
-    streams::GaussianAr1Stream src(16, 500.0, 0.3, 5);
-    coding::GrayCodec gray(16);
-    std::vector<std::uint64_t> words;
-    for (int i = 0; i < 40000; ++i) words.push_back(gray.encode(src.next()));
-    run("Gray-coded Gaussian", words, link);
+  streams::GaussianAr1Stream gray_src(16, 500.0, 0.3, 5);
+  coding::GrayCodec gray(16);
+  auto gray_words = take(gray_src);
+  for (auto& w : gray_words) w = gray.encode(w);
+  const Row gray_row = run("Gray-coded Gaussian", gray_words, link, check ? 5 : 1);
+  streams::GaussianAr1Stream gauss_src(16, 3000.0, 0.0, 6);
+  const Row gauss_row = run("Gaussian (balanced)", take(gauss_src), link);
+  streams::BayerQuadStream image_src;
+  const Row image_row = run("Image sub-bus", take(image_src, 0xFFFF), link);  // 16 b sub-bus
+  if (!check) return 0;
+
+  bool ok = true;
+  for (const Row& row : {gray_row, gauss_row, image_row}) {
+    ok &= claim(row.full >= row.no_inversions, row, "full >= no-inversions");
+    ok &= claim(row.full >= row.mos_blind - 0.05, row, "full >= MOS-blind - 0.05 pp");
   }
-  {
-    streams::GaussianAr1Stream src(16, 3000.0, 0.0, 6);
-    std::vector<std::uint64_t> words;
-    for (int i = 0; i < 40000; ++i) words.push_back(src.next());
-    run("Gaussian (balanced)", words, link);
-  }
-  {
-    streams::BayerQuadStream src;
-    std::vector<std::uint64_t> words;
-    for (int i = 0; i < 40000; ++i) words.push_back(src.next() & 0xFFFF);  // 16 b sub-bus
-    run("Image sub-bus", words, link);
-  }
-  return 0;
+  ok &= claim(gray_row.full - gray_row.no_inversions >= 1.0, gray_row, "inversions add >= 1 pp");
+  ok &= claim(image_row.full - image_row.no_inversions >= 1.0, image_row, "inversions add >= 1 pp");
+  ok &= claim(gauss_row.full - gauss_row.no_inversions < 0.1, gauss_row, "inversions add < 0.1 pp");
+  std::printf("Gray-coded MOS-blind loss, mean over seeds 1-5: %.2f pp\n",
+              gray_row.full - gray_row.mos_blind_mean);
+  ok &= claim(gray_row.full - gray_row.mos_blind_mean >= 0.5, gray_row,
+              "MOS-blind gives up >= 0.5 pp (seed mean)");
+  std::printf("ablation claims: %s\n", ok ? "all hold" : "FAILED");
+  return ok ? 0 : 1;
 }

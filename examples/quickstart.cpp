@@ -22,14 +22,15 @@ int main() {
   // Evaluate every assignment variant the paper discusses.
   const auto study = core::study_assignments(link, stats);
 
+  // Power change versus the random mean: negative is a saving.
   std::printf("normalized power (aF units):\n");
   std::printf("  random assignment (mean) : %8.1f\n", study.random_mean * 1e18);
-  std::printf("  Spiral (systematic)      : %8.1f  (-%.1f %%)\n", study.spiral * 1e18,
-              study.reduction_spiral());
-  std::printf("  Sawtooth (systematic)    : %8.1f  (-%.1f %%)\n", study.sawtooth * 1e18,
-              study.reduction_sawtooth());
-  std::printf("  optimal (Eq. 10)         : %8.1f  (-%.1f %%)\n", study.optimal * 1e18,
-              study.reduction_optimal());
+  std::printf("  Spiral (systematic)      : %8.1f  (%+.1f %%)\n", study.spiral * 1e18,
+              -study.reduction_spiral());
+  std::printf("  Sawtooth (systematic)    : %8.1f  (%+.1f %%)\n", study.sawtooth * 1e18,
+              -study.reduction_sawtooth());
+  std::printf("  optimal (Eq. 10)         : %8.1f  (%+.1f %%)\n", study.optimal * 1e18,
+              -study.reduction_optimal());
 
   // The wiring plan: which bit drives which TSV, and which are inverted.
   std::printf("\noptimal bit-to-TSV assignment (rows x cols, entries = bit index,\n"

@@ -62,14 +62,10 @@ AssignmentStudy study_assignments(const Link& link, const stats::SwitchingStats&
   out.optimal = opt.power;
   out.optimal_map = std::move(opt.assignment);
 
-  if (options.with_spiral) {
-    out.spiral_map = spiral_assignment(link.geometry(), bit_stats);
-    out.spiral = link.power(bit_stats, out.spiral_map);
-  }
-  if (options.with_sawtooth) {
-    out.sawtooth_map = sawtooth_assignment(link.geometry(), bit_stats);
-    out.sawtooth = link.power(bit_stats, out.sawtooth_map);
-  }
+  out.spiral_map = spiral_assignment(link.geometry(), bit_stats);
+  out.spiral = link.power(bit_stats, out.spiral_map);
+  out.sawtooth_map = sawtooth_assignment(link.geometry(), bit_stats);
+  out.sawtooth = link.power(bit_stats, out.sawtooth_map);
   return out;
 }
 

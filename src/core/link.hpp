@@ -55,8 +55,6 @@ class Link {
 struct StudyOptions {
   std::size_t random_samples = 200;  ///< Monte-Carlo size of the baseline
   OptimizeOptions optimize{};
-  bool with_spiral = true;
-  bool with_sawtooth = true;
 };
 
 /// All assignment variants evaluated on one statistics set. Powers are

@@ -9,18 +9,41 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace tsvcod::core {
 
+void OptimizeOptions::validate(std::size_t width) const {
+  const auto at_least = [](const char* field, int value, int min) {
+    if (value >= min) return;
+    throw std::invalid_argument(std::string("OptimizeOptions: ") + field + " must be >= " +
+                                std::to_string(min) + ", got " + std::to_string(value));
+  };
+  at_least("schedule.iterations", schedule.iterations, 1);
+  at_least("schedule.restarts", schedule.restarts, 1);
+  at_least("chains", chains, 1);
+  at_least("threads", threads, 0);
+  if (!allow_invert.empty() && allow_invert.size() != width) {
+    throw std::invalid_argument("OptimizeOptions: allow_invert has " +
+                                std::to_string(allow_invert.size()) + " entries for width " +
+                                std::to_string(width) + " (empty = all bits invertible)");
+  }
+}
+
 namespace {
 
-std::vector<std::uint8_t> effective_invert_mask(const OptimizeOptions& options, std::size_t n) {
-  if (!options.allow_inversions) return std::vector<std::uint8_t>(n, 0);
-  if (options.allow_invert.empty()) return std::vector<std::uint8_t>(n, 1);
-  if (options.allow_invert.size() != n) {
-    throw std::invalid_argument("OptimizeOptions: allow_invert size mismatch");
+// Probe moves that calibrate a chain's start temperature, and the end/start
+// temperature ratio of each restart's geometric cooling.
+constexpr int kProbe = 32;
+constexpr double kCoolingRatio = 1e-4;
+
+// Bits the options allow to be inverted (empty allow_invert = all of them).
+std::vector<std::size_t> invertible_bits(const OptimizeOptions& options, std::size_t n) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (options.allow_invert.empty() || options.allow_invert[i]) out.push_back(i);
   }
-  return options.allow_invert;
+  return out;
 }
 
 struct ChainOutcome {
@@ -43,7 +66,7 @@ struct ChainOutcome {
 // pure function of its seed (thread-count invariant).
 ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
                        const tsv::LinearCapacitanceModel& model, const OptimizeOptions& options,
-                       const std::vector<std::size_t>& invertible_bits, std::uint64_t seed,
+                       const std::vector<std::size_t>& invertible, std::uint64_t seed,
                        std::size_t chain_index) {
   obs::Span span("opt.chain");
   const bool tracing = span.traced();
@@ -54,7 +77,7 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
     track_temp = "opt.temperature.c" + std::to_string(chain_index);
   }
   const std::size_t n = bit_stats.width;
-  const bool any_invertible = !invertible_bits.empty();
+  const bool any_invertible = !invertible.empty();
 
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> uni(0.0, 1.0);
@@ -67,8 +90,8 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
   using Move = PowerEvaluator::Move;
   const auto random_move = [&]() -> Move {
     if (any_invertible && move_kind(rng) == 2) {
-      std::uniform_int_distribution<std::size_t> pick(0, invertible_bits.size() - 1);
-      return {true, invertible_bits[pick(rng)], 0};
+      std::uniform_int_distribution<std::size_t> pick(0, invertible.size() - 1);
+      return {true, invertible[pick(rng)], 0};
     }
     std::size_t a = pick_bit(rng);
     std::size_t b = pick_bit(rng);
@@ -85,21 +108,16 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
 
   // Temperature calibration: price the probe moves in one batch against the
   // untouched initial state (scoring does not mutate, so no undos needed).
-  double t_start = options.schedule.t_start;
-  if (t_start <= 0.0) {
-    constexpr int kProbe = 32;
-    block.clear();
-    for (int i = 0; i < kProbe; ++i) block.push_back(random_move());
-    scores.resize(block.size());
-    ev.score_moves(block, scores);
-    const double before = ev.power();
-    double acc = 0.0;
-    for (int i = 0; i < kProbe; ++i) acc += std::abs(scores[static_cast<std::size_t>(i)] - before);
-    evaluations += kProbe;
-    t_start = acc / kProbe * 2.0;
-    if (t_start <= 0.0) t_start = 1e-12;
-  }
-  const double t_end = t_start * options.schedule.t_ratio;
+  for (int i = 0; i < kProbe; ++i) block.push_back(random_move());
+  scores.resize(block.size());
+  ev.score_moves(block, scores);
+  const double before = ev.power();
+  double acc = 0.0;
+  for (int i = 0; i < kProbe; ++i) acc += std::abs(scores[static_cast<std::size_t>(i)] - before);
+  evaluations += kProbe;
+  double t_start = acc / kProbe * 2.0;
+  if (t_start <= 0.0) t_start = 1e-12;  // flat landscape: quench
+  const double t_end = t_start * kCoolingRatio;
   const double decay = options.schedule.iterations > 1
                            ? std::pow(t_end / t_start, 1.0 / (options.schedule.iterations - 1))
                            : 1.0;
@@ -182,20 +200,16 @@ OptimizeResult optimize_assignment(const stats::SwitchingStats& bit_stats,
                                    const OptimizeOptions& options) {
   const std::size_t n = bit_stats.width;
   if (model.size() != n) throw std::invalid_argument("optimize_assignment: width mismatch");
-  const auto invert_ok = effective_invert_mask(options, n);
-
-  std::vector<std::size_t> invertible_bits;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (invert_ok[i]) invertible_bits.push_back(i);
-  }
+  options.validate(n);
+  const auto invertible = invertible_bits(options, n);
 
   // Independent chains, each seeded from its logical index; scheduling can
   // never leak into the result.
   obs::Span span("opt.optimize");
-  const std::size_t chains = static_cast<std::size_t>(std::max(1, options.chains));
+  const auto chains = static_cast<std::size_t>(options.chains);
   std::vector<ChainOutcome> outcomes(chains);
   opt::parallel_for(chains, options.threads, [&](std::size_t c) {
-    outcomes[c] = run_chain(bit_stats, model, options, invertible_bits,
+    outcomes[c] = run_chain(bit_stats, model, options, invertible,
                             opt::deterministic_seed(options.seed, c), c);
   });
 
@@ -221,6 +235,7 @@ OptimizeResult optimize_assignment(const stats::SwitchingStats& bit_stats,
 std::vector<OptimizeResult> optimize_assignments(std::span<const stats::SwitchingStats> bit_stats,
                                                  const tsv::LinearCapacitanceModel& model,
                                                  const OptimizeOptions& options, int threads) {
+  options.validate(model.size());
   obs::Span span("opt.optimize_batch");
   std::vector<OptimizeResult> out(bit_stats.size(),
                                   OptimizeResult{SignedPermutation::identity(1), 0.0, 0});
@@ -242,15 +257,12 @@ OptimizeResult exhaustive_optimal(const stats::SwitchingStats& bit_stats,
                                   const OptimizeOptions& options) {
   const std::size_t n = bit_stats.width;
   if (model.size() != n) throw std::invalid_argument("exhaustive_optimal: width mismatch");
-  const auto invert_ok = effective_invert_mask(options, n);
-  std::vector<std::size_t> invertible_bits;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (invert_ok[i]) invertible_bits.push_back(i);
-  }
+  options.validate(n);
+  const auto invertible = invertible_bits(options, n);
 
   double perms = 1.0;
   for (std::size_t k = 2; k <= n; ++k) perms *= static_cast<double>(k);
-  const double space = perms * std::pow(2.0, static_cast<double>(invertible_bits.size()));
+  const double space = perms * std::pow(2.0, static_cast<double>(invertible.size()));
   if (space > 1e7) {
     throw std::invalid_argument("exhaustive_optimal: search space too large");
   }
@@ -260,11 +272,11 @@ OptimizeResult exhaustive_optimal(const stats::SwitchingStats& bit_stats,
 
   OptimizeResult best{SignedPermutation::identity(n), 1e300, 0};
   do {
-    const std::uint64_t mask_count = std::uint64_t{1} << invertible_bits.size();
+    const std::uint64_t mask_count = std::uint64_t{1} << invertible.size();
     for (std::uint64_t m = 0; m < mask_count; ++m) {
       std::vector<std::uint8_t> inv(n, 0);
-      for (std::size_t k = 0; k < invertible_bits.size(); ++k) {
-        if ((m >> k) & 1u) inv[invertible_bits[k]] = 1;
+      for (std::size_t k = 0; k < invertible.size(); ++k) {
+        if ((m >> k) & 1u) inv[invertible[k]] = 1;
       }
       SignedPermutation a(line_of_bit, std::move(inv));
       const double p = assignment_power(bit_stats, a, model);
@@ -283,7 +295,7 @@ OptimizeResult greedy_descent(const stats::SwitchingStats& bit_stats,
                               const OptimizeOptions& options) {
   const std::size_t n = bit_stats.width;
   if (model.size() != n) throw std::invalid_argument("greedy_descent: width mismatch");
-  const auto invert_ok = effective_invert_mask(options, n);
+  options.validate(n);
 
   PowerEvaluator ev(bit_stats, model, SignedPermutation::identity(n));
   std::size_t evaluations = 1;
@@ -310,7 +322,7 @@ OptimizeResult greedy_descent(const stats::SwitchingStats& bit_stats,
           ev.swap_bits(a, b);  // undo
         }
       }
-      if (invert_ok[a]) {
+      if (options.allow_invert.empty() || options.allow_invert[a]) {
         const double cand = ev.toggle_inversion(a);
         ++evaluations;
         if (improves(cand, current)) {

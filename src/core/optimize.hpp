@@ -12,15 +12,21 @@
 
 #include "core/assignment.hpp"
 #include "core/power.hpp"
-#include "opt/annealing.hpp"
 
 namespace tsvcod::core {
 
+/// Annealing budget per chain. The start temperature is calibrated from 32
+/// probe moves (twice their mean |delta power|; a flat landscape quenches)
+/// and cools geometrically to 1e-4 of it over each restart.
+struct AnnealingSchedule {
+  int iterations = 20000;  ///< moves per restart
+  int restarts = 3;        ///< each restart begins from the best state so far
+};
+
 struct OptimizeOptions {
-  opt::AnnealingSchedule schedule{};
-  bool allow_inversions = true;
+  AnnealingSchedule schedule{};
   /// Per-bit inversion permission (power/ground lines must stay upright).
-  /// Empty = all bits invertible (if allow_inversions).
+  /// Empty = all bits invertible; all zeros = reordering only.
   std::vector<std::uint8_t> allow_invert;
   unsigned seed = 1;
   /// Independent annealing chains; each runs the full schedule on its own
@@ -31,6 +37,12 @@ struct OptimizeOptions {
   int chains = 4;
   /// Worker threads for the chains. 0 = TSVCOD_THREADS env override, else 1.
   int threads = 0;
+
+  /// Throws std::invalid_argument naming the offending field: an empty
+  /// budget (schedule.iterations, schedule.restarts or chains below 1),
+  /// negative threads, or an allow_invert that is neither empty nor `width`
+  /// long. Every optimizer entry point calls it.
+  void validate(std::size_t width) const;
 };
 
 struct OptimizeResult {

@@ -32,12 +32,6 @@ double assignment_power(const stats::SwitchingStats& bit_stats, const SignedPerm
   return normalized_power(line_stats, c);
 }
 
-double assignment_power_fixed_c(const stats::SwitchingStats& bit_stats,
-                                const SignedPermutation& a, const phys::Matrix& c) {
-  const stats::SwitchingStats line_stats = a.apply(bit_stats);
-  return normalized_power(line_stats, c);
-}
-
 double physical_power(double normalized, double vdd, double frequency) {
   return normalized * vdd * vdd * frequency / 2.0;
 }

@@ -23,11 +23,6 @@ double normalized_power(const stats::SwitchingStats& line_stats, const phys::Mat
 double assignment_power(const stats::SwitchingStats& bit_stats, const SignedPermutation& a,
                         const tsv::LinearCapacitanceModel& model);
 
-/// Ablation variant: evaluate against a fixed capacitance matrix (MOS effect
-/// ignored; inversions then only act on negative switching correlations).
-double assignment_power_fixed_c(const stats::SwitchingStats& bit_stats,
-                                const SignedPermutation& a, const phys::Matrix& c);
-
 /// Physical mean power [W] from normalized power: P = P_n * Vdd^2 * f / 2.
 double physical_power(double normalized, double vdd, double frequency);
 

@@ -297,30 +297,6 @@ void NocSimulator::phase_transfer(std::size_t begin, std::size_t end, std::size_
   }
 }
 
-void NocSimulator::sample_counters(int rank, std::size_t begin, std::size_t end,
-                                   std::size_t cycle) const {
-  if (!obs::trace_enabled()) return;
-  std::uint64_t flits = 0, toggles = 0, coded = 0;
-  for (std::size_t r = begin; r < end; ++r) {
-    for (int out = static_cast<int>(Direction::ZPlus); out <= static_cast<int>(Direction::ZMinus);
-         ++out) {
-      const std::size_t slot = link_slot(r, static_cast<Direction>(out));
-      if (vstat_of_slot_[slot] == kNoStat) continue;
-      flits += link_flits_[slot];
-      toggles += link_toggles_[slot];
-      coded += link_coded_toggles_[slot];
-    }
-  }
-  // Simulated-time axis: one µs per cycle.
-  const auto ts = static_cast<std::int64_t>(cycle);
-  const std::string slab = "noc.slab" + std::to_string(rank);
-  obs::counter_at(slab + ".vlink_flits", static_cast<double>(flits), ts);
-  obs::counter_at(slab + ".vlink_toggles", static_cast<double>(toggles), ts);
-  if (coded_attached_) {
-    obs::counter_at(slab + ".vlink_coded_toggles", static_cast<double>(coded), ts);
-  }
-}
-
 SimStats NocSimulator::run(std::size_t cycles) {
   obs::Span span("noc.run");
   const std::size_t n = mesh_.node_count();
@@ -331,14 +307,12 @@ SimStats NocSimulator::run(std::size_t cycles) {
   const std::size_t delivered_before = total(delivered_);
   const std::uint64_t probe_toggles_before = probe_toggles_;
   const std::uint64_t stalls_before = total(stalls_);
-  const std::size_t sample = options_.counter_sample_cycles;
 
   if (k == 1) {
     for (std::size_t c = 0; c < cycles; ++c) {
       const std::size_t cyc = cycle_ + c;
       phase_arbitrate(0, n, cyc);
       phase_transfer(0, n, cyc);
-      if (sample != 0 && (cyc + 1) % sample == 0) sample_counters(0, 0, n, cyc);
     }
   } else {
     opt::SpinBarrier barrier(k);
@@ -365,10 +339,7 @@ SimStats NocSimulator::run(std::size_t cycles) {
         const std::size_t cyc = cycle_ + c;
         guarded([&] { phase_arbitrate(begin, end, cyc); });
         barrier.wait();
-        guarded([&] {
-          phase_transfer(begin, end, cyc);
-          if (sample != 0 && (cyc + 1) % sample == 0) sample_counters(rank, begin, end, cyc);
-        });
+        guarded([&] { phase_transfer(begin, end, cyc); });
         barrier.wait();
       }
     });

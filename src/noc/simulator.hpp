@@ -94,9 +94,6 @@ struct SimOptions {
   /// assignment optimizer needs. Costs roughly as much as the simulation
   /// itself; leave off for pure throughput runs.
   bool track_vertical_stats = false;
-  /// Emit obs counter tracks (per-slab vertical flits/toggles/coded toggles,
-  /// cycle-indexed timestamps) every N cycles while tracing; 0 = off.
-  std::size_t counter_sample_cycles = 0;
 
   /// Throws std::invalid_argument naming the offending field.
   void validate() const;
@@ -146,7 +143,6 @@ class NocSimulator {
  private:
   void phase_arbitrate(std::size_t begin, std::size_t end, std::size_t cycle);
   void phase_transfer(std::size_t begin, std::size_t end, std::size_t cycle);
-  void sample_counters(int rank, std::size_t begin, std::size_t end, std::size_t cycle) const;
 
   /// XYZ dimension-order routing on the precomputed coordinate tables —
   /// same function as Mesh3D::route_index, minus the per-call div/mod.

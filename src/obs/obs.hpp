@@ -4,7 +4,7 @@
 // *disabled* path is a relaxed atomic load and a branch — cheap enough to
 // leave in every hot loop (bench/obs_overhead measures it).
 //
-// Tracing (`Span`, `instant`, `counter`) appends to per-thread buffers: a
+// Tracing (`Span`, `counter`) appends to per-thread buffers: a
 // worker only ever touches its own buffer (one uncontended per-buffer mutex,
 // never shared between workers), so tracing composes with `opt::parallel_for`
 // without serializing the pool. `trace_to_json()` merges the buffers into a
@@ -152,17 +152,9 @@ class Span {
   bool traced_ = false;
 };
 
-/// Thread-scoped instant event ("i").
-void instant(const char* name, std::string args_body = {});
-
 /// Counter-track sample ("C"): one named value-over-time track per name.
 void counter(const char* name, double value);
 void counter(const std::string& name, double value);
-
-/// Counter-track sample with an explicit timestamp (µs). Simulators use this
-/// to plot counters on a *simulated-time* axis (e.g. one µs per NoC cycle)
-/// instead of wall-clock time.
-void counter_at(const std::string& name, double value, std::int64_t ts_us);
 
 /// Merge every thread's buffer into one Chrome trace JSON document. Must be
 /// called from a quiescent point; events of spans still open are not

@@ -239,16 +239,6 @@ void Span::end() {
   traced_ = false;
 }
 
-void instant(const char* name, std::string args_body) {
-  if (!trace_enabled()) return;
-  Event ev;
-  ev.name = name;
-  ev.args = std::move(args_body);
-  ev.ts_us = now_us();
-  ev.ph = 'i';
-  push_event(std::move(ev));
-}
-
 void counter(const char* name, double value) {
   if (!trace_enabled()) return;
   counter(std::string(name), value);
@@ -256,14 +246,9 @@ void counter(const char* name, double value) {
 
 void counter(const std::string& name, double value) {
   if (!trace_enabled()) return;
-  counter_at(name, value, now_us());
-}
-
-void counter_at(const std::string& name, double value, std::int64_t ts_us) {
-  if (!trace_enabled()) return;
   Event ev;
   ev.name = name;
-  ev.ts_us = ts_us;
+  ev.ts_us = now_us();
   ev.value = value;
   ev.ph = 'C';
   push_event(std::move(ev));
@@ -301,10 +286,6 @@ std::string trace_to_json() {
     switch (ev.ph) {
       case 'X':
         out += ",\"dur\":" + std::to_string(ev.dur_us);
-        if (!ev.args.empty()) out += ",\"args\":{" + ev.args + "}";
-        break;
-      case 'i':
-        out += ",\"s\":\"t\"";
         if (!ev.args.empty()) out += ",\"args\":{" + ev.args + "}";
         break;
       case 'C':

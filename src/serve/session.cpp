@@ -66,6 +66,7 @@ SessionConfig validated(SessionConfig config) {
         "serve: drift threshold must be a finite number >= 0 (0 = off), got " +
         std::to_string(config.drift.threshold));
   }
+  config.optimize.validate(config.width);
   return config;
 }
 

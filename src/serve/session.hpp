@@ -97,8 +97,9 @@ double drift_metric(const stats::SwitchingStats& window, const stats::SwitchingS
 class Session {
  public:
   /// Validates the config (width 1..64, model size, codec width-preserving,
-  /// window >= 2, threshold finite and >= 0) with errors naming the
-  /// offending field. The link starts on the identity assignment.
+  /// window >= 2, threshold finite and >= 0, OptimizeOptions::validate)
+  /// with errors naming the offending field. The link starts on the
+  /// identity assignment.
   Session(std::uint64_t id, SessionConfig config);
 
   std::uint64_t id() const { return id_; }
@@ -122,9 +123,9 @@ class Session {
   IngestResult ingest(std::span<const std::uint64_t> words);
 
   /// Install a re-annealed assignment: atomic hot-swap on the link, then
-  /// clear the in-flight flag. `expected_swap_seq` must be the sequence
-  /// returned implicitly by the trip (guards against a stale anneal landing
-  /// after a newer one — the stale result is dropped).
+  /// clear the in-flight flag. Returns false and installs nothing when no
+  /// re-anneal is in flight (never tripped, or abandoned), so a result that
+  /// lands after abandon_reanneal() is dropped.
   bool install(const core::SignedPermutation& next);
 
   /// Drop the in-flight flag without installing (anneal failed).

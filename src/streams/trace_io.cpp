@@ -80,8 +80,4 @@ void save_trace(const std::string& path, std::span<const std::uint64_t> words) {
   if (!os) throw std::runtime_error("trace_io: write failed: " + path);
 }
 
-TraceStream load_trace_stream(const std::string& path, std::size_t width) {
-  return TraceStream(load_trace(path), width);
-}
-
 }  // namespace tsvcod::streams

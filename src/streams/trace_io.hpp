@@ -26,7 +26,4 @@ std::vector<std::uint64_t> load_trace(const std::string& path);
 void save_trace(std::ostream& os, std::span<const std::uint64_t> words);
 void save_trace(const std::string& path, std::span<const std::uint64_t> words);
 
-/// Convenience: load a trace file straight into a replaying stream.
-TraceStream load_trace_stream(const std::string& path, std::size_t width);
-
 }  // namespace tsvcod::streams

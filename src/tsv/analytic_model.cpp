@@ -115,20 +115,6 @@ double isolated_pair_fraction(double s, double d_gnd, const AnalyticModelParams&
 
 }  // namespace
 
-double isolated_pair_capacitance_per_length(const phys::TsvArrayGeometry& geom, double s,
-                                            double pr_a, double pr_b,
-                                            const AnalyticModelParams& params) {
-  const double r = geom.radius;
-  const double t_ox = geom.oxide_thickness();
-  const double omega = 2.0 * pi * params.frequency;
-  const double c_a = phys::mos_capacitance_per_length(r, t_ox, pr_a, geom.mos);
-  const double c_b = phys::mos_capacitance_per_length(r, t_ox, pr_b, geom.mos);
-  const double wa = phys::depletion_width_for_probability(r, t_ox, pr_a, geom.mos);
-  const double wb = phys::depletion_width_for_probability(r, t_ox, pr_b, geom.mos);
-  const double geo = pair_geometry_factor(geom.liner_radius() + wa, geom.liner_radius() + wb, s);
-  return series_pair_capacitance(c_a, c_b, geo, geom.mos.substrate_sigma, omega);
-}
-
 phys::Matrix analytic_capacitance(const phys::TsvArrayGeometry& geom,
                                   std::span<const double> probabilities,
                                   const AnalyticModelParams& params) {

@@ -49,11 +49,4 @@ phys::Matrix analytic_capacitance(const phys::TsvArrayGeometry& geom,
                                   std::span<const double> probabilities,
                                   const AnalyticModelParams& params = {});
 
-/// Effective capacitance [F/m] of an isolated equal-radius cylinder pair at
-/// centre distance `s`, including the MOS series elements of both TSVs.
-/// Exposed for validation against the field solver.
-double isolated_pair_capacitance_per_length(const phys::TsvArrayGeometry& geom, double s,
-                                            double pr_a, double pr_b,
-                                            const AnalyticModelParams& params = {});
-
 }  // namespace tsvcod::tsv

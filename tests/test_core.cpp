@@ -11,6 +11,7 @@
 #include "core/mappings.hpp"
 #include "core/optimize.hpp"
 #include "core/power.hpp"
+#include "simd/dispatch.hpp"
 #include "streams/random_streams.hpp"
 
 namespace {
@@ -291,7 +292,7 @@ TEST(Optimize, InversionExploitsNegativeCorrelation) {
   core::OptimizeOptions with_inv;
   with_inv.schedule.iterations = 3000;
   core::OptimizeOptions no_inv = with_inv;
-  no_inv.allow_inversions = false;
+  no_inv.allow_invert.assign(4, 0);
   const auto a = core::exhaustive_optimal(s, link.model(), with_inv);
   const auto b = core::exhaustive_optimal(s, link.model(), no_inv);
   EXPECT_LT(a.power, b.power * 0.999);
@@ -342,6 +343,98 @@ TEST(Optimize, RandomBaselineOrdering) {
   EXPECT_LE(base.mean, base.worst);
   const auto opt = core::exhaustive_optimal(s, link.model());
   EXPECT_LE(opt.power, base.best + 1e-18);
+}
+
+TEST(Optimize, RejectsEmptyBudgetNamingTheField) {
+  const core::Link link(TsvArrayGeometry::itrs2018_min(2, 2));
+  streams::UniformRandomStream src(4, 2);
+  std::vector<std::uint64_t> words;
+  for (int i = 0; i < 500; ++i) words.push_back(src.next());
+  const auto s = stats_of(words, 4);
+
+  const auto expect_rejected = [&](const core::OptimizeOptions& bad, const std::string& field) {
+    SCOPED_TRACE(field);
+    const auto names_field = [&](auto&& call) {
+      try {
+        call();
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+      }
+    };
+    names_field([&] { bad.validate(4); });
+    names_field([&] { core::optimize_assignment(s, link.model(), bad); });
+    names_field([&] { core::greedy_descent(s, link.model(), bad); });
+    names_field([&] { core::exhaustive_optimal(s, link.model(), bad); });
+    const std::vector<stats::SwitchingStats> batch{s};
+    names_field([&] { core::optimize_assignments(batch, link.model(), bad); });
+  };
+  core::OptimizeOptions bad;
+  bad.schedule.iterations = 0;
+  expect_rejected(bad, "schedule.iterations");
+  bad = {};
+  bad.schedule.restarts = -1;
+  expect_rejected(bad, "schedule.restarts");
+  bad = {};
+  bad.chains = 0;
+  expect_rejected(bad, "chains");
+  bad = {};
+  bad.threads = -2;
+  expect_rejected(bad, "threads");
+  bad = {};
+  bad.allow_invert = {1, 0, 1};
+  expect_rejected(bad, "allow_invert");
+
+  core::OptimizeOptions ok;
+  ok.schedule = {1, 1};
+  ok.chains = 1;
+  ok.allow_invert.assign(4, 0);
+  EXPECT_NO_THROW(ok.validate(4));
+}
+
+TEST(Optimize, FlatLandscapeQuenchesSafely) {
+  // A never-toggling stream prices every assignment at exactly 0: the
+  // calibrated start temperature is 0, the chain must quench instead of
+  // dividing by it, and the result stays the identity.
+  const core::Link link(TsvArrayGeometry::itrs2018_min(3, 3));
+  const std::vector<std::uint64_t> words(1000, 0x0A5);
+  const auto s = stats_of(words, 9);
+
+  core::OptimizeOptions opts;
+  opts.schedule = {300, 2};
+  opts.chains = 3;
+  const auto res = core::optimize_assignment(s, link.model(), opts);
+  EXPECT_EQ(res.power, 0.0);
+  EXPECT_EQ(res.assignment, SignedPermutation::identity(9));
+  EXPECT_EQ(res.evaluations, 3u * (1u + 32u + 2u * 300u));
+}
+
+TEST(Optimize, ScheduleGoldenAtScalarLevel) {
+  // Pins the hard-coded schedule (32 calibration probes, 1e-4 cooling ratio,
+  // restarts from the best state) end to end: any change to it moves these
+  // bits. The scalar level keeps the move pricing independent of the host.
+  simd::ScopedLevel scalar(simd::Level::scalar);
+  const core::Link link(TsvArrayGeometry::itrs2018_min(3, 3));
+  streams::GaussianAr1Stream src(9, 40.0, 0.6, 17);
+  std::vector<std::uint64_t> words;
+  for (int i = 0; i < 4000; ++i) words.push_back(src.next());
+  const auto s = stats_of(words, 9);
+
+  core::OptimizeOptions opts;
+  opts.schedule = {400, 2};
+  opts.chains = 2;
+  opts.seed = 7;
+  const auto res = core::optimize_assignment(s, link.model(), opts);
+  std::vector<std::size_t> lines;
+  std::vector<int> inverted;
+  for (std::size_t b = 0; b < 9; ++b) {
+    lines.push_back(res.assignment.line_of_bit(b));
+    inverted.push_back(res.assignment.inverted(b) ? 1 : 0);
+  }
+  EXPECT_EQ(lines, (std::vector<std::size_t>{6, 8, 7, 5, 2, 0, 3, 1, 4}));
+  EXPECT_EQ(inverted, (std::vector<int>{1, 1, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(res.power, 0x1.fe095fd18051dp-43) << std::hexfloat << res.power;
+  EXPECT_EQ(res.evaluations, 2u * (1u + 32u + 2u * 400u));
 }
 
 TEST(Link, StudyIsInternallyConsistent) {

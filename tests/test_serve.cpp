@@ -122,6 +122,15 @@ TEST(Session, ConfigValidationNamesTheField) {
   cfg = config8();
   cfg.width = 6;  // model is 8-wide
   EXPECT_THROW(serve::Session(1, cfg), std::invalid_argument);
+
+  cfg = config8();
+  cfg.optimize.chains = 0;  // an empty re-anneal budget
+  try {
+    serve::Session session(1, cfg);
+    FAIL() << "zero chains accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("chains"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Session, RejectsADriftThresholdThatCanNeverTrip) {

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -90,6 +91,17 @@ class Args {
   std::size_t size(const std::string& k) const { return parse_size("--" + k, str(k)); }
   std::size_t size_or(const std::string& k, std::size_t def) const {
     return has(k) ? parse_size("--" + k, values_.at(k)) : def;
+  }
+  /// A count in [1, INT_MAX] (an optimizer budget): zero would run nothing
+  /// and a larger value would wrap when narrowed to int.
+  int count_or(const std::string& k, int def) const {
+    constexpr int kMax = std::numeric_limits<int>::max();
+    const std::size_t v = has(k) ? parse_size("--" + k, values_.at(k)) : def;
+    if (v < 1 || v > kMax) {
+      throw std::runtime_error("--" + k + " expects an integer in [1, " + std::to_string(kMax) +
+                               "], got: '" + values_.at(k) + "'");
+    }
+    return static_cast<int>(v);
   }
 
   /// Comma-separated list of non-negative integers; empty when absent.

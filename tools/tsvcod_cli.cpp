@@ -196,7 +196,7 @@ int cmd_optimize(const Args& args) {
 
   core::OptimizeOptions opts;
   opts.seed = static_cast<unsigned>(args.size_or("seed", 1));
-  opts.schedule.iterations = static_cast<int>(args.size_or("iterations", 20000));
+  opts.schedule.iterations = args.count_or("iterations", 20000);
   opts.threads = threads;
   const auto frozen = args.index_list_or("no-invert");
   if (!frozen.empty()) {
@@ -212,16 +212,16 @@ int cmd_optimize(const Args& args) {
   const auto spiral = core::spiral_assignment(geom, st);
   const auto sawtooth = core::sawtooth_assignment(geom, st);
 
+  // Each row's power change versus the random mean: negative is a saving.
+  const auto row = [&](const char* label, double power) {
+    std::printf("%-25s: %10.1f aF  (%+.1f %%)\n", label, power * 1e18,
+                -core::reduction_pct(base.mean, power));
+  };
   std::printf("trace words              : %zu\n", static_cast<std::size_t>(source->size()));
   std::printf("random assignment (mean) : %10.1f aF\n", base.mean * 1e18);
-  std::printf("Spiral                   : %10.1f aF  (-%.1f %%)\n",
-              link.power(st, spiral) * 1e18,
-              core::reduction_pct(base.mean, link.power(st, spiral)));
-  std::printf("Sawtooth                 : %10.1f aF  (-%.1f %%)\n",
-              link.power(st, sawtooth) * 1e18,
-              core::reduction_pct(base.mean, link.power(st, sawtooth)));
-  std::printf("optimal                  : %10.1f aF  (-%.1f %%)\n", best.power * 1e18,
-              core::reduction_pct(base.mean, best.power));
+  row("Spiral", link.power(st, spiral));
+  row("Sawtooth", link.power(st, sawtooth));
+  row("optimal", best.power);
   std::printf("\n%s", core::format_assignment_grid(geom, best.assignment).c_str());
 
   if (args.has("out")) {

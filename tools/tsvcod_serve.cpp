@@ -112,9 +112,9 @@ void print_help() {
       "         [--snapshot-out FILE [--snapshot-interval SECONDS]] [--verbose]\n");
 }
 
-/// Session config: daemon-wide defaults overridden by open-frame options.
-serve::SessionConfig session_config(const Args& args, const tsv::LinearCapacitanceModel& model,
-                                    const std::map<std::string, std::string>& overrides) {
+/// Daemon-wide session defaults, parsed once at startup so a bad flag fails
+/// before the first open frame.
+serve::SessionConfig session_defaults(const Args& args, const tsv::LinearCapacitanceModel& model) {
   serve::SessionConfig cfg;
   cfg.width = model.size();
   cfg.model = model;
@@ -122,13 +122,17 @@ serve::SessionConfig session_config(const Args& args, const tsv::LinearCapacitan
   cfg.drift.window_words = args.size_or("window", 4096);
   cfg.drift.threshold = args.number_or("drift-threshold", 0.25);
   cfg.drift.cooldown_words = args.size_or("cooldown", 0);
-  cfg.optimize.schedule.iterations =
-      static_cast<int>(args.size_or("reanneal-iterations", 20000));
-  cfg.optimize.chains = static_cast<int>(args.size_or("chains", 4));
+  cfg.optimize.schedule.iterations = args.count_or("reanneal-iterations", 20000);
+  cfg.optimize.chains = args.count_or("chains", 4);
   cfg.optimize.seed = static_cast<unsigned>(args.size_or("seed", 1));
   cfg.optimize.threads = threads_from(args);
   cfg.stats_threads = threads_from(args);
+  return cfg;
+}
 
+/// One open frame's session config: the defaults overridden by its options.
+serve::SessionConfig session_config(serve::SessionConfig cfg,
+                                    const std::map<std::string, std::string>& overrides) {
   for (const auto& [key, value] : overrides) {
     const std::string what = "open option '" + key + "'";
     if (key == "codec") {
@@ -194,6 +198,7 @@ int run(int argc, char** argv) {
   const bool verbose = args.has("verbose");
 
   const tsv::LinearCapacitanceModel model = model_from(args);
+  const serve::SessionConfig defaults = session_defaults(args, model);
   serve::ServerOptions options;
   options.shards = static_cast<int>(args.size_or("shards", 4));
   options.queue_capacity = args.size_or("queue-capacity", 64);
@@ -208,7 +213,7 @@ int run(int argc, char** argv) {
   while (!shutdown_frame && serve::read_frame(std::cin, frame)) {
     switch (frame.type) {
       case serve::FrameType::open: {
-        const auto cfg = session_config(args, model, serve::parse_options(frame.text));
+        const auto cfg = session_config(defaults, serve::parse_options(frame.text));
         server.open_session(frame.session, cfg);
         emit("{\"event\":\"open\",\"session\":" + std::to_string(frame.session) +
              ",\"width\":" + std::to_string(cfg.width) + ",\"codec\":\"" +
