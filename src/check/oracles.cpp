@@ -20,6 +20,7 @@
 #include "field/grid.hpp"
 #include "field/solver.hpp"
 #include "noc/simulator.hpp"
+#include "simd/dispatch.hpp"
 #include "stats/switching_stats.hpp"
 #include "streams/binary_trace.hpp"
 #include "streams/trace_io.hpp"
@@ -297,29 +298,24 @@ std::optional<std::string> check_eval_case(const EvalCase& ec) {
     if (auto err = compare(p, dense(ev.assignment()), where_str.c_str())) return err;
   }
   if (auto err = compare(ev.recompute(), dense(ev.assignment()), "recompute()")) return err;
-  // Batched pricing leg: score every generated move in one block against the
-  // current state (no mutation); each score must match the dense power of
-  // that single move applied on its own.
-  {
-    std::vector<core::PowerEvaluator::Move> batch(ec.moves.size());
-    for (std::size_t k = 0; k < ec.moves.size(); ++k) {
-      batch[k] = {ec.moves[k].toggle, ec.moves[k].a, ec.moves[k].b};
+  // Pricing leg: score every generated move against the current state (no
+  // mutation); each score must match the dense power of that single move
+  // applied on its own.
+  for (std::size_t k = 0; k < ec.moves.size(); ++k) {
+    const auto& m = ec.moves[k];
+    core::SignedPermutation a = ev.assignment();
+    if (m.toggle) {
+      a.toggle_inversion(m.a);
+    } else {
+      a.swap_bits(m.a, m.b);
     }
-    std::vector<double> scores(batch.size());
-    ev.score_moves(batch, scores);
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      core::SignedPermutation a = ev.assignment();
-      if (batch[k].is_toggle) {
-        a.toggle_inversion(batch[k].a);
-      } else {
-        a.swap_bits(batch[k].a, batch[k].b);
-      }
-      std::ostringstream where;
-      where << "score_moves[" << k << (batch[k].is_toggle ? "] toggle(" : "] swap(") << batch[k].a;
-      if (!batch[k].is_toggle) where << ',' << batch[k].b;
-      where << ')';
-      const std::string where_str = where.str();
-      if (auto err = compare(scores[k], dense(a), where_str.c_str())) return err;
+    std::ostringstream where;
+    where << "score[" << k << (m.toggle ? "] toggle(" : "] swap(") << m.a;
+    if (!m.toggle) where << ',' << m.b;
+    where << ')';
+    const std::string where_str = where.str();
+    if (auto err = compare(ev.score({m.toggle, m.a, m.b}).power, dense(a), where_str.c_str())) {
+      return err;
     }
   }
   ev.reset(ec.initial);
@@ -407,6 +403,51 @@ std::optional<std::string> stats_bitwise_diff(const stats::SwitchingStats& a,
   return std::nullopt;
 }
 
+/// The accumulator, ChunkFolder and chunked compute_stats paths at the
+/// active dispatch level against the reference statistics `want`.
+std::optional<std::string> check_stats_at_level(const StatsCase& sc,
+                                                const stats::SwitchingStats& want) {
+  const std::size_t w = sc.width;
+  stats::StatsAccumulator acc(w);
+  for (const auto word : sc.words) acc.add(word);
+  if (acc.samples() != sc.words.size()) return "samples() disagrees with word count";
+  const stats::SwitchingStats got = acc.finish();
+  if (auto diff = stats_bitwise_diff(got, want, "accumulator")) return diff;
+
+  // The seam API: fold the trace through a ChunkFolder in random chunks
+  // (empty and 1-word ones included), closing tumbling windows at random
+  // points; the merged window counts must be the reference, bit for bit.
+  Rng plan(sc.fold_seed);
+  stats::ChunkFolder folder(w);
+  stats::SwitchingCounts merged(w);
+  const std::span<const std::uint64_t> all(sc.words);
+  for (std::size_t at = 0; at < all.size();) {
+    const std::size_t n = static_cast<std::size_t>(plan.chance(0.3) ? plan.below(2)
+                                                                    : plan.below(160));
+    const auto chunk = all.subspan(at, std::min(n, all.size() - at));
+    folder.fold(chunk);
+    at += chunk.size();
+    if (plan.chance(0.25)) {
+      merged.merge(folder.counts());
+      folder.reset_window();
+    }
+  }
+  merged.merge(folder.counts());
+  if (merged.words != sc.words.size()) return "ChunkFolder: merged windows lose words";
+  if (auto diff = stats_bitwise_diff(merged.finalize(), want, "ChunkFolder windows")) return diff;
+
+  // The one-shot chunked reduction must be bitwise identical to the
+  // streaming accumulator at every thread count (integer counters make the
+  // chunk merge exact, so chunk boundaries cannot show through).
+  for (const int threads : {1, 2, 5}) {
+    const auto par = stats::compute_stats(sc.words, w, threads);
+    if (auto diff = stats_bitwise_diff(par, got, "compute_stats")) {
+      return "threads=" + std::to_string(threads) + " " + *diff;
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> check_stats_case(const StatsCase& sc) {
   const std::size_t w = sc.width;
   // Naive reference: recompute every statistic from scratch per transition,
@@ -446,41 +487,13 @@ std::optional<std::string> check_stats_case(const StatsCase& sc) {
     }
   }
 
-  stats::StatsAccumulator acc(w);
-  for (const auto word : sc.words) acc.add(word);
-  if (acc.samples() != sc.words.size()) return "samples() disagrees with word count";
-  const stats::SwitchingStats got = acc.finish();
-  if (auto diff = stats_bitwise_diff(got, want, "accumulator")) return diff;
-
-  // The seam API: fold the trace through a ChunkFolder in random chunks
-  // (empty and 1-word ones included), closing tumbling windows at random
-  // points; the merged window counts must be the reference, bit for bit.
-  Rng plan(sc.fold_seed);
-  stats::ChunkFolder folder(w);
-  stats::SwitchingCounts merged(w);
-  const std::span<const std::uint64_t> all(sc.words);
-  for (std::size_t at = 0; at < all.size();) {
-    const std::size_t n = static_cast<std::size_t>(plan.chance(0.3) ? plan.below(2)
-                                                                    : plan.below(160));
-    const auto chunk = all.subspan(at, std::min(n, all.size() - at));
-    folder.fold(chunk);
-    at += chunk.size();
-    if (plan.chance(0.25)) {
-      merged.merge(folder.counts());
-      folder.reset_window();
-    }
-  }
-  merged.merge(folder.counts());
-  if (merged.words != sc.words.size()) return "ChunkFolder: merged windows lose words";
-  if (auto diff = stats_bitwise_diff(merged.finalize(), want, "ChunkFolder windows")) return diff;
-
-  // The one-shot chunked reduction must be bitwise identical to the
-  // streaming accumulator at every thread count (integer counters make the
-  // chunk merge exact, so chunk boundaries cannot show through).
-  for (const int threads : {1, 2, 5}) {
-    const auto par = stats::compute_stats(sc.words, w, threads);
-    if (auto diff = stats_bitwise_diff(par, got, "compute_stats")) {
-      return "threads=" + std::to_string(threads) + " " + *diff;
+  // Every dispatch level the host runs: each has its own block body and
+  // transpose, and all must reproduce the reference bit for bit.
+  for (int l = 0; l <= static_cast<int>(simd::detected_level()); ++l) {
+    const auto level = static_cast<simd::Level>(l);
+    simd::ScopedLevel guard(level);
+    if (auto err = check_stats_at_level(sc, want)) {
+      return std::string("level=") + simd::level_name(level) + " " + *err;
     }
   }
   return std::nullopt;

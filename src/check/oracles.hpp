@@ -17,7 +17,8 @@
 //                     plus a ChunkFolder fold at random chunk sizes (0 and 1
 //                     included) and random window resets, and chunked
 //                     parallel compute_stats at several thread counts
-//                     (bitwise identical, block tails included).
+//                     (bitwise identical, block tails included), at every
+//                     SIMD dispatch level up to the host's.
 //   field_consistency Jacobi- vs multigrid-preconditioned BiCGStab vs a dense
 //                     complex LU factorization of the same operator, on random
 //                     conductor layouts.

@@ -230,10 +230,32 @@ double PowerEvaluator::swap_bits(std::size_t bit_a, std::size_t bit_b) {
   check_bit(bit_a, "swap_bits");
   check_bit(bit_b, "swap_bits");
   if (bit_a == bit_b) return power_;
-  const std::size_t la = assignment_.line_of_bit(bit_a);
-  const std::size_t lb = assignment_.line_of_bit(bit_b);
-  const double before = terms_involving(la, lb);
-  assignment_.swap_bits(bit_a, bit_b);
+  const double before =
+      terms_involving(assignment_.line_of_bit(bit_a), assignment_.line_of_bit(bit_b));
+  return commit({false, bit_a, bit_b}, before);
+}
+
+double PowerEvaluator::toggle_inversion(std::size_t bit) {
+  check_bit(bit, "toggle_inversion");
+  return commit({true, bit, 0}, terms_involving(assignment_.line_of_bit(bit), kNone));
+}
+
+double PowerEvaluator::apply(const Move& m, const Score& scored) {
+  if (!m.is_toggle && m.a == m.b) return power_;
+  return commit(m, scored.before);
+}
+
+double PowerEvaluator::commit(const Move& m, double before) {
+  if (m.is_toggle) {
+    const std::size_t l = assignment_.line_of_bit(m.a);
+    assignment_.toggle_inversion(m.a);
+    refresh_line(l);
+    power_ += terms_involving(l, kNone) - before;
+    return power_;
+  }
+  const std::size_t la = assignment_.line_of_bit(m.a);
+  const std::size_t lb = assignment_.line_of_bit(m.b);
+  assignment_.swap_bits(m.a, m.b);
   refresh_line(la);
   refresh_line(lb);
   swap_coupling_lines(la, lb);
@@ -241,20 +263,7 @@ double PowerEvaluator::swap_bits(std::size_t bit_a, std::size_t bit_b) {
   return power_;
 }
 
-double PowerEvaluator::toggle_inversion(std::size_t bit) {
-  check_bit(bit, "toggle_inversion");
-  const std::size_t l = assignment_.line_of_bit(bit);
-  const double before = terms_involving(l, kNone);
-  assignment_.toggle_inversion(bit);
-  refresh_line(l);
-  power_ += terms_involving(l, kNone) - before;
-  return power_;
-}
-
-void PowerEvaluator::score_moves(std::span<const Move> moves, std::span<double> out) const {
-  if (out.size() < moves.size()) {
-    throw std::invalid_argument("PowerEvaluator::score_moves: output span too small");
-  }
+PowerEvaluator::Score PowerEvaluator::score(const Move& m) const {
   const RowFn fn = row_fn();
   const double* self = line_self_.data();
   const double* eps = line_eps_.data();
@@ -263,56 +272,46 @@ void PowerEvaluator::score_moves(std::span<const Move> moves, std::span<double> 
   const double* cref = model_.c_ref().data().data();
   const double* dc = model_.delta_c().data().data();
 
-  for (std::size_t k = 0; k < moves.size(); ++k) {
-    const Move& m = moves[k];
-    if (m.is_toggle) {
-      check_bit(m.a, "score_moves");
-      const std::size_t l = assignment_.line_of_bit(m.a);
-      const double sl = self[l], el = eps[l], gl = sign[l];
-      // A toggle flips (eps, sign) of one line; self and the coupling gather
-      // are untouched. Both row sums run over the *current* arrays with the
-      // line's own parameters broadcast, so only the j == l lane is stale in
-      // the "after" sum — exactly the lane both sums exclude anyway.
-      const RowArgs cur{self, eps, sign, coup + l * n_, cref + l * n_, dc + l * n_,
-                        n_,   sl,  el,   gl};
-      const double before = fn(cur) - row_lane(cur, l) + sl * c_prime(l, l);
-      RowArgs nxt = cur;
-      nxt.ea = -el;
-      nxt.ga = -gl;
-      const double ground_after = sl * (cref[l * n_ + l] + dc[l * n_ + l] * (-el + -el));
-      const double after = fn(nxt) - row_lane(nxt, l) + ground_after;
-      out[k] = power_ + (after - before);
-      continue;
-    }
-    check_bit(m.a, "score_moves");
-    check_bit(m.b, "score_moves");
-    if (m.a == m.b) {
-      out[k] = power_;
-      continue;
-    }
-    const std::size_t la = assignment_.line_of_bit(m.a);
-    const std::size_t lb = assignment_.line_of_bit(m.b);
-    const double before = terms_involving(la, lb);
-    // After the swap, line la carries lb's current (self, eps, sign) triple
-    // and lb's coupling row (and vice versa); the model rows stay put. The
-    // two row sums are therefore priced from the current arrays with the
-    // partner's row/parameters, and only the j == la / j == lb lanes are
-    // stale: both diagonals drop out, and the {la,lb} pair lane is re-added
-    // once with its true post-swap value.
-    const double sa = self[lb], ea = eps[lb], ga = sign[lb];  // new la triple
-    const double sb = self[la], eb = eps[la], gb = sign[la];  // new lb triple
-    const RowArgs a1{self, eps, sign, coup + lb * n_, cref + la * n_, dc + la * n_,
-                     n_,   sa,  ea,   ga};
-    const RowArgs a2{self, eps, sign, coup + la * n_, cref + lb * n_, dc + lb * n_,
-                     n_,   sb,  eb,   gb};
-    const double pair = (sa + sb - 2.0 * (ga * gb) * coup[lb * n_ + la]) *
-                        (cref[la * n_ + lb] + dc[la * n_ + lb] * (ea + eb));
-    const double ground_a = sa * (cref[la * n_ + la] + dc[la * n_ + la] * (ea + ea));
-    const double ground_b = sb * (cref[lb * n_ + lb] + dc[lb * n_ + lb] * (eb + eb));
-    const double after = fn(a1) - row_lane(a1, la) - row_lane(a1, lb) + pair + ground_a +
-                         fn(a2) - row_lane(a2, lb) - row_lane(a2, la) + ground_b;
-    out[k] = power_ + (after - before);
+  if (m.is_toggle) {
+    check_bit(m.a, "score");
+    const std::size_t l = assignment_.line_of_bit(m.a);
+    const double sl = self[l], el = eps[l], gl = sign[l];
+    // A toggle flips (eps, sign) of one line; self and the coupling gather
+    // are untouched. The "after" row sum runs over the *current* arrays with
+    // the line's flipped parameters broadcast, so only the j == l lane is
+    // stale — exactly the lane the sum excludes anyway.
+    const double before = terms_involving(l, kNone);
+    const RowArgs nxt{self, eps, sign, coup + l * n_, cref + l * n_, dc + l * n_,
+                      n_,   sl,  -el,  -gl};
+    const double ground_after = sl * (cref[l * n_ + l] + dc[l * n_ + l] * (-el + -el));
+    const double after = fn(nxt) - row_lane(nxt, l) + ground_after;
+    return {power_ + (after - before), before};
   }
+  check_bit(m.a, "score");
+  check_bit(m.b, "score");
+  if (m.a == m.b) return {power_, 0.0};
+  const std::size_t la = assignment_.line_of_bit(m.a);
+  const std::size_t lb = assignment_.line_of_bit(m.b);
+  const double before = terms_involving(la, lb);
+  // After the swap, line la carries lb's current (self, eps, sign) triple
+  // and lb's coupling row (and vice versa); the model rows stay put. The
+  // two row sums are therefore priced from the current arrays with the
+  // partner's row/parameters, and only the j == la / j == lb lanes are
+  // stale: both diagonals drop out, and the {la,lb} pair lane is re-added
+  // once with its true post-swap value.
+  const double sa = self[lb], ea = eps[lb], ga = sign[lb];  // new la triple
+  const double sb = self[la], eb = eps[la], gb = sign[la];  // new lb triple
+  const RowArgs a1{self, eps, sign, coup + lb * n_, cref + la * n_, dc + la * n_,
+                   n_,   sa,  ea,   ga};
+  const RowArgs a2{self, eps, sign, coup + la * n_, cref + lb * n_, dc + lb * n_,
+                   n_,   sb,  eb,   gb};
+  const double pair = (sa + sb - 2.0 * (ga * gb) * coup[lb * n_ + la]) *
+                      (cref[la * n_ + lb] + dc[la * n_ + lb] * (ea + eb));
+  const double ground_a = sa * (cref[la * n_ + la] + dc[la * n_ + la] * (ea + ea));
+  const double ground_b = sb * (cref[lb * n_ + lb] + dc[lb * n_ + lb] * (eb + eb));
+  const double after = fn(a1) - row_lane(a1, la) - row_lane(a1, lb) + pair + ground_a +
+                       fn(a2) - row_lane(a2, lb) - row_lane(a2, la) + ground_b;
+  return {power_ + (after - before), before};
 }
 
 }  // namespace tsvcod::core

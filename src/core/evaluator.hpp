@@ -15,15 +15,13 @@
 // bit_of_line(j)); a swap exchanges one row and one column, a toggle leaves
 // it untouched). Every O(N) update is then one or two dense row reductions
 // over contiguous memory, dispatched through src/simd to AVX2/AVX-512 FMA
-// kernels with a fixed lane-combining order per level. score_moves() prices
-// a whole block of candidate moves against the current state without
-// mutating it, which is what lets the annealer amortize pricing.
+// kernels with a fixed lane-combining order per level. score() prices a
+// candidate move against the current state without mutating it, so the
+// annealer needs no apply/undo pair for a rejected move.
 //
 // Invariant (checked in tests and the evaluator_drift oracle): power()
 // equals assignment_power() of the current assignment up to eps-scale
 // floating-point accumulation, at every dispatch level.
-
-#include <span>
 
 #include "core/assignment.hpp"
 #include "core/power.hpp"
@@ -61,12 +59,24 @@ class PowerEvaluator {
   /// Throws std::out_of_range naming the index and width on a bad bit.
   double toggle_inversion(std::size_t bit);
 
-  /// Price a block of candidate moves against the current state WITHOUT
-  /// mutating it: out[k] is the total power the evaluator would report after
-  /// applying moves[k] alone. `out` must have at least moves.size() slots.
-  /// A scored value matches the later applied value to the same eps-scale
-  /// drift bound the incremental updates carry (oracle: evaluator_drift).
-  void score_moves(std::span<const Move> moves, std::span<double> out) const;
+  /// A move priced by score(): the total power after it, and the current
+  /// power terms the move replaces.
+  struct Score {
+    double power = 0.0;
+    double before = 0.0;
+  };
+
+  /// Price one candidate move against the current state WITHOUT mutating
+  /// it. The scored power matches the later applied value to the same
+  /// eps-scale drift bound the incremental updates carry (oracle:
+  /// evaluator_drift). Throws std::out_of_range naming the index and width
+  /// on a bad bit.
+  Score score(const Move& m) const;
+
+  /// Apply a move that score() just priced, with no mutation in between:
+  /// the same update as swap_bits / toggle_inversion, bit for bit, minus
+  /// re-pricing the before-terms. Returns the new total power.
+  double apply(const Move& m, const Score& scored);
 
   /// O(N^2) reference recomputation (for verification).
   double recompute() const;
@@ -75,6 +85,8 @@ class PowerEvaluator {
   /// Sum of all power terms involving at least one line in {la, lb}
   /// (lb == SIZE_MAX for single-line moves).
   double terms_involving(std::size_t la, std::size_t lb) const;
+  /// Apply a valid move given the terms_involving() of its lines beforehand.
+  double commit(const Move& m, double before);
   void refresh_line(std::size_t line);
   void rebuild_line_coupling();
   void swap_coupling_lines(std::size_t la, std::size_t lb);

@@ -53,16 +53,14 @@ struct ChainOutcome {
 };
 
 // One annealing chain on the incremental evaluator. Candidate moves are
-// priced in blocks through PowerEvaluator::score_moves — the batch API keeps
-// the per-line arrays hot and lets the SIMD row kernels amortize — and a
-// block's scores stay valid as long as every move in it is rejected (the
-// state never changed). An accept applies the one winning move and discards
-// the rest of the block. The block size adapts to the acceptance rate: it
-// starts small, doubles whenever a whole block is rejected (cold chain), and
-// snaps back to small on an accept (hot chain), so scoring work is rarely
-// thrown away. `evaluations` counts candidates consumed, one per probe or
-// attempted move — scored-but-discarded candidates are not counted — so the
-// count stays a pure function of the schedule, and the chain itself is a
+// drawn ahead in blocks and priced one at a time through
+// PowerEvaluator::score when the chain consumes them; an accept applies the
+// move and discards the rest of the block unpriced. The block is only a
+// draw-ahead buffer that fixes the RNG order (and with it every result): it
+// starts small, doubles whenever a whole block is rejected, and snaps back to
+// small on an accept. `evaluations` counts candidates consumed, one per probe
+// or attempted move — drawn-but-discarded candidates are not counted — so
+// the count stays a pure function of the schedule, and the chain itself is a
 // pure function of its seed (thread-count invariant).
 ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
                        const tsv::LinearCapacitanceModel& model, const OptimizeOptions& options,
@@ -98,22 +96,12 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
     while (n > 1 && b == a) b = pick_bit(rng);
     return {false, a, b};
   };
-  const auto apply = [&](const Move& m) {
-    return m.is_toggle ? ev.toggle_inversion(m.a) : ev.swap_bits(m.a, m.b);
-  };
 
-  // Batch pricing buffers shared by the probe phase and the main loop.
-  std::vector<Move> block;
-  std::vector<double> scores;
-
-  // Temperature calibration: price the probe moves in one batch against the
-  // untouched initial state (scoring does not mutate, so no undos needed).
-  for (int i = 0; i < kProbe; ++i) block.push_back(random_move());
-  scores.resize(block.size());
-  ev.score_moves(block, scores);
+  // Temperature calibration: price the probe moves against the untouched
+  // initial state (scoring does not mutate, so no undos needed).
   const double before = ev.power();
   double acc = 0.0;
-  for (int i = 0; i < kProbe; ++i) acc += std::abs(scores[static_cast<std::size_t>(i)] - before);
+  for (int i = 0; i < kProbe; ++i) acc += std::abs(ev.score(random_move()).power - before);
   evaluations += kProbe;
   double t_start = acc / kProbe * 2.0;
   if (t_start <= 0.0) t_start = 1e-12;  // flat landscape: quench
@@ -124,6 +112,7 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
 
   SignedPermutation best = ev.assignment();
   double best_power = ev.power();
+  std::vector<Move> block;
   std::size_t accepted = 0;
   std::size_t attempted = 0;
   // Trace sampling stride: ~64 samples per restart keeps traces compact.
@@ -142,33 +131,29 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
       if (cursor >= block.size()) {
         block.clear();
         for (std::size_t i = 0; i < block_size; ++i) block.push_back(random_move());
-        scores.resize(block.size());
-        ev.score_moves(block, scores);
         cursor = 0;
       }
-      const Move m = block[cursor];
-      const double cand = scores[cursor];
-      ++cursor;
+      const Move m = block[cursor++];
+      const PowerEvaluator::Score scored = ev.score(m);
       ++evaluations;
       ++attempted;
-      const double d = cand - current;
+      const double d = scored.power - current;
       if (d <= 0.0 || uni(rng) < std::exp(-d / t)) {
         // The scored value and the applied value agree to eps-scale drift;
         // track the applied one so `current` stays synced with the evaluator.
-        apply(m);
-        current = ev.power();
+        current = ev.apply(m, scored);
         ++accepted;
         if (current < best_power) {
           best_power = current;
           best = ev.assignment();
         }
-        // State changed: the rest of the block's scores are stale.
+        // The rest of the block is drawn but never consumed.
         block.clear();
         cursor = 0;
         block_size = kBlockMin;
       } else if (cursor >= block.size()) {
         // A whole block rejected without an accept: the chain is cold, so
-        // larger batches are pure profit.
+        // the next block draws further ahead.
         block_size = std::min(block_size * 2, kBlockMax);
       }
       if (tracing && it % stride == 0) {

@@ -13,7 +13,7 @@
 #include "simd/dispatch.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define TSVCOD_HAVE_AVX512_KERNEL 1
+#define TSVCOD_STATS_X86_KERNELS 1
 #include <immintrin.h>
 #endif
 
@@ -26,23 +26,46 @@ constexpr std::uint64_t mask_of(std::size_t width) {
 }
 
 // ---------------------------------------------------------------------------
-// Block reduction, compiled in up to three ISA flavors on x86-64 and selected
-// once at runtime: a portable baseline (std::popcount lowers to a ~15-op SWAR
-// sequence), a POPCNT-instruction variant, and an AVX-512 variant that needs
-// F + DQ + VPOPCNTDQ (Ice Lake and newer, plus Zen 4+). The default build
-// targets the portable baseline so the binary still runs anywhere; the
-// dispatch is per 64-transition block, so every flavor consumes the same
-// masked words and produces the same exact integer counts — bit-identical by
-// construction, and cross-checked by the stats oracle.
+// Block reduction, compiled in up to four ISA flavors on x86-64 and selected
+// per block at runtime: a portable baseline (std::popcount lowers to a ~15-op
+// SWAR sequence), a POPCNT-instruction variant, an AVX2 variant and an
+// AVX-512 variant that needs F + DQ + VPOPCNTDQ (Ice Lake and newer, plus
+// Zen 4+). The default build targets the portable baseline so the binary
+// still runs anywhere; every flavor consumes the same masked words and
+// produces the same exact integer counts — bit-identical by construction,
+// and cross-checked at every level by the stats oracle.
 //
-// The AVX-512 flavor additionally restructures the block: instead of
-// materializing toggle words and transposing *two* 64x64 bit matrices, it
-// transposes only the value matrix and derives each toggle plane in plane
-// space — TG_i = VAL_i ^ ((VAL_i << 1) | prev_bit_i) — because a plane's bit
-// t-1 neighbor within the plane *is* the line's previous value. That halves
-// the (scalar) transpose work, and VPOPCNTQ reduces eight line pairs per
-// instruction in the O(w^2) pair loop.
+// Every flavor transposes one 64x64 bit matrix per block, the value words,
+// and derives each toggle plane in plane space —
+// TG_i = VAL_i ^ ((VAL_i << 1) | prev_bit_i) — because a plane's bit t-1
+// neighbor within the plane *is* the line's previous value. The transpose
+// itself is the six-stage block-swap network of transpose64, run on eight
+// zmm registers at avx512 and sixteen ymm registers at avx2; VPOPCNTQ then
+// reduces eight line pairs per instruction in the AVX-512 O(w^2) pair loop.
 // ---------------------------------------------------------------------------
+
+// Column masks of the six swap stages, j = 32, 16, 8, 4, 2, 1: the bits whose
+// column index has bit j clear.
+constexpr std::uint64_t kSwapMasks[6] = {
+    0x00000000FFFFFFFFull, 0x0000FFFF0000FFFFull, 0x00FF00FF00FF00FFull,
+    0x0F0F0F0F0F0F0F0Full, 0x3333333333333333ull, 0x5555555555555555ull,
+};
+
+// Hacker's-Delight-style recursive block swap, phrased in LSB-first
+// coordinates: at step j the blocks (row bit-j clear, column bit-j set) and
+// (row bit-j set, column bit-j clear) trade places, so the final bit t of
+// a[i] is the original bit i of a[t]. The reference the vector forms must
+// reproduce bit for bit.
+void transpose64_scalar(std::uint64_t a[64]) {
+  int m = 0;
+  for (unsigned j = 32; j != 0; j >>= 1, ++m) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & kSwapMasks[m];
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
 
 #if defined(__GNUC__) || defined(__clang__)
 #define TSVCOD_ALWAYS_INLINE inline __attribute__((always_inline))
@@ -76,44 +99,140 @@ TSVCOD_ALWAYS_INLINE void reduce_block_body(std::size_t width, const std::uint64
 /// block boundary, `prev` the masked word preceding block[0].
 using BlockFn = void (*)(std::size_t, const std::uint64_t*, std::uint64_t, SwitchingCounts&);
 
+/// The block body below AVX-512: one transpose of the value words, then the
+/// toggle planes derived in plane space (see the dispatch comment).
+template <void (*Transpose)(std::uint64_t*)>
 TSVCOD_ALWAYS_INLINE void block_reduce_scalar_body(std::size_t width, const std::uint64_t* block,
                                                    std::uint64_t prev, SwitchingCounts& counts) {
-  // Toggle planes from consecutive XORs; value planes are the words
-  // themselves (for a toggled line, direction == new value).
-  std::uint64_t tg[64];
   std::uint64_t val[64];
-  std::uint64_t before = prev;
-  for (std::size_t t = 0; t < 64; ++t) {
-    val[t] = block[t];
-    tg[t] = block[t] ^ before;
-    before = block[t];
-  }
-  transpose64(tg);
-  transpose64(val);
+  std::uint64_t tg[64];
+  std::memcpy(val, block, sizeof(val));
+  Transpose(val);
+  for (std::size_t i = 0; i < 64; ++i) tg[i] = val[i] ^ ((val[i] << 1) | ((prev >> i) & 1u));
   reduce_block_body(width, tg, val, counts);
 }
 
 void block_reduce_portable(std::size_t width, const std::uint64_t* block, std::uint64_t prev,
                            SwitchingCounts& counts) {
-  block_reduce_scalar_body(width, block, prev, counts);
+  block_reduce_scalar_body<transpose64_scalar>(width, block, prev, counts);
 }
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#if defined(TSVCOD_STATS_X86_KERNELS)
+// The p-th index k with bit `step` clear (step a power of two): the low
+// partner of the p-th pair (k, k | step) of a swap stage. Affine in p, so the
+// compiler unrolls the stage loops below and keeps the registers in registers.
+constexpr int pair_row(int p, int step) { return ((p & ~(step - 1)) << 1) | (p & (step - 1)); }
+
+// transpose64_scalar's network with rows 4r..4r+3 in ymm register r. Stages
+// 32 to 4 pair whole registers; stages 2 and 1 pair lanes l and l^j inside
+// one register: the partner row arrives through a lane permutation, and each
+// lane keeps its own column half (m for low rows, ~m for high rows) and takes
+// the other half from the partner shifted into place.
+__attribute__((target("avx2"))) void transpose64_avx2(std::uint64_t a[64]) {
+  __m256i r[16];
+  for (int k = 0; k < 16; ++k) {
+    r[k] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + 4 * k));
+  }
+  for (int m = 0, j = 32; j >= 4; j >>= 1, ++m) {
+    const __m256i mask = _mm256_set1_epi64x(static_cast<long long>(kSwapMasks[m]));
+    const int step = j / 4;
+    for (int p = 0; p < 8; ++p) {
+      const int k = pair_row(p, step);
+      const __m256i t =
+          _mm256_and_si256(_mm256_xor_si256(_mm256_srli_epi64(r[k], j), r[k | step]), mask);
+      r[k] = _mm256_xor_si256(r[k], _mm256_slli_epi64(t, j));
+      r[k | step] = _mm256_xor_si256(r[k | step], t);
+    }
+  }
+  for (int m = 4, j = 2; j != 0; j >>= 1, ++m) {
+    const __m256i keep =
+        j == 2 ? _mm256_set_epi64x(static_cast<long long>(~kSwapMasks[m]),
+                                   static_cast<long long>(~kSwapMasks[m]),
+                                   static_cast<long long>(kSwapMasks[m]),
+                                   static_cast<long long>(kSwapMasks[m]))
+               : _mm256_set_epi64x(static_cast<long long>(~kSwapMasks[m]),
+                                   static_cast<long long>(kSwapMasks[m]),
+                                   static_cast<long long>(~kSwapMasks[m]),
+                                   static_cast<long long>(kSwapMasks[m]));
+    for (int k = 0; k < 16; ++k) {
+      // Lane l's partner is lane l^j: swap 128-bit halves (j = 2) or the two
+      // 64-bit lanes of each half (j = 1).
+      const __m256i p = j == 2 ? _mm256_permute4x64_epi64(r[k], 0x4E)
+                               : _mm256_shuffle_epi32(r[k], 0x4E);
+      const __m256i moved =
+          j == 2 ? _mm256_blend_epi32(_mm256_slli_epi64(p, 2), _mm256_srli_epi64(p, 2), 0xF0)
+                 : _mm256_blend_epi32(_mm256_slli_epi64(p, 1), _mm256_srli_epi64(p, 1), 0xCC);
+      r[k] = _mm256_or_si256(_mm256_and_si256(keep, r[k]), _mm256_andnot_si256(keep, moved));
+    }
+  }
+  for (int k = 0; k < 16; ++k) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + 4 * k), r[k]);
+  }
+}
+
 __attribute__((target("popcnt"))) void block_reduce_popcnt(std::size_t width,
                                                            const std::uint64_t* block,
                                                            std::uint64_t prev,
                                                            SwitchingCounts& counts) {
-  block_reduce_scalar_body(width, block, prev, counts);
+  block_reduce_scalar_body<transpose64_scalar>(width, block, prev, counts);
 }
-#endif
 
-#if defined(TSVCOD_HAVE_AVX512_KERNEL)
+__attribute__((target("avx2,popcnt"))) void block_reduce_avx2(std::size_t width,
+                                                              const std::uint64_t* block,
+                                                              std::uint64_t prev,
+                                                              SwitchingCounts& counts) {
+  block_reduce_scalar_body<transpose64_avx2>(width, block, prev, counts);
+}
+
+#if !defined(__clang__)
+// GCC 12's AVX-512 intrinsics seed their unused source operands with a
+// self-initialized `__m512i __Y = __Y;`, which -Wuninitialized reports once
+// inlined here; those values are never read.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+// The same network with rows 8r..8r+7 in zmm register r: stages 32, 16 and 8
+// pair whole registers, and stages 4, 2 and 1 pair lanes as transpose64_avx2
+// does, with the shift direction picked per lane by a mask.
+__attribute__((target("avx512f"))) void transpose64_avx512(std::uint64_t a[64]) {
+  __m512i r[8];
+  for (int k = 0; k < 8; ++k) r[k] = _mm512_loadu_si512(a + 8 * k);
+  for (int m = 0, j = 32; j >= 8; j >>= 1, ++m) {
+    const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kSwapMasks[m]));
+    const int step = j / 8;
+    for (int p = 0; p < 4; ++p) {
+      const int k = pair_row(p, step);
+      const __m512i t = _mm512_and_si512(
+          _mm512_xor_si512(_mm512_srli_epi64(r[k], static_cast<unsigned>(j)), r[k | step]), mask);
+      r[k] = _mm512_xor_si512(r[k], _mm512_slli_epi64(t, static_cast<unsigned>(j)));
+      r[k | step] = _mm512_xor_si512(r[k | step], t);
+    }
+  }
+  for (int m = 3, j = 4; j != 0; j >>= 1, ++m) {
+    const __m512i partner = _mm512_set_epi64(7 ^ j, 6 ^ j, 5 ^ j, 4 ^ j, 3 ^ j, 2 ^ j, 1 ^ j, j);
+    // Lanes with bit j set hold the high rows of each pair.
+    const __mmask8 high = j == 4 ? 0xF0 : j == 2 ? 0xCC : 0xAA;
+    const __m512i keep = _mm512_mask_blend_epi64(
+        high, _mm512_set1_epi64(static_cast<long long>(kSwapMasks[m])),
+        _mm512_set1_epi64(static_cast<long long>(~kSwapMasks[m])));
+    for (int k = 0; k < 8; ++k) {
+      const __m512i p = _mm512_permutexvar_epi64(partner, r[k]);
+      const __m512i moved = _mm512_mask_srli_epi64(_mm512_slli_epi64(p, static_cast<unsigned>(j)),
+                                                   high, p, static_cast<unsigned>(j));
+      r[k] = _mm512_ternarylogic_epi64(keep, r[k], moved, 0xCA);  // keep ? r : moved
+    }
+  }
+  for (int k = 0; k < 8; ++k) _mm512_storeu_si512(a + 8 * k, r[k]);
+}
+
+
 __attribute__((target("avx512f,avx512dq,avx512vpopcntdq,popcnt"))) void block_reduce_avx512(
     std::size_t width, const std::uint64_t* block, std::uint64_t prev, SwitchingCounts& counts) {
   alignas(64) std::uint64_t val[64];
   alignas(64) std::uint64_t tg[64];
   std::memcpy(val, block, sizeof(val));
-  transpose64(val);
+  transpose64_avx512(val);
   // Derive the toggle planes in plane space (see the dispatch comment): the
   // bit below a plane bit is the line's previous value, with `prev`
   // broadcasting the incoming word into every plane's bit 0. Planes at or
@@ -203,7 +322,10 @@ __attribute__((target("avx512f,avx512dq,avx512vpopcntdq,popcnt"))) void block_re
     }
   }
 }
-#endif  // TSVCOD_HAVE_AVX512_KERNEL
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#endif  // TSVCOD_STATS_X86_KERNELS
 
 // Resolved per block batch through the shared dispatch utility so a
 // TSVCOD_SIMD / force_level() clamp takes effect immediately (the old
@@ -212,12 +334,11 @@ __attribute__((target("avx512f,avx512dq,avx512vpopcntdq,popcnt"))) void block_re
 // only trades speed.
 BlockFn block_fn() {
   switch (simd::active_level()) {
-#if defined(TSVCOD_HAVE_AVX512_KERNEL)
+#if defined(TSVCOD_STATS_X86_KERNELS)
     case simd::Level::avx512:
       return &block_reduce_avx512;
-#endif
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
     case simd::Level::avx2:
+      return &block_reduce_avx2;
     case simd::Level::popcnt:
       return &block_reduce_popcnt;
 #endif
@@ -236,25 +357,17 @@ BlockFn block_fn() {
 }  // namespace
 
 void transpose64(std::uint64_t a[64]) {
-  // Hacker's-Delight-style recursive block swap, phrased in LSB-first
-  // coordinates: at step j the blocks (row bit-j clear, column bit-j set) and
-  // (row bit-j set, column bit-j clear) trade places, so the final bit t of
-  // a[i] is the original bit i of a[t].
-  static constexpr std::uint64_t masks[6] = {
-      0x00000000FFFFFFFFull,  // j = 32: column indices with bit 5 clear
-      0x0000FFFF0000FFFFull,  // j = 16
-      0x00FF00FF00FF00FFull,  // j = 8
-      0x0F0F0F0F0F0F0F0Full,  // j = 4
-      0x3333333333333333ull,  // j = 2
-      0x5555555555555555ull,  // j = 1
-  };
-  int m = 0;
-  for (unsigned j = 32; j != 0; j >>= 1, ++m) {
-    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
-      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & masks[m];
-      a[k] ^= t << j;
-      a[k | j] ^= t;
-    }
+  switch (simd::active_level()) {
+#if defined(TSVCOD_STATS_X86_KERNELS)
+    case simd::Level::avx512:
+      transpose64_avx512(a);
+      return;
+    case simd::Level::avx2:
+      transpose64_avx2(a);
+      return;
+#endif
+    default:
+      transpose64_scalar(a);
   }
 }
 

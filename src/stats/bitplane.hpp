@@ -3,12 +3,14 @@
 //
 // The scalar accumulator walks every line pair per word: O(w^2) double adds,
 // ~4k FP ops per word at w = 64. This kernel instead buffers 64 consecutive
-// transitions, transposes them into per-line *bit planes* (a Hacker's-Delight
-// 64x64 bit-matrix transpose), and reduces each quantity with popcounts over
-// whole planes:
+// transitions, transposes the words once into per-line value *bit planes*
+// (a Hacker's-Delight 64x64 bit-matrix transpose, run on vector registers at
+// the avx2 and avx512 dispatch levels), derives the toggle planes from them
+// in plane space, and reduces each quantity with popcounts over whole planes:
 //
-//   plane layout   TG_i  bit t = "line i toggled on transition t"
-//                  VAL_i bit t = "line i is 1 after transition t"
+//   plane layout   VAL_i bit t = "line i is 1 after transition t"
+//                  TG_i  bit t = "line i toggled on transition t"
+//                              = VAL_i ^ ((VAL_i << 1) | prev_bit_i)
 //   per line       self_i += popcount(TG_i)
 //                  ones_i += popcount(VAL_i)
 //   per pair       both = TG_i & TG_j                        (both toggled)
@@ -42,6 +44,9 @@ namespace tsvcod::stats {
 
 /// In-place 64x64 bit-matrix transpose in LSB-first coordinates:
 /// after the call, bit t of a[i] equals bit i of the original a[t].
+/// Dispatched on simd::active_level(): eight zmm registers at avx512,
+/// sixteen ymm registers at avx2, the scalar swap network below that; every
+/// level gives the same bits.
 void transpose64(std::uint64_t a[64]);
 
 /// Exact integer switching counts of a (chunk of a) word trace. Merging is

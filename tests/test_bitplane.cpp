@@ -4,6 +4,7 @@
 // invariance of the chunked parallel reduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -11,6 +12,7 @@
 
 #include "obs/profile.hpp"
 #include "phys/matrix.hpp"
+#include "simd/dispatch.hpp"
 #include "stats/bitplane.hpp"
 #include "stats/ingest.hpp"
 #include "stats/subset.hpp"
@@ -100,26 +102,73 @@ std::vector<std::uint64_t> make_trace(std::mt19937_64& rng, std::size_t width, s
   return words;
 }
 
-TEST(Bitplane, Transpose64IsTheLsbTranspose) {
+// Matrices where a wrong lane pairing or a missing stage shows: random
+// words, all-zero, all-ones, each single set bit (i, t), and the identity.
+std::vector<std::vector<std::uint64_t>> transpose_cases() {
+  std::vector<std::vector<std::uint64_t>> cases;
   std::mt19937_64 rng(42);
-  std::uint64_t in[64], out[64];
-  for (auto& w : in) w = rng();
-  for (std::size_t i = 0; i < 64; ++i) out[i] = in[i];
-  stats::transpose64(out);
+  std::vector<std::uint64_t> m(64);
+  for (auto& w : m) w = rng();
+  cases.push_back(m);
+  cases.emplace_back(64, std::uint64_t{0});
+  cases.emplace_back(64, ~std::uint64_t{0});
   for (std::size_t i = 0; i < 64; ++i) {
     for (std::size_t t = 0; t < 64; ++t) {
-      ASSERT_EQ((out[i] >> t) & 1u, (in[t] >> i) & 1u) << "plane " << i << " bit " << t;
+      m.assign(64, 0);
+      m[i] = std::uint64_t{1} << t;
+      cases.push_back(m);
+    }
+  }
+  for (std::size_t i = 0; i < 64; ++i) m[i] = std::uint64_t{1} << i;
+  cases.push_back(m);
+  return cases;
+}
+
+// Every dispatch level from scalar up to the host's (the vector transposes
+// run only at avx2 and avx512).
+std::vector<simd::Level> host_levels() {
+  std::vector<simd::Level> levels;
+  for (int l = 0; l <= static_cast<int>(simd::detected_level()); ++l) {
+    levels.push_back(static_cast<simd::Level>(l));
+  }
+  return levels;
+}
+
+TEST(Bitplane, Transpose64IsTheLsbTranspose) {
+  const auto cases = transpose_cases();
+  for (const simd::Level level : host_levels()) {
+    simd::ScopedLevel guard(level);
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      const auto& in = cases[c];
+      // The definition, bit by bit: bit t of plane i is bit i of word t.
+      std::uint64_t want[64] = {};
+      for (std::size_t i = 0; i < 64; ++i) {
+        for (std::size_t t = 0; t < 64; ++t) want[i] |= ((in[t] >> i) & 1u) << t;
+      }
+      std::uint64_t out[64];
+      std::copy(in.begin(), in.end(), out);
+      stats::transpose64(out);
+      for (std::size_t i = 0; i < 64; ++i) {
+        ASSERT_EQ(out[i], want[i]) << simd::level_name(level) << " case " << c << " plane " << i;
+      }
     }
   }
 }
 
 TEST(Bitplane, TransposeIsAnInvolution) {
   std::mt19937_64 rng(43);
-  std::uint64_t a[64], orig[64];
-  for (std::size_t i = 0; i < 64; ++i) orig[i] = a[i] = rng();
-  stats::transpose64(a);
-  stats::transpose64(a);
-  for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(a[i], orig[i]);
+  for (const simd::Level level : host_levels()) {
+    simd::ScopedLevel guard(level);
+    for (int rep = 0; rep < 16; ++rep) {
+      std::uint64_t a[64], orig[64];
+      for (std::size_t i = 0; i < 64; ++i) orig[i] = a[i] = rng();
+      stats::transpose64(a);
+      stats::transpose64(a);
+      for (std::size_t i = 0; i < 64; ++i) {
+        ASSERT_EQ(a[i], orig[i]) << simd::level_name(level) << " rep " << rep << " word " << i;
+      }
+    }
+  }
 }
 
 // The popcount cross-term identity

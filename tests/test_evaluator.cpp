@@ -161,16 +161,15 @@ TEST(Evaluator, RejectsOutOfRangeBits) {
   expect_throws([&] { ev.swap_bits(4, 0); });
   expect_throws([&] { ev.swap_bits(4, 4); });
   expect_throws([&] { ev.toggle_inversion(4); });
-  std::vector<core::PowerEvaluator::Move> bad{{false, 0, 4}};
-  std::vector<double> out(1);
-  expect_throws([&] { ev.score_moves(bad, out); });
+  expect_throws([&] { ev.score({false, 0, 4}); });
+  expect_throws([&] { ev.score({true, 4, 0}); });
 
   EXPECT_EQ(ev.power(), p0);
   EXPECT_NEAR(ev.power(), ev.recompute(), 1e-9 * std::abs(p0));
 }
 
-// Batched pricing must agree with actually applying each move, and must not
-// mutate the evaluator.
+// Pricing must agree with actually applying each move, and must not mutate
+// the evaluator.
 TEST(Evaluator, ScoreMovesMatchesApply) {
   auto geom = phys::TsvArrayGeometry::itrs2018_relaxed(3, 3);
   const auto model = tsv::fit_from_analytic(geom);
@@ -190,15 +189,21 @@ TEST(Evaluator, ScoreMovesMatchesApply) {
       moves.push_back({false, pick(rng), pick(rng)});
     }
   }
-  std::vector<double> scores(moves.size());
+  std::vector<double> scores;
   const double p0 = ev.power();
-  ev.score_moves(moves, scores);
+  for (const auto& m : moves) scores.push_back(ev.score(m).power);
   EXPECT_EQ(ev.power(), p0);  // scoring is const
 
   const double scale = std::abs(p0) + 1e-30;
   for (std::size_t k = 0; k < moves.size(); ++k) {
+    // apply() with the move's Score is the same update as swap_bits /
+    // toggle_inversion, bit for bit.
+    core::PowerEvaluator twin = ev;
+    const double via_score = twin.apply(moves[k], ev.score(moves[k]));
     const double applied =
         moves[k].is_toggle ? ev.toggle_inversion(moves[k].a) : ev.swap_bits(moves[k].a, moves[k].b);
+    EXPECT_EQ(via_score, applied) << "move " << k;
+    EXPECT_EQ(twin.assignment(), ev.assignment()) << "move " << k;
     EXPECT_NEAR(scores[k] / scale, applied / scale, 1e-10) << "move " << k;
     // Undo (moves are self-inverse) so every score is judged from the same state.
     if (moves[k].is_toggle) {
@@ -244,8 +249,6 @@ TEST(Evaluator, ScoreMovesMatchesApply) {
       core::PowerEvaluator wide(wide_st, wide_model, core::SignedPermutation::identity(width));
       for (std::size_t i = 0; i + 1 < width; i += 2) wide.swap_bits(i, width - 1 - i);
       for (std::size_t i = 0; i < width; i += 3) wide.toggle_inversion(i);
-      std::vector<double> wide_scores(wide_moves.size());
-      wide.score_moves(wide_moves, wide_scores);
       for (std::size_t k = 0; k < wide_moves.size(); ++k) {
         core::SignedPermutation a = wide.assignment();
         if (wide_moves[k].is_toggle) {
@@ -253,7 +256,8 @@ TEST(Evaluator, ScoreMovesMatchesApply) {
         } else {
           a.swap_bits(wide_moves[k].a, wide_moves[k].b);
         }
-        EXPECT_NEAR(wide_scores[k], core::assignment_power(wide_st, a, wide_model), 1e-9 * mass)
+        EXPECT_NEAR(wide.score(wide_moves[k]).power, core::assignment_power(wide_st, a, wide_model),
+                    1e-9 * mass)
             << "w=" << width << " level=" << simd::level_name(level) << " move " << k;
       }
     }

@@ -82,7 +82,7 @@ stats::SwitchingStats make_stats(std::size_t width, std::uint64_t seed) {
   return acc.finish();
 }
 
-// The batch scoring API must agree across every dispatch level (n = 25
+// Move scoring must agree across every dispatch level (n = 25
 // exercises the AVX-512 main loop and a 1-lane scalar tail).
 TEST_P(LevelSweep, EvaluatorScoresMatchScalar) {
   auto geom = phys::TsvArrayGeometry::itrs2018_min(5, 5);
@@ -104,8 +104,8 @@ TEST_P(LevelSweep, EvaluatorScoresMatchScalar) {
     simd::ScopedLevel guard(level);
     core::PowerEvaluator ev(st, model, core::SignedPermutation::identity(25));
     for (int i = 0; i < 30; ++i) ev.swap_bits(pick(rng) % 25, 24 - pick(rng) % 25);
-    std::vector<double> scores(moves.size());
-    ev.score_moves(moves, scores);
+    std::vector<double> scores;
+    for (const auto& m : moves) scores.push_back(ev.score(m).power);
     scores.push_back(ev.power());
     return scores;
   };
@@ -122,23 +122,34 @@ TEST_P(LevelSweep, EvaluatorScoresMatchScalar) {
 }
 
 // Bit-plane switching statistics are integer counts: every level must be
-// bit-identical, not merely close.
+// bit-identical, not merely close. The widths cover a single line, the
+// narrow and the full-width AVX-512 pair loops and their scalar edges; 5000
+// words leave a partial block for the scalar tail.
 TEST_P(LevelSweep, SwitchingStatsBitIdentical) {
-  streams::GaussianAr1Stream src(23, 2.0, -0.4, 77);
-  std::vector<std::uint64_t> words(5000);
-  for (auto& w : words) w = src.next();
+  for (const std::size_t width : {1, 8, 23, 33, 63, 64}) {
+    std::mt19937_64 rng(77 + width);
+    std::vector<std::uint64_t> words(5000);
+    std::uint64_t cur = rng();
+    for (auto& w : words) {
+      cur = rng() % 16 == 0 ? rng() : cur ^ (rng() & rng());  // sticky toggles, some jumps
+      w = cur;
+    }
 
-  const auto run = [&](Level level) {
-    simd::ScopedLevel guard(level);
-    return stats::compute_stats(words, 23, 1);
-  };
-  const auto want = run(Level::scalar);
-  const auto got = run(GetParam());
-  EXPECT_EQ(got.transitions, want.transitions);
-  for (std::size_t i = 0; i < 23; ++i) {
-    EXPECT_EQ(got.self[i], want.self[i]) << i;
-    EXPECT_EQ(got.prob_one[i], want.prob_one[i]) << i;
-    for (std::size_t j = 0; j < 23; ++j) EXPECT_EQ(got.coupling(i, j), want.coupling(i, j));
+    const auto run = [&](Level level) {
+      simd::ScopedLevel guard(level);
+      return stats::compute_stats(words, width, 1);
+    };
+    const auto want = run(Level::scalar);
+    const auto got = run(GetParam());
+    EXPECT_EQ(got.transitions, want.transitions) << "w=" << width;
+    for (std::size_t i = 0; i < width; ++i) {
+      EXPECT_EQ(got.self[i], want.self[i]) << "w=" << width << " line " << i;
+      EXPECT_EQ(got.prob_one[i], want.prob_one[i]) << "w=" << width << " line " << i;
+      for (std::size_t j = 0; j < width; ++j) {
+        EXPECT_EQ(got.coupling(i, j), want.coupling(i, j))
+            << "w=" << width << " coupling(" << i << "," << j << ")";
+      }
+    }
   }
 }
 
