@@ -39,10 +39,6 @@ int Netlist::vsource(int plus, int minus, Waveform v) {
   return static_cast<int>(sources_.size()) - 1;
 }
 
-Waveform dc(double volts) {
-  return [volts](double) { return volts; };
-}
-
 Waveform bit_waveform(std::vector<std::uint8_t> bits, double period, double rise, double vdd) {
   if (bits.empty()) throw std::invalid_argument("bit_waveform: empty bit sequence");
   if (!(period > 0.0) || !(rise >= 0.0) || rise >= period) {

@@ -61,9 +61,6 @@ class Netlist {
   std::vector<VSource> sources_;
 };
 
-/// DC level waveform.
-Waveform dc(double volts);
-
 /// Trapezoidal bit-sequence waveform: bit k holds during cycle k (period
 /// `period` seconds) with linear transitions of `rise` seconds at each cycle
 /// boundary. The level before the first cycle is 0.

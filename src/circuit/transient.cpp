@@ -30,7 +30,6 @@ TransientSim::TransientSim(const Netlist& netlist, double dt) : net_(netlist), d
   }
   v_next_.assign(static_cast<std::size_t>(n_src_), 0.0);
   src_energy_.assign(static_cast<std::size_t>(n_src_), 0.0);
-  src_charge_pos_.assign(static_cast<std::size_t>(n_src_), 0.0);
   phys::Matrix a = assemble();
   factorize(a);
 }
@@ -157,23 +156,9 @@ double TransientSim::node_voltage(int node) const {
   return x_[static_cast<std::size_t>(node - 1)];
 }
 
-double TransientSim::source_current(int id) const {
-  if (id < 0 || id >= n_src_) throw std::invalid_argument("source_current: unknown source");
-  // The MNA branch current flows into the + terminal; delivered current is
-  // its negation.
-  return -x_[static_cast<std::size_t>(n_nodes_ + id)];
-}
-
 double TransientSim::source_energy(int id) const {
   if (id < 0 || id >= n_src_) throw std::invalid_argument("source_energy: unknown source");
   return src_energy_[static_cast<std::size_t>(id)];
-}
-
-double TransientSim::source_positive_charge(int id) const {
-  if (id < 0 || id >= n_src_) {
-    throw std::invalid_argument("source_positive_charge: unknown source");
-  }
-  return src_charge_pos_[static_cast<std::size_t>(id)];
 }
 
 void TransientSim::step() {
@@ -203,10 +188,9 @@ void TransientSim::step() {
   solve_step();
   t_ = t_next;
 
-  // Accumulate delivered energies and sourced charge (trapezoid) from the
-  // previous solution (still in x_) and the new one (in rhs_). The MNA
-  // branch current flows into the + terminal; delivered current is its
-  // negation.
+  // Accumulate delivered energies (trapezoid) from the previous solution
+  // (still in x_) and the new one (in rhs_). The MNA branch current flows
+  // into the + terminal; delivered current is its negation.
   for (int s = 0; s < n_src_; ++s) {
     const std::size_t row = static_cast<std::size_t>(n_nodes_ + s);
     const double i_prev = -x_[row];
@@ -214,8 +198,6 @@ void TransientSim::step() {
     const double p_prev = v_src_[static_cast<std::size_t>(s)] * i_prev;
     const double p_new = v_next_[static_cast<std::size_t>(s)] * i_new;
     src_energy_[static_cast<std::size_t>(s)] += 0.5 * (p_prev + p_new) * dt_;
-    src_charge_pos_[static_cast<std::size_t>(s)] +=
-        0.5 * (std::max(0.0, i_prev) + std::max(0.0, i_new)) * dt_;
   }
   x_.swap(rhs_);
   v_src_.swap(v_next_);

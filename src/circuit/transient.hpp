@@ -44,13 +44,6 @@ class TransientSim {
   double node_voltage(int node) const;
   /// Energy delivered by source `id` since t = 0 [J] (∫ v·i dt).
   double source_energy(int id) const;
-  /// Sourced (positive-direction) charge of source `id` since t = 0 [C]:
-  /// ∫ max(i, 0) dt. For a switched CMOS driver the supply energy is
-  /// Vdd times this charge — the rail draws Q·Vdd per pull-up regardless of
-  /// the edge shape, unlike the ∫v·i of the ramped Thevenin source.
-  double source_positive_charge(int id) const;
-  /// Instantaneous current out of source `id`'s + terminal [A].
-  double source_current(int id) const;
 
  private:
   /// Nonzero off-diagonal entries of a triangular factor, row by row in
@@ -83,7 +76,6 @@ class TransientSim {
   std::vector<double> v_src_;     ///< source voltages at t_
   std::vector<double> v_next_;    ///< source voltages at t_ + dt (per-step scratch)
   std::vector<double> src_energy_;
-  std::vector<double> src_charge_pos_;
 };
 
 }  // namespace tsvcod::circuit

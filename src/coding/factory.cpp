@@ -36,6 +36,21 @@ void check_width(const std::string& name, std::size_t width_in, std::size_t max_
   }
 }
 
+/// Lines the code word occupies beyond the payload (1 for flag-extending
+/// codecs, 0 for width-preserving ones; Fibonacci reports 0 — its expansion
+/// is width-dependent and resolved by make_codec_for_lines).
+std::size_t codec_extra_lines(Kind kind) {
+  switch (kind) {
+    case Kind::gray:
+    case Kind::correlator:
+    case Kind::fibonacci: return 0;
+    case Kind::bus_invert:
+    case Kind::coupling_invert:
+    case Kind::t0: return 1;
+  }
+  throw std::logic_error("codec_extra_lines: unreachable");
+}
+
 }  // namespace
 
 const std::vector<std::string>& codec_names() {
@@ -54,18 +69,6 @@ std::size_t codec_max_width(const std::string& name) {
     case Kind::fibonacci: return FibonacciCodec::kMaxWidth;
   }
   throw std::logic_error("codec_max_width: unreachable");
-}
-
-std::size_t codec_extra_lines(const std::string& name) {
-  switch (kind_of(name)) {
-    case Kind::gray:
-    case Kind::correlator:
-    case Kind::fibonacci: return 0;
-    case Kind::bus_invert:
-    case Kind::coupling_invert:
-    case Kind::t0: return 1;
-  }
-  throw std::logic_error("codec_extra_lines: unreachable");
 }
 
 std::unique_ptr<Codec> make_codec(const CodecSpec& spec, std::size_t width_in) {
@@ -87,7 +90,8 @@ std::unique_ptr<Codec> make_codec(const CodecSpec& spec, std::size_t width_in) {
 }
 
 std::unique_ptr<Codec> make_codec_for_lines(const CodecSpec& spec, std::size_t lines) {
-  if (kind_of(spec.name) == Kind::fibonacci) {
+  const Kind kind = kind_of(spec.name);
+  if (kind == Kind::fibonacci) {
     // The Zeckendorf ladder grows irregularly; search the payload width whose
     // output hits `lines` exactly.
     for (std::size_t w = 1; w <= FibonacciCodec::kMaxWidth; ++w) {
@@ -98,7 +102,7 @@ std::unique_ptr<Codec> make_codec_for_lines(const CodecSpec& spec, std::size_t l
     throw std::invalid_argument("codec 'fibonacci': no payload width codes onto exactly " +
                                 std::to_string(lines) + " lines");
   }
-  const std::size_t extra = codec_extra_lines(spec.name);
+  const std::size_t extra = codec_extra_lines(kind);
   if (lines <= extra) {
     throw std::invalid_argument("codec '" + spec.name + "': " + std::to_string(lines) +
                                 " lines leave no payload (needs " + std::to_string(extra + 1) +

@@ -32,11 +32,6 @@ const std::vector<std::string>& codec_names();
 /// unknown name.
 std::size_t codec_max_width(const std::string& name);
 
-/// Lines the code word occupies beyond the payload (1 for flag-extending
-/// codecs, 0 for width-preserving ones; Fibonacci reports 0 — its expansion
-/// is width-dependent and resolved by make_codec_for_lines).
-std::size_t codec_extra_lines(const std::string& name);
-
 /// Build a codec for `width_in` payload bits. Throws std::invalid_argument
 /// naming the codec and its maximum width when the width is out of range.
 std::unique_ptr<Codec> make_codec(const CodecSpec& spec, std::size_t width_in);

@@ -46,8 +46,4 @@ std::uint64_t FibonacciCodec::decode(std::uint64_t code) {
   return v & streams::width_mask(width_in_);
 }
 
-bool FibonacciCodec::is_forbidden_pattern_free(std::uint64_t code) {
-  return (code & (code >> 1)) == 0;
-}
-
 }  // namespace tsvcod::coding

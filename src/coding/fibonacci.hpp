@@ -35,9 +35,6 @@ class FibonacciCodec final : public Codec {
   /// lines (a 64-bit code word with headroom for the Zeckendorf ladder).
   static constexpr std::size_t kMaxWidth = 40;
 
-  /// True iff the codeword has no two adjacent 1s (the CAC invariant).
-  static bool is_forbidden_pattern_free(std::uint64_t code);
-
  private:
   std::size_t width_in_;
   std::vector<std::uint64_t> fibs_;  ///< F(2), F(3), ... (1, 2, 3, 5, ...)

@@ -41,15 +41,6 @@ void SignedPermutation::swap_bits(std::size_t a, std::size_t b) {
 
 void SignedPermutation::toggle_inversion(std::size_t bit) { inverted_[bit] ^= 1u; }
 
-phys::Matrix SignedPermutation::matrix() const {
-  const std::size_t n = size();
-  phys::Matrix a(n, n);
-  for (std::size_t bit = 0; bit < n; ++bit) {
-    a(line_of_bit_[bit], bit) = inverted_[bit] ? -1.0 : 1.0;
-  }
-  return a;
-}
-
 stats::SwitchingStats SignedPermutation::apply(const stats::SwitchingStats& bit_stats) const {
   const std::size_t n = size();
   if (bit_stats.width != n) throw std::invalid_argument("SignedPermutation::apply: width mismatch");

@@ -4,16 +4,14 @@
 //
 // `line_of_bit(i)` is the TSV line that carries bit i; `inverted(i)` says
 // whether bit i is transmitted negated (realized by an inverting TSV driver
-// or hidden inside a codec). The class offers both the efficient direct
-// transform of switching statistics and words, and the explicit +-1
-// permutation matrix for validation against the paper's algebra.
+// or hidden inside a codec). The class applies the assignment directly to
+// switching statistics and words, without forming the +-1 matrix.
 
 #include <cstdint>
 #include <random>
 #include <span>
 #include <vector>
 
-#include "phys/matrix.hpp"
 #include "stats/switching_stats.hpp"
 
 namespace tsvcod::core {
@@ -43,9 +41,6 @@ class SignedPermutation {
   void swap_bits(std::size_t a, std::size_t b);
   /// Flip the inversion of one bit.
   void toggle_inversion(std::size_t bit);
-
-  /// The signed permutation matrix A_pi: A(line, bit) = +-1 (Eq. 5).
-  phys::Matrix matrix() const;
 
   /// Statistics as seen on the lines: T'_s, T'_c and probabilities after the
   /// assignment (Eq. 4 plus the eps sign flips of Eq. 8/9).

@@ -82,6 +82,14 @@ __attribute__((target("avx2,fma"))) double row_sum_avx2(const RowArgs& a) {
   return r;
 }
 
+#if !defined(__clang__)
+// GCC 12's _mm512_reduce_add_pd extracts halves through an intrinsic whose
+// unused pass-through operand is a self-initialized `__Y = __Y;`, which
+// -Wuninitialized reports once inlined here; that value is never read.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 __attribute__((target("avx512f,avx512dq"))) double row_sum_avx512(const RowArgs& a) {
   const __m512d vsa = _mm512_set1_pd(a.sa);
   const __m512d vea = _mm512_set1_pd(a.ea);
@@ -103,6 +111,9 @@ __attribute__((target("avx512f,avx512dq"))) double row_sum_avx512(const RowArgs&
   for (; j < a.n; ++j) r += row_lane(a, j);
   return r;
 }
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #endif  // TSVCOD_EVAL_X86_KERNELS
 

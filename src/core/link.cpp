@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "stats/ingest.hpp"
+#include "stats/switching_stats.hpp"
 
 namespace tsvcod::core {
 
@@ -26,13 +26,6 @@ stats::SwitchingStats Link::measure(streams::WordStream& stream, std::size_t sam
   std::vector<std::uint64_t> words(samples);
   for (auto& w : words) w = stream.next();
   return stats::compute_stats(words, width());
-}
-
-stats::SwitchingStats Link::measure(streams::WordSource& source, int threads) const {
-  if (source.width() != width()) {
-    throw std::invalid_argument("Link::measure: source width does not match the array");
-  }
-  return stats::compute_stats(source, width(), threads);
 }
 
 double Link::power(const stats::SwitchingStats& bit_stats, const SignedPermutation& a) const {

@@ -13,7 +13,6 @@
 #include "core/coded_link.hpp"
 #include "core/mappings.hpp"
 #include "core/optimize.hpp"
-#include "streams/word_source.hpp"
 #include "streams/word_stream.hpp"
 #include "tsv/linear_model.hpp"
 
@@ -33,11 +32,6 @@ class Link {
   /// Measure switching statistics of `samples` words from a stream whose
   /// width matches the array.
   stats::SwitchingStats measure(streams::WordStream& stream, std::size_t samples) const;
-
-  /// Measure a whole recorded trace (text, binary or in-memory) whose width
-  /// matches the array. An mmap'd binary source is consumed zero-copy.
-  /// `threads` 0 resolves via the TSVCOD_THREADS convention.
-  stats::SwitchingStats measure(streams::WordSource& source, int threads = 0) const;
 
   /// Normalized power of a stream's statistics under an assignment.
   double power(const stats::SwitchingStats& bit_stats, const SignedPermutation& a) const;

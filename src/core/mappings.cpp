@@ -58,56 +58,6 @@ std::vector<std::size_t> sawtooth_order(const phys::TsvArrayGeometry& geom) {
   return order;
 }
 
-std::vector<std::size_t> greedy_coupling_order(const phys::Matrix& c) {
-  const std::size_t n = c.rows();
-  if (n != c.cols() || n == 0) throw std::invalid_argument("greedy_coupling_order: bad matrix");
-  if (n == 1) return {0};
-
-  // Seed: the pair with the largest coupling capacitance.
-  std::size_t best_i = 0, best_j = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (c(i, j) > c(best_i, best_j)) {
-        best_i = i;
-        best_j = j;
-      }
-    }
-  }
-  std::vector<std::size_t> order{best_i, best_j};
-  std::vector<bool> used(n, false);
-  used[best_i] = used[best_j] = true;
-
-  while (order.size() < n) {
-    std::size_t best = n;
-    double best_acc = -1.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (used[k]) continue;
-      double acc = 0.0;
-      for (const auto a : order) acc += c(k, a);
-      if (acc > best_acc) {
-        best_acc = acc;
-        best = k;
-      }
-    }
-    used[best] = true;
-    order.push_back(best);
-  }
-  return order;
-}
-
-std::vector<std::size_t> capacitance_order(const phys::Matrix& c) {
-  const std::size_t n = c.rows();
-  std::vector<double> totals(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) totals[i] += c(i, j);
-  }
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return totals[a] < totals[b]; });
-  return order;
-}
-
 std::vector<std::size_t> rank_by_self_switching(const stats::SwitchingStats& s) {
   std::vector<std::size_t> rank(s.width);
   std::iota(rank.begin(), rank.end(), std::size_t{0});

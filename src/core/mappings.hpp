@@ -8,10 +8,10 @@
 //  * Sawtooth — for zero-mean normally distributed, temporally uncorrelated
 //    patterns: the strongly cross-correlated MSBs are packed onto the most
 //    strongly coupled TSV pairs (corner + adjacent edge): the first two rows
-//    are filled column-by-column in a zigzag, the rest row by row.
-//  * Greedy   — the constructive rule from the paper's text: start at the
-//    largest coupling capacitance and recursively pick the TSV with the
-//    largest accumulated coupling to the already chosen ones.
+//    are filled column-by-column in a zigzag, the rest row by row. This is
+//    the closed form of the paper's greedy rule (start at the largest
+//    coupling capacitance, then keep picking the TSV with the largest
+//    accumulated coupling to the chosen ones).
 //
 // Neither systematic assignment uses inversions (the targeted signals have
 // balanced bit probabilities and positive correlations).
@@ -35,12 +35,6 @@ std::vector<std::size_t> spiral_order(const phys::TsvArrayGeometry& geom);
 
 /// First two rows zigzag ((0,0),(1,0),(0,1),(1,1),...), then row-major.
 std::vector<std::size_t> sawtooth_order(const phys::TsvArrayGeometry& geom);
-
-/// Recursive max-accumulated-coupling order, seeded with the largest C_ij.
-std::vector<std::size_t> greedy_coupling_order(const phys::Matrix& c);
-
-/// TSV indices sorted by total connected capacitance C_T (ascending).
-std::vector<std::size_t> capacitance_order(const phys::Matrix& c);
 
 /// Bits ranked by self-switching activity, descending (ties keep bit order).
 std::vector<std::size_t> rank_by_self_switching(const stats::SwitchingStats& s);

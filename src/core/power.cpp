@@ -32,8 +32,4 @@ double assignment_power(const stats::SwitchingStats& bit_stats, const SignedPerm
   return normalized_power(line_stats, c);
 }
 
-double physical_power(double normalized, double vdd, double frequency) {
-  return normalized * vdd * vdd * frequency / 2.0;
-}
-
 }  // namespace tsvcod::core

@@ -23,7 +23,4 @@ double normalized_power(const stats::SwitchingStats& line_stats, const phys::Mat
 double assignment_power(const stats::SwitchingStats& bit_stats, const SignedPermutation& a,
                         const tsv::LinearCapacitanceModel& model);
 
-/// Physical mean power [W] from normalized power: P = P_n * Vdd^2 * f / 2.
-double physical_power(double normalized, double vdd, double frequency);
-
 }  // namespace tsvcod::core

@@ -55,12 +55,20 @@ double resolved_margin(const phys::TsvArrayGeometry& geom, const ExtractionOptio
   return opts.margin > 0.0 ? opts.margin : 3.0 * geom.pitch;
 }
 
+/// Physical size [m] of the rasterized cross-section: the array's centre
+/// span plus the margin on every side.
+std::pair<double, double> domain_size(const phys::TsvArrayGeometry& geom,
+                                      const ExtractionOptions& opts) {
+  const double margin = resolved_margin(geom, opts);
+  return {static_cast<double>(geom.cols - 1) * geom.pitch + 2.0 * margin,
+          static_cast<double>(geom.rows - 1) * geom.pitch + 2.0 * margin};
+}
+
 Grid make_array_grid(const phys::TsvArrayGeometry& geom, const ExtractionOptions& opts) {
   geom.validate();
-  const double margin = resolved_margin(geom, opts);
-  const double span_x = static_cast<double>(geom.cols - 1) * geom.pitch;
-  const double span_y = static_cast<double>(geom.rows - 1) * geom.pitch;
-  return Grid(span_x + 2.0 * margin, span_y + 2.0 * margin, opts.cell);
+  opts.validate(geom);
+  const auto [width, height] = domain_size(geom, opts);
+  return Grid(width, height, opts.cell);
 }
 
 void validate_probabilities(const phys::TsvArrayGeometry& geom,
@@ -110,6 +118,26 @@ void throw_if_nonconverged(const CapacitanceResult& out) {
 }
 
 }  // namespace
+
+void ExtractionOptions::validate(const phys::TsvArrayGeometry& geom) const {
+  if (!(cell > 0.0) || !std::isfinite(cell)) {
+    std::ostringstream msg;
+    msg << "ExtractionOptions: cell must be a finite length > 0 m, got " << cell;
+    throw std::invalid_argument(msg.str());
+  }
+  // The grid rounds each side up to whole cells and keeps two per-cell
+  // vectors; count in doubles so a tiny cell cannot wrap the product.
+  const auto [width, height] = domain_size(geom, *this);
+  const double cells = std::ceil(width / cell) * std::ceil(height / cell);
+  const double limit = static_cast<double>(std::vector<Complex>().max_size());
+  if (!(cells <= limit)) {
+    std::ostringstream msg;
+    msg << "ExtractionOptions: cell " << cell << " m needs " << cells << " grid cells for a "
+        << width << " x " << height << " m cross-section, more than a grid can hold (" << limit
+        << ")";
+    throw std::invalid_argument(msg.str());
+  }
+}
 
 Grid build_array_grid(const phys::TsvArrayGeometry& geom, std::span<const double> probabilities,
                       const ExtractionOptions& opts) {

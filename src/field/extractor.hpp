@@ -51,6 +51,12 @@ struct ExtractionOptions {
   /// (inspect `CapacitanceResult::stats`). Default: throw ConvergenceError.
   bool allow_nonconverged = false;
   SolverOptions solver{};
+
+  /// Throws std::invalid_argument naming `cell` when it is not a finite
+  /// positive length, or so small that the rasterized cross-section of
+  /// `geom` would need more cells than a grid can hold. Checked before any
+  /// grid is allocated.
+  void validate(const phys::TsvArrayGeometry& geom) const;
 };
 
 struct CapacitanceResult {

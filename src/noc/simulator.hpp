@@ -145,7 +145,7 @@ class NocSimulator {
   void phase_transfer(std::size_t begin, std::size_t end, std::size_t cycle);
 
   /// XYZ dimension-order routing on the precomputed coordinate tables —
-  /// same function as Mesh3D::route_index, minus the per-call div/mod.
+  /// same function as Mesh3D::route, minus the NodeId round-trips.
   Direction route_of(std::size_t at, std::uint32_t dst) const {
     if (cx_[at] != cx_[dst]) return cx_[at] < cx_[dst] ? Direction::XPlus : Direction::XMinus;
     if (cy_[at] != cy_[dst]) return cy_[at] < cy_[dst] ? Direction::YPlus : Direction::YMinus;

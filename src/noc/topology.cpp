@@ -99,24 +99,6 @@ Direction Mesh3D::route(NodeId at, NodeId dst) const {
   return Direction::Local;
 }
 
-Direction Mesh3D::route_index(std::size_t at, std::size_t dst) const {
-  const std::size_t ax = at % nx_, dx = dst % nx_;
-  if (ax < dx) return Direction::XPlus;
-  if (ax > dx) return Direction::XMinus;
-  const std::size_t ay = (at / nx_) % ny_, dy = (dst / nx_) % ny_;
-  if (ay < dy) return Direction::YPlus;
-  if (ay > dy) return Direction::YMinus;
-  const std::size_t az = at / (nx_ * ny_), dz = dst / (nx_ * ny_);
-  if (az < dz) return Direction::ZPlus;
-  if (az > dz) return Direction::ZMinus;
-  return Direction::Local;
-}
-
-std::size_t Mesh3D::hop_count(NodeId from, NodeId to) const {
-  const auto d = [](std::size_t a, std::size_t b) { return a > b ? a - b : b - a; };
-  return d(from.x, to.x) + d(from.y, to.y) + d(from.z, to.z);
-}
-
 std::string link_name(const LinkId& link) {
   return "(" + std::to_string(link.from.x) + "," + std::to_string(link.from.y) + "," +
          std::to_string(link.from.z) + ") -> " + direction_name(link.out);

@@ -57,12 +57,6 @@ class Mesh3D {
   /// is deadlock-free on a mesh.
   Direction route(NodeId at, NodeId dst) const;
 
-  /// Index-space routing: direction taken at node `at` towards `dst`.
-  Direction route_index(std::size_t at, std::size_t dst) const;
-
-  /// Number of hops of the XYZ route.
-  std::size_t hop_count(NodeId from, NodeId to) const;
-
   /// True if the link (from, d) is vertical (a TSV bundle).
   static bool is_vertical(Direction d) {
     return d == Direction::ZPlus || d == Direction::ZMinus;

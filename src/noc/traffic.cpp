@@ -146,10 +146,6 @@ NodeId TrafficGenerator::pick_destination(NodeId src, NodeState& st) {
   throw std::logic_error("TrafficGenerator: unknown spatial pattern");
 }
 
-std::optional<Flit> TrafficGenerator::generate(NodeId node, std::size_t cycle) {
-  return generate(mesh_.index(node), cycle);
-}
-
 std::optional<Flit> TrafficGenerator::generate(std::size_t node_index, std::size_t cycle) {
   NodeState& st = nodes_[node_index];
   if (config_.burst_on > 0.0) {

@@ -70,12 +70,10 @@ class TrafficGenerator {
   ~TrafficGenerator();
   TrafficGenerator(TrafficGenerator&&) noexcept;
 
-  /// Flit injected at `node` in this cycle (0 or 1 in this model). Node
-  /// states are independent: concurrent calls for *different* nodes are safe
-  /// and deterministic; calls for one node must stay in cycle order.
-  std::optional<Flit> generate(NodeId node, std::size_t cycle);
-
-  /// Index-space variant used by the cycle kernel.
+  /// Flit injected at node `node_index` (Mesh3D::index) in this cycle (0 or
+  /// 1 in this model). Node states are independent: concurrent calls for
+  /// *different* nodes are safe and deterministic; calls for one node must
+  /// stay in cycle order.
   std::optional<Flit> generate(std::size_t node_index, std::size_t cycle);
 
  private:

@@ -39,14 +39,22 @@ void add_scalar(std::vector<FlatMetric>& out, std::string key, const json::Value
   }
 }
 
+/// `tag` followed by the decimal `n`, e.g. "w32". Built by appending: GCC 12
+/// reports a false -Wrestrict on `"w" + std::to_string(n)` in Release.
+std::string tagged(char tag, long long n) {
+  std::string s(1, tag);
+  s += std::to_string(n);
+  return s;
+}
+
 std::string row_id(const json::Value& row, std::size_t index) {
   if (const json::Value* width = row.find("width"); width != nullptr && width->is_number()) {
-    return "w" + std::to_string(static_cast<long long>(width->number));
+    return tagged('w', static_cast<long long>(width->number));
   }
   if (const json::Value* name = row.find("name"); name != nullptr && name->is_string()) {
     return name->string;
   }
-  return "r" + std::to_string(index);
+  return tagged('r', static_cast<long long>(index));
 }
 
 void flatten_results_rows(const json::Value& rows, std::vector<FlatMetric>& out) {
@@ -65,7 +73,7 @@ void flatten_gbench_rows(const json::Value& rows, std::vector<FlatMetric>& out) 
   for (std::size_t i = 0; i < rows.array.size(); ++i) {
     const json::Value& row = rows.array[i];
     if (!row.is_object()) continue;
-    std::string id = "r" + std::to_string(i);
+    std::string id = tagged('r', static_cast<long long>(i));
     if (const json::Value* name = row.find("name"); name != nullptr && name->is_string()) {
       id = name->string;
     }

@@ -139,12 +139,6 @@ void stop_snapshots() {
   stop_snapshots_lifecycle_locked(st);
 }
 
-bool snapshots_running() {
-  auto& st = snapshot_state();
-  std::lock_guard<std::mutex> lk(st.mu);
-  return st.running;
-}
-
 std::string snapshot_path() {
   auto& st = snapshot_state();
   std::lock_guard<std::mutex> lk(st.mu);

@@ -41,7 +41,7 @@ void start_snapshots(std::string path,
 /// threads (exactly one final snapshot is written).
 void stop_snapshots();
 
-bool snapshots_running();
-std::string snapshot_path();  // "" when not running
+/// The running exporter's path; "" when it is not running.
+std::string snapshot_path();
 
 }  // namespace tsvcod::obs

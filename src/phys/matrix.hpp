@@ -81,22 +81,6 @@ class DenseMatrix {
     return m;
   }
 
-  /// Element-wise (Hadamard) product.
-  DenseMatrix hadamard(const DenseMatrix& b) const {
-    check_same_shape(b);
-    DenseMatrix out = *this;
-    for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] *= b.data_[i];
-    return out;
-  }
-
-  /// Frobenius inner product <A, B> = sum_ij A_ij * B_ij.
-  T frobenius(const DenseMatrix& b) const {
-    check_same_shape(b);
-    T acc{};
-    for (std::size_t i = 0; i < data_.size(); ++i) acc += data_[i] * b.data_[i];
-    return acc;
-  }
-
   bool operator==(const DenseMatrix&) const = default;
 
  private:

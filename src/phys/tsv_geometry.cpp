@@ -15,17 +15,6 @@ int TsvArrayGeometry::direct_neighbor_count(std::size_t i) const {
   return n;
 }
 
-int TsvArrayGeometry::diagonal_neighbor_count(std::size_t i) const {
-  const std::size_t r = row_of(i);
-  const std::size_t c = col_of(i);
-  int n = 0;
-  if (r > 0 && c > 0) ++n;
-  if (r > 0 && c + 1 < cols) ++n;
-  if (r + 1 < rows && c > 0) ++n;
-  if (r + 1 < rows && c + 1 < cols) ++n;
-  return n;
-}
-
 double TsvArrayGeometry::distance(std::size_t i, std::size_t j) const {
   const Point2 a = position(i);
   const Point2 b = position(j);

@@ -45,8 +45,6 @@ struct TsvArrayGeometry {
 
   /// Number of direct (N/E/S/W at distance d) neighbours of TSV i.
   int direct_neighbor_count(std::size_t i) const;
-  /// Number of diagonal (distance sqrt(2) d) neighbours of TSV i.
-  int diagonal_neighbor_count(std::size_t i) const;
 
   bool is_corner(std::size_t i) const { return direct_neighbor_count(i) <= 2 && rows > 1 && cols > 1; }
   bool is_edge(std::size_t i) const { return direct_neighbor_count(i) == 3; }

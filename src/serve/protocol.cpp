@@ -20,13 +20,6 @@ std::uint64_t load_u64le(const unsigned char* p) {
          (static_cast<std::uint64_t>(load_u32le(p + 4)) << 32);
 }
 
-void store_u32le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
 bool valid_type(std::uint8_t t) {
   switch (static_cast<FrameType>(t)) {
     case FrameType::open:
@@ -105,37 +98,6 @@ bool read_frame(std::istream& in, Frame& out) {
       break;
   }
   return true;
-}
-
-std::string encode_frame(const Frame& frame) {
-  std::string payload;
-  switch (frame.type) {
-    case FrameType::data:
-      payload.reserve(frame.words.size() * 8);
-      for (const std::uint64_t w : frame.words) {
-        store_u32le(payload, static_cast<std::uint32_t>(w & 0xffffffffu));
-        store_u32le(payload, static_cast<std::uint32_t>(w >> 32));
-      }
-      break;
-    case FrameType::open: payload = frame.text; break;
-    case FrameType::stats:
-    case FrameType::close:
-    case FrameType::shutdown: break;
-  }
-  if (payload.size() > kMaxFramePayload) {
-    throw std::runtime_error("serve: frame payload exceeds 64 MiB cap");
-  }
-
-  std::string out;
-  out.reserve(12 + payload.size());
-  store_u32le(out, static_cast<std::uint32_t>(payload.size()));
-  out.push_back(static_cast<char>(frame.type));
-  out.push_back('\0');
-  out.push_back('\0');
-  out.push_back('\0');
-  store_u32le(out, frame.session);
-  out += payload;
-  return out;
 }
 
 std::map<std::string, std::string> parse_options(const std::string& text) {

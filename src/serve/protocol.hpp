@@ -58,9 +58,6 @@ struct Frame {
 /// input.
 bool read_frame(std::istream& in, Frame& out);
 
-/// Serialize a frame (the client half; tests and generators use it).
-std::string encode_frame(const Frame& frame);
-
 /// Parse an open-frame option payload: whitespace-separated `key=value`
 /// tokens. Duplicate keys and tokens without '=' throw std::runtime_error
 /// naming the token.

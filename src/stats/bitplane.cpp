@@ -627,20 +627,6 @@ void ChunkFolder::fold(std::span<const std::uint64_t> chunk) {
   primed_ = true;
 }
 
-std::uint64_t ChunkFolder::seam() const {
-  if (!primed_) {
-    throw std::logic_error("ChunkFolder::seam: no word folded yet (unprimed, width " +
-                           std::to_string(width_) + ")");
-  }
-  return seam_;
-}
-
-void ChunkFolder::reset() {
-  total_ = SwitchingCounts(width_);
-  primed_ = false;
-  seam_ = 0;
-}
-
 void ChunkFolder::reset_window() {
   // Keep the seam: the next window's first word still transitions from the
   // previous window's last word, so tumbling windows merge back to the

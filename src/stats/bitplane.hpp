@@ -163,20 +163,14 @@ class ChunkFolder {
   /// Everything folded so far (exact; mergeable).
   const SwitchingCounts& counts() const { return total_; }
 
-  /// finalize()d counts; needs >= 2 words folded since the last reset.
+  /// finalize()d counts; needs >= 2 words folded since the last window reset.
   SwitchingStats stats() const { return total_.finalize(); }
 
-  /// Words folded since construction / the last reset or window reset.
+  /// Words folded since construction or the last window reset.
   std::uint64_t words() const { return total_.words; }
 
   /// True once at least one word has been folded (the seam word is live).
   bool primed() const { return primed_; }
-  /// The seam word: last word folded. Only valid when primed().
-  std::uint64_t seam() const;
-
-  /// Full reset: counts cleared AND the seam chain forgotten (the next chunk
-  /// starts a fresh stream).
-  void reset();
 
   /// Windowed reset: clear the counts but carry the seam word over, so the
   /// next window's first word still forms a transition with the previous

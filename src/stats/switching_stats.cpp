@@ -8,16 +8,6 @@ std::vector<double> SwitchingStats::eps() const {
   return e;
 }
 
-phys::Matrix SwitchingStats::t_matrix() const {
-  phys::Matrix t(width, width);
-  for (std::size_t i = 0; i < width; ++i) {
-    for (std::size_t j = 0; j < width; ++j) {
-      t(i, j) = i == j ? self[i] : self[i] - coupling(i, j);
-    }
-  }
-  return t;
-}
-
 SwitchingStats compute_stats(std::span<const std::uint64_t> words, std::size_t width,
                              int threads) {
   return compute_counts(words, width, threads).finalize();

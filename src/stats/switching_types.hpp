@@ -1,6 +1,6 @@
 #pragma once
 // The packaged switching-statistics result type (paper Sec. 3, Eq. 1-3),
-// shared by the accumulator (bitplane.hpp) and the analytic DBT model.
+// produced by the accumulator (bitplane.hpp).
 
 #include <cstdint>
 #include <vector>
@@ -18,9 +18,6 @@ struct SwitchingStats {
 
   /// Shifted probabilities eps_i = E{b_i} - 1/2 (Eq. 8).
   std::vector<double> eps() const;
-
-  /// T = T_s * 1_{NxN} - T_c (Eq. 3): T_ii = self_i, T_ij = self_i - coupling_ij.
-  phys::Matrix t_matrix() const;
 };
 
 }  // namespace tsvcod::stats

@@ -1,7 +1,8 @@
 #pragma once
 // Uniform chunked access to word traces: text files, binary (.tsvb) files
-// and in-memory vectors all surface as a WordSource, so Link::measure, the
-// CLI and the statistics ingestion path consume any of them identically.
+// and in-memory vectors all surface as a WordSource, so the CLI and the
+// statistics ingestion path (stats::compute_stats) consume any of them
+// identically.
 //
 // Unlike WordStream (one word per simulated clock cycle, infinite replay), a
 // WordSource is a *finite recorded trace* handed out as large contiguous

@@ -1,7 +1,5 @@
 #include "tsv/linear_model.hpp"
 
-#include <cmath>
-#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -82,28 +80,6 @@ LinearCapacitanceModel fit_from_field(const phys::TsvArrayGeometry& geom,
         return res.paper;
       },
       geom.count());
-}
-
-double linearity_nrmse(const CapacitanceBackend& backend, const LinearCapacitanceModel& model,
-                       std::size_t n, int samples, unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> uni(0.0, 1.0);
-  double err2 = 0.0;
-  double ref2 = 0.0;
-  std::vector<double> pr(n);
-  for (int s = 0; s < samples; ++s) {
-    for (auto& p : pr) p = uni(rng);
-    const phys::Matrix exact = backend(pr);
-    const phys::Matrix approx = model.evaluate(pr);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const double d = exact(i, j) - approx(i, j);
-        err2 += d * d;
-        ref2 += exact(i, j) * exact(i, j);
-      }
-    }
-  }
-  return ref2 > 0.0 ? std::sqrt(err2 / ref2) : 0.0;
 }
 
 }  // namespace tsvcod::tsv

@@ -8,8 +8,8 @@
 // which keeps inversions representable as a sign flip of eps_i. The fit uses
 // the two extreme extractions (all probabilities 0 / all 1):
 //     DeltaC = (C(1) - C(0)) / 2,  C_R = (C(1) + C(0)) / 2.
-// The paper reports a normalized RMS error below 2 % for this model;
-// `linearity_nrmse` measures the same figure against any backend.
+// The paper reports a normalized RMS error below 2 % for this model; the
+// tests measure the same figure against the analytic backend.
 
 #include <functional>
 #include <span>
@@ -72,11 +72,5 @@ struct FieldFitStats {
 LinearCapacitanceModel fit_from_field(const phys::TsvArrayGeometry& geom,
                                       const field::ExtractionOptions& opts = {},
                                       FieldFitStats* stats = nullptr);
-
-/// Normalized RMS error of the linear model against the backend, sampled at
-/// `samples` random probability vectors (normalization: RMS of the backend
-/// entries), mirroring the <2 % figure quoted in the paper.
-double linearity_nrmse(const CapacitanceBackend& backend, const LinearCapacitanceModel& model,
-                       std::size_t n, int samples, unsigned seed = 1);
 
 }  // namespace tsvcod::tsv

@@ -392,7 +392,6 @@ TEST(ChunkFolder, ExhaustiveTinyChunkPartitionsMatchOneShot) {
 TEST(ChunkFolder, EmptyChunkLeavesTheSeamUntouched) {
   stats::ChunkFolder folder(8);
   EXPECT_FALSE(folder.primed());
-  EXPECT_THROW((void)folder.seam(), std::logic_error);
 
   folder.fold({});  // empty before any word: still unprimed
   EXPECT_FALSE(folder.primed());
@@ -400,16 +399,20 @@ TEST(ChunkFolder, EmptyChunkLeavesTheSeamUntouched) {
   const std::vector<std::uint64_t> one{0xA5};
   folder.fold(one);
   EXPECT_TRUE(folder.primed());
-  EXPECT_EQ(folder.seam(), 0xA5u);
   EXPECT_EQ(folder.words(), 1u);
+  EXPECT_EQ(folder.counts().transitions, 0u);
 
   folder.fold({});  // empty mid-stream: seam must survive
-  EXPECT_EQ(folder.seam(), 0xA5u);
 
+  // The seam shows in the counts: 0xA5 -> 0x5A is one transition that
+  // toggles every line, and a repeated 0x5A toggles none.
   const std::vector<std::uint64_t> next{0x5A};
   folder.fold(next);
-  EXPECT_EQ(folder.counts().transitions, 1u);  // 0xA5 -> 0x5A counted once
-  EXPECT_EQ(folder.seam(), 0x5Au);
+  EXPECT_EQ(folder.counts().transitions, 1u);
+  EXPECT_EQ(folder.counts().self, std::vector<std::uint64_t>(8, 1));
+  folder.fold(next);
+  EXPECT_EQ(folder.counts().transitions, 2u);
+  EXPECT_EQ(folder.counts().self, std::vector<std::uint64_t>(8, 1));
 }
 
 TEST(ChunkFolder, ResetForgetsTheSeamResetWindowCarriesIt) {
@@ -434,11 +437,16 @@ TEST(ChunkFolder, ResetForgetsTheSeamResetWindowCarriesIt) {
   merged.merge(folder.counts());
   expect_counts_equal(merged, whole);
 
-  // Full reset: the next fold starts a fresh stream (no seam transition).
-  folder.reset();
-  EXPECT_FALSE(folder.primed());
+  // After reset_window a 200-word window holds 200 transitions, the first
+  // one across the seam. A fresh folder has no seam: the same window is a
+  // stream of its own with 199.
+  folder.reset_window();
   folder.fold(all.subspan(0, 200));
-  expect_counts_equal(folder.counts(), stats::compute_counts(all.subspan(0, 200), 8, 1));
+  EXPECT_EQ(folder.counts().transitions, 200u);
+  stats::ChunkFolder fresh(8);
+  fresh.fold(all.subspan(0, 200));
+  EXPECT_EQ(fresh.counts().transitions, 199u);
+  expect_counts_equal(fresh.counts(), stats::compute_counts(all.subspan(0, 200), 8, 1));
 }
 
 TEST(ChunkFolder, RejectsOutOfRangeWidth) {

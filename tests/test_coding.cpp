@@ -15,6 +15,8 @@
 #include "coding/t0.hpp"
 #include "streams/random_streams.hpp"
 
+#include "reference.hpp"
+
 namespace {
 
 using namespace tsvcod;
@@ -271,7 +273,7 @@ TEST(Fibonacci, RoundTripAllTwelveBitValues) {
 TEST(Fibonacci, CodewordsAreForbiddenPatternFree) {
   coding::FibonacciCodec codec(12);
   for (std::uint64_t v = 0; v < 4096; ++v) {
-    EXPECT_TRUE(coding::FibonacciCodec::is_forbidden_pattern_free(codec.encode(v)))
+    EXPECT_TRUE(reference::is_forbidden_pattern_free(codec.encode(v)))
         << "value " << v;
   }
 }
@@ -287,9 +289,9 @@ TEST(Fibonacci, WidthExpansionIsAboutFortyFourPercent) {
 }
 
 TEST(Fibonacci, PatternFreeCheckerItself) {
-  EXPECT_TRUE(coding::FibonacciCodec::is_forbidden_pattern_free(0b101010));
-  EXPECT_FALSE(coding::FibonacciCodec::is_forbidden_pattern_free(0b1100));
-  EXPECT_TRUE(coding::FibonacciCodec::is_forbidden_pattern_free(0));
+  EXPECT_TRUE(reference::is_forbidden_pattern_free(0b101010));
+  EXPECT_FALSE(reference::is_forbidden_pattern_free(0b1100));
+  EXPECT_TRUE(reference::is_forbidden_pattern_free(0));
 }
 
 // --- Width-limit validation through the factory ----------------------------

@@ -11,6 +11,8 @@
 #include "stats/ingest.hpp"
 #include "streams/random_streams.hpp"
 
+#include "reference.hpp"
+
 namespace {
 
 using namespace tsvcod;
@@ -33,22 +35,6 @@ TEST(ThreadedExtraction, MatchesSerialExactly) {
   }
 }
 
-TEST(Mappings, CapacitanceOrderSortsByTotals) {
-  auto geom = phys::TsvArrayGeometry::itrs2018_min(3, 3);
-  const auto c = tsv::analytic_capacitance(geom, std::vector<double>(9, 0.5));
-  const auto order = core::capacitance_order(c);
-  ASSERT_EQ(order.size(), 9u);
-  const auto total = [&](std::size_t i) {
-    double t = 0.0;
-    for (std::size_t j = 0; j < 9; ++j) t += c(i, j);
-    return t;
-  };
-  for (std::size_t k = 0; k + 1 < 9; ++k) EXPECT_LE(total(order[k]), total(order[k + 1]));
-  // Corners (lowest totals) first, middle last.
-  EXPECT_TRUE(geom.is_corner(order[0]));
-  EXPECT_TRUE(geom.is_middle(order[8]));
-}
-
 TEST(Mappings, GreedyCouplingCompetitiveWithSawtooth) {
   // The paper derives Sawtooth as the closed form of the greedy
   // max-accumulated-coupling recursion; on Gaussian statistics both must
@@ -59,7 +45,7 @@ TEST(Mappings, GreedyCouplingCompetitiveWithSawtooth) {
   const auto st = link.measure(src, 50000);
 
   const auto sawtooth = core::sawtooth_assignment(geom, st);
-  const auto greedy_order = core::greedy_coupling_order(link.model().c_ref());
+  const auto greedy_order = reference::greedy_coupling_order(link.model().c_ref());
   const auto greedy =
       core::assignment_from_orders(core::rank_by_correlation(st), greedy_order);
   const double ps = link.power(st, sawtooth);

@@ -157,6 +157,34 @@ TEST(Extractor, RejectsBadProbabilityVector) {
   EXPECT_THROW(field::extract_capacitance(geom, pr, {}), std::invalid_argument);
 }
 
+// A bad cell size fails naming `cell` on every entry point, before a grid is
+// allocated. A 1e-15 m cell needs ~1e20 cells: the size_t product wraps, and
+// the unchecked grid used to die in std::vector instead.
+TEST(Extractor, RejectsBadCellNamingTheField) {
+  const auto geom = phys::TsvArrayGeometry::itrs2018_min(3, 3);
+  const std::vector<double> pr(geom.count(), 0.5);
+  for (const double cell : {0.0, -1e-6, std::nan(""), HUGE_VAL, 1e-15}) {
+    field::ExtractionOptions opts;
+    opts.cell = cell;
+    const auto names_cell = [&](auto&& call) {
+      try {
+        call();
+        ADD_FAILURE() << "cell " << cell << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("ExtractionOptions: cell"), std::string::npos)
+            << e.what();
+      }
+    };
+    names_cell([&] { opts.validate(geom); });
+    names_cell([&] { field::build_array_grid(geom, pr, opts); });
+    names_cell([&] { field::CapacitanceExtractor extractor(geom, opts); });
+    names_cell([&] { field::extract_capacitance(geom, pr, opts); });
+  }
+  field::ExtractionOptions fine;
+  fine.cell = 0.5_um;
+  EXPECT_NO_THROW(fine.validate(geom));
+}
+
 // Regression for the BiCGStab breakdown path: an unreachable tolerance runs
 // the solver into its guards (rho, r0.v and t.t near zero) and the iteration
 // cap. The potentials must come back finite — never NaN-tainted — with the

@@ -12,10 +12,11 @@
 #include "coding/gray.hpp"
 #include "core/link.hpp"
 #include "field/extractor.hpp"
-#include "stats/dbt_model.hpp"
 #include "streams/image_sensor.hpp"
 #include "streams/random_streams.hpp"
 #include "tsv/linear_model.hpp"
+
+#include "reference.hpp"
 
 namespace {
 
@@ -64,11 +65,11 @@ TEST(FieldVsAnalytic, StructuralAgreement2x3) {
 // The analytic DBT model and the measured statistics of an AR(1) stream must
 // agree on the quantities the systematic mappings rely on.
 TEST(DbtVsMeasured, Ar1StreamMatchesTheory) {
-  stats::DbtParams p;
+  reference::DbtParams p;
   p.width = 16;
   p.sigma = 1500.0;
   p.rho = 0.5;
-  const auto theory = stats::dbt_stats(p);
+  const auto theory = reference::dbt_stats(p);
 
   streams::GaussianAr1Stream src(16, p.sigma, p.rho, 31);
   stats::StatsAccumulator acc(16);
@@ -101,11 +102,11 @@ TEST(DbtVsMeasured, TheoryDrivenSawtoothIsCompetitive) {
     return acc.finish();
   }();
 
-  stats::DbtParams p;
+  reference::DbtParams p;
   p.width = 16;
   p.sigma = 800.0;
   p.rho = 0.0;
-  const auto theory = stats::dbt_stats(p);
+  const auto theory = reference::dbt_stats(p);
 
   const auto st_measured = core::sawtooth_assignment(geom, measured);
   const auto st_theory = core::sawtooth_assignment(geom, theory);

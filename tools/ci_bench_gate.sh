@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI bench gate: build, run the tier-1 test suite (which includes
-# pipeline_smoke, the reduced-size run of bench/pipeline), re-run the quick
+# pipeline_smoke, the reduced-size run of bench/pipeline) and the dead-API
+# lint (tools/dead_api.sh on the `lint` preset), re-run the quick
 # serve and NoC bench configurations and diff them against the committed
 # BENCH_serve.json / BENCH_noc.json baselines with tsvcod_benchdiff.
 #
@@ -30,6 +31,12 @@ cmake --build "$BUILD" -j
 
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
+
+echo
+echo "== dead-API lint =="
+# A separate -O0 section-GC build (build-lint/): every library function
+# that no tool, bench or example calls must be listed in tools/dead_api.allow.
+(cd "$REPO" && cmake --preset lint && cmake --build --preset lint -j && ctest --preset lint)
 
 echo
 echo "== quick bench reruns =="

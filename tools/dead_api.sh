@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Dead-API lint: fail on any library function that no program uses.
+#
+# Usage: tools/dead_api.sh BUILD_DIR
+#
+# BUILD_DIR must be a full build at -O0 with -ffunction-sections
+# -fdata-sections and -Wl,--gc-sections (the `lint` preset). The linker then
+# keeps a library function in a program only if something in that program
+# calls it. The script lists every external function (nm type T) the static
+# libraries under BUILD_DIR/src define, and removes those that survive in at
+# least one non-test program: tools, benches and examples. What remains is
+# reachable only from tests. Constructors, destructors and assignment
+# operators are ignored. Each remaining function must be named in
+# tools/dead_api.allow (`name  # reason`, name without the tsvcod:: prefix
+# and without parameters); the script fails naming any that is not, and any
+# allowlist entry that is no longer dead. -O0 matters: at -O2 a helper inlined
+# into every caller in its own file leaves no symbol behind and shows as
+# dead.
+set -euo pipefail
+export LC_ALL=C  # one collation for sort and comm
+
+BUILD="${1:?usage: $0 BUILD_DIR}"
+ALLOW="$(cd "$(dirname "$0")" && pwd)/dead_api.allow"
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+
+mapfile -t libs < <(find "$BUILD/src" -name '*.a' | sort)
+mapfile -t programs < <(find "$BUILD/tools" "$BUILD/bench" "$BUILD/examples" \
+  -maxdepth 1 -type f -perm -u+x | sort |
+  while read -r f; do [ "$(head -c 4 "$f")" = $'\x7fELF' ] && echo "$f"; done)
+if [ "${#libs[@]}" -eq 0 ] || [ "${#programs[@]}" -eq 0 ]; then
+  echo "dead_api: no libraries or programs under $BUILD; build it first" >&2
+  exit 2
+fi
+
+nm --defined-only "${libs[@]}" | awk '$2 == "T" { print $3 }' | sort -u > "$TMP/defined"
+for p in "${programs[@]}"; do nm --defined-only "$p"; done |
+  awk 'NF == 3 { print $3 }' | sort -u > "$TMP/kept"
+
+# Demangle, drop the namespace prefix, ABI tags and parameter list, and skip
+# special members: `X::X`, `X::~X` and `operator=`.
+comm -23 "$TMP/defined" "$TMP/kept" | c++filt |
+  sed -E 's/\[abi:[^]]*\]//g; s/^tsvcod:://' |
+  awk '{
+    sig = $0
+    name = sig
+    sub(/\(.*$/, "", name)
+    n = split(name, part, "::")
+    last = part[n]
+    cls = n > 1 ? part[n - 1] : ""
+    sub(/<.*$/, "", cls)
+    if (last == cls || last == "~" cls || last == "operator=") next
+    print name "\t" sig
+  }' | sort -u > "$TMP/dead"
+
+sed -E 's/#.*$//; s/[[:space:]]+$//; s/^[[:space:]]+//' "$ALLOW" | awk 'NF' | sort -u \
+  > "$TMP/allowed"
+
+fail=0
+while IFS=$'\t' read -r name sig; do
+  if ! grep -qxF -- "$name" "$TMP/allowed"; then
+    echo "dead_api: $sig is called by no tool, bench or example"
+    fail=1
+  fi
+done < "$TMP/dead"
+cut -f1 "$TMP/dead" | sort -u > "$TMP/dead_names"
+while read -r name; do
+  echo "dead_api: allowlist entry $name is no longer dead; remove it from $ALLOW"
+  fail=1
+done < <(comm -23 "$TMP/allowed" "$TMP/dead_names")
+
+echo "dead_api: $(wc -l < "$TMP/defined") library functions, $(wc -l < "$TMP/dead") used only by" \
+  "tests, $(wc -l < "$TMP/allowed") allowlisted"
+if [ "$fail" -ne 0 ]; then
+  echo "dead_api: FAILED (delete the function, move it into tests/, or allowlist it with a reason)"
+  exit 1
+fi
+echo "dead_api: ok"
