@@ -636,24 +636,30 @@ std::optional<std::string> check_field_case(const FieldCase& fc) {
   field::FieldProblem fp(grid);
   const std::size_t n = fp.unknowns();
   if (n == 0) return std::nullopt;  // conductors swallowed the whole domain
+  std::vector<std::size_t> cells;  // the free cells, in cell order
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (grid.conductor(i) == field::kNoConductor) cells.push_back(i);
+  }
 
-  // Assemble the dense operator column by column through the same apply()
-  // the iterative solver uses — both sides solve literally the same system.
+  // Assemble the dense operator column by column through the same grid
+  // operator the iterative solver uses, restricted to the free cells — both
+  // sides solve literally the same system.
   std::vector<Cx> a(n * n);
-  std::vector<Cx> e(n), col(n);
+  std::vector<Cx> e(grid.size()), col(grid.size());
   for (std::size_t j = 0; j < n; ++j) {
-    e.assign(n, Cx{});
-    e[j] = Cx{1.0, 0.0};
+    e.assign(grid.size(), Cx{});
+    e[cells[j]] = Cx{1.0, 0.0};
     fp.apply(e, col);
-    for (std::size_t i = 0; i < n; ++i) a[i * n + j] = col[i];
+    for (std::size_t i = 0; i < n; ++i) a[i * n + j] = col[cells[i]];
   }
   const DenseLu lu(std::move(a), n);
   if (lu.singular()) return "field operator is numerically singular";
 
   constexpr double kTol = 1e-5;  // solver residual 1e-10 leaves orders of headroom
-  const auto& cells = fp.free_cells();
   for (std::int32_t active = 0; active < grid.conductor_count(); ++active) {
-    const std::vector<Cx> b = fp.rhs(active);
+    const std::vector<Cx> b_grid = fp.rhs(active);
+    std::vector<Cx> b(n);
+    for (std::size_t k = 0; k < n; ++k) b[k] = b_grid[cells[k]];
     const std::vector<Cx> x_ref = lu.solve(b);
 
     field::SolverOptions opts;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -120,6 +121,11 @@ void throw_if_nonconverged(const CapacitanceResult& out) {
 }  // namespace
 
 void ExtractionOptions::validate(const phys::TsvArrayGeometry& geom) const {
+  if (threads < 0) {
+    throw std::invalid_argument("ExtractionOptions: threads must be >= 0 (0 = TSVCOD_THREADS), got " +
+                                std::to_string(threads));
+  }
+  solver.validate();
   if (!(cell > 0.0) || !std::isfinite(cell)) {
     std::ostringstream msg;
     msg << "ExtractionOptions: cell must be a finite length > 0 m, got " << cell;

@@ -52,10 +52,11 @@ struct ExtractionOptions {
   bool allow_nonconverged = false;
   SolverOptions solver{};
 
-  /// Throws std::invalid_argument naming `cell` when it is not a finite
-  /// positive length, or so small that the rasterized cross-section of
-  /// `geom` would need more cells than a grid can hold. Checked before any
-  /// grid is allocated.
+  /// Throws std::invalid_argument naming the field: `threads` below 0, a
+  /// bad `solver` (SolverOptions::validate), or a `cell` that is not a
+  /// finite positive length or so small that the rasterized cross-section
+  /// of `geom` would need more cells than a grid can hold. Checked before
+  /// any grid is allocated.
   void validate(const phys::TsvArrayGeometry& geom) const;
 };
 
@@ -86,7 +87,7 @@ CapacitanceResult extract_capacitance(const phys::TsvArrayGeometry& geom,
 
 /// Stateful extractor for repeated extractions of one array at different
 /// probability points. The grid dimensions and conductor layout are
-/// probability-independent, so the FieldProblem (free-cell indexing, face
+/// probability-independent, so the FieldProblem (Dirichlet mask, face
 /// weights, multigrid hierarchy) is built once and only its coefficients are
 /// refreshed per point; solves warm-start from the previous point.
 class CapacitanceExtractor {

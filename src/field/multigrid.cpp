@@ -1,5 +1,6 @@
 #include "field/multigrid.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,7 +8,7 @@
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TSVCOD_FIELD_X86_KERNELS 1
-#include <immintrin.h>
+#include "field/simd_lanes.hpp"
 #endif
 
 namespace tsvcod::field {
@@ -20,21 +21,20 @@ Complex harmonic_mean(Complex a, Complex b) {
   return 2.0 * a * b / s;
 }
 
-// The one V-cycle configuration: sweeps around each coarse correction,
-// hierarchy depth cap, and the free-cell count at or below which coarsening
-// stops and the level is solved directly.
-constexpr int kPreSmooth = 1;
-constexpr int kPostSmooth = 1;
+// The one V-cycle configuration (one sweep before and one after each coarse
+// correction): hierarchy depth cap, and the free-cell count at or below
+// which coarsening stops and the level is solved directly.
 constexpr std::size_t kMaxLevels = 24;
 constexpr std::size_t kCoarsestUnknowns = 256;
 
 // Degenerate-geometry escape hatch: if coarsening stalls (kMaxLevels or a
 // sliver dimension) while the level is still too big to factor densely,
-// replace the direct solve with extra smoothing sweeps.
+// replace the direct solve with this many smoothing sweeps from zero.
 constexpr std::size_t kMaxDenseUnknowns = 4096;
+constexpr int kFallbackSweeps = 6;
 
 // ---------------------------------------------------------------------------
-// Gauss-Seidel / residual kernels.
+// Gauss-Seidel / residual row kernels.
 //
 // The scalar forms below are the reference semantics; the AVX2/AVX-512
 // clones vectorize the 5-point stencil over interior rows (both neighbors
@@ -43,14 +43,17 @@ constexpr std::size_t kMaxDenseUnknowns = 4096;
 // neighbor is then exactly w * 0 = +-0, so the `!dirichlet[j]` guards drop
 // out of the vector body, and a Gauss-Seidel candidate at a Dirichlet cell
 // is inv_diag(=0) * (...) = +-0, so writing it back cannot break the
-// invariant either. Red-black GS stays a deterministic linear operator: a
-// color's cells only read the opposite color, so packing a full vector of
-// same-color cells (every other complex; two narrow loads + one lane
-// shuffle per operand) and updating all lanes at once reproduces the
-// sequential sweep with no wasted lanes. Complex arithmetic is interleaved
-// (re, im) pairs; one 256-bit vector holds 2 complexes, one 512-bit vector
-// holds 4.
+// invariant either. A colour's cells only read the opposite colour, so
+// packing a full vector of same-colour cells of one row (every other
+// complex; two narrow loads + one lane shuffle per operand) and updating
+// all lanes at once reproduces the sequential update with no wasted lanes.
+// Complex arithmetic is interleaved (re, im) pairs; one 256-bit vector holds
+// 2 complexes, one 512-bit vector holds 4.
 // ---------------------------------------------------------------------------
+
+// Red cells have (ix + iy) even, black cells odd.
+constexpr std::size_t kRed = 0;
+constexpr std::size_t kBlack = 1;
 
 struct Stencil {
   std::size_t nx = 0, ny = 0;
@@ -60,6 +63,13 @@ struct Stencil {
   const Complex* diag = nullptr;
   const Complex* idg = nullptr;   // inv_diag
 };
+
+// Deduces Multigrid's private Level type.
+template <typename LevelT>
+Stencil stencil_of(const LevelT& lv) {
+  return {lv.nx,          lv.ny,          lv.dirichlet.data(), lv.w_east.data(),
+          lv.w_north.data(), lv.diag.data(), lv.inv_diag.data()};
+}
 
 // One guarded Gauss-Seidel update (any cell, including boundaries): the
 // original scalar semantics, also used for edge columns / boundary rows of
@@ -76,11 +86,12 @@ inline void gs_cell(const Stencil& s, const Complex* rhs, Complex* x, std::size_
   x[i] = s.idg[i] * (rhs[i] + off);
 }
 
-inline void res_cell(const Stencil& s, const Complex* rhs, const Complex* x, Complex* out,
+// Residual of cell (ix, iy) into out_row[ix], where out_row holds row iy.
+inline void res_cell(const Stencil& s, const Complex* rhs, const Complex* x, Complex* out_row,
                      std::size_t ix, std::size_t iy) {
   const std::size_t i = iy * s.nx + ix;
   if (s.dir[i]) {
-    out[i] = Complex{};
+    out_row[ix] = Complex{};
     return;
   }
   Complex off{};
@@ -88,21 +99,19 @@ inline void res_cell(const Stencil& s, const Complex* rhs, const Complex* x, Com
   if (ix > 0 && !s.dir[i - 1]) off += s.we[i - 1] * x[i - 1];
   if (iy + 1 < s.ny && !s.dir[i + s.nx]) off += s.wn[i] * x[i + s.nx];
   if (iy > 0 && !s.dir[i - s.nx]) off += s.wn[i - s.nx] * x[i - s.nx];
-  out[i] = rhs[i] - (s.diag[i] * x[i] - off);
+  out_row[ix] = rhs[i] - (s.diag[i] * x[i] - off);
 }
 
-void gs_color_scalar(const Stencil& s, const Complex* rhs, Complex* x, int color) {
-  for (std::size_t iy = 0; iy < s.ny; ++iy) {
-    for (std::size_t ix = (static_cast<std::size_t>(color) + iy) % 2; ix < s.nx; ix += 2) {
-      gs_cell(s, rhs, x, ix, iy);
-    }
-  }
+// Gauss-Seidel update of the `color` cells of row iy.
+void gs_row_scalar(const Stencil& s, const Complex* rhs, Complex* x, std::size_t iy,
+                   std::size_t color) {
+  for (std::size_t ix = (color + iy) % 2; ix < s.nx; ix += 2) gs_cell(s, rhs, x, ix, iy);
 }
 
-void residual_scalar(const Stencil& s, const Complex* rhs, const Complex* x, Complex* out) {
-  for (std::size_t iy = 0; iy < s.ny; ++iy) {
-    for (std::size_t ix = 0; ix < s.nx; ++ix) res_cell(s, rhs, x, out, ix, iy);
-  }
+// Residual of row iy into out_row.
+void residual_row_scalar(const Stencil& s, const Complex* rhs, const Complex* x, Complex* out_row,
+                         std::size_t iy) {
+  for (std::size_t ix = 0; ix < s.nx; ++ix) res_cell(s, rhs, x, out_row, ix, iy);
 }
 
 #if defined(TSVCOD_FIELD_X86_KERNELS)
@@ -145,185 +154,217 @@ __attribute__((target("avx512f,avx512dq"))) inline __m512d gather4(const double*
   return _mm512_shuffle_f64x2(lo, hi, _MM_SHUFFLE(2, 0, 2, 0));
 }
 
-__attribute__((target("avx2,fma"))) void gs_color_avx2(const Stencil& s, const Complex* rhs_c,
-                                                       Complex* x_c, int color) {
+__attribute__((target("avx2,fma"))) void gs_row_avx2(const Stencil& s, const Complex* rhs_c,
+                                                     Complex* x_c, std::size_t iy,
+                                                     std::size_t color) {
   const std::size_t nx = s.nx, ny = s.ny;
+  const std::size_t ix0 = (color + iy) % 2;
+  if (iy == 0 || iy + 1 == ny || nx < 6) {
+    for (std::size_t ix = ix0; ix < nx; ix += 2) gs_cell(s, rhs_c, x_c, ix, iy);
+    return;
+  }
   const double* we = reinterpret_cast<const double*>(s.we);
   const double* wn = reinterpret_cast<const double*>(s.wn);
   const double* idg = reinterpret_cast<const double*>(s.idg);
   const double* rhs = reinterpret_cast<const double*>(rhs_c);
   double* x = reinterpret_cast<double*>(x_c);
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    const std::size_t ix0 = (static_cast<std::size_t>(color) + iy) % 2;
-    if (iy == 0 || iy + 1 == ny || nx < 6) {
-      for (std::size_t ix = ix0; ix < nx; ix += 2) gs_cell(s, rhs_c, x_c, ix, iy);
-      continue;
-    }
-    if (ix0 == 0) gs_cell(s, rhs_c, x_c, 0, iy);
-    // Pack the current-color cells at columns c, c+2 into one full vector;
-    // every lane does useful work. Needs c >= 1 (west neighbor) and
-    // c + 3 <= nx - 1 (east neighbor of the second cell).
-    std::size_t c = ix0 == 1 ? 1 : 2;
-    for (; c + 4 <= nx; c += 4) {
-      const std::size_t d = 2 * (iy * nx + c);
-      __m256d off = cmul256(gather2(we, d), gather2(x, d + 2));
-      off = _mm256_add_pd(off, cmul256(gather2(we, d - 2), gather2(x, d - 2)));
-      off = _mm256_add_pd(off, cmul256(gather2(wn, d), gather2(x, d + 2 * nx)));
-      off = _mm256_add_pd(off, cmul256(gather2(wn, d - 2 * nx), gather2(x, d - 2 * nx)));
-      const __m256d cand = cmul256(gather2(idg, d), _mm256_add_pd(gather2(rhs, d), off));
-      _mm_storeu_pd(x + d, _mm256_castpd256_pd128(cand));
-      _mm_storeu_pd(x + d + 4, _mm256_extractf128_pd(cand, 1));
-    }
-    for (; c < nx; c += 2) gs_cell(s, rhs_c, x_c, c, iy);
+  if (ix0 == 0) gs_cell(s, rhs_c, x_c, 0, iy);
+  // Pack the current-color cells at columns c, c+2 into one full vector;
+  // every lane does useful work. Needs c >= 1 (west neighbor) and
+  // c + 3 <= nx - 1 (east neighbor of the second cell).
+  std::size_t c = ix0 == 1 ? 1 : 2;
+  for (; c + 4 <= nx; c += 4) {
+    const std::size_t d = 2 * (iy * nx + c);
+    __m256d off = cmul256(gather2(we, d), gather2(x, d + 2));
+    off = _mm256_add_pd(off, cmul256(gather2(we, d - 2), gather2(x, d - 2)));
+    off = _mm256_add_pd(off, cmul256(gather2(wn, d), gather2(x, d + 2 * nx)));
+    off = _mm256_add_pd(off, cmul256(gather2(wn, d - 2 * nx), gather2(x, d - 2 * nx)));
+    const __m256d cand = cmul256(gather2(idg, d), _mm256_add_pd(gather2(rhs, d), off));
+    _mm_storeu_pd(x + d, _mm256_castpd256_pd128(cand));
+    _mm_storeu_pd(x + d + 4, _mm256_extractf128_pd(cand, 1));
   }
+  for (; c < nx; c += 2) gs_cell(s, rhs_c, x_c, c, iy);
 }
 
-__attribute__((target("avx512f,avx512dq"))) void gs_color_avx512(const Stencil& s,
-                                                                 const Complex* rhs_c, Complex* x_c,
-                                                                 int color) {
+__attribute__((target("avx512f,avx512dq"))) void gs_row_avx512(const Stencil& s,
+                                                               const Complex* rhs_c, Complex* x_c,
+                                                               std::size_t iy, std::size_t color) {
   const std::size_t nx = s.nx, ny = s.ny;
+  const std::size_t ix0 = (color + iy) % 2;
+  if (iy == 0 || iy + 1 == ny || nx < 10) {
+    for (std::size_t ix = ix0; ix < nx; ix += 2) gs_cell(s, rhs_c, x_c, ix, iy);
+    return;
+  }
   const double* we = reinterpret_cast<const double*>(s.we);
   const double* wn = reinterpret_cast<const double*>(s.wn);
   const double* idg = reinterpret_cast<const double*>(s.idg);
   const double* rhs = reinterpret_cast<const double*>(rhs_c);
   double* x = reinterpret_cast<double*>(x_c);
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    const std::size_t ix0 = (static_cast<std::size_t>(color) + iy) % 2;
-    if (iy == 0 || iy + 1 == ny || nx < 10) {
-      for (std::size_t ix = ix0; ix < nx; ix += 2) gs_cell(s, rhs_c, x_c, ix, iy);
-      continue;
-    }
-    if (ix0 == 0) gs_cell(s, rhs_c, x_c, 0, iy);
-    // Pack the current-color cells at columns c, c+2, c+4, c+6 into one
-    // full vector. Needs c >= 1 (west neighbor) and c + 7 <= nx - 1 (east
-    // neighbor of the last cell).
-    std::size_t c = ix0 == 1 ? 1 : 2;
-    for (; c + 8 <= nx; c += 8) {
-      const std::size_t d = 2 * (iy * nx + c);
-      __m512d off = cmul512(gather4(we, d), gather4(x, d + 2));
-      off = _mm512_add_pd(off, cmul512(gather4(we, d - 2), gather4(x, d - 2)));
-      off = _mm512_add_pd(off, cmul512(gather4(wn, d), gather4(x, d + 2 * nx)));
-      off = _mm512_add_pd(off, cmul512(gather4(wn, d - 2 * nx), gather4(x, d - 2 * nx)));
-      const __m512d cand = cmul512(gather4(idg, d), _mm512_add_pd(gather4(rhs, d), off));
-      _mm_storeu_pd(x + d, _mm512_extractf64x2_pd(cand, 0));
-      _mm_storeu_pd(x + d + 4, _mm512_extractf64x2_pd(cand, 1));
-      _mm_storeu_pd(x + d + 8, _mm512_extractf64x2_pd(cand, 2));
-      _mm_storeu_pd(x + d + 12, _mm512_extractf64x2_pd(cand, 3));
-    }
-    for (; c < nx; c += 2) gs_cell(s, rhs_c, x_c, c, iy);
+  if (ix0 == 0) gs_cell(s, rhs_c, x_c, 0, iy);
+  // Pack the current-color cells at columns c, c+2, c+4, c+6 into one
+  // full vector. Needs c >= 1 (west neighbor) and c + 7 <= nx - 1 (east
+  // neighbor of the last cell).
+  std::size_t c = ix0 == 1 ? 1 : 2;
+  for (; c + 8 <= nx; c += 8) {
+    const std::size_t d = 2 * (iy * nx + c);
+    __m512d off = cmul512(gather4(we, d), gather4(x, d + 2));
+    off = _mm512_add_pd(off, cmul512(gather4(we, d - 2), gather4(x, d - 2)));
+    off = _mm512_add_pd(off, cmul512(gather4(wn, d), gather4(x, d + 2 * nx)));
+    off = _mm512_add_pd(off, cmul512(gather4(wn, d - 2 * nx), gather4(x, d - 2 * nx)));
+    const __m512d cand = cmul512(gather4(idg, d), _mm512_add_pd(gather4(rhs, d), off));
+    _mm_storeu_pd(x + d, _mm512_extractf64x2_pd(cand, 0));
+    _mm_storeu_pd(x + d + 4, _mm512_extractf64x2_pd(cand, 1));
+    _mm_storeu_pd(x + d + 8, _mm512_extractf64x2_pd(cand, 2));
+    _mm_storeu_pd(x + d + 12, _mm512_extractf64x2_pd(cand, 3));
   }
+  for (; c < nx; c += 2) gs_cell(s, rhs_c, x_c, c, iy);
 }
 
-__attribute__((target("avx2,fma"))) void residual_avx2(const Stencil& s, const Complex* rhs_c,
-                                                       const Complex* x_c, Complex* out_c) {
+__attribute__((target("avx2,fma"))) void residual_row_avx2(const Stencil& s, const Complex* rhs_c,
+                                                           const Complex* x_c, Complex* out_c,
+                                                           std::size_t iy) {
   const std::size_t nx = s.nx, ny = s.ny;
+  if (iy == 0 || iy + 1 == ny || nx < 6) {
+    for (std::size_t ix = 0; ix < nx; ++ix) res_cell(s, rhs_c, x_c, out_c, ix, iy);
+    return;
+  }
   const double* we = reinterpret_cast<const double*>(s.we);
   const double* wn = reinterpret_cast<const double*>(s.wn);
   const double* dg = reinterpret_cast<const double*>(s.diag);
   const double* rhs = reinterpret_cast<const double*>(rhs_c);
   const double* x = reinterpret_cast<const double*>(x_c);
   double* out = reinterpret_cast<double*>(out_c);
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    if (iy == 0 || iy + 1 == ny || nx < 6) {
-      for (std::size_t ix = 0; ix < nx; ++ix) res_cell(s, rhs_c, x_c, out_c, ix, iy);
-      continue;
-    }
-    res_cell(s, rhs_c, x_c, out_c, 0, iy);
-    std::size_t ix = 1;
-    for (; ix + 2 <= nx - 1; ix += 2) {
-      const std::size_t i = iy * nx + ix;
-      const std::size_t d = 2 * i;
-      __m256d off = cmul256(_mm256_loadu_pd(we + d), _mm256_loadu_pd(x + d + 2));
-      off = _mm256_add_pd(off, cmul256(_mm256_loadu_pd(we + d - 2), _mm256_loadu_pd(x + d - 2)));
-      off = _mm256_add_pd(off, cmul256(_mm256_loadu_pd(wn + d), _mm256_loadu_pd(x + d + 2 * nx)));
-      off = _mm256_add_pd(
-          off, cmul256(_mm256_loadu_pd(wn + d - 2 * nx), _mm256_loadu_pd(x + d - 2 * nx)));
-      const __m256d ax = _mm256_sub_pd(cmul256(_mm256_loadu_pd(dg + d), _mm256_loadu_pd(x + d)),
-                                       off);
-      __m256d cand = _mm256_sub_pd(_mm256_loadu_pd(rhs + d), ax);
-      // Dirichlet rows of the residual are identically zero.
-      const long long m0 = s.dir[i] ? -1 : 0;
-      const long long m1 = s.dir[i + 1] ? -1 : 0;
-      cand = _mm256_andnot_pd(_mm256_castsi256_pd(_mm256_set_epi64x(m1, m1, m0, m0)), cand);
-      _mm256_storeu_pd(out + d, cand);
-    }
-    for (; ix < nx; ++ix) res_cell(s, rhs_c, x_c, out_c, ix, iy);
+  res_cell(s, rhs_c, x_c, out_c, 0, iy);
+  std::size_t ix = 1;
+  for (; ix + 2 <= nx - 1; ix += 2) {
+    const std::size_t i = iy * nx + ix;
+    const std::size_t d = 2 * i;
+    __m256d off = cmul256(_mm256_loadu_pd(we + d), _mm256_loadu_pd(x + d + 2));
+    off = _mm256_add_pd(off, cmul256(_mm256_loadu_pd(we + d - 2), _mm256_loadu_pd(x + d - 2)));
+    off = _mm256_add_pd(off, cmul256(_mm256_loadu_pd(wn + d), _mm256_loadu_pd(x + d + 2 * nx)));
+    off = _mm256_add_pd(
+        off, cmul256(_mm256_loadu_pd(wn + d - 2 * nx), _mm256_loadu_pd(x + d - 2 * nx)));
+    const __m256d ax = _mm256_sub_pd(cmul256(_mm256_loadu_pd(dg + d), _mm256_loadu_pd(x + d)),
+                                     off);
+    __m256d cand = _mm256_sub_pd(_mm256_loadu_pd(rhs + d), ax);
+    // Dirichlet rows of the residual are identically zero.
+    const long long m0 = s.dir[i] ? -1 : 0;
+    const long long m1 = s.dir[i + 1] ? -1 : 0;
+    cand = _mm256_andnot_pd(_mm256_castsi256_pd(_mm256_set_epi64x(m1, m1, m0, m0)), cand);
+    _mm256_storeu_pd(out + 2 * ix, cand);
   }
+  for (; ix < nx; ++ix) res_cell(s, rhs_c, x_c, out_c, ix, iy);
 }
 
-__attribute__((target("avx512f,avx512dq"))) void residual_avx512(const Stencil& s,
-                                                                 const Complex* rhs_c,
-                                                                 const Complex* x_c,
-                                                                 Complex* out_c) {
+__attribute__((target("avx512f,avx512dq"))) void residual_row_avx512(const Stencil& s,
+                                                                     const Complex* rhs_c,
+                                                                     const Complex* x_c,
+                                                                     Complex* out_c,
+                                                                     std::size_t iy) {
   const std::size_t nx = s.nx, ny = s.ny;
+  if (iy == 0 || iy + 1 == ny || nx < 10) {
+    for (std::size_t ix = 0; ix < nx; ++ix) res_cell(s, rhs_c, x_c, out_c, ix, iy);
+    return;
+  }
   const double* we = reinterpret_cast<const double*>(s.we);
   const double* wn = reinterpret_cast<const double*>(s.wn);
   const double* dg = reinterpret_cast<const double*>(s.diag);
   const double* rhs = reinterpret_cast<const double*>(rhs_c);
   const double* x = reinterpret_cast<const double*>(x_c);
   double* out = reinterpret_cast<double*>(out_c);
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    if (iy == 0 || iy + 1 == ny || nx < 10) {
-      for (std::size_t ix = 0; ix < nx; ++ix) res_cell(s, rhs_c, x_c, out_c, ix, iy);
-      continue;
-    }
-    res_cell(s, rhs_c, x_c, out_c, 0, iy);
-    std::size_t ix = 1;
-    for (; ix + 4 <= nx - 1; ix += 4) {
-      const std::size_t i = iy * nx + ix;
-      const std::size_t d = 2 * i;
-      __m512d off = cmul512(_mm512_loadu_pd(we + d), _mm512_loadu_pd(x + d + 2));
-      off = _mm512_add_pd(off, cmul512(_mm512_loadu_pd(we + d - 2), _mm512_loadu_pd(x + d - 2)));
-      off = _mm512_add_pd(off, cmul512(_mm512_loadu_pd(wn + d), _mm512_loadu_pd(x + d + 2 * nx)));
-      off = _mm512_add_pd(
-          off, cmul512(_mm512_loadu_pd(wn + d - 2 * nx), _mm512_loadu_pd(x + d - 2 * nx)));
-      const __m512d ax = _mm512_sub_pd(cmul512(_mm512_loadu_pd(dg + d), _mm512_loadu_pd(x + d)),
-                                       off);
-      const __m512d cand = _mm512_sub_pd(_mm512_loadu_pd(rhs + d), ax);
-      __mmask8 free_m = 0;
-      for (std::size_t k = 0; k < 4; ++k) {
-        if (!s.dir[i + k]) free_m = static_cast<__mmask8>(free_m | (0x3u << (2 * k)));
-      }
-      _mm512_storeu_pd(out + d, _mm512_maskz_mov_pd(free_m, cand));
-    }
-    for (; ix < nx; ++ix) res_cell(s, rhs_c, x_c, out_c, ix, iy);
+  res_cell(s, rhs_c, x_c, out_c, 0, iy);
+  std::size_t ix = 1;
+  for (; ix + 4 <= nx - 1; ix += 4) {
+    const std::size_t i = iy * nx + ix;
+    const std::size_t d = 2 * i;
+    __m512d off = cmul512(_mm512_loadu_pd(we + d), _mm512_loadu_pd(x + d + 2));
+    off = _mm512_add_pd(off, cmul512(_mm512_loadu_pd(we + d - 2), _mm512_loadu_pd(x + d - 2)));
+    off = _mm512_add_pd(off, cmul512(_mm512_loadu_pd(wn + d), _mm512_loadu_pd(x + d + 2 * nx)));
+    off = _mm512_add_pd(
+        off, cmul512(_mm512_loadu_pd(wn + d - 2 * nx), _mm512_loadu_pd(x + d - 2 * nx)));
+    const __m512d ax = _mm512_sub_pd(cmul512(_mm512_loadu_pd(dg + d), _mm512_loadu_pd(x + d)),
+                                     off);
+    const __m512d cand = _mm512_sub_pd(_mm512_loadu_pd(rhs + d), ax);
+    _mm512_storeu_pd(out + 2 * ix, _mm512_maskz_mov_pd(free_lanes4(s.dir + i), cand));
   }
+  for (; ix < nx; ++ix) res_cell(s, rhs_c, x_c, out_c, ix, iy);
 }
 
 #pragma GCC diagnostic pop
 
 #endif  // TSVCOD_FIELD_X86_KERNELS
 
-void gs_color(const Stencil& s, const Complex* rhs, Complex* x, int color) {
+// The row kernels of the active dispatch level, chosen once per pass.
+struct RowKernels {
+  void (*gs)(const Stencil&, const Complex* rhs, Complex* x, std::size_t iy, std::size_t color);
+  void (*residual)(const Stencil&, const Complex* rhs, const Complex* x, Complex* out_row,
+                   std::size_t iy);
+};
+
+RowKernels row_kernels() {
 #if defined(TSVCOD_FIELD_X86_KERNELS)
   switch (simd::active_level()) {
     case simd::Level::avx512:
-      gs_color_avx512(s, rhs, x, color);
-      return;
+      return {gs_row_avx512, residual_row_avx512};
     case simd::Level::avx2:
-      gs_color_avx2(s, rhs, x, color);
-      return;
+      return {gs_row_avx2, residual_row_avx2};
     default:
       break;
   }
 #endif
-  gs_color_scalar(s, rhs, x, color);
+  return {gs_row_scalar, residual_row_scalar};
 }
 
-void residual_dispatch(const Stencil& s, const Complex* rhs, const Complex* x, Complex* out) {
-#if defined(TSVCOD_FIELD_X86_KERNELS)
-  switch (simd::active_level()) {
-    case simd::Level::avx512:
-      residual_avx512(s, rhs, x, out);
-      return;
-    case simd::Level::avx2:
-      residual_avx2(s, rhs, x, out);
-      return;
-    default:
-      break;
+// One red-black Gauss-Seidel sweep as a single pass: red row iy+1, then
+// black row iy. A red update reads black rows iy..iy+2, none updated yet; a
+// black update reads red rows iy-1..iy+1, all updated already. So every cell
+// sees exactly the values of the two-colour order (all red, then all black)
+// and does the same arithmetic. Per row, in increasing order,
+// `prepare(iy)` runs before any cell of the row is read, and `done(iy)` once
+// rows iy-1..iy+1 hold their final values.
+template <typename Prepare, typename Done>
+void sweep(const RowKernels& k, const Stencil& s, const Complex* rhs, Complex* x,
+           Prepare&& prepare, Done&& done) {
+  prepare(std::size_t{0});
+  if (s.ny > 1) prepare(std::size_t{1});
+  k.gs(s, rhs, x, 0, kRed);
+  for (std::size_t iy = 0; iy + 1 < s.ny; ++iy) {
+    if (iy + 2 < s.ny) prepare(iy + 2);
+    k.gs(s, rhs, x, iy + 1, kRed);
+    k.gs(s, rhs, x, iy, kBlack);
+    if (iy > 0) done(iy - 1);
   }
-#endif
-  residual_scalar(s, rhs, x, out);
+  k.gs(s, rhs, x, s.ny - 1, kBlack);
+  if (s.ny > 1) done(s.ny - 2);
+  done(s.ny - 1);
+}
+
+void sweep(const RowKernels& k, const Stencil& s, const Complex* rhs, Complex* x) {
+  const auto nothing = [](std::size_t) {};
+  sweep(k, s, rhs, x, nothing, nothing);
+}
+
+// Residual rhs - A x of fine row iy into `row`, restricted into the coarse
+// right-hand side `rc` (coarse nx = `cnx`, Dirichlet mask `cdir`). Called
+// for rows 0, 1, ... in order: each coarse cell sums its fine children in
+// row-major order from +0 (the adjoint of piecewise-constant prolongation),
+// and coarse Dirichlet cells come out zero. A Dirichlet child's residual is
+// exactly +0, and adding +0 to a sum that started at +0 changes no bit, so
+// children need no Dirichlet test.
+void residual_restrict_row(const RowKernels& k, const Stencil& s, const Complex* rhs,
+                           const Complex* x, Complex* row, std::size_t cnx,
+                           const std::uint8_t* cdir, Complex* rc, std::size_t iy) {
+  k.residual(s, rhs, x, row, iy);
+  const bool first = iy % 2 == 0;
+  const bool last = !first || iy + 1 == s.ny;
+  Complex* crow = rc + (iy >> 1) * cnx;
+  const std::uint8_t* cdrow = cdir + (iy >> 1) * cnx;
+  for (std::size_t cx = 0; cx < cnx; ++cx) {
+    Complex acc = first ? Complex{} : crow[cx];
+    acc += row[2 * cx];
+    if (2 * cx + 1 < s.nx) acc += row[2 * cx + 1];
+    crow[cx] = last && cdrow[cx] ? Complex{} : acc;
+  }
 }
 
 }  // namespace
@@ -496,32 +537,14 @@ Multigrid::Workspace Multigrid::make_workspace() const {
   Workspace ws;
   ws.x.resize(levels_.size());
   ws.r.resize(levels_.size());
-  ws.scratch.resize(levels_.size());
-  for (std::size_t l = 0; l < levels_.size(); ++l) {
+  for (std::size_t l = 1; l < levels_.size(); ++l) {
     const std::size_t n = levels_[l].nx * levels_[l].ny;
     ws.x[l].assign(n, Complex{});
     ws.r[l].assign(n, Complex{});
-    ws.scratch[l].assign(n, Complex{});
   }
+  ws.row.assign(levels_.front().nx, Complex{});
+  ws.packed.assign(coarse_free_cells_.size(), Complex{});
   return ws;
-}
-
-void Multigrid::residual(const Level& lv, const std::vector<Complex>& rhs,
-                         const std::vector<Complex>& x, std::vector<Complex>& out) const {
-  const Stencil s{lv.nx,          lv.ny,           lv.dirichlet.data(), lv.w_east.data(),
-                  lv.w_north.data(), lv.diag.data(), lv.inv_diag.data()};
-  residual_dispatch(s, rhs.data(), x.data(), out.data());
-}
-
-void Multigrid::smooth(const Level& lv, const std::vector<Complex>& rhs, std::vector<Complex>& x,
-                       int sweeps) const {
-  const Stencil st{lv.nx,          lv.ny,           lv.dirichlet.data(), lv.w_east.data(),
-                   lv.w_north.data(), lv.diag.data(), lv.inv_diag.data()};
-  // Red-black Gauss-Seidel: fixed (color, row-major) sweep order makes the
-  // smoother a deterministic linear operator regardless of thread count.
-  for (int s = 0; s < sweeps; ++s) {
-    for (int color = 0; color < 2; ++color) gs_color(st, rhs.data(), x.data(), color);
-  }
 }
 
 void Multigrid::apply_smoother(const std::vector<Complex>& rhs, std::vector<Complex>& x,
@@ -536,7 +559,8 @@ void Multigrid::apply_smoother(const std::vector<Complex>& rhs, std::vector<Comp
   for (std::size_t i = 0; i < n; ++i) {
     if (lv.dirichlet[i]) x[i] = Complex{};
   }
-  smooth(lv, rhs, x, sweeps);
+  const RowKernels k = row_kernels();
+  for (int s = 0; s < sweeps; ++s) sweep(k, stencil_of(lv), rhs.data(), x.data());
 }
 
 void Multigrid::apply_residual(const std::vector<Complex>& rhs, const std::vector<Complex>& x,
@@ -546,21 +570,27 @@ void Multigrid::apply_residual(const std::vector<Complex>& rhs, const std::vecto
   if (rhs.size() != n || x.size() != n || out.size() != n) {
     throw std::invalid_argument("Multigrid::apply_residual: vectors must be nx*ny");
   }
-  residual(lv, rhs, x, out);
+  const RowKernels k = row_kernels();
+  const Stencil s = stencil_of(lv);
+  for (std::size_t iy = 0; iy < lv.ny; ++iy) {
+    k.residual(s, rhs.data(), x.data(), out.data() + iy * lv.nx, iy);
+  }
 }
 
-void Multigrid::solve_coarsest(const std::vector<Complex>& rhs, std::vector<Complex>& x,
-                               std::vector<Complex>& scratch) const {
+void Multigrid::solve_coarsest(const Complex* rhs, Complex* x,
+                               std::vector<Complex>& packed) const {
   const Level& lv = levels_.back();
+  const std::size_t cells = lv.nx * lv.ny;
+  std::fill_n(x, cells, Complex{});
   if (lu_.empty()) {
     // No factorization (degenerately large coarsest level): smooth hard.
-    for (auto& v : x) v = Complex{};
-    smooth(lv, rhs, x, kPreSmooth + kPostSmooth + 4);
+    const RowKernels k = row_kernels();
+    for (int s = 0; s < kFallbackSweeps; ++s) sweep(k, stencil_of(lv), rhs, x);
     return;
   }
   const std::size_t n = coarse_free_cells_.size();
   // Gather, permuted forward substitution, back substitution, scatter.
-  std::vector<Complex>& y = scratch;  // reuse as the packed solve vector
+  std::vector<Complex>& y = packed;
   for (std::size_t row = 0; row < n; ++row) y[row] = rhs[coarse_free_cells_[row]];
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t p = static_cast<std::size_t>(pivot_[k]);
@@ -572,51 +602,57 @@ void Multigrid::solve_coarsest(const std::vector<Complex>& rhs, std::vector<Comp
     const Complex d = lu_[k * n + k];
     y[k] = std::abs(d) > 0.0 ? y[k] / d : Complex{};
   }
-  for (auto& v : x) v = Complex{};
   for (std::size_t row = 0; row < n; ++row) x[coarse_free_cells_[row]] = y[row];
 }
 
 void Multigrid::v_cycle(const std::vector<Complex>& r, std::vector<Complex>& z,
                         Workspace& ws) const {
-  const std::size_t depth = levels_.size();
-  ws.r[0] = r;
-  for (std::size_t l = 0; l < depth; ++l) {
-    const Level& lv = levels_[l];
-    if (l + 1 == depth) {
-      solve_coarsest(ws.r[l], ws.x[l], ws.scratch[l]);
-      break;
-    }
-    for (auto& v : ws.x[l]) v = Complex{};
-    smooth(lv, ws.r[l], ws.x[l], kPreSmooth);
-    residual(lv, ws.r[l], ws.x[l], ws.scratch[l]);
-    // Restrict: sum the residual over free fine children (adjoint of the
-    // piecewise-constant prolongation below).
-    const Level& cv = levels_[l + 1];
-    std::vector<Complex>& rc = ws.r[l + 1];
-    for (auto& v : rc) v = Complex{};
-    for (std::size_t iy = 0; iy < lv.ny; ++iy) {
-      for (std::size_t ix = 0; ix < lv.nx; ++ix) {
-        const std::size_t i = iy * lv.nx + ix;
-        if (!lv.dirichlet[i]) rc[(iy / 2) * cv.nx + ix / 2] += ws.scratch[l][i];
-      }
-    }
-    for (std::size_t c = 0; c < rc.size(); ++c) {
-      if (cv.dirichlet[c]) rc[c] = Complex{};
-    }
+  const std::size_t n = levels_.front().nx * levels_.front().ny;
+  if (r.size() != n || z.size() != n) {
+    throw std::invalid_argument("Multigrid::v_cycle: vectors must be nx*ny");
   }
-  // Ascend: prolong the coarse correction and post-smooth.
+  const RowKernels k = row_kernels();
+  const std::size_t depth = levels_.size();
+  // Level 0 runs in the caller's vectors, coarser levels in the workspace.
+  const auto rhs_at = [&](std::size_t l) { return l == 0 ? r.data() : ws.r[l].data(); };
+  const auto x_at = [&](std::size_t l) { return l == 0 ? z.data() : ws.x[l].data(); };
+
+  // Descend, one pass per level: the pre-sweep from zero (each row zeroed
+  // just before its first read), and behind it the residual of every
+  // finished row, restricted into the next level's right-hand side.
+  for (std::size_t l = 0; l + 1 < depth; ++l) {
+    const Level& lv = levels_[l];
+    const Level& cv = levels_[l + 1];
+    const Stencil s = stencil_of(lv);
+    const Complex* rhs = rhs_at(l);
+    Complex* x = x_at(l);
+    sweep(
+        k, s, rhs, x, [&](std::size_t iy) { std::fill_n(x + iy * lv.nx, lv.nx, Complex{}); },
+        [&](std::size_t iy) {
+          residual_restrict_row(k, s, rhs, x, ws.row.data(), cv.nx, cv.dirichlet.data(),
+                                ws.r[l + 1].data(), iy);
+        });
+  }
+  solve_coarsest(rhs_at(depth - 1), x_at(depth - 1), ws.packed);
+
+  // Ascend: post-sweep, adding the piecewise-constant prolongation of the
+  // coarse correction to each free black cell of a row just before the row's
+  // first read. Red cells are skipped: the sweep overwrites them unread.
   for (std::size_t l = depth - 1; l-- > 0;) {
     const Level& lv = levels_[l];
-    const Level& cv = levels_[l + 1];
-    for (std::size_t iy = 0; iy < lv.ny; ++iy) {
-      for (std::size_t ix = 0; ix < lv.nx; ++ix) {
-        const std::size_t i = iy * lv.nx + ix;
-        if (!lv.dirichlet[i]) ws.x[l][i] += ws.x[l + 1][(iy / 2) * cv.nx + ix / 2];
+    const std::size_t cnx = levels_[l + 1].nx;
+    const Complex* xc = x_at(l + 1);
+    Complex* x = x_at(l);
+    const auto prolong_black = [&](std::size_t iy) {
+      const Complex* crow = xc + (iy >> 1) * cnx;
+      Complex* xrow = x + iy * lv.nx;
+      const std::uint8_t* drow = lv.dirichlet.data() + iy * lv.nx;
+      for (std::size_t ix = (kBlack + iy) % 2; ix < lv.nx; ix += 2) {
+        if (!drow[ix]) xrow[ix] += crow[ix >> 1];
       }
-    }
-    smooth(lv, ws.r[l], ws.x[l], kPostSmooth);
+    };
+    sweep(k, stencil_of(lv), rhs_at(l), x, prolong_black, [](std::size_t) {});
   }
-  z = ws.x[0];
 }
 
 }  // namespace tsvcod::field

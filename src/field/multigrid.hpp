@@ -14,16 +14,26 @@
 // (the adjoint of piecewise-constant prolongation, which also carries the
 // h^2 factor between rediscretized levels).
 //
-// The cycle is one fixed algorithm: one red-black Gauss-Seidel sweep
-// (deterministic fixed sweep order) before and one after the coarse
-// correction, coarsening until at most 256 free cells remain (24 levels at
-// most), and a dense complex LU solve on the coarsest level. With a zero
-// initial guess per level the V-cycle is one fixed linear operator, which
-// preconditioned BiCGStab requires. The smoother and the residual run
-// through the shared src/simd runtime dispatch: AVX2/AVX-512 stencil kernels
-// cover interior rows (relying on x == 0 at Dirichlet cells, which the
-// V-cycle maintains), scalar code covers boundaries and other hosts; every
-// dispatch level computes the same linear operator up to eps-scale rounding.
+// The cycle is one fixed algorithm: one red-black Gauss-Seidel sweep before
+// and one after the coarse correction, coarsening until at most 256 free
+// cells remain (24 levels at most), and a dense complex LU solve on the
+// coarsest level. With a zero initial guess per level the V-cycle is one
+// fixed linear operator, which preconditioned BiCGStab requires.
+//
+// A V-cycle walks each level twice, row by row. A sweep updates red row
+// iy+1 and then black row iy: a colour reads only the other colour, so this
+// wavefront performs exactly the arithmetic of "all red cells, then all
+// black cells". On the way down, the pre-sweep zeroes each row just before
+// its first read, and behind it the residual of each finished row is
+// restricted into the coarse right-hand side. On the way up, the post-sweep
+// prolongs the coarse correction into each black row just before its first
+// read (a red cell's prolonged value would be overwritten unread). Level 0
+// works in the caller's vectors. The smoother
+// and the residual run through the shared src/simd runtime dispatch:
+// AVX2/AVX-512 stencil kernels cover interior rows (relying on x == 0 at
+// Dirichlet cells, which the V-cycle maintains), scalar code covers
+// boundaries and other hosts; every dispatch level computes the same linear
+// operator up to eps-scale rounding.
 //
 // Thread-safety: `v_cycle` is const and re-entrant given a caller-owned
 // Workspace, so the per-conductor extraction solves can run concurrently on
@@ -55,16 +65,19 @@ class Multigrid {
   /// only, never conductors.
   void update_coefficients(const std::vector<Complex>& eps);
 
-  /// Per-solve scratch vectors (one correction/residual/rhs triple per
-  /// level). Create one per concurrent solve; reuse across V-cycles.
+  /// Per-solve scratch: a correction and a right-hand side for every level
+  /// below the finest, one residual row, and the coarsest level's packed
+  /// solve vector. Create one per concurrent solve; reuse across V-cycles.
   struct Workspace {
-    std::vector<std::vector<Complex>> x, r, scratch;
+    std::vector<std::vector<Complex>> x, r;
+    std::vector<Complex> row, packed;
   };
   Workspace make_workspace() const;
 
   /// z ~= A^-1 r for the homogeneous-Dirichlet fine problem: one V-cycle
-  /// from a zero initial guess. `r` and `z` are full-grid (nx*ny) vectors;
-  /// Dirichlet entries of `r` are ignored and come back zero in `z`.
+  /// from a zero initial guess, read from `r` and written into `z` in place.
+  /// Both are distinct full-grid (nx*ny) vectors; Dirichlet entries of `r`
+  /// are ignored and come back zero (of either sign) in `z`.
   void v_cycle(const std::vector<Complex>& r, std::vector<Complex>& z, Workspace& ws) const;
 
   /// Apply `sweeps` red-black Gauss-Seidel passes to the finest level, in
@@ -92,12 +105,7 @@ class Multigrid {
   void rebuild_level_coefficients(Level& lv);
   void coarsen_eps(const Level& fine, Level& coarse) const;
   void factor_coarsest();
-  void smooth(const Level& lv, const std::vector<Complex>& rhs, std::vector<Complex>& x,
-              int sweeps) const;
-  void residual(const Level& lv, const std::vector<Complex>& rhs,
-                const std::vector<Complex>& x, std::vector<Complex>& out) const;
-  void solve_coarsest(const std::vector<Complex>& rhs, std::vector<Complex>& x,
-                      std::vector<Complex>& scratch) const;
+  void solve_coarsest(const Complex* rhs, Complex* x, std::vector<Complex>& packed) const;
 
   std::vector<Level> levels_;
   // Dense LU (partial pivoting) of the coarsest-level operator over its free

@@ -13,17 +13,23 @@
 // fall back to Jacobi automatically; `SolveStats::preconditioner` reports
 // what actually ran.
 //
-// The operator diagonal is assembled once per coefficient set
-// (update_coefficients) and serves both `apply` and the Jacobi scaling;
-// `apply` walks the grid row by row, so it needs no per-unknown index
-// division. Complex products in `apply` and the BiCGStab vector updates are
-// written out in real and imaginary parts in the order std::complex uses,
-// and each update shares a pass with the reductions over its result, which
-// still accumulate in index order. Results are therefore bit-identical to
-// the std::complex formulation for finite data: no operation is reordered,
-// none is contracted to an FMA (this file builds for baseline x86-64, which
-// has none), and only the NaN-recovery call of std::complex multiplication
-// is gone.
+// BiCGStab runs in grid space: every vector is full-grid, with Dirichlet
+// cells held at zero, so the V-cycle reads and writes the Krylov vectors
+// directly. The operator is a fixed-offset 5-point stencil whose diagonal is
+// assembled once per coefficient set (update_coefficients) and also serves
+// the Jacobi scaling; its interior rows run through the shared src/simd
+// dispatch. Complex products in the operator and the BiCGStab vector updates
+// are written out in real and imaginary parts in the order std::complex
+// uses (vector lanes included: a product and a sign-flipped product are
+// added, never fused), and each update shares a pass with the reductions
+// over its result, which still accumulate in cell order. Dirichlet entries
+// contribute only +-0 terms to sums that start at +0. For finite data the
+// operator and the Krylov updates are therefore bit-identical, at every
+// dispatch level, to the std::complex formulation over the packed free
+// unknowns: no operation is reordered, none is contracted to an FMA
+// (solver.cpp builds with -ffp-contract=off), and only the NaN-recovery
+// call of std::complex multiplication is gone. Only the V-cycle's SIMD
+// clones round differently per level.
 
 #include <memory>
 #include <mutex>
@@ -44,6 +50,10 @@ struct SolverOptions {
   double tolerance = 1e-9;  ///< relative (preconditioned) residual target
   int max_iterations = 50000;
   Preconditioner preconditioner = Preconditioner::multigrid;
+
+  /// Throws std::invalid_argument naming the field: `tolerance` must be a
+  /// finite number in (0, 1), `max_iterations` at least 1.
+  void validate() const;
 };
 
 struct SolveStats {
@@ -82,15 +92,15 @@ class FieldProblem {
   /// result is directly in farads per metre.
   std::vector<Complex> conductor_charges(const std::vector<Complex>& phi) const;
 
-  /// y = A x over the free unknowns (packed, see `unknowns()`): the 5-point
-  /// variable-coefficient operator with Dirichlet couplings folded into the
-  /// right-hand side. Public for golden tests and diagnostics.
+  /// y = A x on full-grid vectors: the 5-point variable-coefficient operator
+  /// over the free cells, with Dirichlet couplings folded into the
+  /// right-hand side. `x` must be zero at Dirichlet cells; those rows of `y`
+  /// come back +0. The operator BiCGStab iterates on; reference solvers
+  /// (dense LU in the differential harness) assemble it column by column.
   void apply(const std::vector<Complex>& x, std::vector<Complex>& y) const;
 
-  /// Right-hand side of A x = b with conductor `active` at 1 V and all other
-  /// Dirichlet nodes at 0 V (packed over the free unknowns). Together with
-  /// apply() this lets a reference solver (e.g. dense LU in the differential
-  /// harness) reproduce exactly the system the iterative solve sees.
+  /// Full-grid right-hand side of A x = b with conductor `active` at 1 V and
+  /// all other Dirichlet nodes at 0 V (+0 at Dirichlet cells).
   std::vector<Complex> rhs(std::int32_t active) const;
 
   /// Re-derive the face weights (and any built multigrid hierarchy) after
@@ -98,12 +108,8 @@ class FieldProblem {
   /// layout must be unchanged — extraction reuse repaints dielectrics only.
   void update_coefficients();
 
-  std::size_t unknowns() const { return free_index_.size() - dirichlet_count_; }
-
-  /// Cell index of each packed unknown (the inverse of the packing used by
-  /// apply()/rhs()); lets external reference solvers compare a packed solution
-  /// against the full-grid potential returned by solve().
-  const std::vector<std::size_t>& free_cells() const { return free_cells_; }
+  /// Number of free (non-Dirichlet) cells: the size of the linear system.
+  std::size_t unknowns() const { return free_count_; }
 
  private:
   /// The hierarchy for multigrid solves, built on first use and shared by
@@ -112,14 +118,13 @@ class FieldProblem {
   const Multigrid* multigrid() const;
 
   const Grid& grid_;
-  // For each cell: index into the unknown vector, or -1 for Dirichlet cells.
-  std::vector<std::int64_t> free_index_;
-  std::vector<std::size_t> free_cells_;  // cell index of each unknown
-  std::size_t dirichlet_count_ = 0;
+  std::vector<std::uint8_t> dirichlet_;  // 1 at conductor cells
+  std::size_t free_count_ = 0;
   // Face weights (relative permittivity harmonic means), east and north per cell.
   std::vector<Complex> w_east_;
   std::vector<Complex> w_north_;
-  // Operator diagonal per unknown (also the Jacobi preconditioner).
+  // Operator diagonal per cell, 0 at Dirichlet cells (also the Jacobi
+  // preconditioner).
   std::vector<Complex> diag_;
   mutable std::mutex mg_mutex_;
   mutable std::unique_ptr<Multigrid> mg_;

@@ -1,6 +1,7 @@
 #pragma once
 // Shared runtime SIMD dispatch for the hot kernels (stats bit-plane blocks,
-// PowerEvaluator move scoring, multigrid smoothers).
+// PowerEvaluator move scoring, multigrid smoothers, the field operator and
+// BiCGStab updates).
 //
 // Kernels are compiled as function multi-versions (`__attribute__((target))`
 // clones) inside one portable binary; this utility decides, per call site,
@@ -24,9 +25,11 @@
 // Determinism contract: each kernel clone uses a fixed lane width and a fixed
 // lane-combining order, so results are bit-reproducible for a given (input,
 // level). Across levels, integer kernels (stats) are bit-identical by
-// construction; floating-point kernels (evaluator, smoothers) reassociate
-// and may contract to FMA, so they agree only to eps-scale drift bounds —
-// the `evaluator_drift` and `field_consistency` oracles pin those bounds.
+// construction, and so are the field operator and BiCGStab updates, which
+// keep every scalar rounding (no FMA, sums in cell order); the other
+// floating-point kernels (evaluator, smoothers) reassociate and may
+// contract to FMA, so they agree only to eps-scale drift bounds — the
+// `evaluator_drift` and `field_consistency` oracles pin those bounds.
 
 #include <cstddef>
 #include <new>

@@ -5,7 +5,9 @@
 // written out literally (the permutation matrix A_pi of Eq. 4/5, the T
 // matrix of Eq. 3 and its Frobenius product with C), an analytic theory a
 // generator must match (the dual-bit-type model of the AR(1) stream), or
-// the client half of a format the library only reads (service frames).
+// the client half of a format the library only reads (service frames), or
+// a field-solver form the library replaced by a faster one that must stay
+// bit-identical to it (the packed operator, the two-colour V-cycle).
 
 #include <algorithm>
 #include <cmath>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "core/assignment.hpp"
+#include "field/grid.hpp"
 #include "phys/constants.hpp"
 #include "phys/matrix.hpp"
 #include "serve/protocol.hpp"
@@ -205,6 +208,335 @@ inline stats::SwitchingStats dbt_stats(const DbtParams& p) {
   }
   return s;
 }
+
+// --- Field solver: the packed operator and the two-colour V-cycle -----------
+//
+// The solver iterates in grid space and sweeps red-black Gauss-Seidel as one
+// wavefront pass per sweep. These are the forms it replaced: the operator
+// over packed free unknowns (numbered in cell order) and a scalar V-cycle
+// that sweeps each colour over the whole level, computes the full residual,
+// restricts it, and prolongs into every free cell. Both do the arithmetic of
+// the library's scalar forms, so the library must match them bit for bit.
+
+/// y = A x over the packed free unknowns of `grid` (the pre-grid-space
+/// `FieldProblem::apply`): complex products spelled out in std::complex's
+/// order, each row's face sum accumulated from +0 in the order e, w, n, s.
+class PackedFieldOperator {
+ public:
+  using Complex = field::Complex;
+
+  explicit PackedFieldOperator(const field::Grid& grid) : nx_(grid.nx()), ny_(grid.ny()) {
+    const std::size_t n = grid.size();
+    index_.assign(n, -1);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (grid.conductor(i) != field::kNoConductor) continue;
+      index_[i] = static_cast<std::int64_t>(cells_.size());
+      cells_.push_back(i);
+    }
+    w_east_.assign(n, Complex{});
+    w_north_.assign(n, Complex{});
+    for (std::size_t iy = 0; iy < ny_; ++iy) {
+      for (std::size_t ix = 0; ix < nx_; ++ix) {
+        const std::size_t i = iy * nx_ + ix;
+        if (ix + 1 < nx_) w_east_[i] = harmonic_mean(grid.eps(i), grid.eps(i + 1));
+        if (iy + 1 < ny_) w_north_[i] = harmonic_mean(grid.eps(i), grid.eps(i + nx_));
+      }
+    }
+    diag_.assign(cells_.size(), Complex{});
+    for (std::size_t u = 0; u < cells_.size(); ++u) {
+      const std::size_t i = cells_[u];
+      const std::size_t ix = i % nx_;
+      const std::size_t iy = i / nx_;
+      Complex d{};
+      if (ix + 1 < nx_) d += w_east_[i];
+      if (ix > 0) d += w_east_[i - 1];
+      if (iy + 1 < ny_) d += w_north_[i];
+      if (iy > 0) d += w_north_[i - nx_];
+      if (ix == 0 || ix + 1 == nx_) d += grid.eps(i);
+      if (iy == 0 || iy + 1 == ny_) d += grid.eps(i);
+      diag_[u] = d;
+    }
+  }
+
+  /// Cell index of each packed unknown.
+  const std::vector<std::size_t>& free_cells() const { return cells_; }
+
+  void apply(const std::vector<Complex>& x, std::vector<Complex>& y) const {
+    std::size_t u = 0;
+    for (std::size_t iy = 0; iy < ny_; ++iy) {
+      for (std::size_t ix = 0, i = iy * nx_; ix < nx_; ++ix, ++i) {
+        if (index_[i] < 0) continue;
+        Complex off{};
+        const auto face = [&](std::size_t j, Complex w) {
+          if (index_[j] >= 0) off += mul(w, x[static_cast<std::size_t>(index_[j])]);
+        };
+        if (ix + 1 < nx_) face(i + 1, w_east_[i]);
+        if (ix > 0) face(i - 1, w_east_[i - 1]);
+        if (iy + 1 < ny_) face(i + nx_, w_north_[i]);
+        if (iy > 0) face(i - nx_, w_north_[i - nx_]);
+        y[u] = mul(diag_[u], x[u]) - off;
+        ++u;
+      }
+    }
+  }
+
+  static Complex harmonic_mean(Complex a, Complex b) {
+    const Complex s = a + b;
+    if (std::abs(s) == 0.0) return Complex{0.0, 0.0};
+    return 2.0 * a * b / s;
+  }
+
+ private:
+  static Complex mul(Complex a, Complex b) {
+    return {a.real() * b.real() - a.imag() * b.imag(), a.real() * b.imag() + a.imag() * b.real()};
+  }
+
+  std::size_t nx_, ny_;
+  std::vector<std::int64_t> index_;
+  std::vector<std::size_t> cells_;
+  std::vector<Complex> w_east_, w_north_, diag_;
+};
+
+/// The scalar multigrid V-cycle in its two-colour form: each sweep updates
+/// every red cell of the level, then every black cell; the residual is a
+/// full level pass followed by a separate restriction; the coarse
+/// correction is prolonged into every free cell before the post-sweep. The
+/// hierarchy (coarsening, coefficients, coarsest dense LU) is built exactly
+/// as field::Multigrid builds it.
+class TwoColourMultigrid {
+ public:
+  using Complex = field::Complex;
+
+  TwoColourMultigrid(std::size_t nx, std::size_t ny, const std::vector<std::uint8_t>& dirichlet,
+                     const std::vector<Complex>& eps) {
+    Level fine;
+    fine.nx = nx;
+    fine.ny = ny;
+    fine.dirichlet = dirichlet;
+    fine.eps = eps;
+    levels_.push_back(std::move(fine));
+    while (levels_.size() < 24) {
+      const Level& f = levels_.back();
+      if (f.free_count() <= 256 || f.nx < 8 || f.ny < 8) break;
+      Level c;
+      c.nx = (f.nx + 1) / 2;
+      c.ny = (f.ny + 1) / 2;
+      c.dirichlet.assign(c.nx * c.ny, 0);
+      c.eps.assign(c.nx * c.ny, Complex{});
+      std::vector<int> count(c.nx * c.ny, 0);
+      for (std::size_t iy = 0; iy < f.ny; ++iy) {
+        for (std::size_t ix = 0; ix < f.nx; ++ix) {
+          const std::size_t k = (iy / 2) * c.nx + ix / 2;
+          if (f.dirichlet[iy * f.nx + ix]) c.dirichlet[k] = 1;
+          c.eps[k] += f.eps[iy * f.nx + ix];
+          ++count[k];
+        }
+      }
+      for (std::size_t k = 0; k < c.eps.size(); ++k) c.eps[k] /= static_cast<double>(count[k]);
+      levels_.push_back(std::move(c));
+    }
+    for (auto& lv : levels_) lv.build_coefficients();
+    factor_coarsest();
+  }
+
+  /// `sweeps` two-colour sweeps on the finest level (Dirichlet x zeroed).
+  void smooth(const std::vector<Complex>& rhs, std::vector<Complex>& x, int sweeps) const {
+    const Level& lv = levels_.front();
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (lv.dirichlet[i]) x[i] = Complex{};
+    }
+    for (int s = 0; s < sweeps; ++s) lv.sweep(rhs, x);
+  }
+
+  /// One V-cycle from zero: z ~= A^-1 r.
+  std::vector<Complex> v_cycle(const std::vector<Complex>& r) const {
+    const std::size_t depth = levels_.size();
+    std::vector<std::vector<Complex>> xs(depth), rs(depth);
+    for (std::size_t l = 0; l < depth; ++l) {
+      xs[l].assign(levels_[l].nx * levels_[l].ny, Complex{});
+      rs[l].assign(levels_[l].nx * levels_[l].ny, Complex{});
+    }
+    rs[0] = r;
+    for (std::size_t l = 0; l + 1 < depth; ++l) {
+      const Level& lv = levels_[l];
+      const Level& cv = levels_[l + 1];
+      lv.sweep(rs[l], xs[l]);
+      std::vector<Complex> res(lv.nx * lv.ny);
+      lv.residual(rs[l], xs[l], res);
+      for (std::size_t iy = 0; iy < lv.ny; ++iy) {
+        for (std::size_t ix = 0; ix < lv.nx; ++ix) {
+          const std::size_t i = iy * lv.nx + ix;
+          if (!lv.dirichlet[i]) rs[l + 1][(iy / 2) * cv.nx + ix / 2] += res[i];
+        }
+      }
+      for (std::size_t c = 0; c < rs[l + 1].size(); ++c) {
+        if (cv.dirichlet[c]) rs[l + 1][c] = Complex{};
+      }
+    }
+    solve_coarsest(rs[depth - 1], xs[depth - 1]);
+    for (std::size_t l = depth - 1; l-- > 0;) {
+      const Level& lv = levels_[l];
+      const Level& cv = levels_[l + 1];
+      for (std::size_t iy = 0; iy < lv.ny; ++iy) {
+        for (std::size_t ix = 0; ix < lv.nx; ++ix) {
+          const std::size_t i = iy * lv.nx + ix;
+          if (!lv.dirichlet[i]) xs[l][i] += xs[l + 1][(iy / 2) * cv.nx + ix / 2];
+        }
+      }
+      lv.sweep(rs[l], xs[l]);
+    }
+    return xs[0];
+  }
+
+  std::size_t depth() const { return levels_.size(); }
+
+ private:
+  struct Level {
+    std::size_t nx = 0, ny = 0;
+    std::vector<std::uint8_t> dirichlet;
+    std::vector<Complex> eps, w_east, w_north, diag, inv_diag;
+
+    std::size_t free_count() const {
+      return static_cast<std::size_t>(std::count(dirichlet.begin(), dirichlet.end(), 0));
+    }
+
+    void build_coefficients() {
+      const std::size_t n = nx * ny;
+      w_east.assign(n, Complex{});
+      w_north.assign(n, Complex{});
+      for (std::size_t iy = 0; iy < ny; ++iy) {
+        for (std::size_t ix = 0; ix < nx; ++ix) {
+          const std::size_t i = iy * nx + ix;
+          if (ix + 1 < nx) w_east[i] = PackedFieldOperator::harmonic_mean(eps[i], eps[i + 1]);
+          if (iy + 1 < ny) w_north[i] = PackedFieldOperator::harmonic_mean(eps[i], eps[i + nx]);
+        }
+      }
+      diag.assign(n, Complex{});
+      inv_diag.assign(n, Complex{});
+      for (std::size_t iy = 0; iy < ny; ++iy) {
+        for (std::size_t ix = 0; ix < nx; ++ix) {
+          const std::size_t i = iy * nx + ix;
+          if (dirichlet[i]) continue;
+          Complex d{};
+          if (ix + 1 < nx) d += w_east[i];
+          if (ix > 0) d += w_east[i - 1];
+          if (iy + 1 < ny) d += w_north[i];
+          if (iy > 0) d += w_north[i - nx];
+          if (ix == 0 || ix + 1 == nx) d += eps[i];
+          if (iy == 0 || iy + 1 == ny) d += eps[i];
+          diag[i] = d;
+          inv_diag[i] = std::abs(d) > 0.0 ? 1.0 / d : Complex{};
+        }
+      }
+    }
+
+    Complex off_diagonal(const std::vector<Complex>& x, std::size_t ix, std::size_t iy) const {
+      const std::size_t i = iy * nx + ix;
+      Complex off{};
+      if (ix + 1 < nx && !dirichlet[i + 1]) off += w_east[i] * x[i + 1];
+      if (ix > 0 && !dirichlet[i - 1]) off += w_east[i - 1] * x[i - 1];
+      if (iy + 1 < ny && !dirichlet[i + nx]) off += w_north[i] * x[i + nx];
+      if (iy > 0 && !dirichlet[i - nx]) off += w_north[i - nx] * x[i - nx];
+      return off;
+    }
+
+    // All red cells, then all black cells.
+    void sweep(const std::vector<Complex>& rhs, std::vector<Complex>& x) const {
+      for (std::size_t color = 0; color < 2; ++color) {
+        for (std::size_t iy = 0; iy < ny; ++iy) {
+          for (std::size_t ix = (color + iy) % 2; ix < nx; ix += 2) {
+            const std::size_t i = iy * nx + ix;
+            if (!dirichlet[i]) x[i] = inv_diag[i] * (rhs[i] + off_diagonal(x, ix, iy));
+          }
+        }
+      }
+    }
+
+    void residual(const std::vector<Complex>& rhs, const std::vector<Complex>& x,
+                  std::vector<Complex>& out) const {
+      for (std::size_t iy = 0; iy < ny; ++iy) {
+        for (std::size_t ix = 0; ix < nx; ++ix) {
+          const std::size_t i = iy * nx + ix;
+          out[i] = dirichlet[i] ? Complex{}
+                                : rhs[i] - (diag[i] * x[i] - off_diagonal(x, ix, iy));
+        }
+      }
+    }
+  };
+
+  void factor_coarsest() {
+    const Level& lv = levels_.back();
+    index_.assign(lv.nx * lv.ny, -1);
+    for (std::size_t i = 0; i < lv.dirichlet.size(); ++i) {
+      if (lv.dirichlet[i]) continue;
+      index_[i] = static_cast<std::int64_t>(cells_.size());
+      cells_.push_back(i);
+    }
+    const std::size_t n = cells_.size();
+    if (n == 0 || n > 4096) throw std::invalid_argument("TwoColourMultigrid: no dense coarsest solve");
+    lu_.assign(n * n, Complex{});
+    for (std::size_t row = 0; row < n; ++row) {
+      const std::size_t i = cells_[row];
+      const std::size_t ix = i % lv.nx;
+      const std::size_t iy = i / lv.nx;
+      lu_[row * n + row] = lv.diag[i];
+      const auto couple = [&](std::size_t j, Complex w) {
+        if (index_[j] >= 0) lu_[row * n + static_cast<std::size_t>(index_[j])] -= w;
+      };
+      if (ix + 1 < lv.nx) couple(i + 1, lv.w_east[i]);
+      if (ix > 0) couple(i - 1, lv.w_east[i - 1]);
+      if (iy + 1 < lv.ny) couple(i + lv.nx, lv.w_north[i]);
+      if (iy > 0) couple(i - lv.nx, lv.w_north[i - lv.nx]);
+    }
+    pivot_.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t best = k;
+      double best_mag = std::abs(lu_[k * n + k]);
+      for (std::size_t r = k + 1; r < n; ++r) {
+        const double mag = std::abs(lu_[r * n + k]);
+        if (mag > best_mag) {
+          best_mag = mag;
+          best = r;
+        }
+      }
+      pivot_[k] = best;
+      if (best != k) {
+        for (std::size_t c = 0; c < n; ++c) std::swap(lu_[k * n + c], lu_[best * n + c]);
+      }
+      const Complex pv = lu_[k * n + k];
+      if (std::abs(pv) == 0.0) continue;
+      for (std::size_t r = k + 1; r < n; ++r) {
+        const Complex m = lu_[r * n + k] / pv;
+        lu_[r * n + k] = m;
+        if (std::abs(m) == 0.0) continue;
+        for (std::size_t c = k + 1; c < n; ++c) lu_[r * n + c] -= m * lu_[k * n + c];
+      }
+    }
+  }
+
+  void solve_coarsest(const std::vector<Complex>& rhs, std::vector<Complex>& x) const {
+    const std::size_t n = cells_.size();
+    std::vector<Complex> y(n);
+    for (std::size_t row = 0; row < n; ++row) y[row] = rhs[cells_[row]];
+    for (std::size_t k = 0; k < n; ++k) {
+      if (pivot_[k] != k) std::swap(y[k], y[pivot_[k]]);
+      for (std::size_t r = k + 1; r < n; ++r) y[r] -= lu_[r * n + k] * y[k];
+    }
+    for (std::size_t k = n; k-- > 0;) {
+      for (std::size_t c = k + 1; c < n; ++c) y[k] -= lu_[k * n + c] * y[c];
+      const Complex d = lu_[k * n + k];
+      y[k] = std::abs(d) > 0.0 ? y[k] / d : Complex{};
+    }
+    for (auto& v : x) v = Complex{};
+    for (std::size_t row = 0; row < n; ++row) x[cells_[row]] = y[row];
+  }
+
+  std::vector<Level> levels_;
+  std::vector<std::int64_t> index_;
+  std::vector<std::size_t> cells_;
+  std::vector<Complex> lu_;
+  std::vector<std::size_t> pivot_;
+};
 
 // --- Service frames ---------------------------------------------------------
 

@@ -4,17 +4,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <optional>
+#include <random>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "field/export.hpp"
 #include "field/extractor.hpp"
 #include "field/grid.hpp"
+#include "field/multigrid.hpp"
 #include "field/solver.hpp"
 #include "phys/constants.hpp"
+#include "reference.hpp"
 #include "simd/dispatch.hpp"
 #include "tsv/linear_model.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <cpuid.h>
+#endif
 
 namespace {
 
@@ -22,6 +33,42 @@ using namespace tsvcod;
 using namespace tsvcod::phys::literals;
 using field::Complex;
 using field::Grid;
+
+bool same_bits(Complex a, Complex b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// XINUSE (XGETBV with ECX = 1), when the host reports it: bit 2 marks the
+// upper YMM halves in use, bit 6 the upper ZMM halves.
+std::optional<std::uint64_t> xinuse() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) || !(ecx & bit_OSXSAVE)) return std::nullopt;
+  if (!__get_cpuid_count(0xd, 1, &eax, &ebx, &ecx, &edx) || !(eax & 4)) return std::nullopt;
+  std::uint32_t lo = 0, hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (std::uint64_t{hi} << 32) | lo;
+#else
+  return std::nullopt;
+#endif
+}
+
+std::vector<Complex> random_complex(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  std::vector<Complex> v(n);
+  for (auto& c : v) c = Complex{u(rng), u(rng)};
+  return v;
+}
+
+// Throws std::invalid_argument whose message contains `field`.
+template <typename Call>
+void expect_names(const std::string& field, Call&& call) {
+  try {
+    call();
+    ADD_FAILURE() << "accepted; expected an error naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
 
 TEST(Grid, ConstructionAndIndexing) {
   Grid g(10_um, 5_um, 0.5_um);
@@ -196,7 +243,7 @@ TEST(Solver, BreakdownAndNonConvergenceStayFinite) {
   field::FieldProblem problem(g);
 
   field::SolverOptions opts;
-  opts.tolerance = 0.0;  // unattainable: force breakdown or the iteration cap
+  opts.tolerance = 1e-300;  // unattainable: force breakdown or the iteration cap
   opts.max_iterations = 200;
   field::SolveStats stats;
   const auto phi = problem.solve(0, opts, &stats);
@@ -278,28 +325,30 @@ TEST(Solver, MultigridMatchesJacobiAndDense) {
   EXPECT_EQ(sm.preconditioner, field::Preconditioner::multigrid);
   EXPECT_EQ(sm.iterations, 5);
 
-  // Dense reference: assemble A column by column through the public operator
-  // and solve with partial-pivoting Gaussian elimination.
+  // Dense reference: assemble A column by column through the public grid
+  // operator, restricted to the free cells, and solve with partial-pivoting
+  // Gaussian elimination.
   const std::size_t nu = problem.unknowns();
+  std::vector<std::size_t> cells;
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    if (g.conductor(i) == field::kNoConductor) cells.push_back(i);
+  }
+  ASSERT_EQ(cells.size(), nu);
   std::vector<std::vector<Complex>> a(nu, std::vector<Complex>(nu));
-  std::vector<Complex> e(nu), col(nu);
+  std::vector<Complex> e(g.size()), col(g.size());
   for (std::size_t c = 0; c < nu; ++c) {
     std::fill(e.begin(), e.end(), Complex{});
-    e[c] = Complex{1.0, 0.0};
+    e[cells[c]] = Complex{1.0, 0.0};
     problem.apply(e, col);
-    for (std::size_t r = 0; r < nu; ++r) a[r][c] = col[r];
+    for (std::size_t r = 0; r < nu; ++r) a[r][c] = col[cells[r]];
   }
   // Right-hand side b = A x for the converged Jacobi potential is not
   // available directly; recover it from the full solve: b = A * phi_free.
-  std::vector<Complex> x_j(nu);
-  {
-    std::size_t u = 0;
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      if (g.conductor(i) == field::kNoConductor) x_j[u++] = phi_j[i];
-    }
-  }
+  std::vector<Complex> x_j(g.size()), ax(g.size());
+  for (const std::size_t i : cells) x_j[i] = phi_j[i];
+  problem.apply(x_j, ax);
   std::vector<Complex> b(nu);
-  problem.apply(x_j, b);
+  for (std::size_t k = 0; k < nu; ++k) b[k] = ax[cells[k]];
   for (std::size_t k = 0; k < nu; ++k) {
     std::size_t piv = k;
     for (std::size_t r = k + 1; r < nu; ++r) {
@@ -330,6 +379,204 @@ TEST(Solver, MultigridMatchesJacobiAndDense) {
     EXPECT_NEAR(phi_j[i].imag(), x_d[u].imag(), 2e-7);
     ++u;
   }
+}
+
+// The grid operator, gathered over the free cells, is the packed operator it
+// replaced, bit for bit, at every dispatch level the host supports; its
+// Dirichlet rows are +0. Grids: the flow-field cross-section, and an odd
+// 37x29 grid whose conductors touch the west and north boundaries.
+TEST(Solver, GridOperatorMatchesPackedReference) {
+  const auto geom = phys::TsvArrayGeometry::itrs2018_relaxed(4, 4);
+  field::ExtractionOptions fo;
+  fo.cell = 0.5_um;
+  const Grid flow = field::build_array_grid(geom, std::vector<double>(geom.count(), 0.5), fo);
+  Grid edge(9.25_um, 7.25_um, 0.25_um);
+  edge.fill(Complex{11.9, -59.9});
+  edge.paint_disk(4_um, 3_um, 1.5_um, Complex{3.9, 0.0});
+  edge.paint_disk(0.5_um, 3_um, 1_um, Complex{3.9, 0.0}, 0);
+  edge.paint_disk(6_um, 7_um, 1_um, Complex{3.9, 0.0}, 1);
+  ASSERT_EQ(edge.nx() % 2, 1u);
+  ASSERT_EQ(edge.ny() % 2, 1u);
+
+  const Grid* grids[] = {&flow, &edge};
+  for (const Grid* g : grids) {
+    const field::FieldProblem problem(*g);
+    const reference::PackedFieldOperator packed(*g);
+    const auto& cells = packed.free_cells();
+    ASSERT_EQ(cells.size(), problem.unknowns());
+    const std::vector<Complex> xu = random_complex(cells.size(), 7);
+    std::vector<Complex> want(cells.size());
+    packed.apply(xu, want);
+    std::vector<Complex> x(g->size(), Complex{});
+    for (std::size_t k = 0; k < cells.size(); ++k) x[cells[k]] = xu[k];
+
+    for (const auto level : {simd::Level::scalar, simd::Level::avx2, simd::Level::avx512}) {
+      if (level > simd::detected_level()) continue;
+      simd::ScopedLevel guard(level);
+      std::vector<Complex> y(g->size(), Complex{std::nan(""), std::nan("")});
+      problem.apply(x, y);
+      std::size_t mismatches = 0;
+      for (std::size_t k = 0; k < cells.size(); ++k) {
+        if (!same_bits(y[cells[k]], want[k])) ++mismatches;
+      }
+      for (std::size_t i = 0; i < g->size(); ++i) {
+        if (g->conductor(i) != field::kNoConductor && !same_bits(y[i], Complex{})) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u) << g->nx() << "x" << g->ny() << " at "
+                                << simd::level_name(level);
+    }
+  }
+}
+
+// A Jacobi-preconditioned solve is the grid operator plus the BiCGStab
+// updates, and both round exactly like their scalar forms at every dispatch
+// level (the AVX-512 updates vectorize only the products; every sum still
+// adds one cell at a time). So the whole solve, warm start included, is
+// bit-identical across levels. 33x25 cells: vector tails at every width.
+TEST(Solver, JacobiSolveIsBitIdenticalAcrossLevels) {
+  Grid g(8.25_um, 6.25_um, 0.25_um);
+  g.fill(Complex{11.9, -59.9});
+  g.paint_annulus(3_um, 3_um, 1_um, 1.25_um, Complex{3.9, 0.0});
+  g.paint_disk(3_um, 3_um, 1_um, Complex{3.9, 0.0}, 0);
+  g.paint_disk(6_um, 3.5_um, 0.75_um, Complex{3.9, 0.0}, 1);
+  const field::FieldProblem problem(g);
+  field::SolverOptions opts;
+  opts.preconditioner = field::Preconditioner::jacobi;
+
+  const auto run = [&](simd::Level level) {
+    simd::ScopedLevel guard(level);
+    field::SolveStats cold_stats, warm_stats;
+    std::vector<Complex> phi = problem.solve(0, opts, &cold_stats);
+    const std::vector<Complex> seed = problem.solve(1, opts, nullptr);
+    const std::vector<Complex> warm = problem.solve(0, opts, seed, &warm_stats);
+    EXPECT_TRUE(cold_stats.converged && warm_stats.converged);
+    phi.insert(phi.end(), warm.begin(), warm.end());
+    return std::make_pair(phi, cold_stats.iterations + warm_stats.iterations);
+  };
+  const auto [want, want_iterations] = run(simd::Level::scalar);
+  for (const auto level : {simd::Level::avx2, simd::Level::avx512}) {
+    if (level > simd::detected_level()) continue;
+    const auto [got, iterations] = run(level);
+    EXPECT_EQ(iterations, want_iterations) << simd::level_name(level);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) mismatches += !same_bits(got[i], want[i]);
+    EXPECT_EQ(mismatches, 0u) << simd::level_name(level);
+  }
+}
+
+// A solve hands back clean upper vector state at every level: dirty upper
+// halves slow every later SSE instruction of the process, and GCC emits no
+// vzeroupper before a vector clone's tail call into a scalar form.
+TEST(Solver, SolveLeavesUpperVectorStateClean) {
+  if (!xinuse()) GTEST_SKIP() << "XGETBV with ECX = 1 not available";
+  Grid g(8.25_um, 6.25_um, 0.25_um);
+  g.fill(Complex{11.9, -59.9});
+  g.paint_disk(3_um, 3_um, 1_um, Complex{3.9, 0.0}, 0);
+  const field::FieldProblem problem(g);
+  for (const auto pc : {field::Preconditioner::jacobi, field::Preconditioner::multigrid}) {
+    for (const auto level : {simd::Level::avx2, simd::Level::avx512}) {
+      if (level > simd::detected_level()) continue;
+      simd::ScopedLevel guard(level);
+      field::SolverOptions opts;
+      opts.preconditioner = pc;
+      const std::vector<Complex> phi = problem.solve(0, opts, nullptr);
+      const std::uint64_t state = *xinuse();
+      EXPECT_EQ(state & 0x44u, 0u) << simd::level_name(level) << " XINUSE " << std::hex << state;
+      EXPECT_EQ(phi.size(), g.size());
+    }
+  }
+}
+
+// One red-black sweep as one pass (red row iy+1, then black row iy) and the
+// copy-free V-cycle built on it are, at the scalar level, bit for bit the
+// two-colour sweep and the V-cycle it replaced: even and odd nx and ny,
+// conductors touching the boundary, and 9-row grids, where the pass ends on
+// the red update of row 8 before the last black row.
+TEST(Multigrid, OnePassSweepAndVCycleMatchTwoColourReference) {
+  simd::ScopedLevel scalar(simd::Level::scalar);
+  const std::pair<std::size_t, std::size_t> sizes[] = {{40, 32}, {37, 29}, {33, 9}, {9, 40},
+                                                       {24, 9}};
+  for (const auto& [nx, ny] : sizes) {
+    std::vector<std::uint8_t> dir(nx * ny, 0);
+    const double cx = nx / 2.0, cy = ny / 2.0, r = std::min(nx, ny) / 5.0;
+    for (std::size_t iy = 0; iy < ny; ++iy) {
+      for (std::size_t ix = 0; ix < nx; ++ix) {
+        const double dx = ix + 0.5 - cx, dy = iy + 0.5 - cy;
+        const double ex = ix + 0.5, ey = iy + 0.5 - cy;  // blob on the west edge
+        if (dx * dx + dy * dy < r * r || ex * ex + ey * ey < 2.0) dir[iy * nx + ix] = 1;
+      }
+    }
+    std::vector<Complex> eps = random_complex(nx * ny, 11);
+    for (auto& e : eps) e = Complex{6.5 + 5.0 * e.real(), -0.5 + 0.4 * e.imag()};
+    const std::vector<Complex> rhs = random_complex(nx * ny, 13);
+
+    const field::Multigrid mg(nx, ny, dir, eps);
+    const reference::TwoColourMultigrid ref(nx, ny, dir, eps);
+
+    std::vector<Complex> got = random_complex(nx * ny, 17);
+    std::vector<Complex> want = got;
+    mg.apply_smoother(rhs, got, 2);
+    ref.smooth(rhs, want, 2);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) mismatches += !same_bits(got[i], want[i]);
+    EXPECT_EQ(mismatches, 0u) << "smoother " << nx << "x" << ny;
+
+    auto ws = mg.make_workspace();
+    std::vector<Complex> z(nx * ny, Complex{std::nan(""), 0.0});
+    mg.v_cycle(rhs, z, ws);
+    const std::vector<Complex> zr = ref.v_cycle(rhs);
+    mismatches = 0;
+    for (std::size_t i = 0; i < z.size(); ++i) mismatches += !same_bits(z[i], zr[i]);
+    EXPECT_EQ(mismatches, 0u) << "V-cycle " << nx << "x" << ny << " (" << ref.depth()
+                              << " levels)";
+  }
+}
+
+// Bad solver options fail before any iteration, naming the field, both from
+// the solve itself and from a field fit (which validates up front).
+TEST(Solver, RejectsBadToleranceNamingTheField) {
+  Grid g(4_um, 4_um, 0.25_um);
+  g.paint_disk(2_um, 2_um, 0.75_um, Complex{1.0, 0.0}, 0);
+  const field::FieldProblem problem(g);
+  const auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);
+  for (const double tol : {std::nan(""), 0.0, -1.0, 1.0, HUGE_VAL}) {
+    field::SolverOptions opts;
+    opts.tolerance = tol;
+    expect_names("SolverOptions: tolerance", [&] { problem.solve(0, opts, nullptr); });
+    field::ExtractionOptions fo;
+    fo.cell = 1_um;
+    fo.solver = opts;
+    expect_names("SolverOptions: tolerance", [&] { tsv::fit_from_field(geom, fo); });
+  }
+}
+
+TEST(Solver, RejectsBadMaxIterationsNamingTheField) {
+  Grid g(4_um, 4_um, 0.25_um);
+  g.paint_disk(2_um, 2_um, 0.75_um, Complex{1.0, 0.0}, 0);
+  const field::FieldProblem problem(g);
+  const auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);
+  for (const int max_iterations : {0, -3}) {
+    field::SolverOptions opts;
+    opts.max_iterations = max_iterations;
+    expect_names("SolverOptions: max_iterations", [&] { problem.solve(0, opts, nullptr); });
+    field::ExtractionOptions fo;
+    fo.cell = 1_um;
+    fo.solver = opts;
+    expect_names("SolverOptions: max_iterations", [&] { tsv::fit_from_field(geom, fo); });
+  }
+}
+
+TEST(Extractor, RejectsNegativeThreadsNamingTheField) {
+  const auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);
+  field::ExtractionOptions fo;
+  fo.cell = 1_um;
+  for (const int threads : {-1, -5}) {
+    fo.threads = threads;
+    expect_names("ExtractionOptions: threads", [&] { fo.validate(geom); });
+    expect_names("ExtractionOptions: threads", [&] { tsv::fit_from_field(geom, fo); });
+  }
+  fo.threads = 0;
+  EXPECT_NO_THROW(fo.validate(geom));
 }
 
 // The point of multigrid: iteration counts stay roughly flat as the grid is
