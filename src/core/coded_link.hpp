@@ -102,8 +102,8 @@ class CodedLink {
 
   /// Atomic pair reset: both endpoints return to the power-on state in one
   /// call. Resetting a single endpoint of a stateful pair desyncs the link;
-  /// tests that need to *demonstrate* that failure mode use the endpoint
-  /// accessors below.
+  /// tests that need to *demonstrate* that failure mode use the transmitter
+  /// accessor below.
   void reset();
 
   /// Atomic hot-swap: install `next` as the live assignment AND reset both
@@ -115,10 +115,9 @@ class CodedLink {
   /// before the lock is taken.
   void reset(const SignedPermutation& next);
 
-  /// Endpoint access for desync experiments and statistics probes. Resetting
-  /// through these bypasses the atomicity guarantee on purpose.
+  /// Transmitter access for desync experiments and statistics probes.
+  /// Resetting through it bypasses the atomicity guarantee on purpose.
   coding::Codec& transmitter() { return *tx_; }
-  coding::Codec& receiver() { return *rx_; }
 
  private:
   PermutationTable apply_;    ///< the live assignment, bits -> lines

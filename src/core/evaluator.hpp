@@ -46,7 +46,6 @@ class PowerEvaluator {
 
   double power() const { return power_; }
   const SignedPermutation& assignment() const { return assignment_; }
-  std::size_t width() const { return n_; }
 
   /// Restart from a new assignment (same stats/model); also clears any
   /// floating-point drift accumulated by the incremental updates.

@@ -6,8 +6,8 @@
 
 namespace tsvcod::core {
 
-Link::Link(const phys::TsvArrayGeometry& geom, const tsv::AnalyticModelParams& params)
-    : geom_(geom), model_(tsv::fit_from_analytic(geom, params)) {}
+Link::Link(const phys::TsvArrayGeometry& geom)
+    : geom_(geom), model_(tsv::fit_from_analytic(geom)) {}
 
 Link::Link(const phys::TsvArrayGeometry& geom, tsv::LinearCapacitanceModel model)
     : geom_(geom), model_(std::move(model)) {

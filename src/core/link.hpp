@@ -22,7 +22,7 @@ class Link {
  public:
   /// Build with the fast analytic capacitance backend (default) or inject a
   /// pre-fitted model (e.g. from the finite-difference extractor).
-  explicit Link(const phys::TsvArrayGeometry& geom, const tsv::AnalyticModelParams& params = {});
+  explicit Link(const phys::TsvArrayGeometry& geom);
   Link(const phys::TsvArrayGeometry& geom, tsv::LinearCapacitanceModel model);
 
   const phys::TsvArrayGeometry& geometry() const { return geom_; }

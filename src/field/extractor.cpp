@@ -16,6 +16,10 @@ namespace tsvcod::field {
 
 namespace {
 
+/// Substrate margin around the array, in pitches: the grounded outer
+/// boundary sits this far from the outermost TSV centres.
+constexpr double kMarginPitches = 3.0;
+
 std::vector<double> depletion_widths(const phys::TsvArrayGeometry& geom,
                                      std::span<const double> probabilities) {
   std::vector<double> w(geom.count());
@@ -29,9 +33,9 @@ std::vector<double> depletion_widths(const phys::TsvArrayGeometry& geom,
 /// Rasterize every TSV into `grid` (substrate fill + per-TSV depletion
 /// annulus, oxide liner, conductor core). Shared by the one-shot and the
 /// reusing extraction paths so both paint bit-identical grids.
-void paint_array(Grid& grid, const phys::TsvArrayGeometry& geom, std::span<const double> widths,
-                 const ExtractionOptions& opts, double margin) {
-  const double omega = 2.0 * phys::pi * opts.frequency;
+void paint_array(Grid& grid, const phys::TsvArrayGeometry& geom, std::span<const double> widths) {
+  const double omega = 2.0 * phys::pi * phys::admittance_frequency;
+  const double margin = kMarginPitches * geom.pitch;
   const Complex eps_substrate{phys::eps_r_si, -geom.mos.substrate_sigma / (omega * phys::eps0)};
   const Complex eps_oxide{phys::eps_r_sio2, 0.0};
   const Complex eps_depleted{phys::eps_r_si, 0.0};
@@ -52,15 +56,10 @@ void paint_array(Grid& grid, const phys::TsvArrayGeometry& geom, std::span<const
   }
 }
 
-double resolved_margin(const phys::TsvArrayGeometry& geom, const ExtractionOptions& opts) {
-  return opts.margin > 0.0 ? opts.margin : 3.0 * geom.pitch;
-}
-
 /// Physical size [m] of the rasterized cross-section: the array's centre
 /// span plus the margin on every side.
-std::pair<double, double> domain_size(const phys::TsvArrayGeometry& geom,
-                                      const ExtractionOptions& opts) {
-  const double margin = resolved_margin(geom, opts);
+std::pair<double, double> domain_size(const phys::TsvArrayGeometry& geom) {
+  const double margin = kMarginPitches * geom.pitch;
   return {static_cast<double>(geom.cols - 1) * geom.pitch + 2.0 * margin,
           static_cast<double>(geom.rows - 1) * geom.pitch + 2.0 * margin};
 }
@@ -68,7 +67,7 @@ std::pair<double, double> domain_size(const phys::TsvArrayGeometry& geom,
 Grid make_array_grid(const phys::TsvArrayGeometry& geom, const ExtractionOptions& opts) {
   geom.validate();
   opts.validate(geom);
-  const auto [width, height] = domain_size(geom, opts);
+  const auto [width, height] = domain_size(geom);
   return Grid(width, height, opts.cell);
 }
 
@@ -133,7 +132,7 @@ void ExtractionOptions::validate(const phys::TsvArrayGeometry& geom) const {
   }
   // The grid rounds each side up to whole cells and keeps two per-cell
   // vectors; count in doubles so a tiny cell cannot wrap the product.
-  const auto [width, height] = domain_size(geom, *this);
+  const auto [width, height] = domain_size(geom);
   const double cells = std::ceil(width / cell) * std::ceil(height / cell);
   const double limit = static_cast<double>(std::vector<Complex>().max_size());
   if (!(cells <= limit)) {
@@ -149,7 +148,7 @@ Grid build_array_grid(const phys::TsvArrayGeometry& geom, std::span<const double
                       const ExtractionOptions& opts) {
   validate_probabilities(geom, probabilities);
   Grid grid = make_array_grid(geom, opts);
-  paint_array(grid, geom, depletion_widths(geom, probabilities), opts, resolved_margin(geom, opts));
+  paint_array(grid, geom, depletion_widths(geom, probabilities));
   return grid;
 }
 
@@ -172,7 +171,7 @@ void CapacitanceExtractor::repaint(std::span<const double> probabilities) {
     return;
   }
   obs::Span span(problem_ ? "field.extract.repaint" : "field.extract.setup");
-  paint_array(grid_, geom_, widths, opts_, resolved_margin(geom_, opts_));
+  paint_array(grid_, geom_, widths);
   last_widths_ = std::move(widths);
   if (!problem_) {
     problem_ = std::make_unique<FieldProblem>(grid_);

@@ -6,9 +6,11 @@
 // SiO2 liner, depleted annulus (lossless silicon, width from the cylindrical
 // deep-depletion Poisson solve at the signal's average voltage pr*Vdd) and
 // the lossy p-substrate with complex permittivity
-//     eps*_r = eps_r - j * sigma / (omega * eps0).
+//     eps*_r = eps_r - j * sigma / (omega * eps0)
+// at omega = 2*pi*phys::admittance_frequency. The substrate extends three
+// pitches beyond the outermost TSV centres to a grounded boundary.
 // One Dirichlet solve per conductor yields the complex charge matrix Q; the
-// effective capacitance matrix at the extraction frequency is C = Re{Q}
+// effective capacitance matrix at that frequency is C = Re{Q}
 // (because Y = j*omega*Q = G + j*omega*C). Scaling by the TSV length turns
 // the per-unit-length 2-D result into the array's lumped capacitances.
 //
@@ -40,9 +42,7 @@ class ConvergenceError : public std::runtime_error {
 };
 
 struct ExtractionOptions {
-  double cell = 0.1e-6;       ///< grid cell edge [m]
-  double margin = 0.0;        ///< substrate margin around the array [m]; 0 = auto (3 pitches)
-  double frequency = 3e9;     ///< extraction frequency [Hz]
+  double cell = 0.1e-6;  ///< grid cell edge [m]
   /// Worker threads for the per-conductor solves (one Dirichlet solve per
   /// TSV, all independent). 0 = TSVCOD_THREADS env override, else 1. Results
   /// are bit-identical at every thread count.
@@ -102,8 +102,6 @@ class CapacitanceExtractor {
   /// call equals `extract_capacitance` exactly; later calls warm-start.
   CapacitanceResult extract(std::span<const double> probabilities);
 
-  const Grid& grid() const { return grid_; }
-  const FieldProblem& problem() const { return *problem_; }
   /// Total BiCGStab iterations across all calls so far (sweep cost metric).
   long long total_iterations() const { return total_iterations_; }
 

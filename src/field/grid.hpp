@@ -30,9 +30,6 @@ class Grid {
 
   std::size_t nx() const { return nx_; }
   std::size_t ny() const { return ny_; }
-  double cell() const { return cell_; }
-  double width() const { return static_cast<double>(nx_) * cell_; }
-  double height() const { return static_cast<double>(ny_) * cell_; }
   std::size_t size() const { return nx_ * ny_; }
 
   std::size_t index(std::size_t ix, std::size_t iy) const { return iy * nx_ + ix; }

@@ -63,14 +63,7 @@ VerticalCodingPlan plan_vertical_coding(const Mesh3D& mesh, const TrafficConfig&
   plan.line_width = warmup.vertical_line_width();
   plan.warmup_cycles = options.warmup_cycles;
 
-  phys::TsvArrayGeometry geom = options.geometry;
-  if (geom.rows == 0) geom = default_bundle_geometry(plan.line_width);
-  if (geom.count() != plan.line_width) {
-    throw std::invalid_argument("VerticalCodingOptions.geometry: array holds " +
-                                std::to_string(geom.count()) + " TSVs but the coded links are " +
-                                std::to_string(plan.line_width) + " lines wide");
-  }
-  const core::Link bundle(geom);
+  const core::Link bundle(default_bundle_geometry(plan.line_width));
   const tsv::LinearCapacitanceModel& model = bundle.model();
 
   auto results = core::optimize_assignments(link_stats, model, options.optimize, options.threads);

@@ -37,8 +37,6 @@ struct VerticalCodingOptions {
   std::size_t warmup_cycles = 4096;
   /// Annealing knobs shared by all links (seeds are derived per link).
   core::OptimizeOptions optimize{};
-  /// TSV array per bundle; rows == 0 = default_bundle_geometry(line width).
-  phys::TsvArrayGeometry geometry{};
   /// Worker threads for the warm-up simulation and the batch anneal
   /// (TSVCOD_THREADS convention; results are thread-count invariant).
   int threads = 0;
@@ -61,7 +59,8 @@ struct VerticalCodingPlan {
 
 /// Measure every vertical link under `traffic` (coded-line domain: the
 /// warm-up runs with identity-assigned codecs attached) and return one
-/// optimized assignment per link. Feed `plan.assignments` to
+/// optimized assignment per link, priced on the default_bundle_geometry of
+/// the coded line width. Feed `plan.assignments` to
 /// NocSimulator::attach_vertical_coding(options.spec, plan.assignments).
 VerticalCodingPlan plan_vertical_coding(const Mesh3D& mesh, const TrafficConfig& traffic,
                                         const VerticalCodingOptions& options = {});

@@ -15,7 +15,8 @@
 //    single-thread speedup against it, which is the honest "vs the pre-PR
 //    simulator" number (same semantics, old layout).
 //
-// Unbounded queues, no coding, no probe — the common core only.
+// Unbounded queues (the batched engine's only queue model), no coding, no
+// probe — the common core only.
 
 #include "noc/traffic.hpp"
 

@@ -4,8 +4,6 @@
 
 namespace tsvcod::noc {
 
-FlitRing::FlitRing(std::size_t capacity) : bound_(capacity), bounded_(capacity > 0) {}
-
 void FlitRing::grow() {
   // Re-linearize into a fresh buffer twice the size (head back at 0).
   const std::size_t old_cap = slots_.size();
@@ -19,15 +17,13 @@ void FlitRing::grow() {
   head_ = 0;
 }
 
-bool FlitRing::push(const PackedFlit& flit, std::uint8_t out_port) {
-  if (bounded_ && count_ == bound_) return false;
+void FlitRing::push(const PackedFlit& flit, std::uint8_t out_port) {
   if (count_ == slots_.size()) grow();
   std::size_t tail = head_ + count_;
   if (tail >= slots_.size()) tail -= slots_.size();
   slots_[tail].flit = flit;
   slots_[tail].out = out_port;
   ++count_;
-  return true;
 }
 
 PackedFlit FlitRing::pop() {
@@ -37,15 +33,10 @@ PackedFlit FlitRing::pop() {
   return f;
 }
 
-Router::Router(std::size_t queue_capacity) {
-  for (auto& ring : in_) ring = FlitRing(queue_capacity);
-}
-
-bool Router::accept(Direction port, const PackedFlit& flit, Direction out_port) {
+void Router::accept(Direction port, const PackedFlit& flit, Direction out_port) {
   const auto p = static_cast<std::size_t>(port);
-  if (!in_[p].push(flit, static_cast<std::uint8_t>(out_port))) return false;
+  in_[p].push(flit, static_cast<std::uint8_t>(out_port));
   occupied_ |= static_cast<std::uint8_t>(1u << p);
-  return true;
 }
 
 std::size_t Router::queued() const {
@@ -54,8 +45,7 @@ std::size_t Router::queued() const {
   return total;
 }
 
-std::uint8_t Router::arbitrate(std::uint8_t blocked_mask, PackedFlit grants[kPortCount],
-                               std::uint64_t& stalled) {
+std::uint8_t Router::arbitrate(PackedFlit grants[kPortCount]) {
   if (occupied_ == 0) return 0;
   std::uint8_t granted = 0;
   // Head output-port tags, gathered once per cycle; `wanted` marks the
@@ -70,12 +60,6 @@ std::uint8_t Router::arbitrate(std::uint8_t blocked_mask, PackedFlit grants[kPor
   }
   for (std::uint8_t w = wanted; w != 0; w &= static_cast<std::uint8_t>(w - 1)) {
     const int out = std::countr_zero(w);
-    if (blocked_mask & (1u << out)) {
-      // A flit is ready but the downstream register has not been drained:
-      // back-pressure stall, one per blocked output per cycle.
-      ++stalled;
-      continue;
-    }
     const int start = rr_[out];
     int winner = -1;
     for (int k = 0; k < kPortCount; ++k) {

@@ -10,9 +10,9 @@
 // store instead of four scattered ones, a per-router bitmask tracks
 // non-empty ports so idle routers cost one load per cycle, and arbitration
 // works on plain arrays with zero steady-state allocation.
-// Queues are unbounded by default (they grow geometrically); a bounded
-// capacity turns on back-pressure, which the cycle kernel accounts as
-// SimStats::stalled_cycles.
+// Queues are unbounded (they grow geometrically), so every transfer register
+// is drained into its ring the cycle after it is written and no output is
+// ever blocked.
 //
 // Routing is resolved once, at enqueue time (XYZ dimension order is a pure
 // function of (router, destination)), so arbitration never recomputes
@@ -36,16 +36,11 @@ struct PackedFlit {
 /// keeps an enqueue/dequeue within a single cache line.
 class FlitRing {
  public:
-  /// `capacity` 0 = unbounded (storage grows geometrically).
-  explicit FlitRing(std::size_t capacity = 0);
-
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
-  bool full() const { return bounded_ && count_ == bound_; }
 
-  /// Enqueue; returns false (and drops nothing — the caller keeps the flit)
-  /// when a bounded ring is full.
-  bool push(const PackedFlit& flit, std::uint8_t out_port);
+  /// Enqueue; storage grows geometrically.
+  void push(const PackedFlit& flit, std::uint8_t out_port);
 
   /// Output port of the head flit. Only valid when !empty().
   std::uint8_t head_out() const { return slots_[head_].out; }
@@ -64,8 +59,6 @@ class FlitRing {
   std::vector<Slot> slots_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
-  std::size_t bound_ = 0;  ///< hard capacity when bounded
-  bool bounded_ = false;
 };
 
 /// Per-router switching state: seven input rings plus the round-robin
@@ -73,25 +66,16 @@ class FlitRing {
 /// is what lets the cycle kernel run routers from any worker rank.
 class Router {
  public:
-  explicit Router(std::size_t queue_capacity = 0);
-
   /// Enqueue a flit arriving on `port` whose precomputed output is
-  /// `out_port`; false when the bounded ring is full (back-pressure).
-  bool accept(Direction port, const PackedFlit& flit, Direction out_port);
+  /// `out_port`.
+  void accept(Direction port, const PackedFlit& flit, Direction out_port);
 
   std::size_t queued() const;
-  std::size_t queued(Direction port) const {
-    return in_[static_cast<std::size_t>(port)].size();
-  }
 
-  /// Pick at most one flit per output port this cycle. `blocked_mask` bit d
-  /// marks output ports whose downstream register is still occupied
-  /// (back-pressure): they grant nothing, and if some head flit wanted such
-  /// a port, `stalled` is incremented once per blocked port per cycle.
-  /// Granted flits are removed from their rings and written to `grants`;
-  /// the return value has bit d set for every granted output port.
-  std::uint8_t arbitrate(std::uint8_t blocked_mask, PackedFlit grants[kPortCount],
-                         std::uint64_t& stalled);
+  /// Pick at most one flit per output port this cycle. Granted flits are
+  /// removed from their rings and written to `grants`; the return value has
+  /// bit d set for every granted output port.
+  std::uint8_t arbitrate(PackedFlit grants[kPortCount]);
 
   /// Bitmask of non-empty input ports (bit = static_cast<int>(Direction)).
   std::uint8_t occupied_mask() const { return occupied_; }

@@ -52,8 +52,7 @@ NocSimulator::NocSimulator(const Mesh3D& mesh, const TrafficConfig& traffic, Sim
   options.validate();
   const std::size_t n = mesh.node_count();
   const std::size_t slots = n * static_cast<std::size_t>(kPortCount);
-  routers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) routers_.emplace_back(options.queue_capacity);
+  routers_.resize(n);
   nbr_.assign(n * 6, npos32);
   cx_.resize(n);
   cy_.resize(n);
@@ -83,13 +82,10 @@ NocSimulator::NocSimulator(const Mesh3D& mesh, const TrafficConfig& traffic, Sim
   injected_.assign(n, 0);
   delivered_.assign(n, 0);
   latency_.assign(n, 0);
-  stalls_.assign(n, 0);
   digest_.assign(n, 0);
   max_queued_.assign(n, 0);
   occ_.assign(n, 0);
   q_.assign(n, 0);
-  pending_valid_.assign(n, 0);
-  pending_.assign(n, PackedFlit{});
   vlinks_ = vertical_links(mesh);
   vstat_of_slot_.assign(slots, kNoStat);
   for (std::size_t i = 0; i < vlinks_.size(); ++i) {
@@ -155,19 +151,9 @@ void NocSimulator::phase_arbitrate(std::size_t begin, std::size_t end, std::size
     std::uint64_t probe_word = 0;
     if (occ_[r] != 0) {
       Router& router = routers_[r];
-      // Outputs whose downstream register has not been drained are blocked
-      // (back-pressure); the local ejection register is always drained.
-      std::uint8_t blocked = 0;
       const std::uint32_t* nb = &nbr_[r * 6];
-      for (int out = 0; out < 6; ++out) {
-        if (nb[out] != npos32 &&
-            reg_valid_[static_cast<std::size_t>(nb[out]) * static_cast<std::size_t>(kPortCount) +
-                       static_cast<std::size_t>(out)]) {
-          blocked |= static_cast<std::uint8_t>(1u << out);
-        }
-      }
       PackedFlit grants[kPortCount];
-      const std::uint8_t granted = router.arbitrate(blocked, grants, stalls_[r]);
+      const std::uint8_t granted = router.arbitrate(grants);
       occ_[r] = router.occupied_mask();
       q_[r] -= static_cast<std::uint32_t>(std::popcount(granted));
       for (std::uint8_t g = granted; g != 0; g &= static_cast<std::uint8_t>(g - 1)) {
@@ -253,14 +239,10 @@ void NocSimulator::phase_transfer(std::size_t begin, std::size_t end, std::size_
       f.payload = coded_[slot] ? coded_[slot]->receive(reg_line_[reg]) : reg_payload_[reg];
       f.dst = reg_dst_[reg];
       f.injected = reg_injected_[reg];
-      const Direction out = route_of(r, f.dst);
-      if (router.accept(static_cast<Direction>(d), f, out)) {
-        reg_valid_[reg] = 0;
-        occ_[r] |= static_cast<std::uint8_t>(1u << d);
-        ++q_[r];
-      }
-      // else: the bounded ring is full — the register stays occupied, which
-      // is exactly the blocked-mask back-pressure the sender sees in phase A.
+      router.accept(static_cast<Direction>(d), f, route_of(r, f.dst));
+      reg_valid_[reg] = 0;
+      occ_[r] |= static_cast<std::uint8_t>(1u << d);
+      ++q_[r];
     }
     // Ejection: the flit this router granted to its own Local port.
     if (valid8 & 0x00FF000000000000ull) {
@@ -271,29 +253,18 @@ void NocSimulator::phase_transfer(std::size_t begin, std::size_t end, std::size_
       latency_[r] += lat;
       digest_[r] = digest_mix(digest_[r], reg_payload_[eject], lat);
     }
-    // Injection. A pending flit (the bounded Local ring was full) blocks the
-    // source: no new traffic is drawn until it gets in.
-    if (!pending_valid_[r]) {
-      if (auto f = traffic_.generate(r, cycle)) {
-        pending_[r].payload = f->payload;
-        pending_[r].dst = static_cast<std::uint32_t>(mesh_.index(f->dst));
-        pending_[r].injected = static_cast<std::uint32_t>(cycle);
-        pending_valid_[r] = 1;
-        ++injected_[r];
-      }
+    // Injection: a new flit goes straight into the Local ring.
+    if (auto flit = traffic_.generate(r, cycle)) {
+      PackedFlit f;
+      f.payload = flit->payload;
+      f.dst = static_cast<std::uint32_t>(mesh_.index(flit->dst));
+      f.injected = static_cast<std::uint32_t>(cycle);
+      router.accept(Direction::Local, f, route_of(r, f.dst));
+      occ_[r] |= static_cast<std::uint8_t>(1u << static_cast<int>(Direction::Local));
+      ++q_[r];
+      ++injected_[r];
     }
-    if (pending_valid_[r]) {
-      const Direction out = route_of(r, pending_[r].dst);
-      if (router.accept(Direction::Local, pending_[r], out)) {
-        pending_valid_[r] = 0;
-        occ_[r] |= static_cast<std::uint8_t>(1u << static_cast<int>(Direction::Local));
-        ++q_[r];
-      } else {
-        ++stalls_[r];
-      }
-    }
-    const std::size_t q = q_[r] + pending_valid_[r];
-    if (q > max_queued_[r]) max_queued_[r] = static_cast<std::uint32_t>(q);
+    if (q_[r] > max_queued_[r]) max_queued_[r] = q_[r];
   }
 }
 
@@ -306,7 +277,6 @@ SimStats NocSimulator::run(std::size_t cycles) {
   const std::size_t injected_before = total(injected_);
   const std::size_t delivered_before = total(delivered_);
   const std::uint64_t probe_toggles_before = probe_toggles_;
-  const std::uint64_t stalls_before = total(stalls_);
 
   if (k == 1) {
     for (std::size_t c = 0; c < cycles; ++c) {
@@ -354,7 +324,6 @@ SimStats NocSimulator::run(std::size_t cycles) {
     s.injected += injected_[r];
     s.delivered += delivered_[r];
     s.latency_cycles += latency_[r];
-    s.stalled_cycles += stalls_[r];
     s.max_queued = std::max<std::size_t>(s.max_queued, max_queued_[r]);
     s.ejection_digest = digest_mix(s.ejection_digest, digest_[r], delivered_[r]);
   }
@@ -383,7 +352,6 @@ SimStats NocSimulator::run(std::size_t cycles) {
   };
   record_nonzero("injected", s.injected - injected_before);
   record_nonzero("delivered", s.delivered - delivered_before);
-  record_nonzero("stalled_cycles", s.stalled_cycles - stalls_before);
   record_nonzero("probe_toggled_bits", probe_toggles_ - probe_toggles_before);
   return s;
 }
@@ -393,7 +361,6 @@ std::size_t NocSimulator::in_flight() const {
   const std::size_t slots = routers_.size() * static_cast<std::size_t>(kPortCount);
   for (const auto& router : routers_) count += router.queued();
   for (std::size_t i = 0; i < slots; ++i) count += reg_valid_[i];
-  for (std::uint8_t v : pending_valid_) count += v;
   return count;
 }
 

@@ -21,10 +21,10 @@
 // index order, and traffic is a pure function of (config, node, cycle), so
 // SimStats is bit-identical at every thread count, including 1.
 //
-// A bounded `queue_capacity` turns on back-pressure: full input rings leave
-// the transfer register occupied, the sender's arbitration stalls (counted
-// in SimStats::stalled_cycles), and injection blocks at the source instead
-// of growing queues without bound — saturation becomes measurable.
+// Input rings are unbounded, so phase B always empties every register it
+// reads: a sender never finds its output register still occupied, and a
+// source never waits to inject. Under saturation the queues grow instead
+// (SimStats::max_queued records how far).
 //
 // Vertical (±z) links are TSV bundles: an optional core::CodedLink per
 // vertical link (independently optimized assignments — see noc/coded.hpp)
@@ -56,11 +56,8 @@ struct SimStats {
   double mean_latency = 0.0;          ///< cycles, delivered flits
   std::uint64_t latency_cycles = 0;   ///< exact integer latency sum
   std::size_t max_queued = 0;         ///< worst router occupancy seen
-  /// Cycles x ports a ready flit (or injection) could not move because the
-  /// downstream buffer was full. Always 0 with unbounded queues.
-  std::uint64_t stalled_cycles = 0;
-  /// Flits still in the fabric (rings + transfer registers + pending
-  /// injections) when the run ended: injected == delivered + in_flight.
+  /// Flits still in the fabric (rings + transfer registers) when the run
+  /// ended: injected == delivered + in_flight.
   std::size_t in_flight = 0;
   /// Order-exact digest of every ejection (payload, latency) stream, folded
   /// over routers in index order: two simulations delivered byte-identical
@@ -87,8 +84,6 @@ struct SimOptions {
   /// Worker ranks for the cycle kernel. 0 = the TSVCOD_THREADS convention;
   /// 1 (default) = serial. Results are bit-identical at every value.
   int threads = 1;
-  /// Per-input-port queue capacity; 0 = unbounded (queues grow).
-  std::size_t queue_capacity = 0;
   /// Maintain an exact switching-statistics accumulator per vertical link
   /// (latched line words, one sample per cycle) — the input the per-link
   /// assignment optimizer needs. Costs roughly as much as the simulation
@@ -124,7 +119,7 @@ class NocSimulator {
   const std::vector<std::uint64_t>& probe_trace() const { return trace_; }
   std::size_t probe_width() const { return flit_width_ + 1; }
 
-  /// Flits currently inside the fabric (rings + registers + pending).
+  /// Flits currently inside the fabric (rings + registers).
   std::size_t in_flight() const;
 
   /// The vertical links, in the order vertical_link_stats() and
@@ -204,11 +199,8 @@ class NocSimulator {
   std::vector<std::uint64_t> injected_;
   std::vector<std::uint64_t> delivered_;
   std::vector<std::uint64_t> latency_;
-  std::vector<std::uint64_t> stalls_;
   std::vector<std::uint64_t> digest_;
   std::vector<std::uint32_t> max_queued_;
-  std::vector<std::uint8_t> pending_valid_;  ///< injection waiting for queue space
-  std::vector<PackedFlit> pending_;
 
   bool probing_ = false;
   LinkId probe_{};

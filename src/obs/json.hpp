@@ -24,7 +24,6 @@ struct Value {
   std::vector<Value> array;
   std::vector<std::pair<std::string, Value>> object;  // insertion order
 
-  bool is_null() const { return type == Type::null; }
   bool is_boolean() const { return type == Type::boolean; }
   bool is_number() const { return type == Type::number; }
   bool is_string() const { return type == Type::string; }

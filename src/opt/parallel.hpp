@@ -97,11 +97,6 @@ class ThreadPool {
     }
   }
 
-  int workers() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return static_cast<int>(threads_.size());
-  }
-
   void submit(std::function<void()> job) {
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -235,8 +230,8 @@ void parallel_for(std::size_t n, int threads, Fn&& fn) {
 /// wait() are visible to every rank after it returns.
 class SpinBarrier {
  public:
-  explicit SpinBarrier(int participants, bool spin = true)
-      : n_(participants), spin_(spin && participants <= hardware_threads()) {}
+  explicit SpinBarrier(int participants)
+      : n_(participants), spin_(participants <= hardware_threads()) {}
 
   void wait() {
     const std::uint64_t phase = phase_.load(std::memory_order_acquire);

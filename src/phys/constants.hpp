@@ -17,6 +17,11 @@ inline constexpr double n_i_si = 1.0e16;          ///< Si intrinsic carrier dens
 inline constexpr double mu_p_si = 0.045;          ///< hole mobility in Si [m^2/Vs]
 inline constexpr double rho_cu = 1.68e-8;         ///< copper resistivity [Ohm*m]
 inline constexpr double pi = 3.14159265358979323846;
+/// Frequency at which both capacitance backends (the FD extractor and the
+/// analytic model) evaluate the lossy-substrate admittance [Hz]: the paper's
+/// 3 GHz operating point, so eps*_r = eps_r - j*sigma/(omega*eps0) is one
+/// value everywhere.
+inline constexpr double admittance_frequency = 3e9;
 
 /// Acceptor density that yields a given p-substrate conductivity [S/m].
 constexpr double acceptor_density_for_conductivity(double sigma) {

@@ -1,6 +1,7 @@
 #include "phys/tsv_geometry.hpp"
 
 #include <cmath>
+#include <sstream>
 
 namespace tsvcod::phys {
 
@@ -23,9 +24,15 @@ double TsvArrayGeometry::distance(std::size_t i, std::size_t j) const {
 
 void TsvArrayGeometry::validate() const {
   if (rows == 0 || cols == 0) throw std::invalid_argument("TsvArrayGeometry: empty array");
-  if (!(radius > 0.0) || !(pitch > 0.0) || !(length > 0.0)) {
-    throw std::invalid_argument("TsvArrayGeometry: non-positive dimensions");
-  }
+  const auto require_length = [](const char* field, double value) {
+    if (value > 0.0 && std::isfinite(value)) return;
+    std::ostringstream msg;
+    msg << "TsvArrayGeometry: " << field << " must be a finite length > 0 m, got " << value;
+    throw std::invalid_argument(msg.str());
+  };
+  require_length("radius", radius);
+  require_length("pitch", pitch);
+  require_length("length", length);
   if (pitch < 2.0 * liner_radius()) {
     throw std::invalid_argument("TsvArrayGeometry: TSV liners overlap (pitch too small)");
   }

@@ -109,9 +109,6 @@ class Server {
   };
   Totals totals() const;
 
-  int shards() const { return static_cast<int>(shards_.size()); }
-  std::size_t queue_capacity() const { return options_.queue_capacity; }
-
  private:
   struct Batch {
     std::shared_ptr<Session> session;

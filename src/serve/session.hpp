@@ -103,7 +103,6 @@ class Session {
   Session(std::uint64_t id, SessionConfig config);
 
   std::uint64_t id() const { return id_; }
-  std::size_t width() const { return config_.width; }
   const tsv::LinearCapacitanceModel& model() const { return config_.model; }
   const core::OptimizeOptions& optimize_options() const { return config_.optimize; }
 

@@ -86,8 +86,6 @@ class StatsAccumulator {
   /// ended with it, so chunks linked this way merge to the whole stream.
   StatsAccumulator(std::size_t width, std::uint64_t seam);
 
-  std::size_t width() const { return width_; }
-
   /// Number of words consumed so far (the seam word is not one).
   std::size_t samples() const { return static_cast<std::size_t>(samples_); }
 
@@ -153,8 +151,6 @@ class ChunkFolder {
   /// `threads` is passed through to the parallel chunk reduction (0 =
   /// TSVCOD_THREADS, as everywhere).
   explicit ChunkFolder(std::size_t width, int threads = 1);
-
-  std::size_t width() const { return width_; }
 
   /// Fold the next chunk of the stream. Empty chunks are no-ops; a 1-word
   /// chunk adds one word (plus one transition once primed).

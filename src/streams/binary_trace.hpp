@@ -101,7 +101,6 @@ class BinaryTraceWriter {
   /// Flush, patch the header word count and close. Throws on I/O failure.
   void close();
 
-  std::size_t width() const { return width_; }
   std::uint64_t written() const { return count_; }
 
  private:

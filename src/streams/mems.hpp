@@ -34,7 +34,6 @@ class MemsSensorModel {
 
   MemsSensorModel(MemsKind kind, std::uint64_t seed);
   Sample next();
-  MemsKind kind() const { return kind_; }
 
  private:
   double ou_step(double state, double tau, double sigma, double dt, double noise);

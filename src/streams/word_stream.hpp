@@ -50,7 +50,6 @@ class StableLinesStream final : public WordStream {
   std::size_t width() const override;
   std::uint64_t next() override;
   const std::vector<StableLine>& lines() const { return lines_; }
-  std::size_t inner_width() const { return inner_->width(); }
 
  private:
   std::unique_ptr<WordStream> inner_;

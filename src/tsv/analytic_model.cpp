@@ -16,6 +16,22 @@ using std::complex;
 using phys::eps0;
 using phys::pi;
 
+// Calibration constants (docs/physics.md Sec. 3, DESIGN.md Sec. 7).
+constexpr double kPairCutoff = 2.2;  ///< include pairs with s <= cutoff * pitch
+constexpr double kCosMin = 0.05;     ///< ray ownership: min cos(angle) towards a TSV
+/// Ray competition metric: effective distance s / cos(angle)^p. Penalizing
+/// oblique field paths hands diagonal neighbours a realistic angular wedge
+/// instead of starving them entirely, and strengthens the corner/edge/
+/// middle heterogeneity. p = 3 calibrates the corner-to-middle total-
+/// capacitance contrast to ~1.45x, which reproduces the reduction
+/// magnitudes the paper reports; p = 2 gives a flatter array.
+constexpr double kObliquenessPower = 3.0;
+/// Substrate contact distance, in pitches: the exposed-corner ground
+/// capacitance carries part of the edge-effect heterogeneity; a farther
+/// contact shrinks the reductions.
+constexpr double kGroundPitches = 3.0;
+constexpr int kRayCount = 720;  ///< directions sampled per TSV
+
 struct TsvState {
   double x = 0.0;
   double y = 0.0;
@@ -65,15 +81,14 @@ double series_ground_capacitance(double c_mos, double r_out, double d_gnd, doubl
 /// A ray's destination is the candidate with the smallest effective distance
 /// s / cos(angle)^p; the grounded substrate contact competes at distance
 /// `d_gnd` in every direction.
-std::vector<std::vector<double>> ray_ownership(const std::vector<TsvState>& tsv,
-                                               const AnalyticModelParams& params,
-                                               double cutoff, double d_gnd) {
+std::vector<std::vector<double>> ray_ownership(const std::vector<TsvState>& tsv, double cutoff,
+                                               double d_gnd) {
   const std::size_t n = tsv.size();
   std::vector<std::vector<double>> own(n, std::vector<double>(n + 1, 0.0));
   for (std::size_t i = 0; i < n; ++i) {
-    for (int ray = 0; ray < params.ray_count; ++ray) {
-      const double theta = 2.0 * pi * (static_cast<double>(ray) + 0.5) /
-                           static_cast<double>(params.ray_count);
+    for (int ray = 0; ray < kRayCount; ++ray) {
+      const double theta =
+          2.0 * pi * (static_cast<double>(ray) + 0.5) / static_cast<double>(kRayCount);
       const double ux = std::cos(theta);
       const double uy = std::sin(theta);
       double best = d_gnd;
@@ -85,14 +100,14 @@ std::vector<std::vector<double>> ray_ownership(const std::vector<TsvState>& tsv,
         const double s = std::hypot(dx, dy);
         if (s > cutoff) continue;
         const double cosang = (dx * ux + dy * uy) / s;
-        if (cosang < params.cos_min) continue;
-        const double effective = s / std::pow(cosang, params.obliqueness_power);
+        if (cosang < kCosMin) continue;
+        const double effective = s / std::pow(cosang, kObliquenessPower);
         if (effective < best) {
           best = effective;
           dest = k;
         }
       }
-      own[i][dest] += 1.0 / static_cast<double>(params.ray_count);
+      own[i][dest] += 1.0 / static_cast<double>(kRayCount);
     }
   }
   return own;
@@ -101,12 +116,12 @@ std::vector<std::vector<double>> ray_ownership(const std::vector<TsvState>& tsv,
 /// Angular fraction an isolated partner at distance `s` owns under the same
 /// ray rule (competing only against ground); normalizes the partition so an
 /// isolated pair reproduces the raw two-cylinder capacitance exactly.
-double isolated_pair_fraction(double s, double d_gnd, const AnalyticModelParams& params) {
-  // Partner wins direction theta iff cos >= cos_min and s/cos^p < d_gnd.
+double isolated_pair_fraction(double s, double d_gnd) {
+  // Partner wins direction theta iff cos >= kCosMin and s/cos^p < d_gnd.
   const double ratio = s / d_gnd;
-  double cos_floor = params.cos_min;
+  double cos_floor = kCosMin;
   if (ratio > 0.0 && ratio < 1.0) {
-    cos_floor = std::max(cos_floor, std::pow(ratio, 1.0 / params.obliqueness_power));
+    cos_floor = std::max(cos_floor, std::pow(ratio, 1.0 / kObliquenessPower));
   } else if (ratio >= 1.0) {
     return 0.0;
   }
@@ -116,8 +131,7 @@ double isolated_pair_fraction(double s, double d_gnd, const AnalyticModelParams&
 }  // namespace
 
 phys::Matrix analytic_capacitance(const phys::TsvArrayGeometry& geom,
-                                  std::span<const double> probabilities,
-                                  const AnalyticModelParams& params) {
+                                  std::span<const double> probabilities) {
   geom.validate();
   const std::size_t n = geom.count();
   if (probabilities.size() != n) {
@@ -125,10 +139,10 @@ phys::Matrix analytic_capacitance(const phys::TsvArrayGeometry& geom,
   }
   const double r = geom.radius;
   const double t_ox = geom.oxide_thickness();
-  const double omega = 2.0 * pi * params.frequency;
+  const double omega = 2.0 * pi * phys::admittance_frequency;
   const double sigma = geom.mos.substrate_sigma;
-  const double d_gnd = params.ground_distance > 0.0 ? params.ground_distance : 3.0 * geom.pitch;
-  const double cutoff = params.pair_cutoff * geom.pitch;
+  const double d_gnd = kGroundPitches * geom.pitch;
+  const double cutoff = kPairCutoff * geom.pitch;
 
   std::vector<TsvState> tsv(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -140,14 +154,14 @@ phys::Matrix analytic_capacitance(const phys::TsvArrayGeometry& geom,
                    phys::depletion_width_for_probability(r, t_ox, probabilities[i], geom.mos);
   }
 
-  const auto own = ray_ownership(tsv, params, cutoff, d_gnd);
+  const auto own = ray_ownership(tsv, cutoff, d_gnd);
 
   phys::Matrix c(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const double s = geom.distance(i, j);
       if (s > cutoff) continue;
-      const double f_ref = isolated_pair_fraction(s, d_gnd, params);
+      const double f_ref = isolated_pair_fraction(s, d_gnd);
       if (f_ref <= 0.0) continue;
       const double frac = 0.5 * (own[i][j] + own[j][i]) / f_ref;
       if (frac <= 0.0) continue;

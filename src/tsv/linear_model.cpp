@@ -13,12 +13,6 @@ LinearCapacitanceModel::LinearCapacitanceModel(phys::Matrix c_ref, phys::Matrix 
   }
 }
 
-phys::Matrix LinearCapacitanceModel::evaluate(std::span<const double> probabilities) const {
-  std::vector<double> eps(probabilities.size());
-  for (std::size_t i = 0; i < probabilities.size(); ++i) eps[i] = probabilities[i] - 0.5;
-  return evaluate_eps(eps);
-}
-
 phys::Matrix LinearCapacitanceModel::evaluate_eps(std::span<const double> eps) const {
   const std::size_t n = size();
   if (eps.size() != n) throw std::invalid_argument("evaluate_eps: size mismatch");
@@ -50,11 +44,9 @@ LinearCapacitanceModel fit_linear_model(const CapacitanceBackend& backend, std::
   return LinearCapacitanceModel(std::move(c_ref), std::move(delta));
 }
 
-LinearCapacitanceModel fit_from_analytic(const phys::TsvArrayGeometry& geom,
-                                         const AnalyticModelParams& params) {
+LinearCapacitanceModel fit_from_analytic(const phys::TsvArrayGeometry& geom) {
   return fit_linear_model(
-      [&](std::span<const double> pr) { return analytic_capacitance(geom, pr, params); },
-      geom.count());
+      [&](std::span<const double> pr) { return analytic_capacitance(geom, pr); }, geom.count());
 }
 
 LinearCapacitanceModel fit_from_field(const phys::TsvArrayGeometry& geom,

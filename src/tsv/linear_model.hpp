@@ -37,8 +37,6 @@ class LinearCapacitanceModel {
   /// depletion widens with probability and shrinks the capacitance).
   const phys::Matrix& delta_c() const { return delta_c_; }
 
-  /// Evaluate the matrix for per-line 1-bit probabilities.
-  phys::Matrix evaluate(std::span<const double> probabilities) const;
   /// Evaluate for shifted probabilities eps_i = pr_i - 1/2 (signed: an
   /// inverted line simply negates its entry).
   phys::Matrix evaluate_eps(std::span<const double> eps) const;
@@ -52,8 +50,7 @@ class LinearCapacitanceModel {
 LinearCapacitanceModel fit_linear_model(const CapacitanceBackend& backend, std::size_t n);
 
 /// Fit using the fast analytic model.
-LinearCapacitanceModel fit_from_analytic(const phys::TsvArrayGeometry& geom,
-                                         const AnalyticModelParams& params = {});
+LinearCapacitanceModel fit_from_analytic(const phys::TsvArrayGeometry& geom);
 
 /// Aggregate per-conductor solver statistics of a field-backend fit, so
 /// callers can report convergence behaviour instead of discarding it.

@@ -8,6 +8,15 @@
 
 namespace tsvcod::tsv {
 
+namespace {
+
+constexpr double kWireCapPerM = 0.2e-9;       ///< local wire capacitance [F/m] (0.2 fF/um)
+constexpr double kFixedPathCap = 40e-15;       ///< assignment-independent path parasitics [F]
+constexpr std::size_t kSampleCount = 100000;  ///< shuffles per pass above 9 TSVs
+constexpr unsigned kSampleSeed = 1;
+
+}  // namespace
+
 std::vector<phys::Point2> entry_points(const phys::TsvArrayGeometry& geom) {
   geom.validate();
   const std::size_t n = geom.count();
@@ -21,10 +30,12 @@ std::vector<phys::Point2> entry_points(const phys::TsvArrayGeometry& geom) {
   return pts;
 }
 
-namespace {
-
-double wirelength_of(const phys::TsvArrayGeometry& geom, const std::vector<phys::Point2>& entry,
-                     std::span<const std::size_t> tsv_of_bit) {
+double assignment_wirelength(const phys::TsvArrayGeometry& geom,
+                             std::span<const std::size_t> tsv_of_bit) {
+  if (tsv_of_bit.size() != geom.count()) {
+    throw std::invalid_argument("assignment_wirelength: assignment size mismatch");
+  }
+  const auto entry = entry_points(geom);
   double total = 0.0;
   for (std::size_t bit = 0; bit < tsv_of_bit.size(); ++bit) {
     const auto p = geom.position(tsv_of_bit[bit]);
@@ -33,22 +44,9 @@ double wirelength_of(const phys::TsvArrayGeometry& geom, const std::vector<phys:
   return total;
 }
 
-}  // namespace
-
-double assignment_wirelength(const phys::TsvArrayGeometry& geom,
-                             std::span<const std::size_t> tsv_of_bit,
-                             const RoutingParams& params) {
-  (void)params;
-  if (tsv_of_bit.size() != geom.count()) {
-    throw std::invalid_argument("assignment_wirelength: assignment size mismatch");
-  }
-  return wirelength_of(geom, entry_points(geom), tsv_of_bit);
-}
-
 double assignment_path_parasitics(const phys::TsvArrayGeometry& geom,
                                   std::span<const std::size_t> tsv_of_bit,
-                                  std::span<const double> tsv_total_cap,
-                                  const RoutingParams& params) {
+                                  std::span<const double> tsv_total_cap) {
   if (tsv_of_bit.size() != geom.count() || tsv_total_cap.size() != geom.count()) {
     throw std::invalid_argument("assignment_path_parasitics: size mismatch");
   }
@@ -57,15 +55,13 @@ double assignment_path_parasitics(const phys::TsvArrayGeometry& geom,
   for (std::size_t bit = 0; bit < tsv_of_bit.size(); ++bit) {
     const auto p = geom.position(tsv_of_bit[bit]);
     const double len = std::abs(p.x - entry[bit].x) + std::abs(p.y - entry[bit].y);
-    total += params.fixed_path_cap + tsv_total_cap[tsv_of_bit[bit]] + len * params.wire_cap_per_m;
+    total += kFixedPathCap + tsv_total_cap[tsv_of_bit[bit]] + len * kWireCapPerM;
   }
   return total / static_cast<double>(tsv_of_bit.size());
 }
 
 OverheadStats routing_overhead_stats(const phys::TsvArrayGeometry& geom,
-                                     std::span<const double> tsv_total_cap,
-                                     const RoutingParams& params, std::size_t sample_count,
-                                     unsigned seed) {
+                                     std::span<const double> tsv_total_cap) {
   const std::size_t n = geom.count();
   if (tsv_total_cap.size() != n) {
     throw std::invalid_argument("routing_overhead_stats: capacitance vector size mismatch");
@@ -80,9 +76,9 @@ OverheadStats routing_overhead_stats(const phys::TsvArrayGeometry& geom,
   // minimization" routing the paper compares against).
   double best = 1e300;
   auto eval = [&](const std::vector<std::size_t>& p) {
-    return assignment_path_parasitics(geom, p, tsv_total_cap, params);
+    return assignment_path_parasitics(geom, p, tsv_total_cap);
   };
-  std::mt19937 rng(seed);
+  std::mt19937 rng(kSampleSeed);
   if (stats.exhaustive) {
     auto p = perm;
     std::sort(p.begin(), p.end());
@@ -94,7 +90,7 @@ OverheadStats routing_overhead_stats(const phys::TsvArrayGeometry& geom,
     // sampled shuffles.
     best = eval(perm);
     auto p = perm;
-    for (std::size_t s = 0; s < sample_count; ++s) {
+    for (std::size_t s = 0; s < kSampleCount; ++s) {
       std::shuffle(p.begin(), p.end(), rng);
       best = std::min(best, eval(p));
     }
@@ -120,7 +116,7 @@ OverheadStats routing_overhead_stats(const phys::TsvArrayGeometry& geom,
     } while (std::next_permutation(p.begin(), p.end()));
   } else {
     auto p = perm;
-    for (std::size_t s = 0; s < sample_count; ++s) {
+    for (std::size_t s = 0; s < kSampleCount; ++s) {
       std::shuffle(p.begin(), p.end(), rng);
       accumulate(p);
     }

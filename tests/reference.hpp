@@ -3,11 +3,12 @@
 //
 // None of these is on a production path: each is either the paper's algebra
 // written out literally (the permutation matrix A_pi of Eq. 4/5, the T
-// matrix of Eq. 3 and its Frobenius product with C), an analytic theory a
-// generator must match (the dual-bit-type model of the AR(1) stream), or
-// the client half of a format the library only reads (service frames), or
-// a field-solver form the library replaced by a faster one that must stay
-// bit-identical to it (the packed operator, the two-colour V-cycle).
+// matrix of Eq. 3 and its Frobenius product with C, the probability form of
+// Eq. 6/7), an analytic theory a generator must match (the dual-bit-type
+// model of the AR(1) stream), or the client half of a format the library
+// only reads (service frames), or a field-solver form the library replaced
+// by a faster one that must stay bit-identical to it (the packed operator,
+// the two-colour V-cycle).
 
 #include <algorithm>
 #include <cmath>
@@ -101,6 +102,15 @@ inline std::vector<std::size_t> greedy_coupling_order(const phys::Matrix& c) {
   return order;
 }
 
+/// The linear model (Eq. 6/7) in the paper's probability form: eps_i =
+/// pr_i - 1/2, then the library's eps form.
+inline phys::Matrix evaluate(const tsv::LinearCapacitanceModel& model,
+                             std::span<const double> probabilities) {
+  std::vector<double> eps(probabilities.size());
+  for (std::size_t i = 0; i < probabilities.size(); ++i) eps[i] = probabilities[i] - 0.5;
+  return model.evaluate_eps(eps);
+}
+
 /// Normalized RMS error of the linear model (Eq. 6/7) against the backend,
 /// sampled at `samples` random probability vectors (normalization: RMS of
 /// the backend entries), mirroring the <2 % figure quoted in the paper.
@@ -115,7 +125,7 @@ inline double linearity_nrmse(const tsv::CapacitanceBackend& backend,
   for (int s = 0; s < samples; ++s) {
     for (auto& p : pr) p = uni(rng);
     const phys::Matrix exact = backend(pr);
-    const phys::Matrix approx = model.evaluate(pr);
+    const phys::Matrix approx = evaluate(model, pr);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         const double d = exact(i, j) - approx(i, j);

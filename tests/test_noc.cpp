@@ -1,8 +1,8 @@
 // Tests for the 3D-mesh NoC substrate: topology/routing invariants, the
 // batched router core, traffic patterns, the parallel cycle kernel's
 // determinism (bit-identity across thread counts, differential equality with
-// the reference simulator), flit conservation, back-pressure accounting,
-// deadlock freedom and the per-link adaptive-coding layer.
+// the reference simulator), flit conservation, deadlock freedom and the
+// per-link adaptive-coding layer.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -139,42 +139,17 @@ TEST(Router, ArbitratesOneFlitPerOutput) {
   PackedFlit a{0x11, 2, 0};
   PackedFlit b{0x22, 2, 0};
   // Two flits from different inputs both want XPlus.
-  EXPECT_TRUE(r.accept(Direction::Local, a, Direction::XPlus));
-  EXPECT_TRUE(r.accept(Direction::XMinus, b, Direction::XPlus));
+  r.accept(Direction::Local, a, Direction::XPlus);
+  r.accept(Direction::XMinus, b, Direction::XPlus);
 
   PackedFlit grants[kPortCount];
-  std::uint64_t stalls = 0;
-  std::uint8_t granted = r.arbitrate(0, grants, stalls);
+  std::uint8_t granted = r.arbitrate(grants);
   EXPECT_EQ(granted, 1u << static_cast<int>(Direction::XPlus));
   EXPECT_EQ(r.queued(), 1u);
 
-  granted = r.arbitrate(0, grants, stalls);
+  granted = r.arbitrate(grants);
   EXPECT_EQ(granted, 1u << static_cast<int>(Direction::XPlus));
   EXPECT_EQ(r.queued(), 0u);
-  EXPECT_EQ(stalls, 0u);
-}
-
-TEST(Router, BlockedOutputStallsAndKeepsTheFlit) {
-  Router r;
-  PackedFlit a{0x33, 1, 0};
-  EXPECT_TRUE(r.accept(Direction::Local, a, Direction::XPlus));
-  PackedFlit grants[kPortCount];
-  std::uint64_t stalls = 0;
-  const auto blocked = static_cast<std::uint8_t>(1u << static_cast<int>(Direction::XPlus));
-  EXPECT_EQ(r.arbitrate(blocked, grants, stalls), 0u);
-  EXPECT_EQ(stalls, 1u);
-  EXPECT_EQ(r.queued(), 1u) << "a blocked flit stays queued";
-  EXPECT_EQ(r.arbitrate(0, grants, stalls), blocked);
-  EXPECT_EQ(grants[static_cast<int>(Direction::XPlus)].payload, 0x33u);
-}
-
-TEST(Router, BoundedRingRefusesWhenFull) {
-  Router r(2);
-  PackedFlit f{1, 0, 0};
-  EXPECT_TRUE(r.accept(Direction::YPlus, f, Direction::Local));
-  EXPECT_TRUE(r.accept(Direction::YPlus, f, Direction::Local));
-  EXPECT_FALSE(r.accept(Direction::YPlus, f, Direction::Local));
-  EXPECT_EQ(r.queued(Direction::YPlus), 2u);
 }
 
 TEST(Router, RoundRobinRotatesOverContendingInputs) {
@@ -187,11 +162,9 @@ TEST(Router, RoundRobinRotatesOverContendingInputs) {
     r.accept(Direction::Local, f, Direction::XPlus);
   }
   PackedFlit grants[kPortCount];
-  std::uint64_t stalls = 0;
   // Six cycles drain six flits, one per cycle, no starvation.
   for (int c = 0; c < 6; ++c) {
-    EXPECT_EQ(r.arbitrate(0, grants, stalls),
-              1u << static_cast<int>(Direction::XPlus));
+    EXPECT_EQ(r.arbitrate(grants), 1u << static_cast<int>(Direction::XPlus));
   }
   EXPECT_EQ(r.queued(), 0u);
 }
@@ -258,7 +231,6 @@ TEST(Simulator, DeliversEverythingAfterDrain) {
   EXPECT_GT(stats.delivered, stats.injected * 9 / 10);
   EXPECT_GE(stats.mean_latency, 1.0);
   EXPECT_LT(stats.mean_latency, 50.0);
-  EXPECT_EQ(stats.stalled_cycles, 0u) << "unbounded queues never stall";
 }
 
 TEST(Simulator, FlitConservationHoldsEveryCycle) {
@@ -320,21 +292,6 @@ TEST(Simulator, XyzRoutingIsDeadlockFreeAtFullLoad) {
     ASSERT_GT(stats.delivered, delivered) << "no progress in chunk " << chunk;
     delivered = stats.delivered;
   }
-}
-
-TEST(Simulator, BoundedQueuesBackpressureAndConserve) {
-  Mesh3D mesh(2, 2, 3);
-  TrafficConfig cfg;
-  cfg.spatial = SpatialPattern::Hotspot;
-  cfg.injection_rate = 0.9;
-  SimOptions options;
-  options.queue_capacity = 1;
-  NocSimulator sim(mesh, cfg, options);
-  const auto stats = sim.run(1500);
-  EXPECT_GT(stats.stalled_cycles, 0u) << "capacity-1 queues at 0.9 load must stall";
-  EXPECT_EQ(stats.injected, stats.delivered + stats.in_flight);
-  EXPECT_LE(stats.max_queued, 7u) << "bounded rings cap the per-router occupancy";
-  EXPECT_GT(stats.delivered, 0u);
 }
 
 TEST(Simulator, BitIdenticalAcrossThreadCounts) {

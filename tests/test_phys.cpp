@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "phys/constants.hpp"
 #include "phys/depletion.hpp"
@@ -140,6 +142,37 @@ TEST(Geometry, ValidateRejectsOverlap) {
   EXPECT_THROW(g.validate(), std::invalid_argument);
   g.pitch = 8_um;
   EXPECT_NO_THROW(g.validate());
+}
+
+TEST(Geometry, ValidateNamesTheBadDimension) {
+  const auto message_for = [](TsvArrayGeometry g) -> std::string {
+    try {
+      g.validate();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  auto g = TsvArrayGeometry::itrs2018_relaxed(2, 2);
+  auto bad = g;
+  bad.radius = -1e-6;
+  EXPECT_EQ(message_for(bad), "TsvArrayGeometry: radius must be a finite length > 0 m, got -1e-06");
+  bad = g;
+  bad.pitch = 0.0;
+  EXPECT_EQ(message_for(bad), "TsvArrayGeometry: pitch must be a finite length > 0 m, got 0");
+  bad = g;
+  bad.pitch = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(message_for(bad), "TsvArrayGeometry: pitch must be a finite length > 0 m, got inf");
+  bad = g;
+  bad.length = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(message_for(bad), "TsvArrayGeometry: length must be a finite length > 0 m, got inf");
+  bad = g;
+  bad.length = std::nan("");
+  EXPECT_EQ(message_for(bad), "TsvArrayGeometry: length must be a finite length > 0 m, got nan");
+  bad = g;
+  bad.radius = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(message_for(bad), "TsvArrayGeometry: radius must be a finite length > 0 m, got inf");
+  EXPECT_EQ(message_for(g), "accepted");
 }
 
 TEST(Matrix, BasicAlgebra) {
