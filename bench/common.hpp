@@ -4,12 +4,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "core/link.hpp"
 #include "opt/parallel.hpp"
 #include "streams/word_stream.hpp"
@@ -39,6 +41,18 @@ inline std::vector<std::uint8_t> invert_mask(std::size_t payload_width,
   std::vector<std::uint8_t> mask(payload_width, 1);
   for (const auto& l : lines) mask.push_back(l.invertible ? 1 : 0);
   return mask;
+}
+
+/// A count flag's value read by `tools::parse_size`'s rules: the whole
+/// string, bare decimal digits ("-1" does not wrap to 2^64-1). A bad value
+/// exits 2 naming the flag, before any work starts.
+inline std::size_t size_flag(const char* bench, const char* flag, const char* value) {
+  try {
+    return tools::parse_size(flag, value);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", bench, e.what());
+    std::exit(2);
+  }
 }
 
 inline void print_header(const std::string& title, const std::string& paper_note) {

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (!std::strcmp(argv[i], "--cycles")) {
-      cycles = std::stoull(next("--cycles"));
+      cycles = bench::size_flag("noc_vertical_link", "--cycles", next("--cycles"));
     } else if (!std::strcmp(argv[i], "--out")) {
       out = next("--out");
     } else {

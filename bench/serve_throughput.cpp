@@ -78,9 +78,10 @@ struct ThroughputRow {
 
 /// `sessions` producer threads each stream `words_each` words in
 /// `batch`-word chunks into their own session, concurrently.
-ThroughputRow run_throughput(int sessions, std::size_t words_each, std::size_t batch, int reps) {
+ThroughputRow run_throughput(int sessions, std::size_t words_each, std::size_t batch,
+                             std::size_t reps) {
   ThroughputRow row;
-  for (int rep = 0; rep < reps; ++rep) {
+  for (std::size_t rep = 0; rep < reps; ++rep) {
     std::vector<std::vector<std::uint64_t>> streams;
     for (int s = 0; s < sessions; ++s) {
       streams.push_back(traffic(1000u + static_cast<unsigned>(s), words_each, words_each));
@@ -163,7 +164,7 @@ SwapRow run_swap(std::size_t words_total, std::size_t batch) {
 
 int main(int argc, char** argv) {
   std::size_t words_each = 1u << 18;  // per session
-  int reps = 3;
+  std::size_t reps = 3;
   std::string out = "BENCH_serve.json";
   for (int i = 1; i < argc; ++i) {
     const auto next = [&](const char* flag) {
@@ -174,9 +175,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (!std::strcmp(argv[i], "--words")) {
-      words_each = std::stoull(next("--words"));
+      words_each = bench::size_flag("serve_throughput", "--words", next("--words"));
     } else if (!std::strcmp(argv[i], "--reps")) {
-      reps = std::stoi(next("--reps"));
+      reps = bench::size_flag("serve_throughput", "--reps", next("--reps"));
     } else if (!std::strcmp(argv[i], "--out")) {
       out = next("--out");
     } else {
@@ -190,14 +191,14 @@ int main(int argc, char** argv) {
 
   bench::print_header("Session-server throughput",
                       "concurrent streaming sessions + drift-triggered hot-swap latency");
-  std::printf("%zu words/session in %zu-word batches, best of %d reps\n\n", words_each, kBatch,
+  std::printf("%zu words/session in %zu-word batches, best of %zu reps\n\n", words_each, kBatch,
               reps);
   std::printf("%10s %16s %8s %6s\n", "row", "words_per_sec", "desyncs", "ident");
 
   bench::BenchJson doc("serve_throughput");
   doc.param("words_per_session", static_cast<double>(words_each))
       .param("batch_words", static_cast<double>(kBatch))
-      .param("reps", reps);
+      .param("reps", static_cast<double>(reps));
 
   bool ok = true;
   for (const int sessions : {1, 2, 4, 8}) {

@@ -80,7 +80,6 @@ class CodedLink {
   CodedLink(const SignedPermutation& assignment, std::unique_ptr<coding::Codec> codec);
 
   std::size_t payload_width() const { return tx_->width_in(); }
-  std::size_t line_width() const { return line_width_; }
 
   /// The live assignment, read back from the tables under the link lock.
   SignedPermutation assignment_snapshot() const;

@@ -209,11 +209,9 @@ CapacitanceResult CapacitanceExtractor::extract(std::span<const double> probabil
     for (std::size_t m = 0; m < n; ++m) q_re(m, k) = q[m].real();
     last_phi_[k] = std::move(phi);
   });
-  long long point_iterations = 0;
-  for (const auto& s : out.stats) point_iterations += s.iterations;
-  total_iterations_ += point_iterations;
-
   if (span.traced()) {
+    long long point_iterations = 0;
+    for (const auto& s : out.stats) point_iterations += s.iterations;
     span.set_args("\"conductors\":" + std::to_string(n) + ",\"warm_started\":" +
                   std::to_string(warm) + ",\"iterations\":" + std::to_string(point_iterations));
   }

@@ -102,9 +102,6 @@ class CapacitanceExtractor {
   /// call equals `extract_capacitance` exactly; later calls warm-start.
   CapacitanceResult extract(std::span<const double> probabilities);
 
-  /// Total BiCGStab iterations across all calls so far (sweep cost metric).
-  long long total_iterations() const { return total_iterations_; }
-
  private:
   void repaint(std::span<const double> probabilities);
 
@@ -114,7 +111,6 @@ class CapacitanceExtractor {
   std::unique_ptr<FieldProblem> problem_;
   std::vector<double> last_widths_;             // per-TSV depletion widths on the grid
   std::vector<std::vector<Complex>> last_phi_;  // per-conductor warm-start potentials
-  long long total_iterations_ = 0;
 };
 
 }  // namespace tsvcod::field

@@ -117,7 +117,6 @@ class NocSimulator {
 
   /// Captured link words (one per simulated cycle since probe_link()).
   const std::vector<std::uint64_t>& probe_trace() const { return trace_; }
-  std::size_t probe_width() const { return flit_width_ + 1; }
 
   /// Flits currently inside the fabric (rings + registers).
   std::size_t in_flight() const;
@@ -139,8 +138,8 @@ class NocSimulator {
   void phase_arbitrate(std::size_t begin, std::size_t end, std::size_t cycle);
   void phase_transfer(std::size_t begin, std::size_t end, std::size_t cycle);
 
-  /// XYZ dimension-order routing on the precomputed coordinate tables —
-  /// same function as Mesh3D::route, minus the NodeId round-trips.
+  /// XYZ dimension-order routing (deadlock-free on a mesh) on precomputed
+  /// coordinate tables; the reference model routes NodeIds the same way.
   Direction route_of(std::size_t at, std::uint32_t dst) const {
     if (cx_[at] != cx_[dst]) return cx_[at] < cx_[dst] ? Direction::XPlus : Direction::XMinus;
     if (cy_[at] != cy_[dst]) return cy_[at] < cy_[dst] ? Direction::YPlus : Direction::YMinus;

@@ -89,16 +89,6 @@ std::size_t Mesh3D::neighbor_index(std::size_t index, Direction d) const {
   return npos;
 }
 
-Direction Mesh3D::route(NodeId at, NodeId dst) const {
-  if (at.x < dst.x) return Direction::XPlus;
-  if (at.x > dst.x) return Direction::XMinus;
-  if (at.y < dst.y) return Direction::YPlus;
-  if (at.y > dst.y) return Direction::YMinus;
-  if (at.z < dst.z) return Direction::ZPlus;
-  if (at.z > dst.z) return Direction::ZMinus;
-  return Direction::Local;
-}
-
 std::string link_name(const LinkId& link) {
   return "(" + std::to_string(link.from.x) + "," + std::to_string(link.from.y) + "," +
          std::to_string(link.from.z) + ") -> " + direction_name(link.out);

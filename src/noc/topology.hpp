@@ -52,11 +52,6 @@ class Mesh3D {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t neighbor_index(std::size_t index, Direction d) const;
 
-  /// Dimension-order (X, then Y, then Z) routing: the output direction a
-  /// flit at `at` takes towards `dst`; Local when it has arrived. XYZ order
-  /// is deadlock-free on a mesh.
-  Direction route(NodeId at, NodeId dst) const;
-
   /// True if the link (from, d) is vertical (a TSV bundle).
   static bool is_vertical(Direction d) {
     return d == Direction::ZPlus || d == Direction::ZMinus;

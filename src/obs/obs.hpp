@@ -133,11 +133,10 @@ class Span {
   void set_args(std::string args_body) {
     if (traced_) args_ = std::move(args_body);
   }
-  /// Live in any layer (tracing or profiling).
-  bool active() const { return active_; }
   /// A trace event will be emitted at destruction — guard trace-only work
-  /// (arg strings, counter tracks) on this, not on `active()`, so profiled
-  /// runs don't pay for tracing they never asked for.
+  /// (arg strings, counter tracks) on this, not on whether the span is live
+  /// in any layer, so profiled runs don't pay for tracing they never asked
+  /// for.
   bool traced() const { return traced_; }
 
  private:

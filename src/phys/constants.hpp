@@ -1,8 +1,7 @@
 #pragma once
 // Physical constants and unit helpers used throughout tsvcod.
 //
-// All quantities are SI unless a suffix says otherwise. Helper literals for
-// the micrometre-scale geometry keep call sites readable.
+// All quantities are SI unless a suffix says otherwise.
 
 namespace tsvcod::phys {
 
@@ -27,16 +26,5 @@ inline constexpr double admittance_frequency = 3e9;
 constexpr double acceptor_density_for_conductivity(double sigma) {
   return sigma / (q_e * mu_p_si);
 }
-
-namespace literals {
-constexpr double operator""_um(long double v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator""_um(unsigned long long v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator""_nm(long double v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator""_nm(unsigned long long v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator""_GHz(long double v) { return static_cast<double>(v) * 1e9; }
-constexpr double operator""_GHz(unsigned long long v) { return static_cast<double>(v) * 1e9; }
-constexpr double operator""_fF(long double v) { return static_cast<double>(v) * 1e-15; }
-constexpr double operator""_fF(unsigned long long v) { return static_cast<double>(v) * 1e-15; }
-}  // namespace literals
 
 }  // namespace tsvcod::phys

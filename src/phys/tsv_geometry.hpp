@@ -46,10 +46,6 @@ struct TsvArrayGeometry {
   /// Number of direct (N/E/S/W at distance d) neighbours of TSV i.
   int direct_neighbor_count(std::size_t i) const;
 
-  bool is_corner(std::size_t i) const { return direct_neighbor_count(i) <= 2 && rows > 1 && cols > 1; }
-  bool is_edge(std::size_t i) const { return direct_neighbor_count(i) == 3; }
-  bool is_middle(std::size_t i) const { return direct_neighbor_count(i) == 4; }
-
   /// Euclidean centre distance between TSVs i and j [m].
   double distance(std::size_t i, std::size_t j) const;
 

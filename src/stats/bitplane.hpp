@@ -139,13 +139,12 @@ SwitchingCounts compute_counts(std::span<const std::uint64_t> words, std::size_t
 /// bit-identical to one-shot compute_counts of the concatenated words, at
 /// every chunk partition and thread count.
 ///
-/// Seam-chain invariant: after any sequence of fold() calls, the seam holds
-/// the last word ever folded and primed() says whether any word has been
-/// folded at all. The next non-empty chunk starts its transition chain at
-/// that word (whose one-bits the chunk that ended with it already counted),
-/// so transitions partition exactly across chunks. Empty chunks leave the
-/// seam untouched — advancing it without counting a transition (or reading
-/// `back()` of an empty span) would corrupt every later chunk.
+/// Seam-chain invariant: once any word has been folded, the seam holds the
+/// last word ever folded. The next non-empty chunk starts its transition
+/// chain at that word (whose one-bits the chunk that ended with it already
+/// counted), so transitions partition exactly across chunks. Empty chunks
+/// leave the seam untouched — advancing it without counting a transition (or
+/// reading `back()` of an empty span) would corrupt every later chunk.
 class ChunkFolder {
  public:
   /// `threads` is passed through to the parallel chunk reduction (0 =
@@ -159,14 +158,8 @@ class ChunkFolder {
   /// Everything folded so far (exact; mergeable).
   const SwitchingCounts& counts() const { return total_; }
 
-  /// finalize()d counts; needs >= 2 words folded since the last window reset.
-  SwitchingStats stats() const { return total_.finalize(); }
-
   /// Words folded since construction or the last window reset.
   std::uint64_t words() const { return total_.words; }
-
-  /// True once at least one word has been folded (the seam word is live).
-  bool primed() const { return primed_; }
 
   /// Windowed reset: clear the counts but carry the seam word over, so the
   /// next window's first word still forms a transition with the previous

@@ -49,7 +49,6 @@ class StableLinesStream final : public WordStream {
   StableLinesStream(std::unique_ptr<WordStream> inner, std::vector<StableLine> lines);
   std::size_t width() const override;
   std::uint64_t next() override;
-  const std::vector<StableLine>& lines() const { return lines_; }
 
  private:
   std::unique_ptr<WordStream> inner_;

@@ -15,6 +15,21 @@ constexpr double kFixedPathCap = 40e-15;       ///< assignment-independent path 
 constexpr std::size_t kSampleCount = 100000;  ///< shuffles per pass above 9 TSVs
 constexpr unsigned kSampleSeed = 1;
 
+// Mean per-bit path parasitic [F] of assignment `tsv_of_bit` (bit i enters
+// at entry[i]): per-TSV total capacitance (`tsv_total_cap`, paper-form row
+// sums) plus routed wire cap plus the fixed path parasitics.
+double path_parasitics(const phys::TsvArrayGeometry& geom, std::span<const phys::Point2> entry,
+                       std::span<const std::size_t> tsv_of_bit,
+                       std::span<const double> tsv_total_cap) {
+  double total = 0.0;
+  for (std::size_t bit = 0; bit < tsv_of_bit.size(); ++bit) {
+    const auto p = geom.position(tsv_of_bit[bit]);
+    const double len = std::abs(p.x - entry[bit].x) + std::abs(p.y - entry[bit].y);
+    total += kFixedPathCap + tsv_total_cap[tsv_of_bit[bit]] + len * kWireCapPerM;
+  }
+  return total / static_cast<double>(tsv_of_bit.size());
+}
+
 }  // namespace
 
 std::vector<phys::Point2> entry_points(const phys::TsvArrayGeometry& geom) {
@@ -44,28 +59,13 @@ double assignment_wirelength(const phys::TsvArrayGeometry& geom,
   return total;
 }
 
-double assignment_path_parasitics(const phys::TsvArrayGeometry& geom,
-                                  std::span<const std::size_t> tsv_of_bit,
-                                  std::span<const double> tsv_total_cap) {
-  if (tsv_of_bit.size() != geom.count() || tsv_total_cap.size() != geom.count()) {
-    throw std::invalid_argument("assignment_path_parasitics: size mismatch");
-  }
-  const auto entry = entry_points(geom);
-  double total = 0.0;
-  for (std::size_t bit = 0; bit < tsv_of_bit.size(); ++bit) {
-    const auto p = geom.position(tsv_of_bit[bit]);
-    const double len = std::abs(p.x - entry[bit].x) + std::abs(p.y - entry[bit].y);
-    total += kFixedPathCap + tsv_total_cap[tsv_of_bit[bit]] + len * kWireCapPerM;
-  }
-  return total / static_cast<double>(tsv_of_bit.size());
-}
-
 OverheadStats routing_overhead_stats(const phys::TsvArrayGeometry& geom,
                                      std::span<const double> tsv_total_cap) {
   const std::size_t n = geom.count();
   if (tsv_total_cap.size() != n) {
     throw std::invalid_argument("routing_overhead_stats: capacitance vector size mismatch");
   }
+  const auto entry = entry_points(geom);
   std::vector<std::size_t> perm(n);
   std::iota(perm.begin(), perm.end(), std::size_t{0});
 
@@ -76,7 +76,7 @@ OverheadStats routing_overhead_stats(const phys::TsvArrayGeometry& geom,
   // minimization" routing the paper compares against).
   double best = 1e300;
   auto eval = [&](const std::vector<std::size_t>& p) {
-    return assignment_path_parasitics(geom, p, tsv_total_cap);
+    return path_parasitics(geom, entry, p, tsv_total_cap);
   };
   std::mt19937 rng(kSampleSeed);
   if (stats.exhaustive) {

@@ -30,13 +30,6 @@ std::vector<phys::Point2> entry_points(const phys::TsvArrayGeometry& geom);
 double assignment_wirelength(const phys::TsvArrayGeometry& geom,
                              std::span<const std::size_t> tsv_of_bit);
 
-/// Mean per-bit path parasitic [F] of an assignment: per-TSV total
-/// capacitance (`tsv_total_cap`, paper-form row sums) plus routed wire cap
-/// plus the fixed path parasitics.
-double assignment_path_parasitics(const phys::TsvArrayGeometry& geom,
-                                  std::span<const std::size_t> tsv_of_bit,
-                                  std::span<const double> tsv_total_cap);
-
 struct OverheadStats {
   double worst_pct = 0.0;   ///< worst-case parasitic increase vs. optimum [%]
   double mean_pct = 0.0;

@@ -30,6 +30,20 @@
 
 namespace tsvcod::reference {
 
+// --- Unit literals ----------------------------------------------------------
+
+/// SI values for micrometre-scale test geometry: 10_um == 10e-6 (metres).
+namespace literals {
+constexpr double operator""_um(long double v) { return static_cast<double>(v) * 1e-6; }
+constexpr double operator""_um(unsigned long long v) { return static_cast<double>(v) * 1e-6; }
+constexpr double operator""_nm(long double v) { return static_cast<double>(v) * 1e-9; }
+constexpr double operator""_nm(unsigned long long v) { return static_cast<double>(v) * 1e-9; }
+constexpr double operator""_GHz(long double v) { return static_cast<double>(v) * 1e9; }
+constexpr double operator""_GHz(unsigned long long v) { return static_cast<double>(v) * 1e9; }
+constexpr double operator""_fF(long double v) { return static_cast<double>(v) * 1e-15; }
+constexpr double operator""_fF(unsigned long long v) { return static_cast<double>(v) * 1e-15; }
+}  // namespace literals
+
 // --- Paper algebra ----------------------------------------------------------
 
 /// The signed permutation matrix A_pi: A(line, bit) = +-1 (Eq. 5).

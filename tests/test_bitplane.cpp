@@ -391,14 +391,11 @@ TEST(ChunkFolder, ExhaustiveTinyChunkPartitionsMatchOneShot) {
 
 TEST(ChunkFolder, EmptyChunkLeavesTheSeamUntouched) {
   stats::ChunkFolder folder(8);
-  EXPECT_FALSE(folder.primed());
-
   folder.fold({});  // empty before any word: still unprimed
-  EXPECT_FALSE(folder.primed());
 
+  // An unprimed folder starts no transition chain at its first word.
   const std::vector<std::uint64_t> one{0xA5};
   folder.fold(one);
-  EXPECT_TRUE(folder.primed());
   EXPECT_EQ(folder.words(), 1u);
   EXPECT_EQ(folder.counts().transitions, 0u);
 
@@ -429,8 +426,8 @@ TEST(ChunkFolder, ResetForgetsTheSeamResetWindowCarriesIt) {
   merged.merge(folder.counts());
   folder.reset_window();
   EXPECT_EQ(folder.words(), 0u);
-  EXPECT_TRUE(folder.primed()) << "reset_window keeps the seam";
   folder.fold(all.subspan(200, 200));
+  EXPECT_EQ(folder.counts().transitions, 200u) << "reset_window keeps the seam";
   merged.merge(folder.counts());
   folder.reset_window();
   folder.fold(all.subspan(400));

@@ -197,10 +197,11 @@ TEST(Mappings, RingOrderCoversArrayOnce) {
 TEST(Mappings, SpiralOrderClassesAscend) {
   auto geom = TsvArrayGeometry::itrs2018_min(4, 4);
   const auto order = core::spiral_order(geom);
-  // Corners first (4), then edges (8), then middle (4).
-  for (int k = 0; k < 4; ++k) EXPECT_TRUE(geom.is_corner(order[static_cast<std::size_t>(k)]));
-  for (int k = 4; k < 12; ++k) EXPECT_TRUE(geom.is_edge(order[static_cast<std::size_t>(k)]));
-  for (int k = 12; k < 16; ++k) EXPECT_TRUE(geom.is_middle(order[static_cast<std::size_t>(k)]));
+  // Corners first (4), then edges (8), then middle (4): 2, 3, then 4
+  // direct neighbours.
+  for (std::size_t k = 0; k < 16; ++k) {
+    EXPECT_EQ(geom.direct_neighbor_count(order[k]), k < 4 ? 2 : k < 12 ? 3 : 4) << k;
+  }
 }
 
 TEST(Mappings, SawtoothOrderMatchesFig1b) {
@@ -224,8 +225,9 @@ TEST(Mappings, GreedyCouplingStartsAtStrongestPair) {
   EXPECT_EQ(order.size(), 9u);
   EXPECT_EQ(std::set<std::size_t>(order.begin(), order.end()).size(), 9u);
   // The strongest couplings are corner-to-adjacent-edge.
-  const bool corner_first = geom.is_corner(order[0]) || geom.is_corner(order[1]);
-  const bool edge_involved = geom.is_edge(order[0]) || geom.is_edge(order[1]);
+  const auto neighbours = [&](std::size_t k) { return geom.direct_neighbor_count(order[k]); };
+  const bool corner_first = neighbours(0) == 2 || neighbours(1) == 2;
+  const bool edge_involved = neighbours(0) == 3 || neighbours(1) == 3;
   EXPECT_TRUE(corner_first);
   EXPECT_TRUE(edge_involved);
   EXPECT_NEAR(geom.distance(order[0], order[1]), geom.pitch, 1e-12);
@@ -475,9 +477,10 @@ TEST(Link, CodedChainMatchesArrayWidth) {
   spec.name = "bus-invert";  // 9 lines -> 8 payload bits
   auto coded = link.coded(spec, a);
   EXPECT_EQ(coded.payload_width(), 8u);
-  EXPECT_EQ(coded.line_width(), 9u);
   for (std::uint64_t w = 0; w < 256; ++w) {
-    EXPECT_EQ(coded.roundtrip(w), w);
+    const std::uint64_t lines = coded.transmit(w);
+    EXPECT_EQ(lines >> 9, 0u) << "8 payload bits + 1 flag occupy the 9 lines";
+    EXPECT_EQ(coded.receive(lines), w);
   }
   EXPECT_THROW(link.coded(spec, SignedPermutation::identity(4)), std::invalid_argument);
 }

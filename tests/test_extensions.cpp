@@ -70,12 +70,12 @@ TEST(AdaptiveLink, WindowedReassignmentFollowsTheSignal) {
   fold(phase1);
   core::OptimizeOptions opts;
   opts.schedule.iterations = 6000;
-  const auto a1 = core::optimize_assignment(win.stats(), link.model(), opts);
+  const auto a1 = core::optimize_assignment(win.counts().finalize(), link.model(), opts);
 
   win.reset_window();  // phase boundary: close the window, keep the seam
   streams::GaussianAr1Stream phase2(16, 500.0, 0.0, 4);
   fold(phase2);
-  const auto snap2 = win.stats();
+  const auto snap2 = win.counts().finalize();
   const auto a2 = core::optimize_assignment(snap2, link.model(), opts);
 
   EXPECT_LT(a2.power, link.power(snap2, a1.assignment));

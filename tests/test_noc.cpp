@@ -5,18 +5,79 @@
 // per-link adaptive-coding layer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "noc/coded.hpp"
-#include "noc/reference.hpp"
 #include "noc/simulator.hpp"
+#include "noc_reference.hpp"
 #include "stats/switching_stats.hpp"
 
 namespace {
 
 using namespace tsvcod;
 using namespace tsvcod::noc;
+
+// The mesh-at-scale configurations: four meshes up to 8x8x8, each under three
+// traffic regimes with 32-bit flits and seed 42 -- memory-fetch hotspot
+// columns (DSP payloads, rate 0.20), a planar transpose that still crosses
+// layers (random payloads, 0.15) and bursty MEMS sensor trains (hotspot,
+// 0.50 in 32-cycle bursts, then 96 silent cycles). After kScaleCycles cycles
+// with bus-invert on every vertical link, the vertical links carry exactly
+// `uncoded_toggles` payload toggles and `coded_toggles` line toggles.
+struct ScaleCase {
+  const char* regime;
+  std::size_t nx, ny, nz;
+  SpatialPattern spatial;
+  PayloadModel payload;
+  double rate, burst_on, burst_off;
+  std::uint64_t uncoded_toggles, coded_toggles;
+};
+
+constexpr std::size_t kScaleCycles = 1000;
+
+constexpr ScaleCase kScaleCases[] = {
+    {"hotspot", 2, 2, 2, SpatialPattern::Hotspot, PayloadModel::Dsp, 0.20, 0, 0, 23010, 19844},
+    {"transpose", 2, 2, 2, SpatialPattern::Transpose, PayloadModel::Random, 0.15, 0, 0, 19330,
+     17006},
+    {"bursty-mems", 2, 2, 2, SpatialPattern::Hotspot, PayloadModel::Mems, 0.50, 32, 96, 13496,
+     11701},
+    {"hotspot", 4, 4, 3, SpatialPattern::Hotspot, PayloadModel::Dsp, 0.20, 0, 0, 236133, 200500},
+    {"transpose", 4, 4, 3, SpatialPattern::Transpose, PayloadModel::Random, 0.15, 0, 0, 151510,
+     134055},
+    {"bursty-mems", 4, 4, 3, SpatialPattern::Hotspot, PayloadModel::Mems, 0.50, 32, 96, 157014,
+     135493},
+    {"hotspot", 6, 6, 4, SpatialPattern::Hotspot, PayloadModel::Dsp, 0.20, 0, 0, 977870, 819401},
+    {"transpose", 6, 6, 4, SpatialPattern::Transpose, PayloadModel::Random, 0.15, 0, 0, 690247,
+     614447},
+    {"bursty-mems", 6, 6, 4, SpatialPattern::Hotspot, PayloadModel::Mems, 0.50, 32, 96, 630768,
+     540995},
+    {"hotspot", 8, 8, 8, SpatialPattern::Hotspot, PayloadModel::Dsp, 0.20, 0, 0, 6308718,
+     5171528},
+    {"transpose", 8, 8, 8, SpatialPattern::Transpose, PayloadModel::Random, 0.15, 0, 0, 4788719,
+     4267605},
+    {"bursty-mems", 8, 8, 8, SpatialPattern::Hotspot, PayloadModel::Mems, 0.50, 32, 96, 4335873,
+     3706442},
+};
+
+TrafficConfig scale_traffic(const ScaleCase& c) {
+  TrafficConfig cfg;
+  cfg.spatial = c.spatial;
+  cfg.payload = c.payload;
+  cfg.injection_rate = c.rate;
+  cfg.flit_width = 32;
+  cfg.burst_on = c.burst_on;
+  cfg.burst_off = c.burst_off;
+  cfg.seed = 42;
+  return cfg;
+}
+
+std::string scale_name(const ScaleCase& c) {
+  return std::to_string(c.nx) + "x" + std::to_string(c.ny) + "x" + std::to_string(c.nz) + "/" +
+         c.regime;
+}
 
 TEST(Topology, IndexRoundTrip) {
   Mesh3D mesh(4, 3, 2);
@@ -62,7 +123,7 @@ TEST(Topology, XyzRoutingReachesDestination) {
   NodeId at = src;
   std::size_t hops = 0;
   while (true) {
-    const Direction d = mesh.route(at, dst);
+    const Direction d = xyz_route(at, dst);
     if (d == Direction::Local) break;
     at = *mesh.neighbor(at, d);
     ASSERT_LE(++hops, 20u) << "routing must terminate";
@@ -73,11 +134,10 @@ TEST(Topology, XyzRoutingReachesDestination) {
 }
 
 TEST(Topology, XyzOrderIsDimensionOrdered) {
-  Mesh3D mesh(3, 3, 3);
   // X is always corrected before Y before Z.
-  EXPECT_EQ(mesh.route(NodeId{0, 2, 2}, NodeId{2, 0, 0}), Direction::XPlus);
-  EXPECT_EQ(mesh.route(NodeId{2, 2, 2}, NodeId{2, 0, 0}), Direction::YMinus);
-  EXPECT_EQ(mesh.route(NodeId{2, 0, 2}, NodeId{2, 0, 0}), Direction::ZMinus);
+  EXPECT_EQ(xyz_route(NodeId{0, 2, 2}, NodeId{2, 0, 0}), Direction::XPlus);
+  EXPECT_EQ(xyz_route(NodeId{2, 2, 2}, NodeId{2, 0, 0}), Direction::YMinus);
+  EXPECT_EQ(xyz_route(NodeId{2, 0, 2}, NodeId{2, 0, 0}), Direction::ZMinus);
 }
 
 TEST(Topology, VerticalLinksEnumerateEveryTsvBundle) {
@@ -295,6 +355,18 @@ TEST(Simulator, XyzRoutingIsDeadlockFreeAtFullLoad) {
 }
 
 TEST(Simulator, BitIdenticalAcrossThreadCounts) {
+  const auto expect_identical = [](const Mesh3D& mesh, const TrafficConfig& cfg,
+                                   std::size_t cycles, const std::string& name) {
+    const auto run_with = [&](int threads) {
+      SimOptions options;
+      options.threads = threads;
+      NocSimulator sim(mesh, cfg, options);
+      return sim.run(cycles);
+    };
+    const SimStats serial = run_with(1);
+    EXPECT_EQ(serial, run_with(2)) << name;
+    EXPECT_EQ(serial, run_with(8)) << name;
+  };
   struct Case {
     std::size_t nx, ny, nz;
     SpatialPattern pattern;
@@ -306,49 +378,49 @@ TEST(Simulator, BitIdenticalAcrossThreadCounts) {
       {4, 4, 3, SpatialPattern::Transpose, PayloadModel::Mems},
   };
   for (const auto& c : cases) {
-    Mesh3D mesh(c.nx, c.ny, c.nz);
     TrafficConfig cfg;
     cfg.spatial = c.pattern;
     cfg.payload = c.payload;
     cfg.injection_rate = 0.35;
     cfg.flit_width = 24;
     cfg.seed = 7 * c.nx + c.nz;
-    const auto run_with = [&](int threads) {
-      SimOptions options;
-      options.threads = threads;
-      NocSimulator sim(mesh, cfg, options);
-      return sim.run(400);
-    };
-    const SimStats serial = run_with(1);
-    const SimStats two = run_with(2);
-    const SimStats eight = run_with(8);
-    EXPECT_EQ(serial, two) << c.nx << "x" << c.ny << "x" << c.nz;
-    EXPECT_EQ(serial, eight) << c.nx << "x" << c.ny << "x" << c.nz;
+    expect_identical(Mesh3D(c.nx, c.ny, c.nz), cfg, 400,
+                     std::to_string(c.nx) + "x" + std::to_string(c.ny) + "x" +
+                         std::to_string(c.nz));
+  }
+  for (const auto& c : kScaleCases) {
+    expect_identical(Mesh3D(c.nx, c.ny, c.nz), scale_traffic(c), kScaleCycles, scale_name(c));
   }
 }
 
 TEST(Simulator, MatchesReferenceSimulator) {
+  const auto expect_match = [](const Mesh3D& mesh, const TrafficConfig& cfg, std::size_t cycles,
+                               const std::string& name) {
+    NocSimulator fast(mesh, cfg);
+    ReferenceSimulator ref(mesh, cfg);
+    const SimStats a = fast.run(cycles);
+    const SimStats b = ref.run(cycles);
+    EXPECT_EQ(a.injected, b.injected) << name;
+    EXPECT_EQ(a.delivered, b.delivered) << name;
+    EXPECT_EQ(a.latency_cycles, b.latency_cycles) << name;
+    EXPECT_EQ(a.ejection_digest, b.ejection_digest)
+        << name << ": payload/latency delivery streams diverged";
+    EXPECT_EQ(a.max_queued, b.max_queued) << name;
+    EXPECT_EQ(a.in_flight, b.in_flight) << name;
+    EXPECT_EQ(a.link_flits, b.link_flits) << name;
+    EXPECT_EQ(a.link_toggles, b.link_toggles) << name;
+  };
   for (const auto pattern :
        {SpatialPattern::Uniform, SpatialPattern::Hotspot, SpatialPattern::Transpose}) {
-    Mesh3D mesh(3, 3, 3);
     TrafficConfig cfg;
     cfg.spatial = pattern;
     cfg.injection_rate = 0.25;
     cfg.flit_width = 16;
     cfg.payload = PayloadModel::Dsp;
-    NocSimulator fast(mesh, cfg);
-    ReferenceSimulator ref(mesh, cfg);
-    const SimStats a = fast.run(800);
-    const SimStats b = ref.run(800);
-    EXPECT_EQ(a.injected, b.injected);
-    EXPECT_EQ(a.delivered, b.delivered);
-    EXPECT_EQ(a.latency_cycles, b.latency_cycles);
-    EXPECT_EQ(a.ejection_digest, b.ejection_digest)
-        << "payload/latency delivery streams diverged";
-    EXPECT_EQ(a.max_queued, b.max_queued);
-    EXPECT_EQ(a.in_flight, b.in_flight);
-    EXPECT_EQ(a.link_flits, b.link_flits);
-    EXPECT_EQ(a.link_toggles, b.link_toggles);
+    expect_match(Mesh3D(3, 3, 3), cfg, 800, "3x3x3");
+  }
+  for (const auto& c : kScaleCases) {
+    expect_match(Mesh3D(c.nx, c.ny, c.nz), scale_traffic(c), kScaleCycles, scale_name(c));
   }
 }
 
@@ -363,7 +435,6 @@ TEST(Simulator, ProbeCapturesHeldWords) {
   const auto stats = sim.run(3000);
   const auto& trace = sim.probe_trace();
   ASSERT_EQ(trace.size(), 3000u);
-  EXPECT_EQ(sim.probe_width(), 17u);
   EXPECT_GT(stats.probe_busy_cycles, 0u);
   EXPECT_LT(stats.probe_busy_cycles, 3000u);
 
@@ -372,6 +443,7 @@ TEST(Simulator, ProbeCapturesHeldWords) {
   std::size_t busy = 0;
   std::uint64_t held = 0;
   for (const auto w : trace) {
+    ASSERT_EQ(w >> 17, 0u) << "16 data lines plus the valid line";
     if (w >> 16) {
       ++busy;
       held = w & 0xFFFF;
@@ -382,7 +454,7 @@ TEST(Simulator, ProbeCapturesHeldWords) {
   EXPECT_EQ(busy, stats.probe_busy_cycles);
 
   // The captured trace is a valid statistics source for the optimizer.
-  const auto st = stats::compute_stats(trace, sim.probe_width());
+  const auto st = stats::compute_stats(trace, 17);
   EXPECT_EQ(st.width, 17u);
 }
 
@@ -418,49 +490,68 @@ TEST(Simulator, TracksPerVerticalLinkStatistics) {
 }
 
 TEST(CodedMesh, DeliversByteIdenticalPayloadsAndLatencies) {
-  Mesh3D mesh(3, 3, 2);
+  // Runs the fabric plain and with bus-invert on every vertical link, and
+  // returns the coded run's (uncoded payload, coded line) toggle totals over
+  // the vertical links.
+  const auto expect_transparent = [](const Mesh3D& mesh, const TrafficConfig& cfg,
+                                     std::size_t cycles, const std::string& name) {
+    NocSimulator plain(mesh, cfg);
+    const SimStats base = plain.run(cycles);
+
+    NocSimulator coded(mesh, cfg);
+    coded.attach_vertical_coding({.name = "bus-invert"});
+    EXPECT_EQ(coded.vertical_line_width(), cfg.flit_width + 1) << name;
+    const SimStats cs = coded.run(cycles);
+
+    // Coding is transparent to the fabric: identical delivery streams
+    // (payloads AND latencies), identical link utilization.
+    EXPECT_EQ(cs.ejection_digest, base.ejection_digest) << name;
+    EXPECT_EQ(cs.delivered, base.delivered) << name;
+    EXPECT_EQ(cs.latency_cycles, base.latency_cycles) << name;
+    EXPECT_EQ(cs.link_flits, base.link_flits) << name;
+    EXPECT_EQ(cs.link_toggles, base.link_toggles) << name;
+
+    // Bus-invert's keep-polarity option bounds the coded line toggles by the
+    // uncoded payload toggles on every vertical link; planar links stay
+    // uncoded (zero coded counters).
+    std::uint64_t uncoded = 0, coded_total = 0;
+    bool saw_coded_link = false;
+    for (std::size_t i = 0; i < mesh.node_count(); ++i) {
+      for (int p = 0; p < kPortCount; ++p) {
+        const auto d = static_cast<Direction>(p);
+        const std::size_t slot = link_slot(i, d);
+        if (Mesh3D::is_vertical(d) && mesh.neighbor_index(i, d) != Mesh3D::npos) {
+          EXPECT_LE(cs.link_coded_toggles[slot], cs.link_toggles[slot])
+              << name << ": bus-invert exceeded uncoded toggles on "
+              << link_name({mesh.node(i), d});
+          if (cs.link_flits[slot] > 0) saw_coded_link = true;
+          uncoded += cs.link_toggles[slot];
+          coded_total += cs.link_coded_toggles[slot];
+        } else {
+          EXPECT_EQ(cs.link_coded_toggles[slot], 0u) << name;
+        }
+      }
+    }
+    EXPECT_TRUE(saw_coded_link) << name;
+
+    // Attaching after traffic has run is rejected.
+    EXPECT_THROW(coded.attach_vertical_coding({.name = "bus-invert"}), std::logic_error);
+    return std::pair{uncoded, coded_total};
+  };
+
   TrafficConfig cfg;
   cfg.spatial = SpatialPattern::Hotspot;
   cfg.injection_rate = 0.3;
   cfg.flit_width = 16;
   cfg.payload = PayloadModel::Dsp;
+  expect_transparent(Mesh3D(3, 3, 2), cfg, 1500, "3x3x2");
 
-  NocSimulator plain(mesh, cfg);
-  const SimStats base = plain.run(1500);
-
-  NocSimulator coded(mesh, cfg);
-  coded.attach_vertical_coding({.name = "bus-invert"});
-  EXPECT_EQ(coded.vertical_line_width(), 17u);
-  const SimStats cs = coded.run(1500);
-
-  // Coding is transparent to the fabric: identical delivery streams
-  // (payloads AND latencies), identical link utilization.
-  EXPECT_EQ(cs.ejection_digest, base.ejection_digest);
-  EXPECT_EQ(cs.delivered, base.delivered);
-  EXPECT_EQ(cs.latency_cycles, base.latency_cycles);
-  EXPECT_EQ(cs.link_flits, base.link_flits);
-
-  // Bus-invert's keep-polarity option bounds the coded line toggles by the
-  // uncoded payload toggles on every vertical link; planar links stay
-  // uncoded (zero coded counters).
-  bool saw_coded_link = false;
-  for (std::size_t i = 0; i < mesh.node_count(); ++i) {
-    for (int p = 0; p < kPortCount; ++p) {
-      const auto d = static_cast<Direction>(p);
-      const std::size_t slot = link_slot(i, d);
-      if (Mesh3D::is_vertical(d) && mesh.neighbor_index(i, d) != Mesh3D::npos) {
-        EXPECT_LE(cs.link_coded_toggles[slot], cs.link_toggles[slot])
-            << "bus-invert exceeded uncoded toggles on " << link_name({mesh.node(i), d});
-        if (cs.link_flits[slot] > 0) saw_coded_link = true;
-      } else {
-        EXPECT_EQ(cs.link_coded_toggles[slot], 0u);
-      }
-    }
+  for (const auto& c : kScaleCases) {
+    const auto [uncoded, coded] =
+        expect_transparent(Mesh3D(c.nx, c.ny, c.nz), scale_traffic(c), kScaleCycles, scale_name(c));
+    EXPECT_EQ(uncoded, c.uncoded_toggles) << scale_name(c);
+    EXPECT_EQ(coded, c.coded_toggles) << scale_name(c);
   }
-  EXPECT_TRUE(saw_coded_link);
-
-  // Attaching after traffic has run is rejected.
-  EXPECT_THROW(coded.attach_vertical_coding({.name = "bus-invert"}), std::logic_error);
 }
 
 TEST(CodedMesh, RejectsMisalignedAssignments) {

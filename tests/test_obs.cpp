@@ -231,7 +231,7 @@ void run_instrumented_workload(int threads) {
 TEST_F(ObsTest, DisabledRecordsNothing) {
   {
     obs::Span span("should.not.appear");
-    EXPECT_FALSE(span.active());
+    EXPECT_FALSE(span.traced());
     obs::counter("nor.that", 1.0);
   }
   JValue doc;

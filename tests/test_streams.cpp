@@ -40,8 +40,6 @@ TEST(StableLines, AppendsConstants) {
   EXPECT_EQ(s.width(), 4u);
   EXPECT_EQ(s.next(), 0b0101u);  // line2 = 1, line3 = 0
   EXPECT_EQ(s.next(), 0b0110u);
-  EXPECT_FALSE(s.lines()[0].invertible);
-  EXPECT_TRUE(s.lines()[1].invertible);
 }
 
 TEST(Framed, EnableGatesPayload) {

@@ -4,18 +4,20 @@
 # Usage: tools/dead_api.sh BUILD_DIR
 #
 # BUILD_DIR must be a full build at -O0 with -ffunction-sections
-# -fdata-sections and -Wl,--gc-sections (the `lint` preset). The linker then
-# keeps a library function in a program only if something in that program
-# calls it. The script lists every external function (nm type T) the static
-# libraries under BUILD_DIR/src define, and removes those that survive in at
-# least one non-test program: tools, benches and examples. What remains is
-# reachable only from tests. Constructors, destructors and assignment
-# operators are ignored. Each remaining function must be named in
-# tools/dead_api.allow (`name  # reason`, name without the tsvcod:: prefix
-# and without parameters); the script fails naming any that is not, and any
-# allowlist entry that is no longer dead. -O0 matters: at -O2 a helper inlined
-# into every caller in its own file leaves no symbol behind and shows as
-# dead.
+# -fdata-sections -fkeep-inline-functions and -Wl,--gc-sections (the `lint`
+# preset). The linker then keeps a library function in a program only if
+# something in that program calls it, and every header-defined function is
+# emitted where its header is included. The script lists every external
+# function the static libraries under BUILD_DIR/src define (nm type T) and
+# every header-defined one in namespace tsvcod (type W), and removes those
+# that survive in at least one non-test program: tools, benches and
+# examples. What remains is reachable only from tests. Constructors,
+# destructors and assignment operators are ignored. Each remaining function
+# must be named in tools/dead_api.allow (`name  # reason`, name without the
+# tsvcod:: prefix and without parameters); the script fails naming any that
+# is not, and any allowlist entry that is no longer dead. -O0 matters: at -O2
+# a helper inlined into every caller in its own file leaves no symbol behind
+# and shows as dead.
 set -euo pipefail
 export LC_ALL=C  # one collation for sort and comm
 
@@ -33,7 +35,8 @@ if [ "${#libs[@]}" -eq 0 ] || [ "${#programs[@]}" -eq 0 ]; then
   exit 2
 fi
 
-nm --defined-only "${libs[@]}" | awk '$2 == "T" { print $3 }' | sort -u > "$TMP/defined"
+nm --defined-only "${libs[@]}" |
+  awk '$2 == "T" || ($2 == "W" && $3 ~ /^_ZN[KRO]*6tsvcod/) { print $3 }' | sort -u > "$TMP/defined"
 for p in "${programs[@]}"; do nm --defined-only "$p"; done |
   awk 'NF == 3 { print $3 }' | sort -u > "$TMP/kept"
 
