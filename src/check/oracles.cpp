@@ -1083,7 +1083,10 @@ std::optional<std::string> check_noc_case(const NocCase& nc) {
     }
   }
 
-  // Thread-count invariance of the coded fabric.
+  // Thread-count invariance of the coded fabric. Each Z-slab rank owns at
+  // least 64 routers, so on these meshes (at most 36 routers) a 2-thread run
+  // takes the serial loop; Simulator.BitIdenticalAcrossThreadCounts runs the
+  // coded fabric at 2 and 8 ranks.
   noc::SimOptions two;
   two.threads = 2;
   noc::NocSimulator coded2(mesh, cfg, two);

@@ -1,5 +1,7 @@
 #include "core/evaluator.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -13,10 +15,6 @@
 #endif
 
 namespace tsvcod::core {
-
-namespace {
-
-constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
 // ---------------------------------------------------------------------------
 // Row reduction kernel. Every O(N) update of the evaluator is built from
@@ -33,7 +31,7 @@ constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 // eps scale (the evaluator_drift oracle bounds it).
 // ---------------------------------------------------------------------------
 
-struct RowArgs {
+struct detail::RowArgs {
   const double* self;
   const double* eps;
   const double* sign;
@@ -43,6 +41,13 @@ struct RowArgs {
   std::size_t n;
   double sa, ea, ga;  ///< broadcast self / eps / sign of the priced bit
 };
+
+namespace {
+
+using detail::RowArgs;
+
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+constexpr double kNotCached = std::numeric_limits<double>::quiet_NaN();
 
 inline double row_lane(const RowArgs& a, std::size_t j) {
   return (a.sa + a.self[j] - 2.0 * a.ga * a.sign[j] * a.coup[j]) *
@@ -119,7 +124,7 @@ __attribute__((target("avx512f,avx512dq"))) double row_sum_avx512(const RowArgs&
 
 using RowFn = double (*)(const RowArgs&);
 
-RowFn row_fn() {
+RowFn resolve_row_fn() {
 #if defined(TSVCOD_EVAL_X86_KERNELS)
   switch (simd::active_level()) {
     case simd::Level::avx512:
@@ -155,6 +160,8 @@ void PowerEvaluator::reset(SignedPermutation assignment) {
   for (std::size_t l = 0; l < n; ++l) refresh_line(l);
   rebuild_line_coupling();
   power_ = recompute();
+  row_fn_ = resolve_row_fn();
+  row_cache_.assign(n, kNotCached);
 }
 
 void PowerEvaluator::refresh_line(std::size_t line) {
@@ -187,12 +194,20 @@ void PowerEvaluator::swap_coupling_lines(std::size_t la, std::size_t lb) {
   }
 }
 
-void PowerEvaluator::check_bit(std::size_t bit, const char* fn) const {
-  if (bit >= n_) {
-    std::ostringstream os;
-    os << "PowerEvaluator::" << fn << ": bit index " << bit << " out of range for width " << n_;
-    throw std::out_of_range(os.str());
-  }
+namespace {
+
+// Out of line and cold, so that check_bit's compare inlines into score().
+[[noreturn, gnu::cold, gnu::noinline]] void throw_bad_bit(std::size_t bit, std::size_t n,
+                                                         const char* fn) {
+  std::ostringstream os;
+  os << "PowerEvaluator::" << fn << ": bit index " << bit << " out of range for width " << n;
+  throw std::out_of_range(os.str());
+}
+
+}  // namespace
+
+inline void PowerEvaluator::check_bit(std::size_t bit, const char* fn) const {
+  if (bit >= n_) throw_bad_bit(bit, n_, fn);
 }
 
 double PowerEvaluator::c_prime(std::size_t li, std::size_t lj) const {
@@ -216,23 +231,36 @@ double PowerEvaluator::recompute() const {
   return p;
 }
 
+RowArgs PowerEvaluator::current_row(std::size_t line) const {
+  return {line_self_.data(),
+          line_eps_.data(),
+          line_sign_.data(),
+          coup_line_.data() + line * n_,
+          model_.c_ref().data().data() + line * n_,
+          model_.delta_c().data().data() + line * n_,
+          n_,
+          line_self_[line],
+          line_eps_[line],
+          line_sign_[line]};
+}
+
+double PowerEvaluator::row_sum(std::size_t line, const RowArgs& args) const {
+  // A genuine NaN sum reads as "not cached" and is recomputed, to the same bits.
+  double& cached = row_cache_[line];
+  if (std::isnan(cached)) cached = row_fn_(args);
+  return cached;
+}
+
 double PowerEvaluator::terms_involving(std::size_t la, std::size_t lb) const {
   // Ordered-pair algebra: pair {i,j} contributes (self_i + self_j - 2k) C_ij
   // once; the row kernel sums every lane, so the diagonal lane is swapped
   // out for the ground term, and the duplicate {la,lb} lane of the second
   // row is subtracted (the first row already counted the pair).
-  const RowFn fn = row_fn();
-  const double* cref = model_.c_ref().data().data();
-  const double* dc = model_.delta_c().data().data();
-  const RowArgs ra{line_self_.data(), line_eps_.data(),  line_sign_.data(),
-                   coup_line_.data() + la * n_, cref + la * n_, dc + la * n_,
-                   n_, line_self_[la], line_eps_[la], line_sign_[la]};
-  double acc = fn(ra) - row_lane(ra, la) + line_self_[la] * c_prime(la, la);
+  const RowArgs ra = current_row(la);
+  double acc = row_sum(la, ra) - row_lane(ra, la) + line_self_[la] * c_prime(la, la);
   if (lb != kNone) {
-    const RowArgs rb{line_self_.data(), line_eps_.data(),  line_sign_.data(),
-                     coup_line_.data() + lb * n_, cref + lb * n_, dc + lb * n_,
-                     n_, line_self_[lb], line_eps_[lb], line_sign_[lb]};
-    acc += fn(rb) - row_lane(rb, lb) - row_lane(rb, la) + line_self_[lb] * c_prime(lb, lb);
+    const RowArgs rb = current_row(lb);
+    acc += row_sum(lb, rb) - row_lane(rb, lb) - row_lane(rb, la) + line_self_[lb] * c_prime(lb, lb);
   }
   return acc;
 }
@@ -257,6 +285,7 @@ double PowerEvaluator::apply(const Move& m, const Score& scored) {
 }
 
 double PowerEvaluator::commit(const Move& m, double before) {
+  std::fill(row_cache_.begin(), row_cache_.end(), kNotCached);
   if (m.is_toggle) {
     const std::size_t l = assignment_.line_of_bit(m.a);
     assignment_.toggle_inversion(m.a);
@@ -275,7 +304,7 @@ double PowerEvaluator::commit(const Move& m, double before) {
 }
 
 PowerEvaluator::Score PowerEvaluator::score(const Move& m) const {
-  const RowFn fn = row_fn();
+  const RowFn fn = row_fn_;
   const double* self = line_self_.data();
   const double* eps = line_eps_.data();
   const double* sign = line_sign_.data();

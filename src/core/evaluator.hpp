@@ -19,6 +19,13 @@
 // candidate move against the current state without mutating it, so the
 // annealer needs no apply/undo pair for a rejected move.
 //
+// The row kernel is resolved once per reset(), and each line's row sum over
+// the current state is cached until the next commit or reset. A rejected
+// move therefore runs the kernel only for its two "after" rows; its "before"
+// rows come from the cache, and a cached sum is the same kernel run on the
+// same inputs, so it is bit-equal to a fresh one. score() fills that cache,
+// so an evaluator must not be shared between threads.
+//
 // Invariant (checked in tests and the evaluator_drift oracle): power()
 // equals assignment_power() of the current assignment up to eps-scale
 // floating-point accumulation, at every dispatch level.
@@ -30,6 +37,10 @@
 #include "tsv/linear_model.hpp"
 
 namespace tsvcod::core {
+
+namespace detail {
+struct RowArgs;  // row-kernel arguments (core/evaluator.cpp)
+}
 
 class PowerEvaluator {
  public:
@@ -81,9 +92,14 @@ class PowerEvaluator {
   double recompute() const;
 
  private:
+  using RowFn = double (*)(const detail::RowArgs&);
+
   /// Sum of all power terms involving at least one line in {la, lb}
   /// (lb == SIZE_MAX for single-line moves).
   double terms_involving(std::size_t la, std::size_t lb) const;
+  /// Row-kernel sum of `line` over the current state, from the cache.
+  double row_sum(std::size_t line, const detail::RowArgs& args) const;
+  detail::RowArgs current_row(std::size_t line) const;
   /// Apply a valid move given the terms_involving() of its lines beforehand.
   double commit(const Move& m, double before);
   void refresh_line(std::size_t line);
@@ -104,6 +120,9 @@ class PowerEvaluator {
   /// Line-space gather of the bit-space coupling matrix, row-major n x n.
   simd::AlignedVector<double> coup_line_;
   double power_ = 0.0;
+  RowFn row_fn_ = nullptr;  ///< kernel for the level active at the last reset()
+  /// row_sum() of each line for the current state; NaN = not computed yet.
+  mutable std::vector<double> row_cache_;
 };
 
 }  // namespace tsvcod::core

@@ -4,6 +4,7 @@
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
 #include "opt/parallel.hpp"
+#include "simd/mt19937_64.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -77,7 +78,7 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
   const std::size_t n = bit_stats.width;
   const bool any_invertible = !invertible.empty();
 
-  std::mt19937_64 rng(seed);
+  simd::Mt19937_64 rng(seed);
   std::uniform_real_distribution<double> uni(0.0, 1.0);
   std::uniform_int_distribution<int> move_kind(0, any_invertible ? 2 : 1);
   std::uniform_int_distribution<std::size_t> pick_bit(0, n - 1);
@@ -138,7 +139,7 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
       ++evaluations;
       ++attempted;
       const double d = scored.power - current;
-      if (d <= 0.0 || uni(rng) < std::exp(-d / t)) {
+      if (d <= 0.0 || metropolis_accept(uni(rng), -d / t)) {
         // The scored value and the applied value agree to eps-scale drift;
         // track the applied one so `current` stays synced with the evaluator.
         current = ev.apply(m, scored);
@@ -333,7 +334,7 @@ BaselinePowers random_assignment_power(const stats::SwitchingStats& bit_stats,
   // thread count.
   std::vector<double> powers(samples);
   opt::parallel_for(samples, threads, [&](std::size_t s) {
-    std::mt19937_64 rng(opt::deterministic_seed(seed, s));
+    simd::Mt19937_64 rng(opt::deterministic_seed(seed, s));
     const auto a = SignedPermutation::random(bit_stats.width, rng);
     powers[s] = assignment_power(bit_stats, a, model);
   });

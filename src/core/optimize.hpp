@@ -7,6 +7,7 @@
 // and random-assignment baselines provide the comparison point the paper's
 // reductions are quoted against.
 
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -101,6 +102,17 @@ BaselinePowers random_assignment_power(const stats::SwitchingStats& bit_stats,
                                        const tsv::LinearCapacitanceModel& model,
                                        std::size_t samples = 200, unsigned seed = 99,
                                        int threads = 0);
+
+/// The annealer's Metropolis test `u < exp(x)`, for x = -delta / T and a
+/// draw u of uniform_real_distribution<double>(0, 1) on a 64-bit engine.
+/// Such a u is either 0 or at least 2^-64, and exp(x) < 2^-64 once
+/// x < -50, so below that cutoff the test reduces to `u == 0 && exp(x) > 0`
+/// and skips std::exp on every draw but the zero one. The result equals
+/// `u < std::exp(x)` for every u the engine can produce.
+inline bool metropolis_accept(double u, double x) {
+  if (x < -50.0) return u == 0.0 && std::exp(x) > 0.0;
+  return u < std::exp(x);
+}
 
 /// Percent reduction of `value` versus `baseline`.
 inline double reduction_pct(double baseline, double value) {

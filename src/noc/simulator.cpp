@@ -18,6 +18,16 @@ namespace {
 
 constexpr std::uint32_t kNoStat = static_cast<std::uint32_t>(-1);
 
+/// Bytes of reg_valid_ per router: its kPortCount flags plus one padding
+/// byte, so that phase_transfer reads them with one aligned 8-byte load.
+constexpr std::size_t kValidStride = 8;
+static_assert(kPortCount < kValidStride);
+
+/// Fewest routers a Z-slab rank may own. Below this the two barrier waits
+/// per cycle cost more than the rank's share of the routers, so run() uses
+/// fewer ranks, down to the serial loop.
+constexpr std::size_t kMinRoutersPerRank = 64;
+
 /// Order-sensitive 64-bit combine (boost::hash_combine shape). Folding every
 /// ejection's (payload, latency) through this per router, then the routers in
 /// index order, yields a digest equal iff the delivery streams are equal.
@@ -68,7 +78,7 @@ NocSimulator::NocSimulator(const Mesh3D& mesh, const TrafficConfig& traffic, Sim
           static_cast<std::uint32_t>(nb);
     }
   }
-  reg_valid_.assign(slots, 0);
+  reg_valid_.assign(n * kValidStride, 0);
   reg_payload_.assign(slots, 0);
   reg_dst_.assign(slots, 0);
   reg_injected_.assign(slots, 0);
@@ -184,7 +194,7 @@ void NocSimulator::phase_arbitrate(std::size_t begin, std::size_t end, std::size
         reg_payload_[reg] = f.payload;
         reg_dst_[reg] = f.dst;
         reg_injected_[reg] = f.injected;
-        reg_valid_[reg] = 1;
+        reg_valid_[receiver * kValidStride + static_cast<std::size_t>(out)] = 1;
       }
     }
     if (options_.track_vertical_stats) {
@@ -218,13 +228,14 @@ void NocSimulator::phase_transfer(std::size_t begin, std::size_t end, std::size_
   for (std::size_t r = begin; r < end; ++r) {
     Router& router = routers_[r];
     const std::size_t base = r * static_cast<std::size_t>(kPortCount);
-    // All seven valid flags of this router's registers in one 7-byte load:
-    // bytes 0..5 are the incoming directions, byte 6 the ejection register.
-    // Exactly seven — byte 7 would belong to the next router, which another
-    // rank may be clearing concurrently. Idle routers fall straight through
-    // to injection.
+    // All seven valid flags of this router's registers in one aligned
+    // 8-byte load: bytes 0..5 are the incoming directions, byte 6 the
+    // ejection register, and byte 7 is padding that nothing writes, so the
+    // load never touches a byte another rank owns. Idle routers fall
+    // straight through to injection.
+    std::uint8_t* valid = reg_valid_.data() + r * kValidStride;
     std::uint64_t valid8 = 0;
-    std::memcpy(&valid8, reg_valid_.data() + base, 7);
+    std::memcpy(&valid8, valid, sizeof valid8);
     // Drain the registers pointing at this node into its input rings. A flit
     // moving in direction d was sent by the neighbour in direction d^1 (the
     // direction enum pairs +/- per axis).
@@ -240,14 +251,14 @@ void NocSimulator::phase_transfer(std::size_t begin, std::size_t end, std::size_
       f.dst = reg_dst_[reg];
       f.injected = reg_injected_[reg];
       router.accept(static_cast<Direction>(d), f, route_of(r, f.dst));
-      reg_valid_[reg] = 0;
+      valid[d] = 0;
       occ_[r] |= static_cast<std::uint8_t>(1u << d);
       ++q_[r];
     }
     // Ejection: the flit this router granted to its own Local port.
     if (valid8 & 0x00FF000000000000ull) {
       const std::size_t eject = base + static_cast<std::size_t>(Direction::Local);
-      reg_valid_[eject] = 0;
+      valid[static_cast<std::size_t>(Direction::Local)] = 0;
       ++delivered_[r];
       const std::uint64_t lat = static_cast<std::uint64_t>(cycle) - reg_injected_[eject] + 1;
       latency_[r] += lat;
@@ -271,8 +282,9 @@ void NocSimulator::phase_transfer(std::size_t begin, std::size_t end, std::size_
 SimStats NocSimulator::run(std::size_t cycles) {
   obs::Span span("noc.run");
   const std::size_t n = mesh_.node_count();
-  int k = opt::resolve_threads(options_.threads);
-  k = std::clamp<int>(k, 1, static_cast<int>(n));
+  const std::size_t max_ranks = std::max<std::size_t>(1, n / kMinRoutersPerRank);
+  const int k = static_cast<int>(std::min(
+      max_ranks, static_cast<std::size_t>(std::max(1, opt::resolve_threads(options_.threads)))));
   const std::uint64_t hops_before = total(link_flits_);
   const std::size_t injected_before = total(injected_);
   const std::size_t delivered_before = total(delivered_);
@@ -358,9 +370,8 @@ SimStats NocSimulator::run(std::size_t cycles) {
 
 std::size_t NocSimulator::in_flight() const {
   std::size_t count = 0;
-  const std::size_t slots = routers_.size() * static_cast<std::size_t>(kPortCount);
   for (const auto& router : routers_) count += router.queued();
-  for (std::size_t i = 0; i < slots; ++i) count += reg_valid_[i];
+  for (const std::uint8_t v : reg_valid_) count += v;
   return count;
 }
 

@@ -82,7 +82,9 @@ struct SimStats {
 
 struct SimOptions {
   /// Worker ranks for the cycle kernel. 0 = the TSVCOD_THREADS convention;
-  /// 1 (default) = serial. Results are bit-identical at every value.
+  /// 1 (default) = serial. Each rank owns at least 64 routers, so smaller
+  /// meshes use fewer ranks (below 128 routers, the serial loop). Results
+  /// are bit-identical at every value.
   int threads = 1;
   /// Maintain an exact switching-statistics accumulator per vertical link
   /// (latched line words, one sample per cycle) — the input the per-link
@@ -174,6 +176,11 @@ class NocSimulator {
 
   // Transfer registers, receiver-indexed: slot node*kPortCount+d holds the
   // flit moving in direction d into that node (Local = ejection register).
+  // The valid flags alone are padded to 8 bytes per node (node*8+d; byte 7
+  // is never written), so phase_transfer reads a router's seven flags with
+  // one aligned 8-byte load. A 7-byte copy compiled to two overlapping
+  // 4-byte stores and an 8-byte reload of them, a store-forwarding stall
+  // on every router-cycle.
   std::vector<std::uint8_t> reg_valid_;
   std::vector<std::uint64_t> reg_payload_;
   std::vector<std::uint32_t> reg_dst_;

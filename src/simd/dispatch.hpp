@@ -1,11 +1,13 @@
 #pragma once
 // Shared runtime SIMD dispatch for the hot kernels (stats bit-plane blocks,
 // PowerEvaluator move scoring, multigrid smoothers, the field operator and
-// BiCGStab updates).
+// BiCGStab updates). The MT19937-64 engine of simd/mt19937_64.hpp lives
+// beside it but does not dispatch: its branch-free twist needs no clones.
 //
 // Kernels are compiled as function multi-versions (`__attribute__((target))`
 // clones) inside one portable binary; this utility decides, per call site,
-// which clone runs. The decision is
+// which clone runs (the evaluator resolves its clone once per reset()). The
+// decision is
 //
 //     active_level() = min(detected_level(), override)
 //

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "phys/constants.hpp"
+#include "simd/mt19937_64.hpp"
 
 namespace tsvcod::streams {
 
@@ -13,7 +14,7 @@ namespace {
 /// A smooth random field: sum of cosines with 1/f amplitudes.
 class CosineField {
  public:
-  CosineField(int components, std::mt19937_64& rng) {
+  CosineField(int components, simd::Mt19937_64& rng) {
     std::uniform_real_distribution<double> uni(0.0, 1.0);
     terms_.reserve(static_cast<std::size_t>(components));
     for (int k = 0; k < components; ++k) {
@@ -48,7 +49,7 @@ class CosineField {
 
 SyntheticImage::SyntheticImage(const ImageParams& params, std::uint64_t seed)
     : params_(params), data_(3 * params.width * params.height) {
-  std::mt19937_64 rng(seed);
+  simd::Mt19937_64 rng(seed);
   const CosineField luma_field(params.components, rng);
   const CosineField chroma_r(params.components / 2 + 1, rng);
   const CosineField chroma_b(params.components / 2 + 1, rng);

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <random>
 
+#include "simd/mt19937_64.hpp"
 #include "streams/word_stream.hpp"
 
 namespace tsvcod::streams {
@@ -39,7 +40,7 @@ class MemsSensorModel {
   double ou_step(double state, double tau, double sigma, double dt, double noise);
 
   MemsKind kind_;
-  std::mt19937_64 rng_;
+  simd::Mt19937_64 rng_;
   std::normal_distribution<double> normal_{0.0, 1.0};
   double t_ = 0.0;
   double envelope_ = 0.5;

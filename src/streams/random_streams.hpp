@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <random>
 
+#include "simd/mt19937_64.hpp"
 #include "streams/word_stream.hpp"
 
 namespace tsvcod::streams {
@@ -23,7 +24,7 @@ class UniformRandomStream final : public WordStream {
 
  private:
   std::size_t width_;
-  std::mt19937_64 rng_;
+  simd::Mt19937_64 rng_;
 };
 
 class GaussianAr1Stream final : public WordStream {
@@ -45,7 +46,7 @@ class GaussianAr1Stream final : public WordStream {
   double rho_;
   double mean_;
   double state_ = 0.0;  ///< unit-variance AR(1) state
-  std::mt19937_64 rng_;
+  simd::Mt19937_64 rng_;
   std::normal_distribution<double> normal_{0.0, 1.0};
 };
 
@@ -60,7 +61,7 @@ class SequentialStream final : public WordStream {
   std::size_t width_;
   double branch_probability_;
   std::uint64_t state_ = 0;
-  std::mt19937_64 rng_;
+  simd::Mt19937_64 rng_;
   std::uniform_real_distribution<double> uni_{0.0, 1.0};
 };
 

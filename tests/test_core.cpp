@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <random>
 #include <set>
+#include <vector>
 
 #include "core/assignment.hpp"
 #include "core/link.hpp"
@@ -436,6 +439,34 @@ TEST(Optimize, ScheduleGoldenAtScalarLevel) {
   EXPECT_EQ(inverted, (std::vector<int>{1, 1, 0, 0, 0, 0, 0, 0, 0}));
   EXPECT_EQ(res.power, 0x1.fe095fd18051dp-43) << std::hexfloat << res.power;
   EXPECT_EQ(res.evaluations, 2u * (1u + 32u + 2u * 400u));
+}
+
+// The annealer skips std::exp below x = -50, where exp(x) < 2^-64 lies under
+// every nonzero uniform draw of a 64-bit engine. The shortcut must decide
+// exactly as `u < std::exp(x)` on the draws that matter: 0, the smallest
+// nonzero draw 2^-64, 2^-53 and 0.5, at x around ln 2^-64 = -44.36, the
+// -50 cutoff, and where exp(x) underflows to a subnormal (-745) and to 0
+// (-746).
+TEST(Optimize, MetropolisCutoffMatchesExp) {
+  const double draws[] = {0.0, 0x1p-64, 0x1p-53, 0.5};
+  std::vector<double> xs = {0.0, -1.0, -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+  for (const double centre : {-44.4, -50.0, -745.0, -746.0}) {
+    for (int k = -100; k <= 100; ++k) xs.push_back(centre + 0.01 * k);
+    xs.push_back(std::nextafter(centre, 0.0));
+    xs.push_back(std::nextafter(centre, -1e300));
+  }
+  for (const double u : draws) {
+    for (const double x : xs) {
+      EXPECT_EQ(core::metropolis_accept(u, x), u < std::exp(x))
+          << std::hexfloat << "u=" << u << " x=" << x;
+    }
+  }
+  // The grid reaches both outcomes on both sides of the cutoff.
+  EXPECT_TRUE(core::metropolis_accept(0.0, -700.0));
+  EXPECT_FALSE(core::metropolis_accept(0.0, -746.0));
+  EXPECT_TRUE(core::metropolis_accept(0x1p-64, -44.3));
+  EXPECT_FALSE(core::metropolis_accept(0x1p-64, -44.4));
 }
 
 TEST(Link, StudyIsInternallyConsistent) {

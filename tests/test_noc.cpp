@@ -5,6 +5,7 @@
 // per-link adaptive-coding layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -13,6 +14,8 @@
 #include "noc/coded.hpp"
 #include "noc/simulator.hpp"
 #include "noc_reference.hpp"
+#include "obs/obs.hpp"
+#include "simd/dispatch.hpp"
 #include "stats/switching_stats.hpp"
 
 namespace {
@@ -354,18 +357,56 @@ TEST(Simulator, XyzRoutingIsDeadlockFreeAtFullLoad) {
   }
 }
 
+// Runs `sim` for `cycles` with tracing on; returns the stats and the number
+// of Z-slab ranks its noc.run span reports.
+std::pair<SimStats, int> run_traced(NocSimulator& sim, std::size_t cycles) {
+  obs::reset_trace();
+  obs::enable_tracing(true);
+  SimStats stats = sim.run(cycles);
+  obs::enable_tracing(false);
+  const std::string trace = obs::trace_to_json();
+  obs::reset_trace();
+  const std::string key = "\"threads\":";
+  const std::size_t at = trace.find(key);
+  return {std::move(stats), at == std::string::npos ? 0 : std::stoi(trace.substr(at + key.size()))};
+}
+
 TEST(Simulator, BitIdenticalAcrossThreadCounts) {
+  // Each rank owns at least 64 routers, so 2 and 8 threads run 2 and 8
+  // ranks on the 8x8x8 meshes, 2 ranks on 6x6x4 and the serial loop on
+  // meshes under 128 routers. A coded run (bus-invert on every vertical
+  // link, per-link statistics tracked) crosses slab boundaries through the
+  // CodedLinks the sender rank transmits on and the receiver rank decodes
+  // from, so it is compared across thread counts too, with its per-link
+  // statistics.
   const auto expect_identical = [](const Mesh3D& mesh, const TrafficConfig& cfg,
-                                   std::size_t cycles, const std::string& name) {
+                                   std::size_t cycles, const std::string& name, bool coded) {
     const auto run_with = [&](int threads) {
       SimOptions options;
       options.threads = threads;
+      options.track_vertical_stats = coded;
       NocSimulator sim(mesh, cfg, options);
-      return sim.run(cycles);
+      if (coded) sim.attach_vertical_coding({.name = "bus-invert"});
+      auto [run_stats, ranks] = run_traced(sim, cycles);
+      const std::size_t want = std::min<std::size_t>(
+          static_cast<std::size_t>(threads), std::max<std::size_t>(1, mesh.node_count() / 64));
+      EXPECT_EQ(static_cast<std::size_t>(ranks), want) << name << " at " << threads << " threads";
+      return std::pair{run_stats, coded ? sim.vertical_link_stats()
+                                    : std::vector<stats::SwitchingStats>{}};
     };
-    const SimStats serial = run_with(1);
-    EXPECT_EQ(serial, run_with(2)) << name;
-    EXPECT_EQ(serial, run_with(8)) << name;
+    const auto [serial, serial_links] = run_with(1);
+    for (const int threads : {2, 8}) {
+      const auto [parallel, links] = run_with(threads);
+      EXPECT_EQ(serial, parallel) << name << " at " << threads << " threads";
+      ASSERT_EQ(serial_links.size(), links.size()) << name;
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        const auto& a = serial_links[i];
+        const auto& b = links[i];
+        EXPECT_TRUE(a.width == b.width && a.transitions == b.transitions && a.self == b.self &&
+                    a.prob_one == b.prob_one && a.coupling.data() == b.coupling.data())
+            << name << " at " << threads << " threads: vertical link " << i << " statistics";
+      }
+    }
   };
   struct Case {
     std::size_t nx, ny, nz;
@@ -386,10 +427,17 @@ TEST(Simulator, BitIdenticalAcrossThreadCounts) {
     cfg.seed = 7 * c.nx + c.nz;
     expect_identical(Mesh3D(c.nx, c.ny, c.nz), cfg, 400,
                      std::to_string(c.nx) + "x" + std::to_string(c.ny) + "x" +
-                         std::to_string(c.nz));
+                         std::to_string(c.nz),
+                     false);
   }
   for (const auto& c : kScaleCases) {
-    expect_identical(Mesh3D(c.nx, c.ny, c.nz), scale_traffic(c), kScaleCycles, scale_name(c));
+    const Mesh3D mesh(c.nx, c.ny, c.nz);
+    expect_identical(mesh, scale_traffic(c), kScaleCycles, scale_name(c), false);
+    // The noc-plan workload's traffic, coded, at 2 ranks (6x6x4) and at 2
+    // and 8 ranks (8x8x8).
+    if (c.payload == PayloadModel::Mems && mesh.node_count() >= 128) {
+      expect_identical(mesh, scale_traffic(c), kScaleCycles, scale_name(c) + " coded", true);
+    }
   }
 }
 
@@ -595,6 +643,63 @@ TEST(CodedMesh, PlannedPerLinkAssignmentsStayTransparent) {
   const SimStats cs = coded.run(1000);
   EXPECT_EQ(cs.ejection_digest, base.ejection_digest);
   EXPECT_EQ(cs.delivered, base.delivered);
+}
+
+// One 4x4x4 bursty-MEMS mesh (seed 42, the noc-plan workload's traffic at a
+// smaller scale) pinned exactly in the three runs noc-plan makes: uncoded,
+// identity-coded with per-link statistics tracked (the planner's warm-up),
+// and coded with per-link planned assignments. Each run pins the ejection
+// digest and the vertical links' payload and coded-line toggles, both as
+// totals and as an order-sensitive digest over the links. The planner runs
+// at the scalar level, so the planned assignments do not depend on the host.
+TEST(CodedMesh, BurstyMems4x4x4Golden) {
+  const Mesh3D mesh(4, 4, 4);
+  const TrafficConfig cfg = scale_traffic(
+      {"bursty-mems", 4, 4, 4, SpatialPattern::Hotspot, PayloadModel::Mems, 0.50, 32, 96, 0, 0});
+  constexpr std::size_t kCycles = 1000;
+  struct Golden {
+    std::uint64_t ejection_digest, toggles, coded_toggles, link_digest;
+  };
+  const auto observe = [&](const SimStats& s) {
+    Golden g{s.ejection_digest, 0, 0, 0xcbf29ce484222325ull};
+    for (const LinkId& link : vertical_links(mesh)) {
+      const std::size_t slot = link_slot(mesh.index(link.from), link.out);
+      g.toggles += s.link_toggles[slot];
+      g.coded_toggles += s.link_coded_toggles[slot];
+      for (const std::uint64_t v : {s.link_toggles[slot], s.link_coded_toggles[slot]}) {
+        g.link_digest = (g.link_digest ^ v) * 0x100000001b3ull;
+      }
+    }
+    return g;
+  };
+  const auto expect_golden = [](const Golden& got, const Golden& want, const char* run) {
+    EXPECT_EQ(got.ejection_digest, want.ejection_digest) << run;
+    EXPECT_EQ(got.toggles, want.toggles) << run;
+    EXPECT_EQ(got.coded_toggles, want.coded_toggles) << run;
+    EXPECT_EQ(got.link_digest, want.link_digest) << run;
+  };
+
+  NocSimulator plain(mesh, cfg);
+  expect_golden(observe(plain.run(kCycles)),
+                {0x21f075a8af7625eaull, 283467, 0, 0xfd32fa6fc918bc74ull}, "uncoded");
+
+  SimOptions tracked;
+  tracked.track_vertical_stats = true;
+  NocSimulator identity(mesh, cfg, tracked);
+  identity.attach_vertical_coding({.name = "bus-invert"});
+  expect_golden(observe(identity.run(kCycles)),
+                {0x21f075a8af7625eaull, 283467, 243556, 0xb5dd3836bfc1e3b8ull}, "identity-coded");
+
+  simd::ScopedLevel scalar(simd::Level::scalar);
+  VerticalCodingOptions options;
+  options.warmup_cycles = kCycles;
+  options.optimize.schedule.iterations = 400;
+  options.optimize.chains = 1;
+  const VerticalCodingPlan plan = plan_vertical_coding(mesh, cfg, options);
+  NocSimulator planned(mesh, cfg);
+  planned.attach_vertical_coding(options.spec, plan.assignments);
+  expect_golden(observe(planned.run(kCycles)),
+                {0x21f075a8af7625eaull, 283467, 243946, 0x5b7de603f21c9164ull}, "planned");
 }
 
 TEST(CodedMesh, DefaultBundleGeometryIsMostSquare) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -19,7 +20,9 @@
 #include "core/evaluator.hpp"
 #include "core/link.hpp"
 #include "field/multigrid.hpp"
+#include "opt/parallel.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/mt19937_64.hpp"
 #include "stats/switching_stats.hpp"
 #include "streams/random_streams.hpp"
 
@@ -235,6 +238,93 @@ TEST_P(SmootherSweep, VCycleMatchesScalar) {
   const auto want = run(Level::scalar);
   const auto got = run(GetParam());
   EXPECT_LT(max_rel_diff(got, want), 1e-12);
+}
+
+// The library's engine must be std::mt19937_64 draw for draw: raw words over
+// five state refills for edge and derived seeds, and the values the standard
+// distributions draw from it (the libstdc++ adaptors read only min(), max()
+// and the raw words). Its twist does not dispatch; the sweep holds it to the
+// same bits at every forced level all the same.
+TEST_P(LevelSweep, Mt19937_64MatchesStdEngine) {
+  simd::ScopedLevel guard(GetParam());
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, ~std::uint64_t{0}};
+  for (std::size_t i = 0; i < 4; ++i) seeds.push_back(opt::deterministic_seed(42, i));
+  for (const std::uint64_t seed : seeds) {
+    std::mt19937_64 want(seed);
+    simd::Mt19937_64 got(seed);
+    for (int i = 0; i < 4 * 312 + 7; ++i) {
+      ASSERT_EQ(got(), want()) << "seed " << seed << " draw " << i;
+    }
+    std::uniform_int_distribution<int> kind_w(0, 2), kind_g(0, 2);
+    std::uniform_int_distribution<std::size_t> pick_w(0, 32), pick_g(0, 32);
+    std::uniform_int_distribution<std::uint64_t> wide_w(0, 1ull << 40), wide_g(0, 1ull << 40);
+    std::uniform_real_distribution<double> uni_w(0.0, 1.0), uni_g(0.0, 1.0);
+    std::uniform_real_distribution<double> dc_w(-2.0, 2.0), dc_g(-2.0, 2.0);
+    std::normal_distribution<double> normal_w(0.0, 1.0), normal_g(0.0, 1.0);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(kind_g(got), kind_w(want)) << "seed " << seed << " round " << i;
+      ASSERT_EQ(pick_g(got), pick_w(want)) << "seed " << seed << " round " << i;
+      ASSERT_EQ(wide_g(got), wide_w(want)) << "seed " << seed << " round " << i;
+      ASSERT_EQ(uni_g(got), uni_w(want)) << "seed " << seed << " round " << i;
+      ASSERT_EQ(dc_g(got), dc_w(want)) << "seed " << seed << " round " << i;
+      ASSERT_EQ(normal_g(got), normal_w(want)) << "seed " << seed << " round " << i;
+    }
+  }
+  // The standard's own check ([rand.predef]): the 10000th draw of a
+  // default-seeded mt19937_64.
+  simd::Mt19937_64 standard(5489);
+  std::uint64_t draw = 0;
+  for (int i = 0; i < 10000; ++i) draw = standard();
+  EXPECT_EQ(draw, 9981545732273789042ull);
+}
+
+// The evaluator caches each line's row-kernel sum until the next commit or
+// reset. Scores priced from a warm cache must equal, bit for bit, those of
+// an evaluator that has never scored: after a reset, through a copy, and
+// along a chain of applied moves. Width 33 is the NoC bundle's (32 payload
+// lines plus the bus-invert flag), so every vector clone runs a tail.
+TEST_P(LevelSweep, WarmRowCacheScoresMatchColdEvaluator) {
+  simd::ScopedLevel guard(GetParam());
+  constexpr std::size_t kWidth = 33;
+  const auto model = tsv::fit_from_analytic(phys::TsvArrayGeometry::itrs2018_relaxed(3, 11));
+  const auto st = make_stats(kWidth, 9);
+  std::mt19937_64 rng(3);
+  std::uniform_int_distribution<std::size_t> pick(0, kWidth - 1);
+  std::vector<core::PowerEvaluator::Move> probes(48);
+  for (auto& m : probes) {
+    m = rng() % 3 == 0 ? core::PowerEvaluator::Move{true, pick(rng), 0}
+                       : core::PowerEvaluator::Move{false, pick(rng), pick(rng)};
+  }
+  const auto expect_same_scores = [&](const core::PowerEvaluator& warm,
+                                      const core::PowerEvaluator& cold, const std::string& what) {
+    ASSERT_EQ(warm.power(), cold.power()) << what;
+    for (std::size_t k = 0; k < probes.size(); ++k) {
+      const auto w = warm.score(probes[k]);
+      const auto c = core::PowerEvaluator(cold).score(probes[k]);
+      EXPECT_EQ(w.power, c.power) << what << ", probe " << k;
+      EXPECT_EQ(w.before, c.before) << what << ", probe " << k;
+    }
+  };
+
+  // Applies: both evaluators take the same moves through score() + apply();
+  // only `warm` prices every probe in between.
+  core::PowerEvaluator warm(st, model, core::SignedPermutation::identity(kWidth));
+  core::PowerEvaluator lean = warm;
+  for (int step = 0; step < 24; ++step) {
+    for (const auto& m : probes) warm.score(m);
+    expect_same_scores(warm, lean, "step " + std::to_string(step));
+    const core::PowerEvaluator::Move m = probes[(step * 7) % probes.size()];
+    warm.apply(m, warm.score(m));
+    lean.apply(m, core::PowerEvaluator(lean).score(m));
+  }
+  // Resets: a reset evaluator with a warmed cache against a fresh one.
+  warm.reset(warm.assignment());
+  for (const auto& m : probes) warm.score(m);
+  const core::PowerEvaluator fresh(st, model, warm.assignment());
+  expect_same_scores(warm, fresh, "after reset");
+  // Copies carry the cache along.
+  const core::PowerEvaluator copy = warm;
+  expect_same_scores(copy, fresh, "copy");
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, LevelSweep,
