@@ -65,6 +65,7 @@ CrosstalkResult analyze_crosstalk(const phys::TsvArrayGeometry& geom, const phys
                                   std::size_t victim, const DriverParams& driver,
                                   const SimOptions& options) {
   options.validate();
+  driver.validate(1.0 / options.frequency);
   if (victim >= geom.count()) throw std::invalid_argument("analyze_crosstalk: victim index");
   CrosstalkResult out;
   // Quiet victim at 0, all aggressors rising together at t = period.

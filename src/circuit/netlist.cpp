@@ -13,21 +13,27 @@ void Netlist::check_node(int n) const {
 void Netlist::resistor(int a, int b, double ohms) {
   check_node(a);
   check_node(b);
-  if (!(ohms > 0.0)) throw std::invalid_argument("Netlist: resistance must be positive");
+  if (!(ohms > 0.0) || !std::isfinite(ohms)) {
+    throw std::invalid_argument("Netlist: resistance must be finite and positive");
+  }
   resistors_.push_back({a, b, ohms});
 }
 
 void Netlist::capacitor(int a, int b, double farads) {
   check_node(a);
   check_node(b);
-  if (!(farads >= 0.0)) throw std::invalid_argument("Netlist: capacitance must be >= 0");
+  if (!(farads >= 0.0) || !std::isfinite(farads)) {
+    throw std::invalid_argument("Netlist: capacitance must be finite and >= 0");
+  }
   if (farads > 0.0) capacitors_.push_back({a, b, farads});
 }
 
 void Netlist::inductor(int a, int b, double henries) {
   check_node(a);
   check_node(b);
-  if (!(henries > 0.0)) throw std::invalid_argument("Netlist: inductance must be positive");
+  if (!(henries > 0.0) || !std::isfinite(henries)) {
+    throw std::invalid_argument("Netlist: inductance must be finite and positive");
+  }
   inductors_.push_back({a, b, henries});
 }
 

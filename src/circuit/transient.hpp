@@ -5,28 +5,36 @@
 // per voltage source and per inductor. Capacitors and inductors use
 // backward-Euler companion models — L-stable, so the sharp driver edges do
 // not ring (trapezoidal ringing would corrupt the rectified charge meter).
-// For a fixed step the system matrix is constant: it is LU-factorized once
-// (dense Doolittle with partial pivoting) and only the right-hand side
-// changes per step — the property that makes multi-thousand-cycle link
-// simulations cheap.
 //
-// After the factorization only the nonzero entries of L and U are kept, row
-// by row in column order (CSR); the dense factors are dropped. Each step's
-// forward and back substitution walks those entries. The result is exactly
-// the dense substitution's: a skipped term is `x -= 0 * y`, which cannot
-// change a finite x (at most the sign of an exact zero), every remaining
-// term is applied in the dense loop's column order, and the arithmetic is
-// plain multiply-then-subtract with no FMA contraction (this file builds for
-// baseline x86-64, which has none).
+// For a fixed step the circuit is a linear time-invariant discrete system:
+// A·x_{n+1} = H·x_n + B·u_{n+1}, where H holds the capacitor and inductor
+// histories and u the source voltages. The constructor factorizes A once
+// (dense Doolittle with partial pivoting) and builds the state propagator
+//
+//     x_{n+1} = P·x_n + Q·u_{n+1},   P = A⁻¹H,  Q = A⁻¹B,
+//
+// one solve per column. P has columns only for the state: the voltages of
+// nodes that carry a capacitor, and the inductor currents. Q has one column
+// per source. A step is then one dense product that yields the next state
+// and the source currents the energy meter reads: no right-hand side to
+// assemble and no substitution chain. A node outside the state (a driver
+// output, an RL midpoint) is computed when asked for, from its row of
+// [P | Q] and the last step's input. Each row sums its products from +0 in
+// fixed column order, multiply then add with no FMA, so every SIMD clone of
+// the product, and the on-demand rows, give the same bits. Against the
+// direct LU solve of each step the propagator rounds differently: the
+// differential tests bound the gap at 1e-12 V and 1e-12 relative energy
+// (DESIGN.md §5l).
 //
 // Sign conventions: a source's branch current flows from its + node through
 // the source; `source_energy` reports the energy *delivered by* the source,
 // which for a switched CMOS driver model equals the supply energy drawn.
 
+#include <cstddef>
 #include <vector>
 
 #include "circuit/netlist.hpp"
-#include "phys/matrix.hpp"
+#include "simd/dispatch.hpp"
 
 namespace tsvcod::circuit {
 
@@ -46,35 +54,19 @@ class TransientSim {
   double source_energy(int id) const;
 
  private:
-  /// Nonzero off-diagonal entries of a triangular factor, row by row in
-  /// ascending column order.
-  struct SparseRows {
-    std::vector<std::size_t> start;  ///< row k spans [start[k], start[k + 1])
-    std::vector<int> col;
-    std::vector<double> val;
-  };
-
-  phys::Matrix assemble() const;
-  void factorize(phys::Matrix& a);
-  void solve_step();
-
   const Netlist& net_;
   double dt_;
   double t_ = 0.0;
   int n_nodes_;
-  int n_src_;
-  int n_ind_;
-  int dim_;
-
-  std::vector<std::size_t> pivot_;  ///< row swapped with row k at elimination step k
-  SparseRows lower_;              ///< unit lower factor L (diagonal implicit)
-  SparseRows upper_;              ///< upper factor U without its diagonal
-  std::vector<double> u_diag_;    ///< diagonal of U
-  std::vector<double> x_;         ///< current solution (voltages + branch currents)
-  std::vector<double> rhs_;       ///< right-hand side, solved in place into the next x_
-  std::vector<double> cap_v_;     ///< capacitor voltages (history)
-  std::vector<double> v_src_;     ///< source voltages at t_
-  std::vector<double> v_next_;    ///< source voltages at t_ + dt (per-step scratch)
+  std::size_t n_state_;               ///< state columns of P (and leading output rows)
+  std::size_t rows_;                  ///< output rows: state, source currents, padding
+  simd::AlignedVector<double> pq_;    ///< [P | Q] output rows, column-major, rows_ per column
+  std::vector<double> other_pq_;      ///< [P | Q] rows of the other nodes, row by row
+  std::vector<std::size_t> node_row_; ///< node − 1 → output row, or rows_ + its other row
+  simd::AlignedVector<double> in_;    ///< last step's input: x_n's state, then u_{n+1}
+  simd::AlignedVector<double> out_;   ///< last step's output rows (x_{n+1})
+  simd::AlignedVector<double> out_next_;
+  std::vector<double> v_src_;         ///< source voltages at t_
   std::vector<double> src_energy_;
 };
 

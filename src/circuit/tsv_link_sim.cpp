@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "circuit/transient.hpp"
+#include "obs/obs.hpp"
 #include "phys/constants.hpp"
 
 namespace tsvcod::circuit {
@@ -25,6 +26,24 @@ void SimOptions::validate() const {
   }
 }
 
+void DriverParams::validate(double period) const {
+  const auto check = [](bool ok, const char* field, const char* rule, double v) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("DriverParams.") + field + " must be " + rule +
+                                  " (got " + std::to_string(v) + ")");
+    }
+  };
+  check(std::isfinite(resistance) && resistance > 0.0, "resistance", "finite and > 0",
+        resistance);
+  check(std::isfinite(rise_time) && rise_time >= 0.0 && rise_time < period, "rise_time",
+        "finite, >= 0 and < the clock period", rise_time);
+  check(std::isfinite(vdd) && vdd > 0.0, "vdd", "finite and > 0", vdd);
+  check(std::isfinite(leakage_current) && leakage_current >= 0.0, "leakage_current",
+        "finite and >= 0", leakage_current);
+  check(std::isfinite(receiver_cap) && receiver_cap >= 0.0, "receiver_cap", "finite and >= 0",
+        receiver_cap);
+}
+
 double tsv_resistance(const phys::TsvArrayGeometry& geom) {
   return phys::rho_cu * geom.length / (phys::pi * geom.radius * geom.radius);
 }
@@ -42,9 +61,18 @@ LinkNetlist build_link_netlist(const phys::TsvArrayGeometry& geom, const phys::M
                                const DriverParams& driver, const SimOptions& options) {
   geom.validate();
   options.validate();
+  driver.validate(1.0 / options.frequency);
   const std::size_t n = geom.count();
   if (cap.rows() != n || cap.cols() != n) {
     throw std::invalid_argument("build_link_netlist: capacitance matrix size mismatch");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!std::isfinite(cap(i, j))) {
+        throw std::invalid_argument("build_link_netlist: capacitance (" + std::to_string(i) +
+                                    ", " + std::to_string(j) + ") is not finite");
+      }
+    }
   }
   if (line_waveforms.size() != n) {
     throw std::invalid_argument("build_link_netlist: one waveform per TSV required");
@@ -109,10 +137,12 @@ LinkNetlist build_link_netlist(const phys::TsvArrayGeometry& geom, const phys::M
 LinkSimResult simulate_link(const phys::TsvArrayGeometry& geom, const phys::Matrix& cap,
                             std::span<const std::uint64_t> line_words,
                             const DriverParams& driver, const SimOptions& options) {
+  obs::Span span("circuit.simulate_link");
   options.validate();
   const std::size_t n = geom.count();
   if (line_words.size() < 2) throw std::invalid_argument("simulate_link: need >= 2 words");
   const double period = 1.0 / options.frequency;
+  driver.validate(period);
 
   std::vector<Waveform> waves;
   waves.reserve(n);

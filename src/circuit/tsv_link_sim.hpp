@@ -25,6 +25,12 @@ struct DriverParams {
   double vdd = 1.0;               ///< supply [V]
   double leakage_current = 0.5e-6;///< per-driver static supply current [A]
   double receiver_cap = 2e-15;    ///< receiver input capacitance [F]
+
+  /// Throws std::invalid_argument naming the field unless `resistance` is
+  /// finite and > 0, `rise_time` is finite, >= 0 and < `period`, `vdd` is
+  /// finite and > 0, and `leakage_current` and `receiver_cap` are finite
+  /// and >= 0.
+  void validate(double period) const;
 };
 
 struct SimOptions {
@@ -61,7 +67,10 @@ struct LinkNetlist {
   std::vector<int> receiver_nodes;  ///< per-TSV far-end node
 };
 
-/// Build the 3-pi network with one waveform per TSV line.
+/// Build the 3-pi network with one waveform per TSV line. A non-finite
+/// entry of `cap` is rejected naming (i, j); zero and negative entries (a
+/// fitted model can round an absent coupling to about -1e-32) add no
+/// capacitor.
 LinkNetlist build_link_netlist(const phys::TsvArrayGeometry& geom, const phys::Matrix& cap,
                                std::span<const Waveform> line_waveforms,
                                const DriverParams& driver = {}, const SimOptions& options = {});

@@ -1,7 +1,7 @@
 #pragma once
 // Shared runtime SIMD dispatch for the hot kernels (stats bit-plane blocks,
 // PowerEvaluator move scoring, multigrid smoothers, the field operator and
-// BiCGStab updates). The MT19937-64 engine of simd/mt19937_64.hpp lives
+// BiCGStab updates, the circuit transient's state-propagator product). The MT19937-64 engine of simd/mt19937_64.hpp lives
 // beside it but does not dispatch: its branch-free twist needs no clones.
 //
 // Kernels are compiled as function multi-versions (`__attribute__((target))`
@@ -27,8 +27,9 @@
 // Determinism contract: each kernel clone uses a fixed lane width and a fixed
 // lane-combining order, so results are bit-reproducible for a given (input,
 // level). Across levels, integer kernels (stats) are bit-identical by
-// construction, and so are the field operator and BiCGStab updates, which
-// keep every scalar rounding (no FMA, sums in cell order); the other
+// construction, and so are the field operator, the BiCGStab updates and the
+// transient propagator, which keep every scalar rounding (no FMA, sums in
+// cell or column order); the other
 // floating-point kernels (evaluator, smoothers) reassociate and may
 // contract to FMA, so they agree only to eps-scale drift bounds — the
 // `evaluator_drift` and `field_consistency` oracles pin those bounds.

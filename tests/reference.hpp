@@ -8,7 +8,8 @@
 // model of the AR(1) stream), or the client half of a format the library
 // only reads (service frames), or a field-solver form the library replaced
 // by a faster one that must stay bit-identical to it (the packed operator,
-// the two-colour V-cycle).
+// the two-colour V-cycle), or the circuit stepper the state propagator
+// replaced, which the propagator must track to 1e-12.
 
 #include <algorithm>
 #include <cmath>
@@ -20,6 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "circuit/crosstalk.hpp"
+#include "circuit/netlist.hpp"
+#include "circuit/tsv_link_sim.hpp"
 #include "core/assignment.hpp"
 #include "field/grid.hpp"
 #include "phys/constants.hpp"
@@ -561,6 +565,281 @@ class TwoColourMultigrid {
   std::vector<Complex> lu_;
   std::vector<std::size_t> pivot_;
 };
+
+// --- Circuit transient: the per-step LU substitution -------------------------
+
+/// The MNA stepper that circuit::TransientSim's state propagator replaced,
+/// with the same API and the same companion models. The MNA matrix is
+/// LU-factorized once (dense Doolittle, partial pivoting) and only the
+/// nonzeros of L and U are kept, row by row in column order. Each step
+/// assembles the history right-hand side from the capacitor voltages and
+/// inductor currents and runs the forward and back substitution over those
+/// nonzeros, which gives the dense substitution's bits exactly.
+class ReferenceTransientSim {
+ public:
+  ReferenceTransientSim(const circuit::Netlist& netlist, double dt) : net_(netlist), dt_(dt) {
+    if (!(dt > 0.0) || !std::isfinite(dt)) {
+      throw std::invalid_argument("ReferenceTransientSim: dt must be finite and positive");
+    }
+    n_nodes_ = net_.node_count();
+    n_src_ = static_cast<int>(net_.sources().size());
+    n_ind_ = static_cast<int>(net_.inductors().size());
+    dim_ = n_nodes_ + n_src_ + n_ind_;
+    x_.assign(static_cast<std::size_t>(dim_), 0.0);
+    rhs_.assign(static_cast<std::size_t>(dim_), 0.0);
+    cap_v_.assign(net_.capacitors().size(), 0.0);
+    v_src_.resize(static_cast<std::size_t>(n_src_));
+    for (int s = 0; s < n_src_; ++s) v_src_[sz(s)] = net_.sources()[sz(s)].v(t_);
+    v_next_.assign(static_cast<std::size_t>(n_src_), 0.0);
+    src_energy_.assign(static_cast<std::size_t>(n_src_), 0.0);
+    phys::Matrix a = assemble();
+    factorize(a);
+  }
+
+  void step() {
+    const double t_next = t_ + dt_;
+    std::fill(rhs_.begin(), rhs_.end(), 0.0);
+    // Capacitor history currents (backward-Euler companion: G = C/dt).
+    for (std::size_t k = 0; k < net_.capacitors().size(); ++k) {
+      const auto& c = net_.capacitors()[k];
+      const double hist = c.farads / dt_ * cap_v_[k];
+      if (c.a != kGround) rhs_[sz(c.a - 1)] += hist;
+      if (c.b != kGround) rhs_[sz(c.b - 1)] -= hist;
+    }
+    for (int s = 0; s < n_src_; ++s) {
+      const double v = net_.sources()[sz(s)].v(t_next);
+      v_next_[sz(s)] = v;
+      rhs_[sz(n_nodes_ + s)] = v;
+    }
+    // Inductor history (backward Euler: v = (L/dt)(i_new - i_old)).
+    for (int l = 0; l < n_ind_; ++l) {
+      const auto& ind = net_.inductors()[sz(l)];
+      const double i_prev = x_[sz(n_nodes_ + n_src_ + l)];
+      rhs_[sz(n_nodes_ + n_src_ + l)] = -ind.henries / dt_ * i_prev;
+    }
+    solve_step();
+    t_ = t_next;
+    // Delivered energies (trapezoid); delivered current is the negated
+    // MNA branch current.
+    for (int s = 0; s < n_src_; ++s) {
+      const std::size_t row = sz(n_nodes_ + s);
+      const double p_prev = v_src_[sz(s)] * -x_[row];
+      const double p_new = v_next_[sz(s)] * -rhs_[row];
+      src_energy_[sz(s)] += 0.5 * (p_prev + p_new) * dt_;
+    }
+    x_.swap(rhs_);
+    v_src_.swap(v_next_);
+    for (std::size_t k = 0; k < net_.capacitors().size(); ++k) {
+      const auto& c = net_.capacitors()[k];
+      const double va = c.a == kGround ? 0.0 : x_[sz(c.a - 1)];
+      const double vb = c.b == kGround ? 0.0 : x_[sz(c.b - 1)];
+      cap_v_[k] = va - vb;
+    }
+  }
+
+  void run_until(double t_end) {
+    while (t_ + 0.5 * dt_ < t_end) step();
+  }
+
+  double time() const { return t_; }
+  double node_voltage(int node) const { return node == kGround ? 0.0 : x_.at(sz(node - 1)); }
+  double source_energy(int id) const { return src_energy_.at(sz(id)); }
+
+ private:
+  static constexpr int kGround = circuit::Netlist::kGround;
+  static std::size_t sz(int i) { return static_cast<std::size_t>(i); }
+
+  struct SparseRows {
+    std::vector<std::size_t> start;  ///< row k spans [start[k], start[k + 1])
+    std::vector<int> col;
+    std::vector<double> val;
+  };
+
+  phys::Matrix assemble() const {
+    phys::Matrix a(sz(dim_), sz(dim_));
+    const auto stamp_conductance = [&](int p, int q, double g) {
+      if (p != kGround) a(sz(p - 1), sz(p - 1)) += g;
+      if (q != kGround) a(sz(q - 1), sz(q - 1)) += g;
+      if (p != kGround && q != kGround) {
+        a(sz(p - 1), sz(q - 1)) -= g;
+        a(sz(q - 1), sz(p - 1)) -= g;
+      }
+    };
+    for (const auto& r : net_.resistors()) stamp_conductance(r.a, r.b, 1.0 / r.ohms);
+    for (const auto& c : net_.capacitors()) stamp_conductance(c.a, c.b, c.farads / dt_);
+    const auto stamp_branch = [&](std::size_t row, int p, int q) {
+      if (p != kGround) a(row, sz(p - 1)) = a(sz(p - 1), row) = 1.0;
+      if (q != kGround) a(row, sz(q - 1)) = a(sz(q - 1), row) = -1.0;
+    };
+    for (int s = 0; s < n_src_; ++s) {
+      const auto& src = net_.sources()[sz(s)];
+      stamp_branch(sz(n_nodes_ + s), src.plus, src.minus);
+    }
+    for (int l = 0; l < n_ind_; ++l) {
+      const auto& ind = net_.inductors()[sz(l)];
+      const std::size_t row = sz(n_nodes_ + n_src_ + l);
+      stamp_branch(row, ind.a, ind.b);
+      a(row, row) = -ind.henries / dt_;
+    }
+    return a;
+  }
+
+  void factorize(phys::Matrix& a) {
+    const std::size_t n = sz(dim_);
+    pivot_.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t p = k;
+      double best = std::abs(a(k, k));
+      for (std::size_t r = k + 1; r < n; ++r) {
+        if (std::abs(a(r, k)) > best) {
+          best = std::abs(a(r, k));
+          p = r;
+        }
+      }
+      if (best < 1e-300) throw std::runtime_error("ReferenceTransientSim: singular MNA matrix");
+      pivot_[k] = p;
+      if (p != k) {
+        for (std::size_t c = 0; c < n; ++c) std::swap(a(k, c), a(p, c));
+      }
+      const double pivot = a(k, k);
+      for (std::size_t r = k + 1; r < n; ++r) {
+        const double f = a(r, k) / pivot;
+        a(r, k) = f;
+        if (f == 0.0) continue;
+        for (std::size_t c = k + 1; c < n; ++c) a(r, c) -= f * a(k, c);
+      }
+    }
+    lower_.start.assign(1, 0);
+    upper_.start.assign(1, 0);
+    u_diag_.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t c = 0; c < n; ++c) {
+        const double v = a(k, c);
+        if (c == k) {
+          u_diag_[k] = v;
+        } else if (v != 0.0) {
+          SparseRows& rows = c < k ? lower_ : upper_;
+          rows.col.push_back(static_cast<int>(c));
+          rows.val.push_back(v);
+        }
+      }
+      lower_.start.push_back(lower_.col.size());
+      upper_.start.push_back(upper_.col.size());
+    }
+  }
+
+  void solve_step() {
+    const std::size_t n = rhs_.size();
+    double* b = rhs_.data();
+    for (std::size_t k = 0; k < n; ++k) {
+      if (pivot_[k] != k) std::swap(b[k], b[pivot_[k]]);
+      double v = b[k];
+      for (std::size_t e = lower_.start[k]; e < lower_.start[k + 1]; ++e) {
+        v -= lower_.val[e] * b[lower_.col[e]];
+      }
+      b[k] = v;
+    }
+    for (std::size_t k = n; k-- > 0;) {
+      double v = b[k];
+      for (std::size_t e = upper_.start[k]; e < upper_.start[k + 1]; ++e) {
+        v -= upper_.val[e] * b[upper_.col[e]];
+      }
+      b[k] = v / u_diag_[k];
+    }
+  }
+
+  const circuit::Netlist& net_;
+  double dt_;
+  double t_ = 0.0;
+  int n_nodes_, n_src_, n_ind_, dim_;
+  std::vector<std::size_t> pivot_;
+  SparseRows lower_, upper_;
+  std::vector<double> u_diag_;
+  std::vector<double> x_, rhs_, cap_v_, v_src_, v_next_, src_energy_;
+};
+
+/// `circuit::simulate_link`'s driver waveforms: bit k of word t on TSV k
+/// during cycle t.
+inline std::vector<circuit::Waveform> link_waveforms(std::size_t tsvs,
+                                                     std::span<const std::uint64_t> words,
+                                                     double period,
+                                                     const circuit::DriverParams& driver) {
+  std::vector<circuit::Waveform> waves;
+  for (std::size_t i = 0; i < tsvs; ++i) {
+    std::vector<std::uint8_t> bits(words.size());
+    for (std::size_t t = 0; t < words.size(); ++t) {
+      bits[t] = static_cast<std::uint8_t>((words[t] >> i) & 1u);
+    }
+    waves.push_back(circuit::bit_waveform(std::move(bits), period, driver.rise_time, driver.vdd));
+  }
+  return waves;
+}
+
+/// `circuit::simulate_link`'s dynamic energy [J], stepped by the reference.
+inline double link_energy(const phys::TsvArrayGeometry& geom, const phys::Matrix& cap,
+                          std::span<const std::uint64_t> words,
+                          const circuit::DriverParams& driver = {},
+                          const circuit::SimOptions& options = {}) {
+  const double period = 1.0 / options.frequency;
+  const auto waves = link_waveforms(geom.count(), words, period, driver);
+  const circuit::LinkNetlist link = circuit::build_link_netlist(geom, cap, waves, driver, options);
+  ReferenceTransientSim sim(link.net, period / options.steps_per_cycle);
+  sim.run_until(period * static_cast<double>(words.size()));
+  double energy = 0.0;
+  for (const int id : link.source_ids) energy += sim.source_energy(id);
+  return energy;
+}
+
+/// The waveforms of one `circuit::analyze_crosstalk` scenario: the victim
+/// rises at t = period or stays at 0, every aggressor moves from `from` to
+/// `to` at t = period.
+inline std::vector<circuit::Waveform> crosstalk_waveforms(std::size_t tsvs, std::size_t victim,
+                                                          double period,
+                                                          const circuit::DriverParams& driver,
+                                                          bool victim_rises, std::uint8_t from,
+                                                          std::uint8_t to) {
+  std::vector<circuit::Waveform> waves;
+  for (std::size_t i = 0; i < tsvs; ++i) {
+    const std::uint8_t v = victim_rises ? 1 : 0;
+    std::vector<std::uint8_t> bits = i == victim ? std::vector<std::uint8_t>{0, v, v}
+                                                 : std::vector<std::uint8_t>{from, to, to};
+    waves.push_back(circuit::bit_waveform(std::move(bits), period, driver.rise_time, driver.vdd));
+  }
+  return waves;
+}
+
+/// `circuit::analyze_crosstalk`, stepped by the reference.
+inline circuit::CrosstalkResult crosstalk(const phys::TsvArrayGeometry& geom,
+                                          const phys::Matrix& cap, std::size_t victim,
+                                          const circuit::DriverParams& driver = {},
+                                          const circuit::SimOptions& options = {}) {
+  const double period = 1.0 / options.frequency;
+  const auto scenario = [&](bool victim_rises, std::uint8_t from, std::uint8_t to) {
+    const auto waves =
+        crosstalk_waveforms(geom.count(), victim, period, driver, victim_rises, from, to);
+    const circuit::LinkNetlist link = circuit::build_link_netlist(geom, cap, waves, driver, options);
+    ReferenceTransientSim sim(link.net, period / std::max(options.steps_per_cycle, 400));
+    const int probe = link.receiver_nodes[victim];
+    std::pair<double, double> peak_delay{0.0, std::nan("")};
+    while (sim.time() < 3.0 * period) {
+      sim.step();
+      const double v = sim.node_voltage(probe);
+      if (!victim_rises && sim.time() > period) {
+        peak_delay.first = std::max(peak_delay.first, std::abs(v));
+      }
+      if (victim_rises && std::isnan(peak_delay.second) && sim.time() > period &&
+          v >= 0.5 * driver.vdd) {
+        peak_delay.second = sim.time() - period;
+      }
+    }
+    return peak_delay;
+  };
+  circuit::CrosstalkResult out;
+  out.victim_peak_noise = scenario(false, 0, 1).first;
+  out.victim_delay_quiet = scenario(true, 0, 0).second;
+  out.victim_delay_opposed = scenario(true, 1, 0).second;
+  return out;
+}
 
 // --- Service frames ---------------------------------------------------------
 

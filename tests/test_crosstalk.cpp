@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "circuit/crosstalk.hpp"
+#include "reference.hpp"
+#include "simd/dispatch.hpp"
 #include "tsv/analytic_model.hpp"
 
 namespace {
@@ -80,15 +82,31 @@ TEST(Crosstalk, ValidatesSimOptions) {
   }
 }
 
-// Bit-identity golden: every field of the centre-victim analysis on a 3x3
-// array as hex floats, as the dense LU substitution computed them; the
-// sparse substitution must reproduce them exactly (DESIGN.md §5l).
+// Bit-identity golden of the oracle: every field of the centre-victim
+// analysis on a 3x3 array as hex floats, as the dense LU substitution
+// computed them; the reference stepper's sparse substitution must reproduce
+// them exactly (DESIGN.md §5l).
 TEST(Crosstalk, GoldenFieldsAreBitIdentical) {
   auto geom = phys::TsvArrayGeometry::itrs2018_min(3, 3);
-  const auto res = analyze(geom, 0.5, geom.index(1, 1));
+  const auto cap = tsv::analytic_capacitance(geom, std::vector<double>(geom.count(), 0.5));
+  const auto res = reference::crosstalk(geom, cap, geom.index(1, 1));
   EXPECT_EQ(res.victim_peak_noise, 0x1.39e5567ae0c45p-1);
   EXPECT_EQ(res.victim_delay_quiet, 0x1.4285fe4049afp-36);
   EXPECT_EQ(res.victim_delay_opposed, 0x1.5fd7fe17963e8p-35);
+}
+
+// The propagator's own golden of the same analysis, at every SIMD level
+// the host has.
+TEST(Crosstalk, PropagatorGoldenFieldsAtEveryLevel) {
+  auto geom = phys::TsvArrayGeometry::itrs2018_min(3, 3);
+  for (const auto level : {simd::Level::scalar, simd::Level::avx2, simd::Level::avx512}) {
+    if (level > simd::detected_level()) continue;
+    simd::ScopedLevel guard(level);
+    const auto res = analyze(geom, 0.5, geom.index(1, 1));
+    EXPECT_EQ(res.victim_peak_noise, 0x1.39e5567ae0c4ap-1) << simd::level_name(level);
+    EXPECT_EQ(res.victim_delay_quiet, 0x1.4285fe4049afp-36) << simd::level_name(level);
+    EXPECT_EQ(res.victim_delay_opposed, 0x1.5fd7fe17963e8p-35) << simd::level_name(level);
+  }
 }
 
 }  // namespace
