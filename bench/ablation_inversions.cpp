@@ -11,14 +11,14 @@
 // columns run the same annealer with the same options; only the permitted
 // moves (b) or the objective's capacitance model (c) change.
 //
-// `--check` exits 1 unless the claims recorded in EXPERIMENTS.md hold. A
+// The bench exits 1 unless the claims recorded in EXPERIMENTS.md hold. A
 // MOS-blind objective cannot see a stable line's polarity (it costs no
 // switching either way), so where its search leaves one is luck: over seeds
 // 1-5 its Gray-coded loss ranges from ~0.01 to ~1.7 pp, and one seed's value
 // moves with the SIMD level's rounding. That claim is judged on the mean over
 // seeds 1-5; the table prints seed 1.
 #include <cstdio>
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include "coding/gray.hpp"
@@ -68,12 +68,6 @@ Row run(const char* name, const std::vector<std::uint64_t>& words, const core::L
   return row;
 }
 
-/// Prints a failed claim; returns whether it held.
-bool claim(bool ok, const Row& row, const char* what) {
-  if (!ok) std::printf("CHECK FAILED (%s): %s\n", row.name, what);
-  return ok;
-}
-
 std::vector<std::uint64_t> take(streams::WordStream& src, std::uint64_t mask = ~0ull) {
   std::vector<std::uint64_t> words;
   for (int i = 0; i < 40000; ++i) words.push_back(src.next() & mask);
@@ -82,12 +76,7 @@ std::vector<std::uint64_t> take(streams::WordStream& src, std::uint64_t mask = ~
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool check = argc == 2 && std::strcmp(argv[1], "--check") == 0;
-  if (argc > 1 && !check) {
-    std::fprintf(stderr, "usage: ablation_inversions [--check]\n");
-    return 2;
-  }
+int main() {
   bench::print_header("Ablation: reordering vs inversions vs MOS-aware objective (4x4 r=2 d=8)",
                       "supports Sec. 3: inversions + MOS model matter most for skewed-probability "
                       "streams");
@@ -98,25 +87,26 @@ int main(int argc, char** argv) {
   coding::GrayCodec gray(16);
   auto gray_words = take(gray_src);
   for (auto& w : gray_words) w = gray.encode(w);
-  const Row gray_row = run("Gray-coded Gaussian", gray_words, link, check ? 5 : 1);
+  const Row gray_row = run("Gray-coded Gaussian", gray_words, link, 5);
   streams::GaussianAr1Stream gauss_src(16, 3000.0, 0.0, 6);
   const Row gauss_row = run("Gaussian (balanced)", take(gauss_src), link);
   streams::BayerQuadStream image_src;
   const Row image_row = run("Image sub-bus", take(image_src, 0xFFFF), link);  // 16 b sub-bus
-  if (!check) return 0;
 
-  bool ok = true;
+  bench::Claims claim("ablation");
   for (const Row& row : {gray_row, gauss_row, image_row}) {
-    ok &= claim(row.full >= row.no_inversions, row, "full >= no-inversions");
-    ok &= claim(row.full >= row.mos_blind - 0.05, row, "full >= MOS-blind - 0.05 pp");
+    const std::string name = row.name;
+    claim(row.full >= row.no_inversions, name + ": full >= no-inversions");
+    claim(row.full >= row.mos_blind - 0.05, name + ": full >= MOS-blind - 0.05 pp");
   }
-  ok &= claim(gray_row.full - gray_row.no_inversions >= 1.0, gray_row, "inversions add >= 1 pp");
-  ok &= claim(image_row.full - image_row.no_inversions >= 1.0, image_row, "inversions add >= 1 pp");
-  ok &= claim(gauss_row.full - gauss_row.no_inversions < 0.1, gauss_row, "inversions add < 0.1 pp");
+  claim(gray_row.full - gray_row.no_inversions >= 1.0,
+        "Gray-coded Gaussian: inversions add >= 1 pp");
+  claim(image_row.full - image_row.no_inversions >= 1.0, "Image sub-bus: inversions add >= 1 pp");
+  claim(gauss_row.full - gauss_row.no_inversions < 0.1,
+        "Gaussian (balanced): inversions add < 0.1 pp");
   std::printf("Gray-coded MOS-blind loss, mean over seeds 1-5: %.2f pp\n",
               gray_row.full - gray_row.mos_blind_mean);
-  ok &= claim(gray_row.full - gray_row.mos_blind_mean >= 0.5, gray_row,
-              "MOS-blind gives up >= 0.5 pp (seed mean)");
-  std::printf("ablation claims: %s\n", ok ? "all hold" : "FAILED");
-  return ok ? 0 : 1;
+  claim(gray_row.full - gray_row.mos_blind_mean >= 0.5,
+        "Gray-coded Gaussian: MOS-blind gives up >= 0.5 pp (seed mean)");
+  return claim.verdict();
 }

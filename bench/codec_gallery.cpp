@@ -3,10 +3,12 @@
 // the optimal bit-to-TSV assignment, across four signal classes. The table
 // answers the practical question the paper raises: which encoding + which
 // assignment for which data — and shows that the assignment consistently
-// stacks on top of whichever codec fits the workload.
+// stacks on top of whichever codec fits the workload. The bench exits 1
+// unless the claims recorded in EXPERIMENTS.md hold.
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "coding/bus_invert.hpp"
@@ -35,7 +37,14 @@ struct StreamEntry {
   std::function<std::unique_ptr<streams::WordStream>(std::size_t width)> make;
 };
 
-void run(const StreamEntry& se, const std::vector<CodecEntry>& codecs) {
+/// Identity and optimal power [F] of one codec on one stream.
+struct Cell {
+  double identity, optimal;
+};
+
+/// One cell per codec, in the order of `codecs`.
+std::vector<Cell> run(const StreamEntry& se, const std::vector<CodecEntry>& codecs) {
+  std::vector<Cell> cells;
   std::printf("\n-- %s --\n", se.name);
   std::printf("%-18s %14s %14s %10s\n", "codec", "identity aF", "optimal aF", "opt red %");
   // Arrays sized so that codec outputs (payload + flag lines) fit exactly.
@@ -64,7 +73,9 @@ void run(const StreamEntry& se, const std::vector<CodecEntry>& codecs) {
     const auto best = core::optimize_assignment(st, link.model(), opts);
     std::printf("%-18s %14.1f %14.1f %10.1f\n", ce.name, p_id * 1e18, best.power * 1e18,
                 core::reduction_pct(p_id, best.power));
+    cells.push_back({p_id, best.power});
   }
+  return cells;
 }
 
 }  // namespace
@@ -94,6 +105,36 @@ int main() {
        [](std::size_t w) { return std::make_unique<streams::UniformRandomStream>(w, 5); }},
   };
 
-  for (const auto& se : streams_under_test) run(se, codecs);
-  return 0;
+  std::vector<std::vector<Cell>> table;
+  for (const auto& se : streams_under_test) table.push_back(run(se, codecs));
+
+  // Indices into `codecs` and `streams_under_test`.
+  enum { kUncoded, kGray, kT0, kBusInvert, kCouplingInvert, kCorrelator };
+  enum { kAddresses, kDsp, kBayer, kUniform };
+  std::printf("\n");
+  bench::Claims claim("codec gallery");
+  const auto& addresses = table[kAddresses];
+  claim(addresses[kUncoded].identity >= 10.0 * addresses[kT0].identity,
+        "T0 cuts address power >= 10x before the assignment");
+  const auto& bayer = table[kBayer];
+  bool lowest_identity = true;
+  bool lowest_optimal = true;
+  for (const Cell& c : bayer) {
+    lowest_identity &= bayer[kCorrelator].identity <= c.identity;
+    lowest_optimal &= bayer[kCorrelator].optimal <= c.optimal;
+  }
+  claim(lowest_identity && lowest_optimal,
+        "the correlator gives the lowest identity and optimal power on muxed Bayer data");
+  for (std::size_t s = 0; s < table.size(); ++s) {
+    for (std::size_t c = 0; c < codecs.size(); ++c) {
+      claim(table[s][c].optimal < table[s][c].identity,
+            std::string(streams_under_test[s].name) + ", " + codecs[c].name +
+                ": optimal < identity");
+    }
+  }
+  const auto& uniform = table[kUniform];
+  claim(uniform[kBusInvert].identity <= 0.9 * uniform[kUncoded].identity &&
+            uniform[kCouplingInvert].identity <= 0.9 * uniform[kUncoded].identity,
+        "bus-invert and coupling-invert >= 10 % below uncoded on uniform random data");
+  return claim.verdict();
 }

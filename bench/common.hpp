@@ -1,6 +1,7 @@
 #pragma once
 // Shared helpers for the experiment harnesses: consistent study options,
-// stable-line handling, table printing and the standard BENCH JSON shape.
+// stable-line handling, table printing, the claim verdict and the standard
+// BENCH JSON shape.
 
 #include <cmath>
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "args.hpp"
@@ -60,6 +62,37 @@ inline void print_header(const std::string& title, const std::string& paper_note
   if (!paper_note.empty()) std::printf("paper: %s\n", paper_note.c_str());
 }
 
+/// The claims a bench's table backs, checked on every run: each failed one
+/// is printed as it is judged, and `verdict()` prints one line and returns
+/// the bench's exit status, 1 if any claim failed. The claims and their
+/// margins are recorded in EXPERIMENTS.md.
+class Claims {
+ public:
+  explicit Claims(std::string bench) : bench_(std::move(bench)) {}
+
+  void operator()(bool ok, const std::string& what) {
+    ++checked_;
+    if (!ok) {
+      ++failed_;
+      std::printf("CHECK FAILED: %s\n", what.c_str());
+    }
+  }
+
+  int verdict() const {
+    if (failed_ == 0) {
+      std::printf("%s claims: all %d hold\n", bench_.c_str(), checked_);
+      return 0;
+    }
+    std::printf("%s claims: FAILED (%d of %d)\n", bench_.c_str(), failed_, checked_);
+    return 1;
+  }
+
+ private:
+  std::string bench_;
+  int checked_ = 0;
+  int failed_ = 0;
+};
+
 /// Standard BENCH JSON writer: `{"bench": NAME, <scalar params>, "results":
 /// [rows]}` — the shape every committed BENCH_*.json uses and the one
 /// `tsvcod_benchdiff` understands (top-level scalars are run *parameters*
@@ -72,10 +105,6 @@ class BenchJson {
 
   BenchJson& param(const std::string& key, double value) {
     params_ += ",\n  \"" + key + "\": " + number(value);
-    return *this;
-  }
-  BenchJson& param(const std::string& key, const std::string& value) {
-    params_ += ",\n  \"" + key + "\": \"" + value + "\"";
     return *this;
   }
 

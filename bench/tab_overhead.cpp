@@ -6,7 +6,7 @@
 // < 0.2 %, standard deviation < 0.1 % — i.e. the assignment freedom is
 // essentially free because TSV parasitics dominate the path.
 //
-// `--check` exits 1 unless the figures recorded in EXPERIMENTS.md hold: all
+// The bench exits 1 unless the figures recorded in EXPERIMENTS.md hold: all
 // 9! assignments, the printed worst/mean/std increases (which pin the
 // routing and analytic-model constants), and the Sec. 3 claim that the mean
 // overhead is at least 10x below the smallest gain it is set against (11 %).
@@ -22,12 +22,6 @@ using namespace tsvcod;
 
 namespace {
 
-/// Prints a failed claim; returns whether it held.
-bool claim(bool ok, const char* what) {
-  if (!ok) std::printf("CHECK FAILED: %s\n", what);
-  return ok;
-}
-
 /// `value` printed as the table prints it.
 bool prints_as(double value, const char* expected) {
   char buf[32];
@@ -37,12 +31,7 @@ bool prints_as(double value, const char* expected) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool check = argc == 2 && std::strcmp(argv[1], "--check") == 0;
-  if (argc > 1 && !check) {
-    std::fprintf(stderr, "usage: tab_overhead [--check]\n");
-    return 2;
-  }
+int main() {
   bench::print_header("Sec. 3: routing-overhead study, all 9! assignments of a 3x3 array",
                       "worst +0.4 %, mean < 0.2 %, std < 0.1 % (40 nm commercial flow)");
 
@@ -66,16 +55,14 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < 9; ++i) ident[i] = i;
   std::printf("identity wirelength   : %.1f um\n",
               tsv::assignment_wirelength(geom, ident) * 1e6);
-  if (!check) return 0;
 
-  bool ok = true;
-  ok &= claim(stats.exhaustive && stats.assignments == 362880, "all 9! = 362880 assignments");
-  ok &= claim(prints_as(stats.worst_pct, "1.375"), "worst-case increase 1.375 %");
-  ok &= claim(prints_as(stats.mean_pct, "0.866"), "mean increase 0.866 %");
-  ok &= claim(prints_as(stats.stddev_pct, "0.267"), "std deviation 0.267 %");
+  bench::Claims claim("overhead");
+  claim(stats.exhaustive && stats.assignments == 362880, "all 9! = 362880 assignments");
+  claim(prints_as(stats.worst_pct, "1.375"), "worst-case increase 1.375 %");
+  claim(prints_as(stats.mean_pct, "0.866"), "mean increase 0.866 %");
+  claim(prints_as(stats.stddev_pct, "0.267"), "std deviation 0.267 %");
   constexpr double kSmallestGainPct = 11.0;  // low end of the paper's 11-48 % gains
-  ok &= claim(10.0 * stats.mean_pct <= kSmallestGainPct,
-              "mean overhead >= 10x below the smallest gain (11 %)");
-  std::printf("overhead claims: %s\n", ok ? "all hold" : "FAILED");
-  return ok ? 0 : 1;
+  claim(10.0 * stats.mean_pct <= kSmallestGainPct,
+        "mean overhead >= 10x below the smallest gain (11 %)");
+  return claim.verdict();
 }

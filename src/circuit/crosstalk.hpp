@@ -1,30 +1,19 @@
 #pragma once
-// Signal-integrity analysis of a TSV link (crosstalk noise and Miller
-// delay). The paper's related work fights TSV coupling with crosstalk-
-// avoidance codes; this analysis quantifies the same physics on our 3-pi
-// model: how hard a quiet victim is bounced by simultaneously switching
-// aggressors, and how much opposed switching slows a victim edge. It also
-// exposes the MOS-effect side benefit of the inversion trick: raising a
-// line's 1-probability widens its depletion region and weakens its coupling.
+// Crosstalk bounce on a TSV link. The paper's related work fights TSV
+// coupling with crosstalk-avoidance codes; this analysis quantifies the same
+// physics on our 3-pi model: how hard a quiet victim is bounced by
+// simultaneously switching aggressors. It also exposes the MOS-effect side
+// benefit of the inversion trick: raising a line's 1-probability widens its
+// depletion region and weakens its coupling.
 
 #include "circuit/tsv_link_sim.hpp"
 
 namespace tsvcod::circuit {
 
-struct CrosstalkResult {
-  double victim_peak_noise = 0.0;     ///< worst |V| bounce on a quiet victim [V]
-  double victim_delay_quiet = 0.0;    ///< 50 % delay, aggressors quiet [s]
-  double victim_delay_opposed = 0.0;  ///< 50 % delay, aggressors switching opposite [s]
-
-  double miller_slowdown() const {
-    return victim_delay_quiet > 0.0 ? victim_delay_opposed / victim_delay_quiet : 0.0;
-  }
-};
-
-/// Worst-case crosstalk analysis for TSV `victim` of the array: all other
-/// TSVs act as synchronized aggressors.
-CrosstalkResult analyze_crosstalk(const phys::TsvArrayGeometry& geom, const phys::Matrix& cap,
-                                  std::size_t victim, const DriverParams& driver = {},
-                                  const SimOptions& options = {});
+/// Worst |V| bounce [V] on TSV `victim` of the array, held at 0 while every
+/// other TSV rises at t = period as a synchronized aggressor.
+double victim_bounce(const phys::TsvArrayGeometry& geom, const phys::Matrix& cap,
+                     std::size_t victim, const DriverParams& driver = {},
+                     const SimOptions& options = {});
 
 }  // namespace tsvcod::circuit

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/crosstalk.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/tsv_link_sim.hpp"
 #include "core/assignment.hpp"
@@ -790,9 +789,9 @@ inline double link_energy(const phys::TsvArrayGeometry& geom, const phys::Matrix
   return energy;
 }
 
-/// The waveforms of one `circuit::analyze_crosstalk` scenario: the victim
-/// rises at t = period or stays at 0, every aggressor moves from `from` to
-/// `to` at t = period.
+/// The waveforms of one crosstalk scenario: the victim rises at t = period
+/// or stays at 0, every aggressor moves from `from` to `to` at t = period.
+/// `circuit::victim_bounce` drives the held victim against rising aggressors.
 inline std::vector<circuit::Waveform> crosstalk_waveforms(std::size_t tsvs, std::size_t victim,
                                                           double period,
                                                           const circuit::DriverParams& driver,
@@ -808,37 +807,21 @@ inline std::vector<circuit::Waveform> crosstalk_waveforms(std::size_t tsvs, std:
   return waves;
 }
 
-/// `circuit::analyze_crosstalk`, stepped by the reference.
-inline circuit::CrosstalkResult crosstalk(const phys::TsvArrayGeometry& geom,
-                                          const phys::Matrix& cap, std::size_t victim,
-                                          const circuit::DriverParams& driver = {},
-                                          const circuit::SimOptions& options = {}) {
+/// `circuit::victim_bounce`, stepped by the reference.
+inline double victim_bounce(const phys::TsvArrayGeometry& geom, const phys::Matrix& cap,
+                            std::size_t victim, const circuit::DriverParams& driver = {},
+                            const circuit::SimOptions& options = {}) {
   const double period = 1.0 / options.frequency;
-  const auto scenario = [&](bool victim_rises, std::uint8_t from, std::uint8_t to) {
-    const auto waves =
-        crosstalk_waveforms(geom.count(), victim, period, driver, victim_rises, from, to);
-    const circuit::LinkNetlist link = circuit::build_link_netlist(geom, cap, waves, driver, options);
-    ReferenceTransientSim sim(link.net, period / std::max(options.steps_per_cycle, 400));
-    const int probe = link.receiver_nodes[victim];
-    std::pair<double, double> peak_delay{0.0, std::nan("")};
-    while (sim.time() < 3.0 * period) {
-      sim.step();
-      const double v = sim.node_voltage(probe);
-      if (!victim_rises && sim.time() > period) {
-        peak_delay.first = std::max(peak_delay.first, std::abs(v));
-      }
-      if (victim_rises && std::isnan(peak_delay.second) && sim.time() > period &&
-          v >= 0.5 * driver.vdd) {
-        peak_delay.second = sim.time() - period;
-      }
-    }
-    return peak_delay;
-  };
-  circuit::CrosstalkResult out;
-  out.victim_peak_noise = scenario(false, 0, 1).first;
-  out.victim_delay_quiet = scenario(true, 0, 0).second;
-  out.victim_delay_opposed = scenario(true, 1, 0).second;
-  return out;
+  const auto waves = crosstalk_waveforms(geom.count(), victim, period, driver, false, 0, 1);
+  const circuit::LinkNetlist link = circuit::build_link_netlist(geom, cap, waves, driver, options);
+  ReferenceTransientSim sim(link.net, period / std::max(options.steps_per_cycle, 400));
+  const int probe = link.receiver_nodes[victim];
+  double peak = 0.0;
+  while (sim.time() < 3.0 * period) {
+    sim.step();
+    if (sim.time() > period) peak = std::max(peak, std::abs(sim.node_voltage(probe)));
+  }
+  return peak;
 }
 
 // --- Service frames ---------------------------------------------------------

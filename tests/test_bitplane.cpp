@@ -15,7 +15,6 @@
 #include "simd/dispatch.hpp"
 #include "stats/bitplane.hpp"
 #include "stats/ingest.hpp"
-#include "stats/subset.hpp"
 #include "stats/switching_stats.hpp"
 
 namespace {
@@ -294,22 +293,6 @@ TEST(Bitplane, TooFewWordsErrorNamesWidthAndCount) {
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("width 9"), std::string::npos) << e.what();
     EXPECT_NE(std::string(e.what()).find("have 1"), std::string::npos) << e.what();
-  }
-}
-
-TEST(Bitplane, SubsetStatsValidatesBitIndices) {
-  std::mt19937_64 rng(37);
-  const auto words = make_trace(rng, 4, 50, 0);
-  const auto src = stats::compute_stats(words, 4, 1);
-  const std::vector<std::size_t> good{3, 0};
-  EXPECT_NO_THROW(stats::subset_stats(src, good));
-  const std::vector<std::size_t> bad{1, 9, 0};
-  try {
-    (void)stats::subset_stats(src, bad);
-    FAIL() << "out-of-range bit must throw";
-  } catch (const std::out_of_range& e) {
-    EXPECT_NE(std::string(e.what()).find("bit 9"), std::string::npos) << e.what();
-    EXPECT_NE(std::string(e.what()).find("width 4"), std::string::npos) << e.what();
   }
 }
 

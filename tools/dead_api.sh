@@ -18,6 +18,10 @@
 # is not, and any allowlist entry that is no longer dead. -O0 matters: at -O2
 # a helper inlined into every caller in its own file leaves no symbol behind
 # and shows as dead.
+#
+# It also reports, grouped by program, the library functions that exactly
+# one program keeps: candidates to move beside that program. The report
+# never changes the exit status.
 set -euo pipefail
 export LC_ALL=C  # one collation for sort and comm
 
@@ -37,24 +41,31 @@ fi
 
 nm --defined-only "${libs[@]}" |
   awk '$2 == "T" || ($2 == "W" && $3 ~ /^_ZN[KRO]*6tsvcod/) { print $3 }' | sort -u > "$TMP/defined"
-for p in "${programs[@]}"; do nm --defined-only "$p"; done |
-  awk 'NF == 3 { print $3 }' | sort -u > "$TMP/kept"
+# One `program<TAB>symbol` line per library function a program keeps.
+for p in "${programs[@]}"; do
+  nm --defined-only "$p" | awk 'NF == 3 { print $3 }' | sort -u | comm -12 "$TMP/defined" - |
+    awk -v prog="$(basename "$p")" '{ print prog "\t" $0 }'
+done > "$TMP/keepers"
+cut -f2 "$TMP/keepers" | sort -u > "$TMP/kept"
 
 # Demangle, drop the namespace prefix, ABI tags and parameter list, and skip
-# special members: `X::X`, `X::~X` and `operator=`.
-comm -23 "$TMP/defined" "$TMP/kept" | c++filt |
-  sed -E 's/\[abi:[^]]*\]//g; s/^tsvcod:://' |
-  awk '{
-    sig = $0
-    name = sig
-    sub(/\(.*$/, "", name)
-    n = split(name, part, "::")
-    last = part[n]
-    cls = n > 1 ? part[n - 1] : ""
-    sub(/<.*$/, "", cls)
-    if (last == cls || last == "~" cls || last == "operator=") next
-    print name "\t" sig
-  }' | sort -u > "$TMP/dead"
+# special members: `X::X`, `X::~X` and `operator=`. Prints `name<TAB>signature`.
+readable() {
+  c++filt | sed -E 's/\[abi:[^]]*\]//g; s/^tsvcod:://' |
+    awk '{
+      sig = $0
+      name = sig
+      sub(/\(.*$/, "", name)
+      n = split(name, part, "::")
+      last = part[n]
+      cls = n > 1 ? part[n - 1] : ""
+      sub(/<.*$/, "", cls)
+      if (last == cls || last == "~" cls || last == "operator=") next
+      print name "\t" sig
+    }'
+}
+
+comm -23 "$TMP/defined" "$TMP/kept" | readable | sort -u > "$TMP/dead"
 
 sed -E 's/#.*$//; s/[[:space:]]+$//; s/^[[:space:]]+//' "$ALLOW" | awk 'NF' | sort -u \
   > "$TMP/allowed"
@@ -71,6 +82,17 @@ while read -r name; do
   echo "dead_api: allowlist entry $name is no longer dead; remove it from $ALLOW"
   fail=1
 done < <(comm -23 "$TMP/allowed" "$TMP/dead_names")
+
+# Report: functions kept by exactly one program, grouped by that program.
+awk -F'\t' 'NR == FNR { n[$2]++; next } n[$2] == 1' "$TMP/keepers" "$TMP/keepers" \
+  > "$TMP/single_keepers"
+cut -f1 "$TMP/single_keepers" | sort -u | while read -r prog; do
+  awk -F'\t' -v prog="$prog" '$1 == prog { print $2 }' "$TMP/single_keepers" | readable |
+    cut -f1 | sort -u > "$TMP/names"
+  [ -s "$TMP/names" ] || continue
+  echo "dead_api: report: $prog alone keeps $(wc -l < "$TMP/names"):" \
+    "$(paste -sd' ' "$TMP/names")"
+done
 
 echo "dead_api: $(wc -l < "$TMP/defined") library functions, $(wc -l < "$TMP/dead") used only by" \
   "tests, $(wc -l < "$TMP/allowed") allowlisted"
