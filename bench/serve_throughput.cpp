@@ -3,7 +3,8 @@
 // latency. Every throughput row is validated bit-identical against the
 // one-shot batch fold before its number is reported, and the swap row
 // requires zero decode desyncs — the two invariants the session layer
-// exists to uphold. Writes BENCH JSON to BENCH_serve.json (or --out).
+// exists to uphold. Writes the BENCH JSON only to an explicit --out, so a
+// plain run never overwrites the committed BENCH_serve.json baseline.
 //
 //   serve_throughput [--words N] [--reps R] [--out PATH]
 #include <chrono>
@@ -165,7 +166,7 @@ SwapRow run_swap(std::size_t words_total, std::size_t batch) {
 int main(int argc, char** argv) {
   std::size_t words_each = 1u << 18;  // per session
   std::size_t reps = 3;
-  std::string out = "BENCH_serve.json";
+  std::string out;
   for (int i = 1; i < argc; ++i) {
     const auto next = [&](const char* flag) {
       if (i + 1 >= argc) {
@@ -228,8 +229,8 @@ int main(int argc, char** argv) {
       .field("desyncs", static_cast<double>(swap.desyncs))
       .field("bit_identical", swap.bit_identical);
 
-  doc.write(out);
-  std::printf("\nBENCH {\"bench\": \"serve_throughput\", \"out\": \"%s\", \"ok\": %s}\n",
-              out.c_str(), ok ? "true" : "false");
+  if (!out.empty()) doc.write(out);
+  std::printf("\nBENCH {\"bench\": \"serve_throughput\", \"out\": %s, \"ok\": %s}\n",
+              out.empty() ? "null" : ("\"" + out + "\"").c_str(), ok ? "true" : "false");
   return ok ? 0 : 1;
 }

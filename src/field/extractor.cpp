@@ -1,6 +1,8 @@
 #include "field/extractor.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -79,6 +81,50 @@ void validate_probabilities(const phys::TsvArrayGeometry& geom,
   }
 }
 
+/// Permutations of the `n` conductors by the square's eight symmetries that
+/// map `grid` exactly onto itself, identity first: every cell's permittivity
+/// equals its image cell's, and the conductor ids map by one bijection read
+/// off the grid. The axis swaps need a square grid. The field problem on
+/// such a grid is its own mirror image, so conductor pi[k] sees conductor
+/// k's field, mirrored. The permutations found form a group.
+std::vector<std::vector<std::int32_t>> grid_symmetries(const Grid& grid, std::size_t n) {
+  const std::size_t nx = grid.nx();
+  const std::size_t ny = grid.ny();
+  std::vector<std::vector<std::int32_t>> found(1, std::vector<std::int32_t>(n));
+  std::iota(found[0].begin(), found[0].end(), 0);
+  for (int s = 1; s < 8; ++s) {
+    const bool flip_x = (s & 1) != 0;
+    const bool flip_y = (s & 2) != 0;
+    const bool swap_xy = (s & 4) != 0;
+    if (swap_xy && nx != ny) continue;
+    std::vector<std::int32_t> pi(n, kNoConductor);
+    bool invariant = true;
+    for (std::size_t iy = 0; iy < ny && invariant; ++iy) {
+      for (std::size_t ix = 0; ix < nx && invariant; ++ix) {
+        std::size_t jx = flip_x ? nx - 1 - ix : ix;
+        std::size_t jy = flip_y ? ny - 1 - iy : iy;
+        if (swap_xy) std::swap(jx, jy);
+        const std::size_t i = grid.index(ix, iy);
+        const std::size_t j = grid.index(jx, jy);
+        const std::int32_t c = grid.conductor(i);
+        invariant = grid.eps(i) == grid.eps(j) &&
+                    (c == kNoConductor) == (grid.conductor(j) == kNoConductor);
+        if (invariant && c != kNoConductor) {
+          auto& image = pi[static_cast<std::size_t>(c)];
+          if (image == kNoConductor) image = grid.conductor(j);
+          invariant = image == grid.conductor(j);
+        }
+      }
+    }
+    // The symmetry permutes the conductor cells, so once every conductor
+    // has cells (and so an image), the images cover all n ids: a bijection.
+    if (invariant && std::count(pi.begin(), pi.end(), kNoConductor) == 0) {
+      found.push_back(std::move(pi));
+    }
+  }
+  return found;
+}
+
 /// Charges (one solve per conductor, already done) -> symmetrized Maxwell and
 /// paper-form matrices.
 void assemble_matrices(const phys::Matrix& q_re, const phys::TsvArrayGeometry& geom,
@@ -108,7 +154,7 @@ void throw_if_nonconverged(const CapacitanceResult& out) {
   std::ostringstream msg;
   msg << "extract_capacitance: field solve did not converge for conductor(s)";
   for (std::size_t k = 0; k < out.stats.size(); ++k) {
-    if (!out.stats[k].converged) {
+    if (!out.stats[k].converged && out.stats[k].image_of < 0) {
       msg << " " << k << " (res " << out.stats[k].residual << " after " << out.stats[k].iterations
           << " it)";
     }
@@ -173,6 +219,7 @@ void CapacitanceExtractor::repaint(std::span<const double> probabilities) {
   obs::Span span(problem_ ? "field.extract.repaint" : "field.extract.setup");
   paint_array(grid_, geom_, widths);
   last_widths_ = std::move(widths);
+  symmetries_ = grid_symmetries(grid_, geom_.count());
   if (!problem_) {
     problem_ = std::make_unique<FieldProblem>(grid_);
   } else {
@@ -187,11 +234,20 @@ CapacitanceResult CapacitanceExtractor::extract(std::span<const double> probabil
   validate_probabilities(geom_, probabilities);
   repaint(probabilities);
 
+  // A conductor's orbit representative is the lowest id a symmetry maps it
+  // to; only representatives are solved.
   const std::size_t n = geom_.count();
+  std::vector<std::int32_t> rep(n);
+  std::vector<std::size_t> solved;
+  for (std::size_t k = 0; k < n; ++k) {
+    rep[k] = static_cast<std::int32_t>(k);
+    for (const auto& pi : symmetries_) rep[k] = std::min(rep[k], pi[k]);
+    if (rep[k] == static_cast<std::int32_t>(k)) solved.push_back(k);
+  }
   if (last_phi_.empty()) last_phi_.resize(n);
   std::size_t warm = 0;
-  for (const auto& phi : last_phi_) {
-    if (!phi.empty()) ++warm;
+  for (const std::size_t k : solved) {
+    if (!last_phi_[k].empty()) ++warm;
   }
 
   phys::Matrix q_re(n, n);
@@ -202,25 +258,54 @@ CapacitanceResult CapacitanceExtractor::extract(std::span<const double> probabil
   // slot), so the shared pool can run them in any order without affecting
   // the result. Warm starts come from the previous extract() call — a
   // deterministic input at every thread count.
-  opt::parallel_for(n, opts_.threads, [&](std::size_t k) {
+  opt::parallel_for(solved.size(), opts_.threads, [&](std::size_t s) {
+    const std::size_t k = solved[s];
     auto phi = problem_->solve(static_cast<std::int32_t>(k), opts_.solver,
                                std::span<const Complex>(last_phi_[k]), &out.stats[k]);
     const auto q = problem_->conductor_charges(phi);
     for (std::size_t m = 0; m < n; ++m) q_re(m, k) = q[m].real();
     last_phi_[k] = std::move(phi);
   });
+  // Every entry of Q takes the value of the one entry of its orbit under the
+  // symmetries that lies in a solved column, at the lowest row: mirror
+  // columns are permuted copies, and Q is exactly invariant,
+  // q(pi[a], pi[b]) == q(a, b). Without symmetries Q is left as solved.
+  const phys::Matrix solved_q = q_re;
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t a = 0; a < n; ++a) {
+      std::pair<std::int32_t, std::int32_t> source{static_cast<std::int32_t>(b),
+                                                   static_cast<std::int32_t>(a)};
+      for (const auto& pi : symmetries_) source = std::min(source, std::pair{pi[b], pi[a]});
+      q_re(a, b) = solved_q(static_cast<std::size_t>(source.second),
+                            static_cast<std::size_t>(source.first));
+    }
+  }
+  const std::size_t mirrored = n - solved.size();
   if (span.traced()) {
     long long point_iterations = 0;
     for (const auto& s : out.stats) point_iterations += s.iterations;
-    span.set_args("\"conductors\":" + std::to_string(n) + ",\"warm_started\":" +
-                  std::to_string(warm) + ",\"iterations\":" + std::to_string(point_iterations));
+    span.set_args("\"conductors\":" + std::to_string(n) + ",\"solved\":" +
+                  std::to_string(solved.size()) + ",\"mirrored\":" + std::to_string(mirrored) +
+                  ",\"warm_started\":" + std::to_string(warm) +
+                  ",\"iterations\":" + std::to_string(point_iterations));
   }
-  obs::profile_work("solves", n);
+  obs::profile_work("solves", solved.size());
+  obs::profile_work("mirrored", mirrored);
   obs::profile_work("warm_started", warm);
 
-  if (!opts_.allow_nonconverged && !out.all_converged()) throw_if_nonconverged(out);
-
   assemble_matrices(q_re, geom_, out);
+  // A mirrored conductor reports its representative's solve with no
+  // iterations of its own. Its row sums the representative's row in another
+  // order, so it takes the representative's ground capacitance too.
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto r = static_cast<std::size_t>(rep[k]);
+    if (r == k) continue;
+    out.stats[k] = out.stats[r];
+    out.stats[k].iterations = 0;
+    out.stats[k].image_of = rep[k];
+    out.paper(k, k) = out.paper(r, r);
+  }
+  if (!opts_.allow_nonconverged && !out.all_converged()) throw_if_nonconverged(out);
   return out;
 }
 

@@ -21,6 +21,12 @@
 // point's potential, so a sweep costs far less than points x cold
 // extractions. Warm starts change iteration counts only; converged
 // capacitances stay within solver tolerance of a cold start.
+//
+// Symmetric arrays: when flips or transposes of the square map the painted
+// grid exactly onto itself (every TSV at the same probability, say), only
+// the lowest conductor of each orbit is solved; the others' charge columns
+// are its mirror images, and Q comes out exactly invariant under those
+// symmetries. A grid without symmetry solves every conductor.
 
 #include <memory>
 #include <span>
@@ -44,8 +50,8 @@ class ConvergenceError : public std::runtime_error {
 struct ExtractionOptions {
   double cell = 0.1e-6;  ///< grid cell edge [m]
   /// Worker threads for the per-conductor solves (one Dirichlet solve per
-  /// TSV, all independent). 0 = TSVCOD_THREADS env override, else 1. Results
-  /// are bit-identical at every thread count.
+  /// solved TSV, all independent). 0 = TSVCOD_THREADS env override, else 1.
+  /// Results are bit-identical at every thread count.
   int threads = 0;
   /// Accept non-converged solves and return whatever the solver reached
   /// (inspect `CapacitanceResult::stats`). Default: throw ConvergenceError.
@@ -80,7 +86,8 @@ struct CapacitanceResult {
 Grid build_array_grid(const phys::TsvArrayGeometry& geom, std::span<const double> probabilities,
                       const ExtractionOptions& opts);
 
-/// Full extraction: one field solve per TSV.
+/// Full extraction: one field solve per TSV orbit under the grid's
+/// symmetries (one per TSV when it has none).
 CapacitanceResult extract_capacitance(const phys::TsvArrayGeometry& geom,
                                       std::span<const double> probabilities,
                                       const ExtractionOptions& opts = {});
@@ -109,6 +116,8 @@ class CapacitanceExtractor {
   ExtractionOptions opts_;
   Grid grid_;
   std::unique_ptr<FieldProblem> problem_;
+  // Conductor permutations of the grid's symmetries, identity first.
+  std::vector<std::vector<std::int32_t>> symmetries_;
   std::vector<double> last_widths_;             // per-TSV depletion widths on the grid
   std::vector<std::vector<Complex>> last_phi_;  // per-conductor warm-start potentials
 };

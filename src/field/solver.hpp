@@ -67,6 +67,11 @@ struct SolveStats {
   /// The preconditioner that actually ran (multigrid requests report jacobi
   /// here when the grid was too small to coarsen).
   Preconditioner preconditioner = Preconditioner::jacobi;
+  /// Extraction only: the conductor whose solve was mirrored onto this one
+  /// by a symmetry of the painted grid, or -1 when this conductor was
+  /// solved. A mirrored entry carries its source's fields but
+  /// `iterations == 0`, so sums over the stats count only work done.
+  std::int32_t image_of = -1;
 };
 
 class FieldProblem {

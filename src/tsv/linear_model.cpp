@@ -62,6 +62,10 @@ LinearCapacitanceModel fit_from_field(const phys::TsvArrayGeometry& geom,
         auto res = extractor.extract(pr);
         if (stats) {
           for (const auto& s : res.stats) {
+            if (s.image_of >= 0) {
+              ++stats->mirrored;
+              continue;
+            }
             ++stats->solves;
             stats->iterations += s.iterations;
             if (s.trivial) ++stats->trivial;

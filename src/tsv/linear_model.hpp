@@ -55,7 +55,8 @@ LinearCapacitanceModel fit_from_analytic(const phys::TsvArrayGeometry& geom);
 /// Aggregate per-conductor solver statistics of a field-backend fit, so
 /// callers can report convergence behaviour instead of discarding it.
 struct FieldFitStats {
-  std::size_t solves = 0;        ///< field solves across both fit points
+  std::size_t solves = 0;        ///< field solves run across both fit points
+  std::size_t mirrored = 0;      ///< conductors filled in by symmetry instead
   long long iterations = 0;      ///< total BiCGStab iterations
   std::size_t trivial = 0;       ///< zero-rhs (shielded-conductor) solves
   std::size_t nonconverged = 0;  ///< solves that missed the tolerance

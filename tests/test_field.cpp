@@ -8,6 +8,7 @@
 #include <cstring>
 #include <optional>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -619,7 +620,8 @@ TEST(Solver, MultigridIterationsMeshIndependent) {
 }
 
 // Also pins the iteration totals of both extractions at the scalar level:
-// multigrid needs 56 BiCGStab iterations where Jacobi needs 999.
+// multigrid needs 14 BiCGStab iterations where Jacobi needs 251 (the
+// uniform 2x2 solves conductor 0 only; the other three are its images).
 TEST(Extractor, PreconditionersAgreeOnCapacitances) {
   simd::ScopedLevel scalar(simd::Level::scalar);
   auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);
@@ -640,8 +642,8 @@ TEST(Extractor, PreconditionersAgreeOnCapacitances) {
   for (const auto& s : mg.stats) {
     EXPECT_EQ(s.preconditioner, field::Preconditioner::multigrid);
   }
-  EXPECT_EQ(total_iterations(mg), 56);
-  EXPECT_EQ(total_iterations(jac), 999);
+  EXPECT_EQ(total_iterations(mg), 14);
+  EXPECT_EQ(total_iterations(jac), 251);
   const double scale = jac.paper(0, 0);
   for (std::size_t i = 0; i < geom.count(); ++i) {
     for (std::size_t j = 0; j < geom.count(); ++j) {
@@ -678,8 +680,8 @@ TEST(Extractor, WarmStartSweepMatchesColdExtractions) {
     }
   }
   EXPECT_LT(warm_iters, cold_iters);
-  EXPECT_EQ(warm_iters, 120);
-  EXPECT_EQ(cold_iters, 123);
+  EXPECT_EQ(warm_iters, 59);  // conductor 1 mirrors conductor 0 at every point
+  EXPECT_EQ(cold_iters, 63);
   // Re-extracting the identical point reuses the rasterization and starts
   // from the converged answer: zero or near-zero extra iterations.
   const std::vector<double> pr(geom.count(), 0.8);
@@ -688,6 +690,153 @@ TEST(Extractor, WarmStartSweepMatchesColdExtractions) {
   for (const auto& s : again.stats) iters += s.iterations;
   EXPECT_LE(iters, 2);
   EXPECT_TRUE(again.all_converged());
+}
+
+// The symmetries of a rows x cols TSV layout that a grid can share: the
+// identity, both flips and their product, and on a square array the four
+// maps that swap rows and columns. Each is a permutation of TSV indices.
+std::vector<std::vector<std::int32_t>> layout_symmetries(const phys::TsvArrayGeometry& geom) {
+  std::vector<std::vector<std::int32_t>> out;
+  for (int s = 0; s < 8; ++s) {
+    if ((s & 4) != 0 && geom.rows != geom.cols) continue;
+    std::vector<std::int32_t> pi(geom.count());
+    for (std::size_t r = 0; r < geom.rows; ++r) {
+      for (std::size_t c = 0; c < geom.cols; ++c) {
+        std::size_t rr = (s & 1) != 0 ? geom.rows - 1 - r : r;
+        std::size_t cc = (s & 2) != 0 ? geom.cols - 1 - c : c;
+        if ((s & 4) != 0) std::swap(rr, cc);
+        pi[geom.index(r, c)] = static_cast<std::int32_t>(geom.index(rr, cc));
+      }
+    }
+    out.push_back(std::move(pi));
+  }
+  return out;
+}
+
+std::size_t solves_run(const field::CapacitanceResult& res) {
+  return static_cast<std::size_t>(std::count_if(res.stats.begin(), res.stats.end(),
+                                                [](const auto& s) { return s.image_of < 0; }));
+}
+
+// `res.maxwell` and `res.paper` map onto themselves, bit for bit, under
+// every permutation in `symmetries`.
+void expect_exactly_invariant(const field::CapacitanceResult& res,
+                              const std::vector<std::vector<std::int32_t>>& symmetries,
+                              const std::string& where) {
+  const std::size_t n = res.stats.size();
+  for (std::size_t s = 0; s < symmetries.size(); ++s) {
+    const auto& pi = symmetries[s];
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const auto pi_i = static_cast<std::size_t>(pi[i]);
+        const auto pi_j = static_cast<std::size_t>(pi[j]);
+        EXPECT_EQ(res.maxwell(pi_i, pi_j), res.maxwell(i, j))
+            << where << " symmetry " << s << " maxwell(" << i << "," << j << ")";
+        EXPECT_EQ(res.paper(pi_i, pi_j), res.paper(i, j))
+            << where << " symmetry " << s << " paper(" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+// Every mirrored column agrees with a direct solve of its own conductor on
+// the same painted grid, to well inside the solver tolerance.
+void expect_images_match_direct_solves(const phys::TsvArrayGeometry& geom,
+                                       std::span<const double> pr,
+                                       const field::ExtractionOptions& opts,
+                                       const field::CapacitanceResult& res,
+                                       const std::string& where) {
+  const Grid grid = field::build_array_grid(geom, pr, opts);
+  const field::FieldProblem problem(grid);
+  const double scale = res.paper(0, 0);
+  for (std::size_t m = 0; m < geom.count(); ++m) {
+    if (res.stats[m].image_of < 0) continue;
+    EXPECT_EQ(res.stats[m].iterations, 0) << where << " conductor " << m;
+    field::SolveStats stats;
+    const auto q = problem.conductor_charges(
+        problem.solve(static_cast<std::int32_t>(m), opts.solver, &stats));
+    ASSERT_TRUE(stats.converged) << where << " conductor " << m;
+    for (std::size_t a = 0; a < geom.count(); ++a) {
+      EXPECT_NEAR(res.maxwell(a, m), q[a].real() * geom.length, 1e-6 * scale)
+          << where << " column " << m << " row " << a;
+    }
+  }
+}
+
+// The 4x4 at both fit points: every TSV shares one depletion width, so the
+// painted grid is D4-symmetric and only the corner, edge and middle orbit
+// representatives (conductors 0, 1 and 5) are solved; the matrices come
+// out exactly invariant under all eight symmetries.
+TEST(Extractor, SymmetricArraySolvesOneConductorPerOrbit) {
+  const auto geom = phys::TsvArrayGeometry::itrs2018_relaxed(4, 4);
+  field::ExtractionOptions opts;
+  opts.cell = 0.5_um;
+  field::CapacitanceExtractor extractor(geom, opts);
+  const auto symmetries = layout_symmetries(geom);
+  ASSERT_EQ(symmetries.size(), 8u);
+  for (const double p : {0.0, 1.0}) {
+    const std::vector<double> pr(geom.count(), p);
+    const auto res = extractor.extract(pr);
+    const std::string where = "p=" + std::to_string(p);
+    ASSERT_TRUE(res.all_converged()) << where;
+    EXPECT_EQ(solves_run(res), 3u) << where;
+    for (const std::size_t k : {0u, 1u, 5u}) EXPECT_EQ(res.stats[k].image_of, -1) << where;
+    EXPECT_EQ(res.stats[15].image_of, 0) << where;
+    EXPECT_EQ(res.stats[14].image_of, 1) << where;
+    EXPECT_EQ(res.stats[10].image_of, 5) << where;
+    expect_exactly_invariant(res, symmetries, where);
+    expect_images_match_direct_solves(geom, pr, opts, res, where);
+  }
+}
+
+// A 0.30 um cell does not divide the 32 um cross-section of the 3x3, so
+// the grid overhangs one side and neither flip holds; the transpose still
+// maps it onto itself. The three diagonal TSVs and one of each mirrored
+// pair are solved.
+TEST(Extractor, TransposeOnlyGridMirrorsAcrossTheDiagonal) {
+  const auto geom = phys::TsvArrayGeometry::itrs2018_min(3, 3);
+  const std::vector<double> pr(geom.count(), 0.5);
+  field::ExtractionOptions opts;
+  opts.cell = 0.3_um;
+  const auto res = field::extract_capacitance(geom, pr, opts);
+  ASSERT_TRUE(res.all_converged());
+  EXPECT_EQ(solves_run(res), 6u);
+  const auto symmetries = layout_symmetries(geom);
+  expect_exactly_invariant(res, {symmetries[0], symmetries[4]}, "transpose");
+  expect_images_match_direct_solves(geom, pr, opts, res, "transpose");
+}
+
+// A grid without symmetry solves every conductor, exactly as the extractor
+// did before it looked for symmetries: the Maxwell matrix and the ground
+// capacitances as hex floats (x86-64, scalar dispatch level), recorded
+// before orbit reduction existed.
+TEST(Extractor, AsymmetricExtractionIsBitIdentical) {
+  static const double kMaxwell[16] = {
+      0x1.e3a15bc73893p-46,   -0x1.867f08071a9cdp-48, -0x1.5d14b8d5aeca9p-48, -0x1.b1d04d787cdf1p-49,
+      -0x1.867f08071a9cdp-48, 0x1.d47b9cd10968cp-46,  -0x1.aafecce794a16p-49, -0x1.3704ddefa73b5p-48,
+      -0x1.5d14b8d5aeca9p-48, -0x1.aafecce794a16p-49, 0x1.b9555d20c3c83p-46,  -0x1.165a62b5637d7p-48,
+      -0x1.b1d04d787cdf1p-49, -0x1.3704ddefa73b5p-48, -0x1.165a62b5637d7p-48, 0x1.acbce4da1a3bap-46,
+  };
+  static const double kGround[4] = {0x1.e904c3c1ed3aap-47, 0x1.df75936cccbd2p-47,
+                                    0x1.ce3379421944p-47, 0x1.c65616038fe32p-47};
+  simd::ScopedLevel scalar(simd::Level::scalar);
+  const auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);
+  field::ExtractionOptions opts;
+  opts.cell = 0.25_um;
+  opts.threads = 1;
+  const std::vector<double> pr = {0.1, 0.3, 0.6, 0.9};
+  const auto res = field::extract_capacitance(geom, pr, opts);
+  EXPECT_EQ(solves_run(res), 4u);
+  int iterations = 0;
+  for (const auto& s : res.stats) iterations += s.iterations;
+  EXPECT_EQ(iterations, 58);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(res.paper(i, i), kGround[i]) << "paper(" << i << "," << i << ")";
+    for (std::size_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(res.maxwell(i, j), kMaxwell[4 * i + j]) << "maxwell(" << i << "," << j << ")";
+      if (i != j) EXPECT_EQ(res.paper(i, j), -kMaxwell[4 * i + j]) << i << "," << j;
+    }
+  }
 }
 
 TEST(Extractor, NonConvergedSolveRaisesInsteadOfGarbage) {
@@ -754,19 +903,22 @@ TEST(Export, PotentialMapMatchesSolution) {
 // them exactly (DESIGN.md §5l). The values are pinned at the scalar dispatch
 // level, whose bits do not depend on the build type; the AVX2/AVX-512
 // smoother clones reassociate and contract, so their bits move with the
-// optimization level.
+// optimization level. The uniform 2x2 grid is D4-symmetric: at each fit
+// point only conductor 0 is solved, and that solve is unchanged from when
+// every conductor was solved; every other column is its D4 image, so each
+// matrix is exactly invariant under the square's symmetries.
 TEST(Extractor, GoldenFieldFitIsBitIdentical) {
   static const double kGolden[32] = {
       // c_ref, row-major
-      0x1.a7c991509153ep-47, 0x1.74fa71a70b4fap-49, 0x1.74fa71a70b4f9p-49, 0x1.e6c9c490e1d84p-50,
-      0x1.74fa71a70b4fap-49, 0x1.a7c991506078ep-47, 0x1.e6c9c49132d4ep-50, 0x1.74fa71a70b4f8p-49,
-      0x1.74fa71a70b4f9p-49, 0x1.e6c9c49132d4ep-50, 0x1.a7c991506078dp-47, 0x1.74fa71a70b4fap-49,
-      0x1.e6c9c490e1d84p-50, 0x1.74fa71a70b4f8p-49, 0x1.74fa71a70b4fap-49, 0x1.a7c991509154p-47,
+      0x1.a7c99150de146p-47, 0x1.74fa71a671ceep-49, 0x1.74fa71a671ceep-49, 0x1.e6c9c490e1d84p-50,
+      0x1.74fa71a671ceep-49, 0x1.a7c99150de146p-47, 0x1.e6c9c490e1d84p-50, 0x1.74fa71a671ceep-49,
+      0x1.74fa71a671ceep-49, 0x1.e6c9c490e1d84p-50, 0x1.a7c99150de146p-47, 0x1.74fa71a671ceep-49,
+      0x1.e6c9c490e1d84p-50, 0x1.74fa71a671ceep-49, 0x1.74fa71a671ceep-49, 0x1.a7c99150de146p-47,
       // delta_c, row-major
-      -0x1.796e595151118p-51, -0x1.dbc67a0cd0feep-51, -0x1.dbc67a0cd0ff3p-51, -0x1.926fb710562cfp-51,
-      -0x1.dbc67a0cd0feep-51, -0x1.796e595067c9p-51, -0x1.926fb70ca9039p-51, -0x1.dbc67a0cd0febp-51,
-      -0x1.dbc67a0cd0ff3p-51, -0x1.926fb70ca9039p-51, -0x1.796e595067c5p-51, -0x1.dbc67a0cd0ffbp-51,
-      -0x1.926fb710562cfp-51, -0x1.dbc67a0cd0febp-51, -0x1.dbc67a0cd0ffbp-51, -0x1.796e59515112p-51,
+      -0x1.796e5953d2128p-51, -0x1.dbc67a0b907fp-51, -0x1.dbc67a0b907fp-51, -0x1.926fb710562cbp-51,
+      -0x1.dbc67a0b907fp-51, -0x1.796e5953d2128p-51, -0x1.926fb710562cbp-51, -0x1.dbc67a0b907fp-51,
+      -0x1.dbc67a0b907fp-51, -0x1.926fb710562cbp-51, -0x1.796e5953d2128p-51, -0x1.dbc67a0b907fp-51,
+      -0x1.926fb710562cbp-51, -0x1.dbc67a0b907fp-51, -0x1.dbc67a0b907fp-51, -0x1.796e5953d2128p-51,
   };
   simd::ScopedLevel scalar(simd::Level::scalar);
   auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);
@@ -776,8 +928,9 @@ TEST(Extractor, GoldenFieldFitIsBitIdentical) {
   opts.solver.preconditioner = field::Preconditioner::multigrid;
   tsv::FieldFitStats stats;
   const auto model = tsv::fit_from_field(geom, opts, &stats);
-  EXPECT_EQ(stats.solves, 8u);
-  EXPECT_EQ(stats.iterations, 84);
+  EXPECT_EQ(stats.solves, 2u);
+  EXPECT_EQ(stats.mirrored, 6u);
+  EXPECT_EQ(stats.iterations, 21);
   EXPECT_EQ(stats.preconditioner, field::Preconditioner::multigrid);
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {

@@ -214,10 +214,32 @@ TEST_F(ProfileTest, InstrumentedSubsystemsAppearInTree) {
   EXPECT_GT(chain->find("work")->find("evaluations")->number, 0.0);
   EXPECT_GT(optimize->find("work")->find("chains")->number, 0.0);
 
+  // The uniform 2x2 grid is D4-symmetric: conductor 0 is solved and the
+  // other three are its mirror images.
   const json::Value* solve = child_named(*extract->find("children"), "field.solve");
   ASSERT_NE(solve, nullptr);
-  EXPECT_GE(solve->find("count")->number, 4.0);  // one per conductor of the 2x2
+  EXPECT_EQ(solve->find("count")->number, 1.0);
   EXPECT_GT(solve->find("work")->find("iterations")->number, 0.0);
+  EXPECT_EQ(extract->find("work")->find("solves")->number, 1.0);
+  EXPECT_EQ(extract->find("work")->find("mirrored")->number, 3.0);
+
+  // Unequal probabilities leave the grid without symmetry: one solve per
+  // conductor.
+  obs::reset_profile();
+  obs::enable_profiling(true);
+  field::ExtractionOptions eo;
+  eo.cell = 0.2e-6;
+  eo.threads = 2;
+  field::extract_capacitance(phys::TsvArrayGeometry::itrs2018_min(2, 2),
+                             std::vector<double>{0.1, 0.3, 0.6, 0.9}, eo);
+  obs::enable_profiling(false);
+  const json::Value asym = json::parse(obs::profile_to_json(obs::ProfileFields::deterministic));
+  const json::Value* asym_extract = child_named(*asym.find("roots"), "field.extract");
+  ASSERT_NE(asym_extract, nullptr);
+  const json::Value* asym_solve = child_named(*asym_extract->find("children"), "field.solve");
+  ASSERT_NE(asym_solve, nullptr);
+  EXPECT_EQ(asym_solve->find("count")->number, 4.0);  // one per conductor of the 2x2
+  EXPECT_EQ(asym_extract->find("work")->find("mirrored")->number, 0.0);
 }
 
 // ---------------------------------------------------------------------------

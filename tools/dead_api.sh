@@ -10,14 +10,15 @@
 # emitted where its header is included. The script lists every external
 # function the static libraries under BUILD_DIR/src define (nm type T) and
 # every header-defined one in namespace tsvcod (type W), and removes those
-# that survive in at least one non-test program: tools, benches and
-# examples. What remains is reachable only from tests. Constructors,
-# destructors and assignment operators are ignored. Each remaining function
-# must be named in tools/dead_api.allow (`name  # reason`, name without the
-# tsvcod:: prefix and without parameters); the script fails naming any that
-# is not, and any allowlist entry that is no longer dead. -O0 matters: at -O2
-# a helper inlined into every caller in its own file leaves no symbol behind
-# and shows as dead.
+# that survive in at least one non-test program: the tool, bench and example
+# targets that CMake lists in BUILD_DIR/dead_api_programs.txt, so a stale
+# binary of a deleted target keeps nothing alive. What remains is reachable
+# only from tests. Constructors, destructors and assignment operators are
+# ignored. Each remaining function must be named in tools/dead_api.allow
+# (`name  # reason`, name without the tsvcod:: prefix and without
+# parameters); the script fails naming any that is not, and any allowlist
+# entry that is no longer dead. -O0 matters: at -O2 a helper inlined into
+# every caller in its own file leaves no symbol behind and shows as dead.
 #
 # It also reports, grouped by program, the library functions that exactly
 # one program keeps: candidates to move beside that program. The report
@@ -30,11 +31,18 @@ ALLOW="$(cd "$(dirname "$0")" && pwd)/dead_api.allow"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
+LIST="$BUILD/dead_api_programs.txt"
+if [ ! -f "$LIST" ]; then
+  echo "dead_api: no $LIST; configure $BUILD with the lint preset" >&2
+  exit 2
+fi
 mapfile -t libs < <(find "$BUILD/src" -name '*.a' | sort)
-mapfile -t programs < <(find "$BUILD/tools" "$BUILD/bench" "$BUILD/examples" \
-  -maxdepth 1 -type f -perm -u+x | sort |
-  while read -r f; do [ "$(head -c 4 "$f")" = $'\x7fELF' ] && echo "$f"; done)
-if [ "${#libs[@]}" -eq 0 ] || [ "${#programs[@]}" -eq 0 ]; then
+mapfile -t programs < <(awk 'NF' "$LIST" | sort)
+missing=0
+for p in "${programs[@]}"; do
+  [ -f "$p" ] || { echo "dead_api: program $p is not built" >&2; missing=1; }
+done
+if [ "${#libs[@]}" -eq 0 ] || [ "${#programs[@]}" -eq 0 ] || [ "$missing" -ne 0 ]; then
   echo "dead_api: no libraries or programs under $BUILD; build it first" >&2
   exit 2
 fi

@@ -165,8 +165,9 @@ int cmd_extract(const Args& args) {
                 fo.cell * 1e6);
     tsv::FieldFitStats fit_stats;
     model = tsv::fit_from_field(geom, fo, &fit_stats);
-    std::printf("field solves             : %zu (%lld iterations, %s preconditioner",
-                fit_stats.solves, fit_stats.iterations,
+    std::printf("field solves             : %zu (%zu by symmetry, %lld iterations, %s "
+                "preconditioner",
+                fit_stats.solves, fit_stats.mirrored, fit_stats.iterations,
                 fit_stats.preconditioner == field::Preconditioner::multigrid ? "multigrid"
                                                                             : "jacobi");
     if (fit_stats.trivial > 0) std::printf(", %zu trivial", fit_stats.trivial);
