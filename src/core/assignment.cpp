@@ -71,6 +71,28 @@ stats::SwitchingStats SignedPermutation::apply(const stats::SwitchingStats& bit_
   return out;
 }
 
+stats::SwitchingCounts SignedPermutation::apply(const stats::SwitchingCounts& bit_counts) const {
+  const std::size_t n = size();
+  if (bit_counts.width != n) throw std::invalid_argument("SignedPermutation::apply: width mismatch");
+  stats::SwitchingCounts out(n);
+  out.words = bit_counts.words;
+  out.transitions = bit_counts.transitions;
+  for (std::size_t bit = 0; bit < n; ++bit) {
+    const std::size_t line = line_of_bit_[bit];
+    out.self[line] = bit_counts.self[bit];
+    out.ones[line] = inverted_[bit] ? bit_counts.words - bit_counts.ones[bit] : bit_counts.ones[bit];
+  }
+  for (std::size_t bi = 0; bi < n; ++bi) {
+    for (std::size_t bj = bi + 1; bj < n; ++bj) {
+      const std::int64_t c = bit_counts.at(bi, bj);
+      const std::size_t li = line_of_bit_[bi];
+      const std::size_t lj = line_of_bit_[bj];
+      out.at(std::min(li, lj), std::max(li, lj)) = inverted_[bi] != inverted_[bj] ? -c : c;
+    }
+  }
+  return out;
+}
+
 std::uint64_t SignedPermutation::apply_word(std::uint64_t word) const {
   std::uint64_t out = 0;
   for (std::size_t bit = 0; bit < size(); ++bit) {

@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "stats/bitplane.hpp"
 #include "stats/switching_stats.hpp"
 
 namespace tsvcod::core {
@@ -45,6 +46,14 @@ class SignedPermutation {
   /// Statistics as seen on the lines: T'_s, T'_c and probabilities after the
   /// assignment (Eq. 4 plus the eps sign flips of Eq. 8/9).
   stats::SwitchingStats apply(const stats::SwitchingStats& bit_stats) const;
+
+  /// The same map on exact counts (T' = A T A^T): self counts move with
+  /// their bit, a pair's cross count is negated when exactly one of its bits
+  /// is inverted, and an inverted line's ones become words - ones. Equal to
+  /// counting the line words apply_word() produces, when the bit-space
+  /// stream started from unapply_word(0) wherever the line stream started
+  /// from 0.
+  stats::SwitchingCounts apply(const stats::SwitchingCounts& bit_counts) const;
 
   /// Map one data word onto the physical lines (permute + invert).
   std::uint64_t apply_word(std::uint64_t word) const;

@@ -58,16 +58,6 @@ SignedPermutation CodedLink::assignment_snapshot() const {
   return SignedPermutation(std::move(line_of_bit), std::move(inverted));
 }
 
-std::uint64_t CodedLink::transmit(std::uint64_t word) {
-  std::lock_guard<std::mutex> lk(*mu_);
-  return apply_(tx_->encode(word));
-}
-
-std::uint64_t CodedLink::receive(std::uint64_t lines) {
-  std::lock_guard<std::mutex> lk(*mu_);
-  return rx_->decode(unapply_(lines));
-}
-
 std::uint64_t CodedLink::roundtrip(std::uint64_t word) {
   // One critical section for both halves: a concurrent reset / hot-swap can
   // only land between whole words, never between a word's encode and decode.

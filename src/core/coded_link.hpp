@@ -11,9 +11,9 @@
 // propagates reset() to both sides atomically: there is no API to reset one
 // endpoint without the other.
 //
-// Thread safety: transmit / receive / roundtrip / reset are serialized by an
-// internal mutex, so a reset (including the assignment hot-swap overload)
-// lands only between whole words of roundtrip(word), or whole spans of
+// Thread safety: roundtrip / reset are serialized by an internal mutex, so a
+// reset (including the assignment hot-swap overload) lands only between
+// whole words of roundtrip(word), or whole spans of
 // roundtrip(span), and never splits the tx/rx pair — the swap mechanism the
 // streaming service (src/serve) relies on. When one thread owns the link, as
 // a serve session does, the lock is never contended, but it is not free: an
@@ -42,11 +42,10 @@ namespace tsvcod::core {
 /// SignedPermutation::apply_word (forward) or unapply_word (inverse) for
 /// every 64-bit input; bits above the width map to nothing.
 ///
-/// Why 2-bit groups: a NoC attaches a link to each of its hundreds of
-/// vertical links. At 33 lines the two 2-bit tables of a link take 1,088 B,
-/// against ~600 B for the SignedPermutation they replace, and the 8x8x8 NoC
-/// plan's peak memory stays where it was; 4-bit tables (2,304 B) grew it by
-/// ~6 % and byte tables (20 KiB) by ~70 %. A width-8 map is four lookups.
+/// Why 2-bit groups: a width-8 map is four lookups and a 33-line link's two
+/// tables take 1,088 B. A link now serves one session or one single-link
+/// flow, so memory does not bound the group size; wider groups have not
+/// been measured against those callers' per-word cost (DESIGN.md §5j).
 class PermutationTable {
  public:
   static PermutationTable forward(const SignedPermutation& p) { return {p, false}; }
@@ -84,10 +83,6 @@ class CodedLink {
   /// The live assignment, read back from the tables under the link lock.
   SignedPermutation assignment_snapshot() const;
 
-  /// Transmitter side: encode a payload word and place it on the TSV lines.
-  std::uint64_t transmit(std::uint64_t word);
-  /// Receiver side: recover the payload word from the TSV line word.
-  std::uint64_t receive(std::uint64_t lines);
   /// Full chain; equals the input for every codec when both endpoints stay
   /// in sync (the harness' first oracle). Atomic: the encode and decode
   /// halves happen under one lock acquisition, so a concurrent reset can

@@ -161,7 +161,7 @@ void PowerEvaluator::reset(SignedPermutation assignment) {
   rebuild_line_coupling();
   power_ = recompute();
   row_fn_ = resolve_row_fn();
-  row_cache_.assign(n, kNotCached);
+  terms_cache_.assign(n, {kNotCached, 0.0, 0.0});
 }
 
 void PowerEvaluator::refresh_line(std::size_t line) {
@@ -244,25 +244,28 @@ RowArgs PowerEvaluator::current_row(std::size_t line) const {
           line_sign_[line]};
 }
 
-double PowerEvaluator::row_sum(std::size_t line, const RowArgs& args) const {
+const PowerEvaluator::LineTerms& PowerEvaluator::line_terms(std::size_t line) const {
   // A genuine NaN sum reads as "not cached" and is recomputed, to the same bits.
-  double& cached = row_cache_[line];
-  if (std::isnan(cached)) cached = row_fn_(args);
-  return cached;
+  LineTerms& t = terms_cache_[line];
+  if (std::isnan(t.total)) {
+    const RowArgs args = current_row(line);
+    t.row = row_fn_(args) - row_lane(args, line);
+    t.ground = line_self_[line] * c_prime(line, line);
+    t.total = t.row + t.ground;
+  }
+  return t;
 }
 
 double PowerEvaluator::terms_involving(std::size_t la, std::size_t lb) const {
   // Ordered-pair algebra: pair {i,j} contributes (self_i + self_j - 2k) C_ij
   // once; the row kernel sums every lane, so the diagonal lane is swapped
   // out for the ground term, and the duplicate {la,lb} lane of the second
-  // row is subtracted (the first row already counted the pair).
-  const RowArgs ra = current_row(la);
-  double acc = row_sum(la, ra) - row_lane(ra, la) + line_self_[la] * c_prime(la, la);
-  if (lb != kNone) {
-    const RowArgs rb = current_row(lb);
-    acc += row_sum(lb, rb) - row_lane(rb, lb) - row_lane(rb, la) + line_self_[lb] * c_prime(lb, lb);
-  }
-  return acc;
+  // row is subtracted (the first row already counted the pair). Only that
+  // pair lane is computed here; the rest comes from the line cache.
+  const LineTerms& a = line_terms(la);
+  if (lb == kNone) return a.total;
+  const LineTerms& b = line_terms(lb);
+  return a.total + ((b.row - row_lane(current_row(lb), la)) + b.ground);
 }
 
 double PowerEvaluator::swap_bits(std::size_t bit_a, std::size_t bit_b) {
@@ -285,7 +288,7 @@ double PowerEvaluator::apply(const Move& m, const Score& scored) {
 }
 
 double PowerEvaluator::commit(const Move& m, double before) {
-  std::fill(row_cache_.begin(), row_cache_.end(), kNotCached);
+  for (LineTerms& t : terms_cache_) t.total = kNotCached;
   if (m.is_toggle) {
     const std::size_t l = assignment_.line_of_bit(m.a);
     assignment_.toggle_inversion(m.a);

@@ -19,12 +19,14 @@
 // candidate move against the current state without mutating it, so the
 // annealer needs no apply/undo pair for a rejected move.
 //
-// The row kernel is resolved once per reset(), and each line's row sum over
-// the current state is cached until the next commit or reset. A rejected
-// move therefore runs the kernel only for its two "after" rows; its "before"
-// rows come from the cache, and a cached sum is the same kernel run on the
-// same inputs, so it is bit-equal to a fresh one. score() fills that cache,
-// so an evaluator must not be shared between threads.
+// The row kernel is resolved once per reset(), and each line's "before"
+// terms over the current state (its row sum less the diagonal lane, its
+// ground term, and their sum) are cached until the next commit or reset. A
+// rejected move therefore runs the kernel only for its two "after" rows; its
+// "before" terms come from the cache, less the one pair lane a swap shares,
+// and a cached term is the same operations on the same inputs, so it is
+// bit-equal to a fresh one. score() fills that cache, so an evaluator must
+// not be shared between threads.
 //
 // Invariant (checked in tests and the evaluator_drift oracle): power()
 // equals assignment_power() of the current assignment up to eps-scale
@@ -97,8 +99,13 @@ class PowerEvaluator {
   /// Sum of all power terms involving at least one line in {la, lb}
   /// (lb == SIZE_MAX for single-line moves).
   double terms_involving(std::size_t la, std::size_t lb) const;
-  /// Row-kernel sum of `line` over the current state, from the cache.
-  double row_sum(std::size_t line, const detail::RowArgs& args) const;
+  /// A line's cached "before" terms: `row` is its row-kernel sum less the
+  /// diagonal lane, `ground` its self term self_l * C'_ll, `total` their sum.
+  struct LineTerms {
+    double total, row, ground;
+  };
+  /// The terms of `line` over the current state, from the cache.
+  const LineTerms& line_terms(std::size_t line) const;
   detail::RowArgs current_row(std::size_t line) const;
   /// Apply a valid move given the terms_involving() of its lines beforehand.
   double commit(const Move& m, double before);
@@ -121,8 +128,9 @@ class PowerEvaluator {
   simd::AlignedVector<double> coup_line_;
   double power_ = 0.0;
   RowFn row_fn_ = nullptr;  ///< kernel for the level active at the last reset()
-  /// row_sum() of each line for the current state; NaN = not computed yet.
-  mutable std::vector<double> row_cache_;
+  /// line_terms() of each line for the current state; NaN total = not
+  /// computed yet.
+  mutable std::vector<LineTerms> terms_cache_;
 };
 
 }  // namespace tsvcod::core

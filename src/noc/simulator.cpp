@@ -16,7 +16,7 @@ namespace tsvcod::noc {
 
 namespace {
 
-constexpr std::uint32_t kNoStat = static_cast<std::uint32_t>(-1);
+constexpr std::uint32_t kNoLink = static_cast<std::uint32_t>(-1);
 
 /// Bytes of reg_valid_ per router: its kPortCount flags plus one padding
 /// byte, so that phase_transfer reads them with one aligned 8-byte load.
@@ -87,8 +87,6 @@ NocSimulator::NocSimulator(const Mesh3D& mesh, const TrafficConfig& traffic, Sim
   link_toggles_.assign(slots, 0);
   link_coded_toggles_.assign(slots, 0);
   link_last_word_.assign(slots, 0);
-  link_last_line_.assign(slots, 0);
-  coded_.resize(slots);
   injected_.assign(n, 0);
   delivered_.assign(n, 0);
   latency_.assign(n, 0);
@@ -97,15 +95,22 @@ NocSimulator::NocSimulator(const Mesh3D& mesh, const TrafficConfig& traffic, Sim
   occ_.assign(n, 0);
   q_.assign(n, 0);
   vlinks_ = vertical_links(mesh);
-  vstat_of_slot_.assign(slots, kNoStat);
+  vlink_of_reg_.assign(slots, kNoLink);
   for (std::size_t i = 0; i < vlinks_.size(); ++i) {
-    vstat_of_slot_[link_slot(mesh.index(vlinks_[i].from), vlinks_[i].out)] =
-        static_cast<std::uint32_t>(i);
+    const std::size_t receiver = mesh.neighbor_index(mesh.index(vlinks_[i].from), vlinks_[i].out);
+    vlink_of_reg_[link_slot(receiver, vlinks_[i].out)] = static_cast<std::uint32_t>(i);
   }
-  if (options_.track_vertical_stats) {
-    vstats_.reserve(vlinks_.size());
-    for (std::size_t i = 0; i < vlinks_.size(); ++i) vstats_.emplace_back(line_width_);
-  }
+  vlink_latched_.assign(vlinks_.size(), 0);
+  reset_vertical_stats();
+}
+
+void NocSimulator::reset_vertical_stats() {
+  vstats_.clear();
+  vstat_next_.clear();
+  if (!options_.track_vertical_stats) return;
+  vstats_.reserve(vlinks_.size());
+  for (std::size_t i = 0; i < vlinks_.size(); ++i) vstats_.emplace_back(line_width_);
+  vstat_next_.assign(vlinks_.size(), 0);
 }
 
 void NocSimulator::probe_link(LinkId link) {
@@ -134,28 +139,55 @@ void NocSimulator::attach_vertical_coding(const coding::CodecSpec& spec,
         "link (got " +
         std::to_string(assignments.size()) + ", mesh has " + std::to_string(vlinks_.size()) + ")");
   }
-  std::size_t width_out = flit_width_;
-  for (std::size_t i = 0; i < vlinks_.size(); ++i) {
-    auto codec = coding::make_codec(spec, flit_width_);
-    width_out = codec->width_out();
-    core::SignedPermutation assignment = assignments.empty()
-                                             ? core::SignedPermutation::identity(width_out)
-                                             : assignments[i];
-    const std::size_t slot = link_slot(mesh_.index(vlinks_[i].from), vlinks_[i].out);
-    coded_[slot] = std::make_unique<core::CodedLink>(std::move(assignment), std::move(codec));
+  const auto prototype = coding::make_codec(spec, flit_width_);
+  const std::size_t width_out = prototype->width_out();
+  for (std::size_t i = 0; i < assignments.size(); ++i) {
+    if (assignments[i].size() != width_out) {
+      throw std::invalid_argument("NocSimulator::attach_vertical_coding: assignments[" +
+                                  std::to_string(i) + "] has " +
+                                  std::to_string(assignments[i].size()) + " lines, but the " +
+                                  spec.name + " codec drives " + std::to_string(width_out));
+    }
   }
+  prototype->reset();
+  encoders_.clear();
+  decoders_.clear();
+  for (std::size_t i = 0; i < vlinks_.size(); ++i) {
+    encoders_.push_back(prototype->clone());
+    decoders_.push_back(prototype->clone());
+    // Power-on lines read all zero; the codec-space latch holds their preimage.
+    vlink_latched_[i] = assignments.empty() ? 0 : assignments[i].unapply_word(0);
+  }
+  assignments_.clear();
+  if (options_.track_vertical_stats) assignments_.assign(assignments.begin(), assignments.end());
   line_width_ = width_out;
   coded_attached_ = true;
-  if (options_.track_vertical_stats) {
-    // The tracked line word changes domain (and possibly width): rebuild.
-    vstats_.clear();
-    vstats_.reserve(vlinks_.size());
-    for (std::size_t i = 0; i < vlinks_.size(); ++i) vstats_.emplace_back(line_width_);
+  // The tracked word changes domain (and possibly width): rebuild.
+  reset_vertical_stats();
+}
+
+void NocSimulator::vertical_hop(std::uint32_t v, std::size_t slot, std::size_t reg,
+                                std::uint64_t payload, std::size_t cycle) {
+  std::uint64_t word = payload;
+  const std::uint64_t held = vlink_latched_[v];
+  if (coded_attached_) {
+    // Codec space: the assignment's relabel would not change the toggles.
+    word = encoders_[v]->encode(payload);
+    link_coded_toggles_[slot] += static_cast<std::uint64_t>(std::popcount(held ^ word));
+    reg_line_[reg] = word;
   }
+  if (options_.track_vertical_stats) {
+    // One latched-word sample per cycle, as the physical bundle shows it:
+    // the idle cycles since the last flit in bulk, then this flit's word.
+    vstats_[v].add_repeated(held, cycle - vstat_next_[v]);
+    vstats_[v].add(word);
+    vstat_next_[v] = cycle + 1;
+  }
+  vlink_latched_[v] = word;
 }
 
 void NocSimulator::phase_arbitrate(std::size_t begin, std::size_t end, std::size_t cycle) {
-  (void)cycle;
+  const bool vertical_work = coded_attached_ || options_.track_vertical_stats;
   for (std::size_t r = begin; r < end; ++r) {
     bool probe_fresh = false;
     std::uint64_t probe_word = 0;
@@ -179,12 +211,8 @@ void NocSimulator::phase_arbitrate(std::size_t begin, std::size_t end, std::size
           link_toggles_[slot] +=
               static_cast<std::uint64_t>(std::popcount(link_last_word_[slot] ^ f.payload));
           link_last_word_[slot] = f.payload;
-          if (core::CodedLink* link = coded_[slot].get()) {
-            const std::uint64_t line = link->transmit(f.payload);
-            link_coded_toggles_[slot] +=
-                static_cast<std::uint64_t>(std::popcount(link_last_line_[slot] ^ line));
-            link_last_line_[slot] = line;
-            reg_line_[reg] = line;
+          if (vertical_work && Mesh3D::is_vertical(static_cast<Direction>(out))) {
+            vertical_hop(vlink_of_reg_[reg], slot, reg, f.payload, cycle);
           }
           if (probing_ && slot == probe_slot_) {
             probe_fresh = true;
@@ -195,17 +223,6 @@ void NocSimulator::phase_arbitrate(std::size_t begin, std::size_t end, std::size
         reg_dst_[reg] = f.dst;
         reg_injected_[reg] = f.injected;
         reg_valid_[receiver * kValidStride + static_cast<std::size_t>(out)] = 1;
-      }
-    }
-    if (options_.track_vertical_stats) {
-      // One latched line-word sample per vertical link per cycle — exactly
-      // what the physical TSV bundle does, and what the optimizer prices.
-      for (int out = static_cast<int>(Direction::ZPlus);
-           out <= static_cast<int>(Direction::ZMinus); ++out) {
-        const std::size_t slot = link_slot(r, static_cast<Direction>(out));
-        const std::uint32_t v = vstat_of_slot_[slot];
-        if (v == kNoStat) continue;
-        vstats_[v].add(coded_attached_ ? link_last_line_[slot] : link_last_word_[slot]);
       }
     }
     if (probing_ && r == probe_router_) {
@@ -244,10 +261,10 @@ void NocSimulator::phase_transfer(std::size_t begin, std::size_t end, std::size_
       const int d = std::countr_zero(incoming) >> 3;
       incoming &= incoming - 1;
       const std::size_t reg = base + static_cast<std::size_t>(d);
-      const std::size_t sender = nbr_[r * 6 + static_cast<std::size_t>(d ^ 1)];
-      const std::size_t slot = link_slot(sender, static_cast<Direction>(d));
       PackedFlit f;
-      f.payload = coded_[slot] ? coded_[slot]->receive(reg_line_[reg]) : reg_payload_[reg];
+      f.payload = coded_attached_ && Mesh3D::is_vertical(static_cast<Direction>(d))
+                      ? decoders_[vlink_of_reg_[reg]]->decode(reg_line_[reg])
+                      : reg_payload_[reg];
       f.dst = reg_dst_[reg];
       f.injected = reg_injected_[reg];
       router.accept(static_cast<Direction>(d), f, route_of(r, f.dst));
@@ -286,6 +303,7 @@ SimStats NocSimulator::run(std::size_t cycles) {
   const int k = static_cast<int>(std::min(
       max_ranks, static_cast<std::size_t>(std::max(1, opt::resolve_threads(options_.threads)))));
   const std::uint64_t hops_before = total(link_flits_);
+  const std::uint64_t vertical_hops_before = vertical_hops();
   const std::size_t injected_before = total(injected_);
   const std::size_t delivered_before = total(delivered_);
   const std::uint64_t probe_toggles_before = probe_toggles_;
@@ -328,6 +346,11 @@ SimStats NocSimulator::run(std::size_t cycles) {
     if (error) std::rethrow_exception(error);
   }
   cycle_ += cycles;
+  // Bring every tracked link up to date: the idle tail of each in bulk.
+  for (std::size_t v = 0; v < vstats_.size(); ++v) {
+    vstats_[v].add_repeated(vlink_latched_[v], cycle_ - vstat_next_[v]);
+    vstat_next_[v] = cycle_;
+  }
 
   // Reduce the per-router counters in index order: exact integers, so the
   // result is bit-identical no matter how the routers were partitioned.
@@ -365,6 +388,14 @@ SimStats NocSimulator::run(std::size_t cycles) {
   record_nonzero("injected", s.injected - injected_before);
   record_nonzero("delivered", s.delivered - delivered_before);
   record_nonzero("probe_toggled_bits", probe_toggles_ - probe_toggles_before);
+  if (options_.track_vertical_stats) {
+    // Every tracked link takes one sample per cycle: a flit's word one at a
+    // time, the idle cycles in bulk.
+    const std::uint64_t single = vertical_hops() - vertical_hops_before;
+    record_nonzero("vlink_samples", single);
+    record_nonzero("vlink_samples_bulk",
+                   static_cast<std::uint64_t>(cycles) * vlinks_.size() - single);
+  }
   return s;
 }
 
@@ -375,6 +406,12 @@ std::size_t NocSimulator::in_flight() const {
   return count;
 }
 
+std::uint64_t NocSimulator::vertical_hops() const {
+  std::uint64_t sum = 0;
+  for (const LinkId& link : vlinks_) sum += link_flits_[link_slot(mesh_.index(link.from), link.out)];
+  return sum;
+}
+
 std::vector<stats::SwitchingStats> NocSimulator::vertical_link_stats() const {
   if (!options_.track_vertical_stats) {
     throw std::logic_error(
@@ -382,7 +419,12 @@ std::vector<stats::SwitchingStats> NocSimulator::vertical_link_stats() const {
   }
   std::vector<stats::SwitchingStats> out;
   out.reserve(vstats_.size());
-  for (const auto& acc : vstats_) out.push_back(acc.finish());
+  for (std::size_t v = 0; v < vstats_.size(); ++v) {
+    // Codec-space counts, relabeled onto the lines (T' = A T A^T) while
+    // they are still exact integers.
+    out.push_back(assignments_.empty() ? vstats_[v].finish()
+                                       : assignments_[v].apply(vstats_[v].counts()).finalize());
+  }
   return out;
 }
 

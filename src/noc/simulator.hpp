@@ -26,12 +26,22 @@
 // source never waits to inject. Under saturation the queues grow instead
 // (SimStats::max_queued records how far).
 //
-// Vertical (±z) links are TSV bundles: an optional core::CodedLink per
-// vertical link (independently optimized assignments — see noc/coded.hpp)
-// encodes every payload crossing it, with exact coded-line toggle counters
-// next to the uncoded ones, and optional per-link switching-statistics
-// accumulators feed the bit-to-TSV optimizer for *every* bundle instead of
-// one probed link.
+// Vertical (±z) links are TSV bundles: an optional codec pair per vertical
+// link, with an independently optimized signed permutation (see
+// noc/coded.hpp), encodes every payload crossing it, with exact coded-line
+// toggle counters next to the uncoded ones, and optional per-link
+// switching-statistics accumulators feed the bit-to-TSV optimizer for
+// *every* bundle instead of one probed link.
+//
+// A coded hop never builds the physical line word. Its sender encodes and
+// latches the codec word, its receiver decodes that word, and nothing in
+// between relabels it: a signed permutation moves and inverts lines, which
+// leaves every toggle count unchanged, so the codec-space latch starts at
+// the permutation's preimage of the all-zero lines and counts exactly the
+// physical toggles. Per-link statistics are counted in codec space too and
+// relabeled once, on the exact counts, when vertical_link_stats() reads
+// them; idle cycles, which repeat the latched word, are added in bulk when
+// the next flit crosses and at the end of each run() (DESIGN.md §5k).
 //
 // A LinkProbe records the word physically present on a chosen link each
 // cycle: the transmitted flit payload plus a valid line, with the data lines
@@ -43,7 +53,7 @@
 #include <vector>
 
 #include "coding/factory.hpp"
-#include "core/coded_link.hpp"
+#include "core/assignment.hpp"
 #include "noc/router.hpp"
 #include "noc/traffic.hpp"
 #include "stats/bitplane.hpp"
@@ -88,8 +98,11 @@ struct SimOptions {
   int threads = 1;
   /// Maintain an exact switching-statistics accumulator per vertical link
   /// (latched line words, one sample per cycle) — the input the per-link
-  /// assignment optimizer needs. Costs roughly as much as the simulation
-  /// itself; leave off for pure throughput runs.
+  /// assignment optimizer needs. A link is sampled only when a flit crosses
+  /// it, with the idle cycles since added in bulk; on the 8x8x8 noc-plan
+  /// warm-up (bursty MEMS, 4096 cycles) this adds about 1.1 M single and
+  /// 2.5 M bulk samples, and the tracked, coded run takes 0.30–0.36 s where
+  /// the same run untracked takes 0.27–0.30 s (4-vCPU AVX-512 host, serial).
   bool track_vertical_stats = false;
 
   /// Throws std::invalid_argument naming the offending field.
@@ -104,13 +117,13 @@ class NocSimulator {
   /// Throws std::invalid_argument naming the link if it is not in the mesh.
   void probe_link(LinkId link);
 
-  /// Attach a CodedLink to every vertical link: flits crossing a TSV bundle
+  /// Attach a codec pair to every vertical link: flits crossing a TSV bundle
   /// are encoded by `spec`'s codec, carried as line words, and decoded on
   /// arrival (payloads delivered to the cores are bit-identical to the
   /// uncoded mesh — the noc_coded oracle's property). `assignments` must be
   /// aligned with vertical_links(mesh) (one optimized signed permutation
-  /// per bundle) or empty for identity assignments. Must be called before
-  /// the first run().
+  /// per bundle, each as wide as the codec's output) or empty for identity
+  /// assignments. Must be called before the first run().
   void attach_vertical_coding(const coding::CodecSpec& spec,
                               std::span<const core::SignedPermutation> assignments = {});
 
@@ -138,6 +151,15 @@ class NocSimulator {
 
  private:
   void phase_arbitrate(std::size_t begin, std::size_t end, std::size_t cycle);
+  /// Sender side of a flit crossing vertical link `v` (transfer register
+  /// `reg`): encode, latch and count toggles in codec space, and sample
+  /// the link's statistics.
+  void vertical_hop(std::uint32_t v, std::size_t slot, std::size_t reg, std::uint64_t payload,
+                    std::size_t cycle);
+  /// Fresh accumulators for the current line width (none when untracked).
+  void reset_vertical_stats();
+  /// Flits sent over vertical links so far.
+  std::uint64_t vertical_hops() const;
   void phase_transfer(std::size_t begin, std::size_t end, std::size_t cycle);
 
   /// XYZ dimension-order routing (deadlock-free on a mesh) on precomputed
@@ -185,20 +207,28 @@ class NocSimulator {
   std::vector<std::uint64_t> reg_payload_;
   std::vector<std::uint32_t> reg_dst_;
   std::vector<std::uint32_t> reg_injected_;
-  std::vector<std::uint64_t> reg_line_;  ///< encoded line word (coded links)
+  std::vector<std::uint64_t> reg_line_;  ///< codec word (coded links)
 
   // Per-link activity, sender-indexed node*kPortCount+port (see SimStats).
   std::vector<std::uint64_t> link_flits_;
   std::vector<std::uint64_t> link_toggles_;
   std::vector<std::uint64_t> link_coded_toggles_;
   std::vector<std::uint64_t> link_last_word_;  ///< latched payload lines
-  std::vector<std::uint64_t> link_last_line_;  ///< latched coded lines
 
-  // Vertical-link coding and statistics, aligned with vlinks_.
+  // Vertical-link coding and statistics, aligned with vlinks_. The sender's
+  // rank touches a link's encoder, latch and accumulator, the receiver's
+  // rank its decoder; the barrier between the phases orders the two.
   std::vector<LinkId> vlinks_;
-  std::vector<std::unique_ptr<core::CodedLink>> coded_;  ///< sender slot -> link
-  std::vector<std::uint32_t> vstat_of_slot_;             ///< sender slot -> vstats_ index
-  mutable std::vector<stats::StatsAccumulator> vstats_;
+  std::vector<std::uint32_t> vlink_of_reg_;  ///< transfer register -> vlinks_ index
+  std::vector<std::unique_ptr<coding::Codec>> encoders_;
+  std::vector<std::unique_ptr<coding::Codec>> decoders_;
+  /// Latched word per link: the codec word when coded (starting at the
+  /// assignment's preimage of the all-zero lines), else the payload.
+  std::vector<std::uint64_t> vlink_latched_;
+  /// Tracked non-identity assignments, to relabel the codec-space counts.
+  std::vector<core::SignedPermutation> assignments_;
+  std::vector<stats::StatsAccumulator> vstats_;
+  std::vector<std::size_t> vstat_next_;  ///< first cycle not yet sampled, per link
   bool coded_attached_ = false;
 
   // Per-router counters (disjoint writes; reduced in index order).

@@ -468,6 +468,25 @@ void StatsAccumulator::add(std::span<const std::uint64_t> words) {
   }
 }
 
+void StatsAccumulator::add_repeated(std::uint64_t word, std::uint64_t count) {
+  word &= mask_;
+  if (count > 0 && (!chained_ || word != prev_)) {
+    add(word);
+    --count;
+  }
+  if (count == 0) return;
+  // A copy of prev_ toggles nothing, so it adds to `ones`, `words` and
+  // `transitions` only. Counting it straight into counts_ leaves the
+  // buffered block as it was: its next word transitions from prev_ either
+  // way.
+  for (std::uint64_t v = word; v != 0; v &= v - 1) {
+    counts_.ones[static_cast<std::size_t>(std::countr_zero(v))] += count;
+  }
+  counts_.words += count;
+  counts_.transitions += count;
+  samples_ += count;
+}
+
 void StatsAccumulator::flush_block() {
   flush_from(block_);
   n_ = 0;

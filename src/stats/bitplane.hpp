@@ -98,6 +98,13 @@ class StatsAccumulator {
   /// rides on; results are bit-identical to word-by-word add().
   void add(std::span<const std::uint64_t> words);
 
+  /// Feed `count` copies of `word`; bit-identical to calling add(word)
+  /// `count` times. Past the first copy, or from the first when `word`
+  /// repeats the last word fed, every copy is a transition that toggles no
+  /// line, so it costs O(set bits) however large `count` is: a latched link
+  /// that idles for a gap is sampled in bulk.
+  void add_repeated(std::uint64_t word, std::uint64_t count);
+
   /// Counts gathered so far (flushed blocks + buffered scalar tail).
   SwitchingCounts counts() const;
 

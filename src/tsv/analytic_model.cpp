@@ -85,26 +85,40 @@ std::vector<std::vector<double>> ray_ownership(const std::vector<TsvState>& tsv,
                                                double d_gnd) {
   const std::size_t n = tsv.size();
   std::vector<std::vector<double>> own(n, std::vector<double>(n + 1, 0.0));
+  // Neither the ray directions nor a TSV's in-range neighbours depend on the
+  // ray, so both are computed once; the per-ray loop keeps the neighbours in
+  // index order, which the strict `<` tie-break depends on.
+  std::vector<double> ux(kRayCount), uy(kRayCount);
+  for (int ray = 0; ray < kRayCount; ++ray) {
+    const double theta =
+        2.0 * pi * (static_cast<double>(ray) + 0.5) / static_cast<double>(kRayCount);
+    ux[static_cast<std::size_t>(ray)] = std::cos(theta);
+    uy[static_cast<std::size_t>(ray)] = std::sin(theta);
+  }
+  struct Neighbour {
+    std::size_t k;
+    double dx, dy, s;
+  };
+  std::vector<Neighbour> near;
   for (std::size_t i = 0; i < n; ++i) {
-    for (int ray = 0; ray < kRayCount; ++ray) {
-      const double theta =
-          2.0 * pi * (static_cast<double>(ray) + 0.5) / static_cast<double>(kRayCount);
-      const double ux = std::cos(theta);
-      const double uy = std::sin(theta);
+    near.clear();
+    for (std::size_t k = 0; k < n; ++k) {
+      if (k == i) continue;
+      const double dx = tsv[k].x - tsv[i].x;
+      const double dy = tsv[k].y - tsv[i].y;
+      const double s = std::hypot(dx, dy);
+      if (s <= cutoff) near.push_back({k, dx, dy, s});
+    }
+    for (std::size_t ray = 0; ray < ux.size(); ++ray) {
       double best = d_gnd;
       std::size_t dest = n;  // ground by default
-      for (std::size_t k = 0; k < n; ++k) {
-        if (k == i) continue;
-        const double dx = tsv[k].x - tsv[i].x;
-        const double dy = tsv[k].y - tsv[i].y;
-        const double s = std::hypot(dx, dy);
-        if (s > cutoff) continue;
-        const double cosang = (dx * ux + dy * uy) / s;
+      for (const Neighbour& nb : near) {
+        const double cosang = (nb.dx * ux[ray] + nb.dy * uy[ray]) / nb.s;
         if (cosang < kCosMin) continue;
-        const double effective = s / std::pow(cosang, kObliquenessPower);
+        const double effective = nb.s / std::pow(cosang, kObliquenessPower);
         if (effective < best) {
           best = effective;
-          dest = k;
+          dest = nb.k;
         }
       }
       own[i][dest] += 1.0 / static_cast<double>(kRayCount);

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "obs/profile.hpp"
@@ -427,6 +428,38 @@ TEST(ChunkFolder, ResetForgetsTheSeamResetWindowCarriesIt) {
   fresh.fold(all.subspan(0, 200));
   EXPECT_EQ(fresh.counts().transitions, 199u);
   expect_counts_equal(fresh.counts(), stats::compute_counts(all.subspan(0, 200), 8, 1));
+}
+
+// --- StatsAccumulator::add_repeated: a latched link's idle cycles in bulk ----
+
+TEST(StatsAccumulator, RepeatedWordsEqualWordByWordAdds) {
+  // Random runs of repeated words against the same words fed one by one.
+  // The runs include a gap before the first word, zero-length runs, runs of
+  // the word already latched, and runs that end on, cross and span whole
+  // 64-word blocks; the counts must agree exactly after every run.
+  std::mt19937_64 rng(30);
+  const std::uint64_t lengths[] = {0, 1, 2, 3, 62, 63, 64, 65, 127, 128, 129, 200};
+  for (const std::size_t width : {1, 33, 64}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      SCOPED_TRACE("width " + std::to_string(width) + " trial " + std::to_string(trial));
+      stats::StatsAccumulator bulk(width);
+      stats::StatsAccumulator single(width);
+      std::uint64_t word = rng();
+      for (int run = 0; run < 40; ++run) {
+        // A quarter of the runs repeat the latched word; the rest change it
+        // (bits above the width included, which both paths mask).
+        if (run > 0 && rng() % 4 != 0) word = rng();
+        const std::uint64_t count = trial % 2 == 0 && run == 0
+                                        ? 70  // a gap before the first word
+                                        : lengths[rng() % std::size(lengths)];
+        bulk.add_repeated(word, count);
+        for (std::uint64_t k = 0; k < count; ++k) single.add(word);
+        ASSERT_EQ(bulk.samples(), single.samples()) << "run " << run;
+        expect_counts_equal(bulk.counts(), single.counts());
+        if (HasFatalFailure() || HasNonfatalFailure()) return;
+      }
+    }
+  }
 }
 
 TEST(ChunkFolder, RejectsOutOfRangeWidth) {

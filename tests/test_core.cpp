@@ -9,12 +9,14 @@
 #include <set>
 #include <vector>
 
+#include "coding/factory.hpp"
 #include "core/assignment.hpp"
 #include "core/link.hpp"
 #include "core/mappings.hpp"
 #include "core/optimize.hpp"
 #include "core/power.hpp"
 #include "simd/dispatch.hpp"
+#include "stats/bitplane.hpp"
 #include "streams/random_streams.hpp"
 
 #include "reference.hpp"
@@ -123,6 +125,37 @@ TEST(SignedPermutation, ApplyEqualsStatsOfMappedStream) {
       }
     }
   }
+}
+
+TEST(SignedPermutation, CountRelabelEqualsCountsOfMappedStream) {
+  // The exact form: counts relabeled by apply() equal, integer for integer,
+  // the counts of the mapped words, at widths 1 to 64. The bit-space stream
+  // starts at unapply_word(0), so the line stream starts at 0 (a latch at
+  // power-on), which also pins the first word's ones.
+  std::mt19937_64 rng(12);
+  for (const std::size_t width : {1, 2, 5, 33, 63, 64}) {
+    for (int round = 0; round < 4; ++round) {
+      const auto p = SignedPermutation::random(width, rng, std::vector<std::uint8_t>(width, 1));
+      std::vector<std::uint64_t> bits{p.unapply_word(0)};
+      for (int i = 0; i < 300; ++i) bits.push_back(rng() & (rng() | rng()));
+      std::vector<std::uint64_t> lines;
+      for (const auto w : bits) lines.push_back(p.apply_word(w));
+      ASSERT_EQ(lines.front(), 0u);
+      const auto want = stats::compute_counts(lines, width);
+      const auto got = p.apply(stats::compute_counts(bits, width));
+      EXPECT_EQ(got.words, want.words);
+      EXPECT_EQ(got.transitions, want.transitions);
+      EXPECT_EQ(got.ones, want.ones) << "width " << width;
+      EXPECT_EQ(got.self, want.self) << "width " << width;
+      for (std::size_t i = 0; i < width; ++i) {
+        for (std::size_t j = i + 1; j < width; ++j) {
+          ASSERT_EQ(got.at(i, j), want.at(i, j)) << "width " << width << " pair " << i << "," << j;
+        }
+      }
+    }
+  }
+  EXPECT_THROW(SignedPermutation::identity(4).apply(stats::SwitchingCounts(5)),
+               std::invalid_argument);
 }
 
 TEST(SignedPermutation, RandomRespectsInvertMask) {
@@ -508,10 +541,11 @@ TEST(Link, CodedChainMatchesArrayWidth) {
   spec.name = "bus-invert";  // 9 lines -> 8 payload bits
   auto coded = link.coded(spec, a);
   EXPECT_EQ(coded.payload_width(), 8u);
+  EXPECT_EQ(coded.transmitter().width_out(), 9u);
+  const auto tx = coding::make_codec_for_lines(spec, 9);
   for (std::uint64_t w = 0; w < 256; ++w) {
-    const std::uint64_t lines = coded.transmit(w);
-    EXPECT_EQ(lines >> 9, 0u) << "8 payload bits + 1 flag occupy the 9 lines";
-    EXPECT_EQ(coded.receive(lines), w);
+    EXPECT_EQ(a.apply_word(tx->encode(w)) >> 9, 0u) << "8 payload bits + 1 flag occupy the 9 lines";
+    EXPECT_EQ(coded.roundtrip(w), w);
   }
   EXPECT_THROW(link.coded(spec, SignedPermutation::identity(4)), std::invalid_argument);
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -75,6 +76,26 @@ TrafficConfig scale_traffic(const ScaleCase& c) {
   cfg.burst_off = c.burst_off;
   cfg.seed = 42;
   return cfg;
+}
+
+/// Order-sensitive digest of per-link statistics: every link's transition
+/// count and the exact bits of its self, one-probability and coupling
+/// entries. Each step folds the high half back down: with plain FNV-1a a
+/// sign flip only ever reaches bit 63, so the two flips of a symmetric
+/// coupling pair would cancel.
+std::uint64_t stats_digest(const std::vector<stats::SwitchingStats>& links) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h = (h ^ v) * 0x100000001b3ull;
+    h ^= h >> 32;
+  };
+  for (const auto& s : links) {
+    mix(s.transitions);
+    for (const double d : s.self) mix(std::bit_cast<std::uint64_t>(d));
+    for (const double d : s.prob_one) mix(std::bit_cast<std::uint64_t>(d));
+    for (const double d : s.coupling.data()) mix(std::bit_cast<std::uint64_t>(d));
+  }
+  return h;
 }
 
 std::string scale_name(const ScaleCase& c) {
@@ -376,9 +397,9 @@ TEST(Simulator, BitIdenticalAcrossThreadCounts) {
   // ranks on the 8x8x8 meshes, 2 ranks on 6x6x4 and the serial loop on
   // meshes under 128 routers. A coded run (bus-invert on every vertical
   // link, per-link statistics tracked) crosses slab boundaries through the
-  // CodedLinks the sender rank transmits on and the receiver rank decodes
-  // from, so it is compared across thread counts too, with its per-link
-  // statistics.
+  // codec pairs, whose encoder the sender rank drives and whose decoder the
+  // receiver rank drives, with no lock between them, so it is compared
+  // across thread counts too, with its per-link statistics.
   const auto expect_identical = [](const Mesh3D& mesh, const TrafficConfig& cfg,
                                    std::size_t cycles, const std::string& name, bool coded) {
     const auto run_with = [&](int threads) {
@@ -612,6 +633,16 @@ TEST(CodedMesh, RejectsMisalignedAssignments) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("assignments"), std::string::npos);
   }
+  // One per link, but 16 lines where bus-invert drives 16 + 1.
+  const std::vector<core::SignedPermutation> narrow(vertical_links(mesh).size(),
+                                                    core::SignedPermutation::identity(16));
+  try {
+    sim.attach_vertical_coding({.name = "bus-invert"}, narrow);
+    FAIL() << "a wrong-width assignment must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("assignments[0] has 16 lines"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CodedMesh, PlannedPerLinkAssignmentsStayTransparent) {
@@ -652,6 +683,11 @@ TEST(CodedMesh, PlannedPerLinkAssignmentsStayTransparent) {
 // digest and the vertical links' payload and coded-line toggles, both as
 // totals and as an order-sensitive digest over the links. The planner runs
 // at the scalar level, so the planned assignments do not depend on the host.
+// The per-link statistics are pinned too, as digests: uncoded, in the
+// identity-coded warm-up, and under the planned assignments, where the
+// counts are relabeled from codec space onto the lines. Tracked runs split
+// as run(1) + run(63) + run(936) must give the same bits, and so must 2 and
+// 8 threads (at 64 routers every thread count runs the serial loop).
 TEST(CodedMesh, BurstyMems4x4x4Golden) {
   const Mesh3D mesh(4, 4, 4);
   const TrafficConfig cfg = scale_traffic(
@@ -679,16 +715,46 @@ TEST(CodedMesh, BurstyMems4x4x4Golden) {
     EXPECT_EQ(got.link_digest, want.link_digest) << run;
   };
 
+  // A tracked run, whole or split unevenly: its last SimStats and per-link
+  // statistics digest.
+  const auto tracked_run = [&](const coding::CodecSpec* spec,
+                               std::span<const core::SignedPermutation> assignments, int threads,
+                               bool split) {
+    SimOptions tracked;
+    tracked.track_vertical_stats = true;
+    tracked.threads = threads;
+    NocSimulator sim(mesh, cfg, tracked);
+    if (spec != nullptr) sim.attach_vertical_coding(*spec, assignments);
+    SimStats last;
+    for (const std::size_t part : split ? std::vector<std::size_t>{1, 63, 936}
+                                        : std::vector<std::size_t>{kCycles}) {
+      last = sim.run(part);
+    }
+    return std::pair{last, stats_digest(sim.vertical_link_stats())};
+  };
+  const auto expect_tracked = [&](const coding::CodecSpec* spec,
+                                  std::span<const core::SignedPermutation> assignments,
+                                  const Golden& want, std::uint64_t want_stats, const char* run) {
+    const auto [whole, digest] = tracked_run(spec, assignments, 1, false);
+    expect_golden(observe(whole), want, run);
+    EXPECT_EQ(digest, want_stats) << run << ": per-link statistics";
+    for (const int threads : {1, 2, 8}) {
+      const auto [split, split_digest] = tracked_run(spec, assignments, threads, true);
+      EXPECT_EQ(split, whole) << run << ", split, " << threads << " threads";
+      EXPECT_EQ(split_digest, want_stats) << run << ", split, " << threads << " threads";
+    }
+  };
+
   NocSimulator plain(mesh, cfg);
   expect_golden(observe(plain.run(kCycles)),
                 {0x21f075a8af7625eaull, 283467, 0, 0xfd32fa6fc918bc74ull}, "uncoded");
+  expect_tracked(nullptr, {}, {0x21f075a8af7625eaull, 283467, 0, 0xfd32fa6fc918bc74ull},
+                 0xcf0e9c533746c4afull, "uncoded, tracked");
 
-  SimOptions tracked;
-  tracked.track_vertical_stats = true;
-  NocSimulator identity(mesh, cfg, tracked);
-  identity.attach_vertical_coding({.name = "bus-invert"});
-  expect_golden(observe(identity.run(kCycles)),
-                {0x21f075a8af7625eaull, 283467, 243556, 0xb5dd3836bfc1e3b8ull}, "identity-coded");
+  const coding::CodecSpec bus_invert{.name = "bus-invert"};
+  expect_tracked(&bus_invert, {},
+                 {0x21f075a8af7625eaull, 283467, 243556, 0xb5dd3836bfc1e3b8ull},
+                 0x779ebf806a7602eeull, "identity-coded");
 
   simd::ScopedLevel scalar(simd::Level::scalar);
   VerticalCodingOptions options;
@@ -700,6 +766,9 @@ TEST(CodedMesh, BurstyMems4x4x4Golden) {
   planned.attach_vertical_coding(options.spec, plan.assignments);
   expect_golden(observe(planned.run(kCycles)),
                 {0x21f075a8af7625eaull, 283467, 243946, 0x5b7de603f21c9164ull}, "planned");
+  expect_tracked(&options.spec, plan.assignments,
+                 {0x21f075a8af7625eaull, 283467, 243946, 0x5b7de603f21c9164ull},
+                 0xf10918e6d797408eull, "planned, tracked");
 }
 
 TEST(CodedMesh, DefaultBundleGeometryIsMostSquare) {

@@ -392,6 +392,48 @@ TEST_F(ObsTest, NocSimulatorRecordsLinkActivity) {
   ASSERT_NE(work->find("probe_toggled_bits"), nullptr);
   EXPECT_EQ(work->find("probe_toggled_bits")->number,
             static_cast<double>(stats.probe_toggled_bits));
+  EXPECT_EQ(work->find("vlink_samples"), nullptr) << "no per-link statistics tracked";
+}
+
+TEST_F(ObsTest, NocTrackedRunCountsSingleAndBulkLinkSamples) {
+  // Every tracked vertical link takes one sample per cycle: each flit it
+  // carries one at a time, the idle cycles in bulk. Over two runs the
+  // noc.run span's counters add up to exactly that.
+  noc::Mesh3D mesh(2, 2, 3);
+  noc::TrafficConfig cfg;
+  cfg.spatial = noc::SpatialPattern::Uniform;  // planar hops too, which take no sample
+  cfg.injection_rate = 0.3;
+  cfg.flit_width = 16;
+  cfg.seed = 7;
+  noc::SimOptions options;
+  options.track_vertical_stats = true;
+  noc::NocSimulator sim(mesh, cfg, options);
+  sim.attach_vertical_coding({.name = "bus-invert"});
+
+  obs::enable_profiling(true);
+  sim.run(100);
+  const auto stats = sim.run(300);
+  obs::enable_profiling(false);
+
+  std::uint64_t vertical_hops = 0;
+  for (const noc::LinkId& link : sim.coded_links()) {
+    vertical_hops += stats.link_flits[noc::link_slot(mesh.index(link.from), link.out)];
+  }
+  ASSERT_GT(vertical_hops, 0u);
+  std::uint64_t hops = 0;
+  for (const auto f : stats.link_flits) hops += f;
+  ASSERT_LT(vertical_hops, hops);
+  JValue doc;
+  ASSERT_TRUE(JsonParser(obs::profile_to_json(obs::ProfileFields::deterministic)).parse(doc));
+  const auto& roots = doc.find("roots")->array;
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(roots[0].find("count")->number, 2.0);
+  const JValue* work = roots[0].find("work");
+  ASSERT_NE(work->find("vlink_samples"), nullptr);
+  ASSERT_NE(work->find("vlink_samples_bulk"), nullptr);
+  EXPECT_EQ(work->find("vlink_samples")->number, static_cast<double>(vertical_hops));
+  EXPECT_EQ(work->find("vlink_samples")->number + work->find("vlink_samples_bulk")->number,
+            400.0 * static_cast<double>(sim.coded_links().size()));
 }
 
 // A trace path is user input: quotes and backslashes in it must come out of

@@ -537,8 +537,8 @@ TEST(CodedLink, HotSwapUnderConcurrentTrafficNeverDesyncs) {
 
 TEST(CodedLink, BatchRoundtripMatchesPerWord) {
   // The link's lookup tables against the bit-walk reference (and read back
-  // as the assignment), transmit and receive against a hand-wired chain on
-  // cloned codecs, and the batched round trip against a twin link driven
+  // as the assignment), the round trip against a hand-wired chain on cloned
+  // codecs, and the batched round trip against a twin link driven
   // word by word — in sync, after a one-sided desync, and after the atomic
   // reset that recovers from it.
   std::mt19937_64 rng(19);
@@ -576,9 +576,8 @@ TEST(CodedLink, BatchRoundtripMatchesPerWord) {
       const auto tx = prototype->clone();
       const auto rx = prototype->clone();
       for (std::size_t k = 0; k < 500; ++k) {
-        const std::uint64_t lines_word = link.transmit(words[k] & mask);
-        ASSERT_EQ(lines_word, p.apply_word(tx->encode(words[k] & mask))) << "word " << k;
-        ASSERT_EQ(link.receive(lines_word), rx->decode(p.unapply_word(lines_word)))
+        const std::uint64_t lines_word = p.apply_word(tx->encode(words[k] & mask));
+        ASSERT_EQ(link.roundtrip(words[k] & mask), rx->decode(p.unapply_word(lines_word)))
             << "word " << k;
       }
       const auto q =

@@ -3,7 +3,10 @@
 // study of Sec. 3.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "phys/tsv_geometry.hpp"
@@ -108,6 +111,47 @@ TEST(LinearModel, ReproducesEndpointsExactly) {
       EXPECT_NEAR(m0(i, j), c0(i, j), 1e-21);
       EXPECT_NEAR(m1(i, j), c1(i, j), 1e-21);
     }
+  }
+}
+
+// The analytic fit's exact bits at four array shapes under both ITRS
+// presets (3x11 is the NoC's 33-line bundle), as a digest over the bits of
+// C_R then DeltaC, row-major (FNV-1a with the high half folded down after
+// each step, so that paired sign flips cannot cancel), plus C_R(0,0) and
+// DeltaC(0,1) in hex. The fit is scalar libm code at every SIMD level.
+TEST(LinearModel, AnalyticFitIsBitIdentical) {
+  struct Golden {
+    bool relaxed;
+    std::size_t rows, cols;
+    std::uint64_t digest;
+    double c00, d01;
+  };
+  const Golden goldens[] = {
+      {false, 2, 4, 0xcabd509832ce1864ull, 0x1.21ccda07df56ep-46, -0x1.8a672b05bcb4p-49},
+      {false, 3, 11, 0xd245d869ee7408fdull, 0x1.21ccda07df56ep-46, -0x1.8a672b05bcb4p-49},
+      {false, 4, 4, 0x46af6e804e66728bull, 0x1.21ccda07df56ep-46, -0x1.8a672b05bcb4p-49},
+      {false, 8, 8, 0x04627fa229ddf8beull, 0x1.21ccda07df56ep-46, -0x1.8a672b05bcb4p-49},
+      {true, 2, 4, 0x013f8221922e333eull, 0x1.3166d148713d9p-46, -0x1.4962a4749715p-50},
+      {true, 3, 11, 0x1fc61a33740dc38aull, 0x1.3166d148713d9p-46, -0x1.4962a4749715p-50},
+      {true, 4, 4, 0xec6fd860b25655d3ull, 0x1.3166d148713d9p-46, -0x1.4962a4749715p-50},
+      {true, 8, 8, 0x77fb5dbb09ecad5bull, 0x1.3166d148713d9p-46, -0x1.4962a4749715p-50},
+  };
+  for (const Golden& g : goldens) {
+    const auto geom = g.relaxed ? TsvArrayGeometry::itrs2018_relaxed(g.rows, g.cols)
+                                : TsvArrayGeometry::itrs2018_min(g.rows, g.cols);
+    const auto model = tsv::fit_from_analytic(geom);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const phys::Matrix* m : {&model.c_ref(), &model.delta_c()}) {
+      for (const double v : m->data()) {
+        h = (h ^ std::bit_cast<std::uint64_t>(v)) * 0x100000001b3ull;
+        h ^= h >> 32;
+      }
+    }
+    const std::string name = (g.relaxed ? "relaxed " : "min ") + std::to_string(g.rows) + "x" +
+                             std::to_string(g.cols);
+    EXPECT_EQ(h, g.digest) << name;
+    EXPECT_EQ(model.c_ref()(0, 0), g.c00) << name;
+    EXPECT_EQ(model.delta_c()(0, 1), g.d01) << name;
   }
 }
 
