@@ -120,11 +120,10 @@ void BM_EnabledProfileWork(benchmark::State& state) {
   teardown();
 }
 
-// Per-operation cost of a *profiled* span: node lookup (fast path: cached
-// child under the tree mutex only on first visit), two clock reads and a
-// perf-group read when hardware counters are available. Spans stay at solve
-// and chain granularity, so this budget is paid thousands — not millions —
-// of times per run.
+// Per-operation cost of a *profiled* span: the child-node lookup under the
+// tree mutex, two steady-clock reads and two thread-CPU-clock reads (the
+// latter dominate). Spans stay at solve and chain granularity, so this
+// budget is paid thousands — not millions — of times per run.
 void BM_EnabledSpanProfiled(benchmark::State& state) {
   apply(Mode::profiling);
   for (auto _ : state) {

@@ -122,7 +122,8 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
   constexpr std::size_t kBlockMax = 64;
   for (int restart = 0; restart < options.schedule.restarts; ++restart) {
     // Resync from the best state (also clears float drift of the deltas).
-    ev.reset(best);
+    // Restart 0 starts from the state the constructor just built.
+    if (restart > 0) ev.reset(best);
     double current = ev.power();
     double t = t_start;
     std::size_t block_size = kBlockMin;

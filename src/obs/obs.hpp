@@ -35,13 +35,12 @@ extern std::atomic<bool> g_profile_enabled;
 struct ProfileNode;  // span-tree node (obs/profile.cpp)
 
 /// Per-span profiler state carried inside `Span`: the tree node the span
-/// accumulates into, the steady-clock start, and the hardware-counter
-/// snapshot at begin (zeros when perf counters are unavailable).
+/// accumulates into, the steady-clock start and the calling thread's CPU
+/// clock at begin.
 struct ProfileHandle {
   ProfileNode* node = nullptr;
   std::int64_t t0_ns = 0;
-  std::uint64_t perf0[4] = {0, 0, 0, 0};
-  bool perf_ok = false;
+  std::int64_t cpu0_ns = 0;
 };
 void profile_span_begin(const char* name, ProfileHandle& h);
 void profile_span_end(ProfileHandle& h);

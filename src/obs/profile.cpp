@@ -5,9 +5,8 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <time.h>
 #include <vector>
-
-#include "obs/perf_counters.hpp"
 
 namespace tsvcod::obs {
 
@@ -15,16 +14,16 @@ namespace detail {
 
 std::atomic<bool> g_profile_enabled{false};
 
-/// One node per distinct span *path*. `count`, `total_ns` and the perf
-/// totals are atomics so concurrent spans on the same path (e.g. parallel
-/// chains adopted under one parent) accumulate without the tree lock; the
+/// One node per distinct span *path*. `count`, `total_ns` and `cpu_ns` are
+/// atomics so concurrent spans on the same path (e.g. parallel chains
+/// adopted under one parent) accumulate without the tree lock; the
 /// `children` / `work` maps mutate only under the global tree mutex.
 struct ProfileNode {
   std::string name;
   ProfileNode* parent = nullptr;
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> total_ns{0};
-  std::atomic<std::uint64_t> perf[kPerfCounterCount] = {};
+  std::atomic<std::uint64_t> cpu_ns{0};
   std::map<std::string, ProfileNode*, std::less<>> children;
   std::map<std::string, std::atomic<std::uint64_t>, std::less<>> work;
 };
@@ -56,6 +55,17 @@ std::int64_t now_ns() {
       .count();
 }
 
+/// CPU time consumed so far by the calling thread.
+std::int64_t thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+void add_positive(std::atomic<std::uint64_t>& total, std::int64_t delta) {
+  if (delta > 0) total.fetch_add(static_cast<std::uint64_t>(delta), std::memory_order_relaxed);
+}
+
 std::uint64_t self_ns_of(const ProfileNode& node) {
   std::uint64_t children_total = 0;
   for (const auto& [name, child] : node.children) {
@@ -73,11 +83,7 @@ void node_to_json(const ProfileNode& node, ProfileFields fields, std::string& ou
   if (fields == ProfileFields::full) {
     out += ",\"total_ns\":" + std::to_string(node.total_ns.load(std::memory_order_relaxed));
     out += ",\"self_ns\":" + std::to_string(self_ns_of(node));
-    for (int i = 0; i < kPerfCounterCount; ++i) {
-      out += ",\"";
-      out += perf_counter_name(i);
-      out += "\":" + std::to_string(node.perf[i].load(std::memory_order_relaxed));
-    }
+    out += ",\"cpu_ns\":" + std::to_string(node.cpu_ns.load(std::memory_order_relaxed));
   }
   out += ",\"work\":{";
   bool first = true;
@@ -142,26 +148,18 @@ void profile_span_begin(const char* name, ProfileHandle& h) {
   }
   node->count.fetch_add(1, std::memory_order_relaxed);
   h.node = node;
+  // Wall clock outside the CPU clock at both ends, so a single-threaded
+  // span's CPU interval lies inside its wall interval.
   h.t0_ns = now_ns();
-  h.perf_ok = perf_read_counters(h.perf0);
+  h.cpu0_ns = thread_cpu_ns();
   t_current = node;
 }
 
 void profile_span_end(ProfileHandle& h) {
   ProfileNode* node = h.node;
-  const std::int64_t dt = now_ns() - h.t0_ns;
-  if (dt > 0) node->total_ns.fetch_add(static_cast<std::uint64_t>(dt), std::memory_order_relaxed);
-  if (h.perf_ok) {
-    std::uint64_t now[kPerfCounterCount];
-    if (perf_read_counters(now)) {
-      for (int i = 0; i < kPerfCounterCount; ++i) {
-        // Multiplex scaling is not strictly monotonic: skip negative deltas.
-        if (now[i] > h.perf0[i]) {
-          node->perf[i].fetch_add(now[i] - h.perf0[i], std::memory_order_relaxed);
-        }
-      }
-    }
-  }
+  const std::int64_t cpu1_ns = thread_cpu_ns();
+  add_positive(node->total_ns, now_ns() - h.t0_ns);
+  add_positive(node->cpu_ns, cpu1_ns - h.cpu0_ns);
   t_current = node->parent != &profile_state().root ? node->parent : nullptr;
   h.node = nullptr;
 }
@@ -192,16 +190,9 @@ void profile_work(const char* name, std::uint64_t amount) {
 std::string profile_to_json(ProfileFields fields) {
   auto& st = profile_state();
   std::lock_guard<std::mutex> lk(st.mu);
-  std::string out = "{\"schema\":\"tsvcod.profile.v1\",\"fields\":\"";
+  std::string out = "{\"schema\":\"tsvcod.profile.v2\",\"fields\":\"";
   out += fields == ProfileFields::full ? "full" : "deterministic";
-  out += '"';
-  if (fields == ProfileFields::full) {
-    const PerfAvailability& perf = perf_availability();
-    out += ",\"perf_counters\":{\"available\":";
-    out += perf.available ? "true" : "false";
-    out += ",\"reason\":\"" + json_escape(perf.reason) + "\"}";
-  }
-  out += ",\"roots\":[";
+  out += "\",\"roots\":[";
   bool first = true;
   for (const auto& [name, child] : st.root.children) {
     if (!first) out += ',';
@@ -223,11 +214,9 @@ std::string profile_to_collapsed() {
 void reset_profile() {
   auto& st = profile_state();
   std::lock_guard<std::mutex> lk(st.mu);
+  // The root is no span's node and holds no totals: dropping its children
+  // drops everything.
   delete_subtree(&st.root);
-  st.root.count.store(0, std::memory_order_relaxed);
-  st.root.total_ns.store(0, std::memory_order_relaxed);
-  for (auto& p : st.root.perf) p.store(0, std::memory_order_relaxed);
-  st.root.work.clear();
 }
 
 }  // namespace tsvcod::obs

@@ -2,8 +2,8 @@
 // Span-tree profiler: aggregates the `obs::Span` stream into a hierarchical
 // profile instead of (or in addition to) emitting per-event trace records.
 // Each distinct span *path* (stack of span names) owns one tree node holding
-// a call count, accumulated wall time, optional hardware-counter totals
-// (obs/perf_counters.hpp) and named work counters attached via
+// a call count, accumulated wall time, the opening threads' accumulated CPU
+// time (`CLOCK_THREAD_CPUTIME_ID`) and named work counters attached via
 // `profile_work`.
 //
 // Determinism contract: the tree shape, per-node call counts and work
@@ -11,11 +11,10 @@
 // propagates the submitting span as the logical parent onto workers
 // (`ProfileTaskScope` in obs.hpp), so the same run produces a bit-identical
 // *deterministic* projection (`ProfileFields::deterministic`) at every
-// thread count. Timing fields and hardware counters are measurement noise by
-// nature and live only in the `full` projection; tests assert on the
-// deterministic one.
+// thread count. Timing fields are measurement noise by nature and live only
+// in the `full` projection; tests assert on the deterministic one.
 //
-// Exports: `profile_to_json` (schema `tsvcod.profile.v1`, children and work
+// Exports: `profile_to_json` (schema `tsvcod.profile.v2`, children and work
 // maps sorted by name) and `profile_to_collapsed` (collapsed-stack /
 // "folded" text — `a;b;c <self_ns>` — loadable by flamegraph.pl / speedscope
 // / inferno).
@@ -31,8 +30,9 @@ enum class ProfileFields {
   /// name / count / work counters / children only — bit-identical across
   /// thread counts for the same logical run.
   deterministic,
-  /// Adds total_ns / self_ns and per-node hardware counters plus the
-  /// process-wide perf-availability block (flagged fallback, never an error).
+  /// Adds total_ns / self_ns (wall) and cpu_ns: the CPU time of the thread
+  /// that opened each span, summed over the node's spans. Work a span hands
+  /// to other threads is counted on their spans, not on it.
   full,
 };
 

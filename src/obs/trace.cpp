@@ -43,10 +43,17 @@ struct ThreadBuffer {
   int tid = 0;
 };
 
+std::int64_t clock_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now().time_since_epoch())
+      .count();
+}
+
 struct TraceState {
-  std::mutex mu;  // guards buffers registration + epoch
+  std::mutex mu;  // guards buffers registration
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  Clock::time_point epoch = Clock::now();
+  /// Steady-clock ns of the trace's time zero. Atomic so that stamping an
+  /// event takes no lock shared between tracing threads.
+  std::atomic<std::int64_t> epoch_ns{clock_ns()};
   int next_tid = 1;
 };
 
@@ -68,13 +75,7 @@ ThreadBuffer& local_buffer() {
 }
 
 std::int64_t now_us() {
-  auto& st = trace_state();
-  Clock::time_point epoch;
-  {
-    std::lock_guard<std::mutex> lk(st.mu);
-    epoch = st.epoch;
-  }
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - epoch).count();
+  return (clock_ns() - trace_state().epoch_ns.load(std::memory_order_relaxed)) / 1000;
 }
 
 void push_event(Event ev) {
@@ -99,9 +100,7 @@ Paths& paths() {
 void enable_tracing(bool on) {
   if (on && !trace_enabled()) {
     // Fresh session: restart the clock so timestamps start near zero.
-    auto& st = trace_state();
-    std::lock_guard<std::mutex> lk(st.mu);
-    st.epoch = Clock::now();
+    trace_state().epoch_ns.store(clock_ns(), std::memory_order_relaxed);
   }
   detail::g_trace_enabled.store(on, std::memory_order_relaxed);
 }
@@ -305,8 +304,8 @@ void reset_trace() {
   {
     std::lock_guard<std::mutex> lk(st.mu);
     buffers = st.buffers;
-    st.epoch = Clock::now();
   }
+  st.epoch_ns.store(clock_ns(), std::memory_order_relaxed);
   for (const auto& buf : buffers) {
     std::lock_guard<std::mutex> lk(buf->mu);
     buf->events.clear();

@@ -213,6 +213,24 @@ TEST(Evaluator, ScoreMovesMatchesApply) {
     }
   }
 
+  // Scores leave nothing behind that a fresh evaluator would not compute: a
+  // chain prices its temperature probes on the evaluator it then anneals,
+  // with no reset in between, so after the probes every score and applied
+  // move must match a never-probed twin's bit for bit.
+  {
+    core::PowerEvaluator probed(st, model, core::SignedPermutation::identity(9));
+    core::PowerEvaluator fresh(st, model, core::SignedPermutation::identity(9));
+    for (const auto& m : moves) (void)probed.score(m);
+    for (std::size_t k = 0; k < moves.size(); ++k) {
+      const auto a = probed.score(moves[k]);
+      const auto b = fresh.score(moves[k]);
+      ASSERT_EQ(a.power, b.power) << "move " << k;
+      if (k % 2 == 0) {
+        ASSERT_EQ(probed.apply(moves[k], a), fresh.apply(moves[k], b)) << "move " << k;
+      }
+    }
+  }
+
   // Wide arrays (w = 8..64) against the dense O(N^2) assignment_power of each
   // move applied on its own, at every SIMD level the host supports, from a
   // start with swapped and inverted lines: the main vector loops only run at

@@ -1,9 +1,9 @@
 // Tests for the profiling layer (DESIGN.md §5i): the span-tree profiler's
 // deterministic projection must be bit-identical at every thread count, the
-// perf_event_open wrapper must degrade gracefully (flagged fallback, never an
-// error), the periodic snapshot exporter must rotate files and mark its final
-// write, and the benchdiff gate must catch an injected regression while
-// passing an identical pair.
+// full projection's cpu_ns must be the span's thread CPU time, the periodic
+// snapshot exporter must rotate files and mark its final write, and the
+// benchdiff gate must catch an injected regression while passing an
+// identical pair.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <time.h>
 #include <vector>
 
 #include "core/link.hpp"
@@ -20,7 +21,6 @@
 #include "obs/benchdiff.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/profile.hpp"
 #include "obs/snapshot.hpp"
 #include "opt/parallel.hpp"
@@ -103,7 +103,7 @@ TEST_F(ProfileTest, TreeShapeFollowsSpanNesting) {
   obs::enable_profiling(false);
 
   const json::Value doc = json::parse(obs::profile_to_json(obs::ProfileFields::deterministic));
-  EXPECT_EQ(doc.find("schema")->string, "tsvcod.profile.v1");
+  EXPECT_EQ(doc.find("schema")->string, "tsvcod.profile.v2");
   EXPECT_EQ(doc.find("fields")->string, "deterministic");
   const json::Value* roots = doc.find("roots");
   ASSERT_NE(roots, nullptr);
@@ -262,61 +262,89 @@ TEST_F(ProfileTest, DeterministicProjectionBitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Full projection, perf fallback, collapsed stacks
+// Full projection, CPU time, collapsed stacks
 // ---------------------------------------------------------------------------
 
-TEST_F(ProfileTest, FullProjectionCarriesTimingAndPerfAvailability) {
+std::vector<std::string> keys_of(const json::Value& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.object) keys.push_back(key);
+  return keys;
+}
+
+/// The named root of a full projection rendered after the spans closed.
+json::Value full_root(const std::string& name) {
+  const json::Value doc = json::parse(obs::profile_to_json(obs::ProfileFields::full));
+  const json::Value* node = child_named(*doc.find("roots"), name);
+  return node != nullptr ? *node : json::Value{};
+}
+
+TEST_F(ProfileTest, FullProjectionCarriesWallAndCpuTimeOnly) {
   obs::enable_profiling(true);
   {
     obs::Span span("timed");
+    obs::Span inner("inner");
     volatile double sink = 0.0;
     for (int k = 0; k < 50000; ++k) sink = sink + k;
   }
   obs::enable_profiling(false);
 
   const json::Value doc = json::parse(obs::profile_to_json(obs::ProfileFields::full));
+  const std::vector<std::string> top = {"schema", "fields", "roots"};
+  EXPECT_EQ(keys_of(doc), top);
+  EXPECT_EQ(doc.find("schema")->string, "tsvcod.profile.v2");
   EXPECT_EQ(doc.find("fields")->string, "full");
-
-  // The availability block is always present: available + reason, and an
-  // unavailable PMU is a flagged fallback, never an error.
-  const json::Value* perf = doc.find("perf_counters");
-  ASSERT_NE(perf, nullptr);
-  const json::Value* available = perf->find("available");
-  ASSERT_NE(available, nullptr);
-  ASSERT_TRUE(available->is_boolean());
-  ASSERT_NE(perf->find("reason"), nullptr);
-  EXPECT_EQ(available->boolean, obs::perf_availability().available);
-  if (!available->boolean) {
-    EXPECT_FALSE(perf->find("reason")->string.empty())
-        << "unavailable perf must say why";
-  }
 
   const json::Value& node = doc.find("roots")->array[0];
   EXPECT_EQ(node.find("name")->string, "timed");
-  ASSERT_NE(node.find("total_ns"), nullptr);
-  ASSERT_NE(node.find("self_ns"), nullptr);
+  const std::vector<std::string> fields = {"name",   "count", "total_ns", "self_ns",
+                                           "cpu_ns", "work",  "children"};
+  EXPECT_EQ(keys_of(node), fields);
+  EXPECT_EQ(keys_of(node.find("children")->array.at(0)), fields);
   EXPECT_GT(node.find("total_ns")->number, 0.0);
   EXPECT_GE(node.find("total_ns")->number, node.find("self_ns")->number);
-  // The four counter fields exist either way; without a PMU they stay 0.
-  for (int i = 0; i < obs::kPerfCounterCount; ++i) {
-    const json::Value* c = node.find(obs::perf_counter_name(i));
-    ASSERT_NE(c, nullptr) << obs::perf_counter_name(i);
-    EXPECT_GE(c->number, 0.0);
+  for (const char* gone : {"cycles", "instructions", "llc_misses", "branch_misses"}) {
+    EXPECT_EQ(node.find(gone), nullptr) << gone;
   }
+  EXPECT_EQ(doc.find("perf_counters"), nullptr);
 }
 
-TEST_F(ProfileTest, PerfReadDegradesGracefullyWhenUnavailable) {
-  if (obs::perf_availability().available) {
-    GTEST_SKIP() << "PMU available on this host; fallback path not reachable";
-  }
-  std::uint64_t out[obs::kPerfCounterCount] = {1, 2, 3, 4};
-  EXPECT_FALSE(obs::detail::perf_read_counters(out));
-  // Profiling still works end to end without hardware counters.
+// A single-threaded span's CPU interval lies inside its wall interval (the
+// CPU clock is read inside the steady-clock reads), up to one CPU-clock tick.
+TEST_F(ProfileTest, BusySpanCpuTimeLiesWithinItsWallTime) {
+  timespec res{};
+  ASSERT_EQ(clock_getres(CLOCK_THREAD_CPUTIME_ID, &res), 0);
+  const double tick_ns = static_cast<double>(res.tv_sec) * 1e9 + static_cast<double>(res.tv_nsec);
+
   obs::enable_profiling(true);
-  { obs::Span span("no.pmu"); }
+  {
+    obs::Span span("busy");
+    const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
+    volatile double sink = 0.0;
+    while (std::chrono::steady_clock::now() < until) sink = sink + 1.0;
+  }
   obs::enable_profiling(false);
-  const json::Value doc = json::parse(obs::profile_to_json(obs::ProfileFields::full));
-  EXPECT_EQ(doc.find("roots")->array.size(), 1u);
+
+  const json::Value node = full_root("busy");
+  ASSERT_NE(node.find("cpu_ns"), nullptr);
+  const double cpu_ns = node.find("cpu_ns")->number;
+  EXPECT_GT(cpu_ns, 0.0);
+  EXPECT_LE(cpu_ns, node.find("total_ns")->number + tick_ns);
+}
+
+// cpu_ns is CPU time, not a second copy of wall time: a span that sleeps
+// burns almost none.
+TEST_F(ProfileTest, SleepingSpanBurnsLittleCpuTime) {
+  obs::enable_profiling(true);
+  {
+    obs::Span span("sleepy");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  obs::enable_profiling(false);
+
+  const json::Value node = full_root("sleepy");
+  ASSERT_NE(node.find("cpu_ns"), nullptr);
+  EXPECT_GE(node.find("total_ns")->number, 20e6);
+  EXPECT_LT(node.find("cpu_ns")->number, node.find("total_ns")->number / 2);
 }
 
 TEST_F(ProfileTest, CollapsedStacksListEveryPath) {
@@ -389,7 +417,7 @@ TEST_F(ProfileTest, SnapshotsRotateAndMarkFinal) {
   EXPECT_TRUE(live.find("final")->boolean) << "stop_snapshots writes the final snapshot";
   const json::Value* profile = live.find("profile");
   ASSERT_NE(profile, nullptr);
-  EXPECT_EQ(profile->find("schema")->string, "tsvcod.profile.v1");
+  EXPECT_EQ(profile->find("schema")->string, "tsvcod.profile.v2");
   EXPECT_EQ(profile->find("fields")->string, "full");
   const json::Value* node = child_named(*profile->find("roots"), "snapshot.test");
   ASSERT_NE(node, nullptr);
