@@ -13,19 +13,38 @@ BusInvertCodec::BusInvertCodec(std::size_t width) : width_(width) {
   }
 }
 
-std::uint64_t BusInvertCodec::encode(std::uint64_t word) {
-  word &= streams::width_mask(width_);
-  const int toggles = std::popcount(word ^ prev_out_);
-  const bool invert = toggles > static_cast<int>(width_) / 2;
-  const std::uint64_t data = invert ? (~word & streams::width_mask(width_)) : word;
-  prev_out_ = data;
-  return data | (static_cast<std::uint64_t>(invert) << width_);
+namespace {
+
+/// Both invert codecs' decoder: the flag on line `width` says whether the
+/// data lines were sent complemented. The flag is random on random data, so
+/// it selects by mask arithmetic, not by a branch.
+void decode_flagged(std::size_t width, std::span<const std::uint64_t> in,
+                    std::span<std::uint64_t> out) {
+  const std::uint64_t wm = streams::width_mask(width);
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    const std::uint64_t invert = (in[k] >> width) & 1u;
+    out[k] = (in[k] & wm) ^ (wm & (0 - invert));
+  }
 }
 
-std::uint64_t BusInvertCodec::decode(std::uint64_t code) {
-  const bool invert = (code >> width_) & 1u;
-  const std::uint64_t data = code & streams::width_mask(width_);
-  return invert ? (~data & streams::width_mask(width_)) : data;
+}  // namespace
+
+void BusInvertCodec::encode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  const std::size_t width = width_;
+  const std::uint64_t wm = streams::width_mask(width);
+  const int half = static_cast<int>(width) / 2;
+  std::uint64_t prev = prev_out_;
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    const std::uint64_t word = in[k] & wm;
+    const std::uint64_t invert = std::popcount(word ^ prev) > half;
+    prev = word ^ (wm & (0 - invert));
+    out[k] = prev | (invert << width);
+  }
+  prev_out_ = prev;
+}
+
+void BusInvertCodec::decode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  decode_flagged(width_, in, out);
 }
 
 void BusInvertCodec::reset() { prev_out_ = 0; }
@@ -56,21 +75,22 @@ double CouplingInvertCodec::transition_cost(std::uint64_t from, std::uint64_t to
   return cost;
 }
 
-std::uint64_t CouplingInvertCodec::encode(std::uint64_t word) {
-  word &= streams::width_mask(width_);
-  const std::uint64_t plain = word;
-  const std::uint64_t flipped =
-      (~word & streams::width_mask(width_)) | (std::uint64_t{1} << width_);
-  const double cost_plain = transition_cost(prev_code_, plain);
-  const double cost_flipped = transition_cost(prev_code_, flipped);
-  prev_code_ = cost_flipped < cost_plain ? flipped : plain;
-  return prev_code_;
+void CouplingInvertCodec::encode(std::span<const std::uint64_t> in,
+                                 std::span<std::uint64_t> out) {
+  const std::uint64_t wm = streams::width_mask(width_);
+  std::uint64_t prev = prev_code_;
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    const std::uint64_t plain = in[k] & wm;
+    const std::uint64_t flipped = (~plain & wm) | (std::uint64_t{1} << width_);
+    prev = transition_cost(prev, flipped) < transition_cost(prev, plain) ? flipped : plain;
+    out[k] = prev;
+  }
+  prev_code_ = prev;
 }
 
-std::uint64_t CouplingInvertCodec::decode(std::uint64_t code) {
-  const bool invert = (code >> width_) & 1u;
-  const std::uint64_t data = code & streams::width_mask(width_);
-  return invert ? (~data & streams::width_mask(width_)) : data;
+void CouplingInvertCodec::decode(std::span<const std::uint64_t> in,
+                                 std::span<std::uint64_t> out) {
+  decode_flagged(width_, in, out);
 }
 
 void CouplingInvertCodec::reset() { prev_code_ = 0; }

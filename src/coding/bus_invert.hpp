@@ -22,8 +22,10 @@ class BusInvertCodec final : public Codec {
 
   std::size_t width_in() const override { return width_; }
   std::size_t width_out() const override { return width_ + 1; }
-  std::uint64_t encode(std::uint64_t word) override;
-  std::uint64_t decode(std::uint64_t code) override;
+  using Codec::decode;
+  using Codec::encode;
+  void encode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) override;
+  void decode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) override;
   void reset() override;
   std::unique_ptr<Codec> clone() const override {
     return std::make_unique<BusInvertCodec>(*this);
@@ -47,8 +49,10 @@ class CouplingInvertCodec final : public Codec {
 
   std::size_t width_in() const override { return width_; }
   std::size_t width_out() const override { return width_ + 1; }
-  std::uint64_t encode(std::uint64_t word) override;
-  std::uint64_t decode(std::uint64_t code) override;
+  using Codec::decode;
+  using Codec::encode;
+  void encode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) override;
+  void decode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) override;
   void reset() override;
   std::unique_ptr<Codec> clone() const override {
     return std::make_unique<CouplingInvertCodec>(*this);

@@ -18,21 +18,35 @@ CorrelatorCodec::CorrelatorCodec(std::size_t width, std::size_t period,
   if (period == 0) throw std::invalid_argument("CorrelatorCodec: period must be > 0");
 }
 
-std::uint64_t CorrelatorCodec::encode(std::uint64_t word) {
-  word &= streams::width_mask(width_);
-  const std::uint64_t prev = enc_history_[enc_pos_];
-  enc_history_[enc_pos_] = word;
-  if (++enc_pos_ == period_) enc_pos_ = 0;
-  return (word ^ prev ^ mask_) & streams::width_mask(width_);
+void CorrelatorCodec::encode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  const std::uint64_t wm = streams::width_mask(width_);
+  const std::uint64_t mask = mask_;
+  const std::size_t period = period_;
+  std::uint64_t* history = enc_history_.data();
+  std::size_t pos = enc_pos_;
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    const std::uint64_t word = in[k] & wm;
+    const std::uint64_t prev = history[pos];
+    history[pos] = word;
+    if (++pos == period) pos = 0;
+    out[k] = (word ^ prev ^ mask) & wm;
+  }
+  enc_pos_ = pos;
 }
 
-std::uint64_t CorrelatorCodec::decode(std::uint64_t code) {
-  code &= streams::width_mask(width_);
-  const std::uint64_t prev = dec_history_[dec_pos_];
-  const std::uint64_t word = (code ^ mask_ ^ prev) & streams::width_mask(width_);
-  dec_history_[dec_pos_] = word;
-  if (++dec_pos_ == period_) dec_pos_ = 0;
-  return word;
+void CorrelatorCodec::decode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  const std::uint64_t wm = streams::width_mask(width_);
+  const std::uint64_t mask = mask_;
+  const std::size_t period = period_;
+  std::uint64_t* history = dec_history_.data();
+  std::size_t pos = dec_pos_;
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    const std::uint64_t word = (in[k] ^ mask ^ history[pos]) & wm;
+    history[pos] = word;
+    if (++pos == period) pos = 0;
+    out[k] = word;
+  }
+  dec_pos_ = pos;
 }
 
 void CorrelatorCodec::reset() {

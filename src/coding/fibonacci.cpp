@@ -24,26 +24,30 @@ FibonacciCodec::FibonacciCodec(std::size_t width_in) : width_in_(width_in) {
   if (fibs_.size() > 63) throw std::invalid_argument("FibonacciCodec: output too wide");
 }
 
-std::uint64_t FibonacciCodec::encode(std::uint64_t word) {
-  std::uint64_t v = word & streams::width_mask(width_in_);
-  std::uint64_t code = 0;
-  // Greedy Zeckendorf, largest weight first; greedy choice guarantees the
-  // next-lower weight is never also taken (no adjacent 1s).
-  for (std::size_t k = fibs_.size(); k-- > 0;) {
-    if (fibs_[k] <= v) {
-      code |= std::uint64_t{1} << k;
-      v -= fibs_[k];
+void FibonacciCodec::encode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  for (std::size_t w = 0; w < in.size(); ++w) {
+    std::uint64_t v = in[w] & streams::width_mask(width_in_);
+    std::uint64_t code = 0;
+    // Greedy Zeckendorf, largest weight first; greedy choice guarantees the
+    // next-lower weight is never also taken (no adjacent 1s).
+    for (std::size_t k = fibs_.size(); k-- > 0;) {
+      if (fibs_[k] <= v) {
+        code |= std::uint64_t{1} << k;
+        v -= fibs_[k];
+      }
     }
+    out[w] = code;
   }
-  return code;
 }
 
-std::uint64_t FibonacciCodec::decode(std::uint64_t code) {
-  std::uint64_t v = 0;
-  for (std::size_t k = 0; k < fibs_.size(); ++k) {
-    if ((code >> k) & 1u) v += fibs_[k];
+void FibonacciCodec::decode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  for (std::size_t w = 0; w < in.size(); ++w) {
+    std::uint64_t v = 0;
+    for (std::size_t k = 0; k < fibs_.size(); ++k) {
+      if ((in[w] >> k) & 1u) v += fibs_[k];
+    }
+    out[w] = v & streams::width_mask(width_in_);
   }
-  return v & streams::width_mask(width_in_);
 }
 
 }  // namespace tsvcod::coding

@@ -20,14 +20,18 @@ std::uint64_t GrayCodec::gray_to_binary(std::uint64_t g, std::size_t width) {
   return b & streams::width_mask(width);
 }
 
-std::uint64_t GrayCodec::encode(std::uint64_t word) {
-  word &= streams::width_mask(width_);
-  return (binary_to_gray(word) ^ mask_) & streams::width_mask(width_);
+void GrayCodec::encode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  const std::uint64_t wm = streams::width_mask(width_);
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    out[k] = (binary_to_gray(in[k] & wm) ^ mask_) & wm;
+  }
 }
 
-std::uint64_t GrayCodec::decode(std::uint64_t code) {
-  code = (code ^ mask_) & streams::width_mask(width_);
-  return gray_to_binary(code, width_);
+void GrayCodec::decode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  const std::uint64_t wm = streams::width_mask(width_);
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    out[k] = gray_to_binary((in[k] ^ mask_) & wm, width_);
+  }
 }
 
 }  // namespace tsvcod::coding

@@ -13,33 +13,46 @@ T0Codec::T0Codec(std::size_t width, std::uint64_t stride) : width_(width), strid
   if (stride == 0) throw std::invalid_argument("T0Codec: stride must be nonzero");
 }
 
-std::uint64_t T0Codec::encode(std::uint64_t word) {
-  word &= streams::width_mask(width_);
+void T0Codec::encode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  const std::uint64_t wm = streams::width_mask(width_);
   const std::uint64_t inc_bit = std::uint64_t{1} << width_;
-  const bool in_sequence =
-      enc_primed_ && word == ((enc_last_value_ + stride_) & streams::width_mask(width_));
-  enc_last_value_ = word;
-  enc_primed_ = true;
-  if (in_sequence) {
-    return enc_frozen_lines_ | inc_bit;  // data lines frozen, INC set
+  bool primed = enc_primed_;
+  std::uint64_t last = enc_last_value_;
+  std::uint64_t frozen = enc_frozen_lines_;
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    const std::uint64_t word = in[k] & wm;
+    if (primed && word == ((last + stride_) & wm)) {
+      out[k] = frozen | inc_bit;  // data lines frozen, INC set
+    } else {
+      frozen = word;
+      out[k] = word;
+    }
+    last = word;
+    primed = true;
   }
-  enc_frozen_lines_ = word;
-  return word;
+  enc_primed_ = primed;
+  enc_last_value_ = last;
+  enc_frozen_lines_ = frozen;
 }
 
-std::uint64_t T0Codec::decode(std::uint64_t code) {
-  const bool inc = (code >> width_) & 1u;
-  const std::uint64_t data = code & streams::width_mask(width_);
-  std::uint64_t value;
-  if (inc) {
-    if (!dec_primed_) throw std::logic_error("T0Codec: INC before any absolute value");
-    value = (dec_last_value_ + stride_) & streams::width_mask(width_);
-  } else {
-    value = data;
+void T0Codec::decode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  const std::uint64_t wm = streams::width_mask(width_);
+  // An unprimed decoder primes on the first word it decodes, so a throw
+  // below can only come before any word of this span changed the state.
+  bool primed = dec_primed_;
+  std::uint64_t last = dec_last_value_;
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    if ((in[k] >> width_) & 1u) {
+      if (!primed) throw std::logic_error("T0Codec: INC before any absolute value");
+      last = (last + stride_) & wm;
+    } else {
+      last = in[k] & wm;
+    }
+    primed = true;
+    out[k] = last;
   }
-  dec_last_value_ = value;
-  dec_primed_ = true;
-  return value;
+  dec_primed_ = primed;
+  dec_last_value_ = last;
 }
 
 void T0Codec::reset() {

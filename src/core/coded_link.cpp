@@ -1,5 +1,6 @@
 #include "core/coded_link.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -67,11 +68,23 @@ std::uint64_t CodedLink::roundtrip(std::uint64_t word) {
 
 std::size_t CodedLink::roundtrip(std::span<const std::uint64_t> words) {
   const std::uint64_t mask = streams::width_mask(payload_width());
+  // The chain runs stage by stage, one pass per link element: one virtual
+  // codec call per stage and side instead of per word, and each table walk
+  // a tight loop over the stage.
+  constexpr std::size_t kStage = 256;
+  std::uint64_t payload[kStage];
+  std::uint64_t lines[kStage];
   std::size_t mismatches = 0;
   std::lock_guard<std::mutex> lk(*mu_);
-  for (const std::uint64_t word : words) {
-    const std::uint64_t payload = word & mask;
-    mismatches += rx_->decode(unapply_(apply_(tx_->encode(payload)))) != payload;
+  for (std::size_t begin = 0; begin < words.size(); begin += kStage) {
+    const std::size_t n = std::min(kStage, words.size() - begin);
+    const std::span<std::uint64_t> stage(lines, n);
+    for (std::size_t k = 0; k < n; ++k) payload[k] = words[begin + k] & mask;
+    tx_->encode(std::span<const std::uint64_t>(payload, n), stage);
+    apply_.map(stage);
+    unapply_.map(stage);
+    rx_->decode(stage, stage);
+    for (std::size_t k = 0; k < n; ++k) mismatches += lines[k] != payload[k];
   }
   return mismatches;
 }

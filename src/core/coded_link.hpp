@@ -17,12 +17,16 @@
 // roundtrip(span), and never splits the tx/rx pair — the swap mechanism the
 // streaming service (src/serve) relies on. When one thread owns the link, as
 // a serve session does, the lock is never contended, but it is not free: an
-// uncontended lock/unlock is ~10 ns on a 4-vCPU Xeon, about what the rest of
-// a width-8 round trip costs. Streaming callers therefore use
-// roundtrip(span), one lock per chunk. The link keeps its assignment only as
-// lookup tables (PermutationTable); reset(next) builds the new ones before it
-// takes the lock, so a swap holds it only to swap the tables in and reset the
-// two codecs.
+// uncontended lock/unlock is ~6 ns on a 4-vCPU Xeon, about twice what the
+// rest of a width-8 round trip costs in roundtrip(span). Streaming callers
+// therefore use roundtrip(span), one lock per chunk. Under that lock it runs
+// in passes over a fixed stack stage: mask the payloads, encode the stage
+// (one virtual call), map it through the assignment tables and back, decode
+// it (one virtual call), count mismatches. At width 8 that is ~3.3 ns per
+// word against ~11.4 ns for roundtrip(word). The link keeps its assignment
+// only as lookup tables (PermutationTable); reset(next) builds the new ones
+// before it takes the lock, so a swap holds it only to swap the tables in
+// and reset the two codecs.
 
 #include <cstdint>
 #include <memory>
@@ -37,15 +41,16 @@ namespace tsvcod::core {
 
 /// A signed permutation's word map as lookup tables. The map is linear over
 /// XOR once its image of zero (the inversions) is taken out, so
-///   map(x) = map(0) ^ T_0[x & 3] ^ T_1[(x >> 2) & 3] ^ ...
-/// with one 4-entry table per 2-bit group of the input width. Equal to
+///   map(x) = map(0) ^ T_0[x & 255] ^ T_1[(x >> 8) & 255] ^ ...
+/// with one 256-entry table per 8-bit group of the input width. Equal to
 /// SignedPermutation::apply_word (forward) or unapply_word (inverse) for
 /// every 64-bit input; bits above the width map to nothing.
 ///
-/// Why 2-bit groups: a width-8 map is four lookups and a 33-line link's two
-/// tables take 1,088 B. A link now serves one session or one single-link
-/// flow, so memory does not bound the group size; wider groups have not
-/// been measured against those callers' per-word cost (DESIGN.md §5j).
+/// Why 8-bit groups: a width-8 map is one lookup, and a serve session's
+/// width-8 round trip is the hot caller. Measured against 2- and 4-bit
+/// groups on that path and on per-word roundtrip(word) at widths 16 and 64,
+/// 8-bit groups were fastest on each (DESIGN.md §5j). The 64-line worst
+/// case is 16 KB per table.
 class PermutationTable {
  public:
   static PermutationTable forward(const SignedPermutation& p) { return {p, false}; }
@@ -60,8 +65,21 @@ class PermutationTable {
     return out;
   }
 
+  /// Maps every word of `words` in place, equal to operator() on each.
+  /// Links of up to 8 lines (a width-8 serve session) take one lookup per
+  /// word, with the table and zero image held in locals for the stage.
+  void map(std::span<std::uint64_t> words) const {
+    if (groups_ == 1) {
+      const std::uint64_t* const t = table_.data();
+      const std::uint64_t zero = zero_;
+      for (std::uint64_t& word : words) word = zero ^ t[word & (kEntries - 1)];
+      return;
+    }
+    for (std::uint64_t& word : words) word = (*this)(word);
+  }
+
  private:
-  static constexpr unsigned kBits = 2;
+  static constexpr unsigned kBits = 8;
   static constexpr std::size_t kEntries = std::size_t{1} << kBits;
 
   PermutationTable(const SignedPermutation& p, bool inverse);

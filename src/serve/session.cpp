@@ -19,12 +19,20 @@ class IdentityCodec final : public coding::Codec {
   explicit IdentityCodec(std::size_t width) : width_(width) {}
   std::size_t width_in() const override { return width_; }
   std::size_t width_out() const override { return width_; }
-  std::uint64_t encode(std::uint64_t word) override { return word; }
-  std::uint64_t decode(std::uint64_t code) override { return code; }
+  void encode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) override {
+    pass(in, out);
+  }
+  void decode(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) override {
+    pass(in, out);
+  }
   void reset() override {}
   std::unique_ptr<Codec> clone() const override { return std::make_unique<IdentityCodec>(width_); }
 
  private:
+  static void pass(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+    for (std::size_t k = 0; k < in.size(); ++k) out[k] = in[k];
+  }
+
   std::size_t width_;
 };
 

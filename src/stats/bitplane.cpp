@@ -503,26 +503,18 @@ void StatsAccumulator::flush_from(const std::uint64_t* block) {
 
 SwitchingCounts StatsAccumulator::counts() const {
   SwitchingCounts out = counts_;
-  // Scalar tail: the buffered partial block (and thereby every < 64 word
-  // stream). Walking set bits keeps even the tail O(toggles) per word.
-  std::uint64_t before = block_prev_;
-  for (std::size_t t = 0; t < n_; ++t) {
-    const std::uint64_t cur = block_[t];
-    for (std::uint64_t v = cur; v != 0; v &= v - 1) {
-      ++out.ones[static_cast<std::size_t>(std::countr_zero(v))];
-    }
-    const std::uint64_t tg = cur ^ before;
-    for (std::uint64_t ti = tg; ti != 0; ti &= ti - 1) {
-      const std::size_t i = static_cast<std::size_t>(std::countr_zero(ti));
-      ++out.self[i];
-      const bool up_i = (cur >> i) & 1u;
-      for (std::uint64_t tj = ti & (ti - 1); tj != 0; tj &= tj - 1) {
-        const std::size_t j = static_cast<std::size_t>(std::countr_zero(tj));
-        const bool up_j = (cur >> j) & 1u;
-        out.at(i, j) += (up_i == up_j) ? 1 : -1;
-      }
-    }
-    before = cur;
+  if (n_ == 0) return out;
+  // The buffered partial block goes through the block kernel too, padded
+  // to 64 words with repeats of its last word. A repeat toggles nothing, so
+  // the padding adds only to `ones`, which is taken back out; `words` and
+  // `transitions` count the real tail alone.
+  std::uint64_t padded[64];
+  std::memcpy(padded, block_, n_ * sizeof(std::uint64_t));
+  const std::uint64_t last = block_[n_ - 1];
+  std::fill(padded + n_, padded + 64, last);
+  block_fn()(width_, padded, block_prev_, out);
+  for (std::uint64_t v = last; v != 0; v &= v - 1) {
+    out.ones[static_cast<std::size_t>(std::countr_zero(v))] -= 64 - n_;
   }
   out.words += n_;
   out.transitions += n_;

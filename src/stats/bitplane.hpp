@@ -74,9 +74,10 @@ struct SwitchingCounts {
 };
 
 /// Streaming switching-statistics accumulator: buffers up to 64 transitions
-/// and flushes them through the transposed popcount reduction; anything still
-/// buffered is folded in with a scalar tail path when counts() / finish() is
-/// called, so partial blocks and short (< 64 word) streams are exact too.
+/// and flushes them through the transposed popcount reduction. counts() /
+/// finish() reduce whatever is still buffered through the same kernel,
+/// padded with repeats of the last word (which toggle nothing), so partial
+/// blocks and short (< 64 word) streams are exact too.
 class StatsAccumulator {
  public:
   explicit StatsAccumulator(std::size_t width);
@@ -105,7 +106,7 @@ class StatsAccumulator {
   /// that idles for a gap is sampled in bulk.
   void add_repeated(std::uint64_t word, std::uint64_t count);
 
-  /// Counts gathered so far (flushed blocks + buffered scalar tail).
+  /// Counts gathered so far (flushed blocks + the buffered partial block).
   SwitchingCounts counts() const;
 
   /// finalize()d counts; needs >= 2 words.
@@ -114,7 +115,7 @@ class StatsAccumulator {
   /// 64-transition blocks reduced through the transposed kernel so far.
   std::uint64_t blocks_flushed() const { return blocks_; }
 
-  /// Transitions currently buffered (will take the scalar tail path).
+  /// Transitions currently buffered (a partial block counts() pads).
   std::size_t pending() const { return n_; }
 
  private:

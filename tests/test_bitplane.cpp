@@ -462,6 +462,59 @@ TEST(StatsAccumulator, RepeatedWordsEqualWordByWordAdds) {
   }
 }
 
+// Exact counts of `words`, one word and one line pair at a time: the form
+// the accumulator's partial block used before it went through the kernel.
+stats::SwitchingCounts word_by_word_counts(const std::vector<std::uint64_t>& words,
+                                           std::size_t width) {
+  const std::uint64_t mask = width < 64 ? (std::uint64_t{1} << width) - 1 : ~std::uint64_t{0};
+  stats::SwitchingCounts c(width);
+  for (std::size_t t = 0; t < words.size(); ++t) {
+    const std::uint64_t cur = words[t] & mask;
+    for (std::size_t i = 0; i < width; ++i) c.ones[i] += (cur >> i) & 1u;
+    ++c.words;
+    if (t == 0) continue;
+    ++c.transitions;
+    const std::uint64_t prev = words[t - 1] & mask;
+    for (std::size_t i = 0; i < width; ++i) {
+      const int dbi = static_cast<int>((cur >> i) & 1u) - static_cast<int>((prev >> i) & 1u);
+      if (dbi == 0) continue;
+      ++c.self[i];
+      for (std::size_t j = i + 1; j < width; ++j) {
+        const int dbj = static_cast<int>((cur >> j) & 1u) - static_cast<int>((prev >> j) & 1u);
+        c.at(i, j) += dbi * dbj;
+      }
+    }
+  }
+  return c;
+}
+
+TEST(StatsAccumulator, PartialBlockCountsEqualWordByWordCounts) {
+  // Every tail length 0-63, after no full block and after two, at every
+  // dispatch level: the padded block must add exactly the tail's counts.
+  // The tail's last word is set in most lines, so a wrong padding
+  // correction on `ones` shows.
+  std::mt19937_64 rng(32);
+  for (const simd::Level level : host_levels()) {
+    simd::ScopedLevel guard(level);
+    for (const std::size_t width : {1, 33, 64}) {
+      for (const std::size_t blocks : {0, 2}) {
+        for (std::size_t tail = 0; tail < 64; ++tail) {
+          SCOPED_TRACE("level " + std::to_string(static_cast<int>(level)) + " width " +
+                       std::to_string(width) + " blocks " + std::to_string(blocks) + " tail " +
+                       std::to_string(tail));
+          auto words = make_trace(rng, width, 1 + 64 * blocks + tail, static_cast<int>(tail));
+          if (tail > 0) words.back() |= rng() | rng();
+          stats::StatsAccumulator acc(width);
+          for (const auto w : words) acc.add(w);
+          ASSERT_EQ(acc.pending(), tail);
+          expect_counts_equal(acc.counts(), word_by_word_counts(words, width));
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
 TEST(ChunkFolder, RejectsOutOfRangeWidth) {
   EXPECT_THROW(stats::ChunkFolder(0), std::invalid_argument);
   EXPECT_THROW(stats::ChunkFolder(65), std::invalid_argument);

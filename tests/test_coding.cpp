@@ -2,9 +2,14 @@
 // correlator/decorrelator, classic bus-invert and coupling-driven invert.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 #include <random>
+#include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "coding/bus_invert.hpp"
 #include "coding/codec.hpp"
@@ -391,6 +396,98 @@ TEST(Factory, CloneCopiesHistory) {
   auto b = a->clone();
   for (std::uint64_t w : {0x56ull, 0x78ull, 0x9Aull}) {
     EXPECT_EQ(a->encode(w), b->encode(w));
+  }
+}
+
+// --- Span interface ----------------------------------------------------------
+
+// Random words, repeats, and stride-3 runs (T0's in-sequence path), bits
+// above every width included.
+std::vector<std::uint64_t> span_traffic(std::mt19937_64& rng, std::size_t n) {
+  std::vector<std::uint64_t> words(n);
+  std::uint64_t cur = rng();
+  for (std::size_t k = 0; k < n; ++k) {
+    switch (rng() % 4) {
+      case 0: cur = rng(); break;
+      case 1: break;
+      default: cur += 3; break;
+    }
+    words[k] = cur;
+  }
+  return words;
+}
+
+TEST(Codec, SpanCallsEqualWordCallsAcrossChunkSplits) {
+  // Each codec's one span body against word-at-a-time calls: chunk splits
+  // of 1, 7, 256 and 1000 words carry the history across calls, a reset()
+  // of both endpoints lands mid-stream, and decoding runs both in place and
+  // into a separate buffer. The word path itself is pinned by a digest of
+  // every code and decoded word, recorded from the per-word codecs that the
+  // span bodies replaced.
+  const std::vector<std::pair<std::string, std::uint64_t>> golden{
+      {"gray", 0xa7cb4c7262ab6a2aull},        {"correlator", 0x6e710aa390dfe9e8ull},
+      {"bus-invert", 0x1387e2fc8cd7c2c4ull},  {"coupling-invert", 0x5c6a4a82fff23e22ull},
+      {"t0", 0xba978466c1d79828ull},          {"fibonacci", 0x665f0cef413839b8ull},
+  };
+  ASSERT_EQ(golden.size(), codec_names().size());
+  constexpr std::size_t kWords = 2500;
+  constexpr std::size_t kResetAt = 1200;
+  std::mt19937_64 rng(32);
+  for (const auto& [name, digest] : golden) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::set<std::size_t> widths;
+    for (const std::size_t w : {1, 8, 33, 64}) widths.insert(std::min(w, codec_max_width(name)));
+    for (const std::size_t width : widths) {
+      SCOPED_TRACE(name + " width " + std::to_string(width));
+      CodecSpec spec{.name = name, .period = 3, .stride = 3, .inversion_mask = rng()};
+      const auto words = span_traffic(rng, kWords);
+
+      std::vector<std::uint64_t> codes(kWords), decoded(kWords);
+      auto enc = make_codec(spec, width);
+      auto dec = enc->clone();
+      for (std::size_t k = 0; k < kWords; ++k) {
+        if (k == kResetAt) {
+          enc->reset();
+          dec->reset();
+        }
+        codes[k] = enc->encode(words[k]);
+        decoded[k] = dec->decode(codes[k]);
+        ASSERT_EQ(decoded[k], words[k] & streams::width_mask(width)) << "word " << k;
+        for (const std::uint64_t v : {codes[k], decoded[k]}) {
+          h = (h ^ v) * 0x100000001b3ull;
+          h ^= h >> 32;
+        }
+      }
+
+      for (const std::size_t split : {1, 7, 256, 1000}) {
+        SCOPED_TRACE("split " + std::to_string(split));
+        auto tx = make_codec(spec, width);
+        auto rx = tx->clone();
+        std::vector<std::uint64_t> got_codes(kWords), got_decoded(kWords);
+        const bool in_place = split % 2 == 0;
+        for (std::size_t begin = 0; begin < kWords;) {
+          if (begin == kResetAt) {
+            tx->reset();
+            rx->reset();
+          }
+          const std::size_t stop = begin < kResetAt ? kResetAt : kWords;
+          const std::size_t n = std::min(split, stop - begin);
+          const std::span<std::uint64_t> code_span(got_codes.data() + begin, n);
+          const std::span<std::uint64_t> out_span(got_decoded.data() + begin, n);
+          tx->encode(std::span<const std::uint64_t>(words.data() + begin, n), code_span);
+          if (in_place) {
+            std::copy(code_span.begin(), code_span.end(), out_span.begin());
+            rx->decode(out_span, out_span);
+          } else {
+            rx->decode(code_span, out_span);
+          }
+          begin += n;
+        }
+        EXPECT_EQ(got_codes, codes);
+        EXPECT_EQ(got_decoded, decoded);
+      }
+    }
+    EXPECT_EQ(h, digest) << name << ": the per-word path moved";
   }
 }
 

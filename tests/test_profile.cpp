@@ -6,6 +6,7 @@
 // identical pair.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -148,6 +149,48 @@ TEST_F(ProfileTest, ParallelForAggregatesUnderSubmittingSpan) {
   ASSERT_NE(item, nullptr) << "worker spans must nest under the submitting span";
   EXPECT_EQ(item->find("count")->number, 16.0);
   EXPECT_EQ(item->find("work")->find("items")->number, 16.0);
+}
+
+// Threads racing to create the same child or work slot must end up with one
+// node per path and exact totals (TSan vets the tree lock's discipline under
+// `ctest --preset tsan -L profile`).
+TEST_F(ProfileTest, ConcurrentSpansOnOnePathCountExactly) {
+  obs::enable_profiling(true);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 2000;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) {}
+      const std::string own = "units_" + std::to_string(t % 2);
+      for (int r = 0; r < kRounds; ++r) {
+        obs::Span outer("race.outer");
+        obs::profile_work("rounds", 1);
+        obs::Span inner("race.inner");
+        obs::profile_work("units", 3);
+        obs::profile_work(own.c_str(), 1);
+      }
+    });
+  }
+  go.store(true);
+  for (auto& th : threads) th.join();
+  obs::enable_profiling(false);
+
+  const json::Value doc = json::parse(obs::profile_to_json(obs::ProfileFields::deterministic));
+  const json::Value* roots = doc.find("roots");
+  ASSERT_EQ(roots->array.size(), 1u) << "one node per path, however many threads insert it";
+  const json::Value& outer = roots->array[0];
+  EXPECT_EQ(outer.find("name")->string, "race.outer");
+  EXPECT_EQ(outer.find("count")->number, double{kThreads} * kRounds);
+  EXPECT_EQ(outer.find("work")->find("rounds")->number, double{kThreads} * kRounds);
+  ASSERT_EQ(outer.find("children")->array.size(), 1u);
+  const json::Value& inner = outer.find("children")->array[0];
+  EXPECT_EQ(inner.find("count")->number, double{kThreads} * kRounds);
+  const json::Value* work = inner.find("work");
+  EXPECT_EQ(work->find("units")->number, 3.0 * kThreads * kRounds);
+  EXPECT_EQ(work->find("units_0")->number, double{kThreads / 2} * kRounds);
+  EXPECT_EQ(work->find("units_1")->number, double{kThreads / 2} * kRounds);
 }
 
 // A job submitted outside any span stays a root even when the thread that

@@ -537,14 +537,18 @@ TEST(CodedLink, HotSwapUnderConcurrentTrafficNeverDesyncs) {
 
 TEST(CodedLink, BatchRoundtripMatchesPerWord) {
   // The link's lookup tables against the bit-walk reference (and read back
-  // as the assignment), the round trip against a hand-wired chain on cloned
-  // codecs, and the batched round trip against a twin link driven
-  // word by word — in sync, after a one-sided desync, and after the atomic
-  // reset that recovers from it.
+  // as the assignment) at every width, partial top groups included, the
+  // round trip against a hand-wired chain on cloned codecs, and the batched
+  // round trip against a twin link driven word by word — in sync, after a
+  // one-sided desync, and after the atomic reset that recovers from it.
+  // Each phase starts with chunks that end short of, on and past the
+  // 256-word stage of roundtrip(span), then draws chunks of 0-69 words;
+  // after each chunk both twins' encoders must hold the same history.
   std::mt19937_64 rng(19);
+  const std::size_t listed[] = {255, 256, 257, 1000};
   for (const auto& name : coding::codec_names()) {
     std::set<std::size_t> widths;
-    for (const std::size_t w : {1, 7, 8, 9, 33, 63, 64}) {
+    for (std::size_t w = 1; w <= 64; ++w) {
       widths.insert(std::min(w, coding::codec_max_width(name)));
     }
     for (const std::size_t width : widths) {
@@ -561,14 +565,24 @@ TEST(CodedLink, BatchRoundtripMatchesPerWord) {
       const auto apply = core::PermutationTable::forward(p);
       const auto unapply = core::PermutationTable::inverse(p);
       const bool exhaustive = lines == 8;
-      for (std::uint64_t k = 0; k < (exhaustive ? 256u : 4096u); ++k) {
-        const std::uint64_t x = exhaustive ? k : rng();  // bits above the width too
-        ASSERT_EQ(apply(x), p.apply_word(x)) << std::hex << x;
-        ASSERT_EQ(unapply(x), p.unapply_word(x)) << std::hex << x;
+      std::vector<std::uint64_t> xs(exhaustive ? 256u : 1024u);
+      for (std::size_t k = 0; k < xs.size(); ++k) {
+        // Every single bit, then noise with bits above the width too.
+        xs[k] = exhaustive ? k : k < 64 ? std::uint64_t{1} << k : rng();
+      }
+      std::vector<std::uint64_t> fwd = xs;
+      std::vector<std::uint64_t> inv = xs;
+      apply.map(fwd);
+      unapply.map(inv);
+      for (std::size_t k = 0; k < xs.size(); ++k) {
+        ASSERT_EQ(apply(xs[k]), p.apply_word(xs[k])) << std::hex << xs[k];
+        ASSERT_EQ(unapply(xs[k]), p.unapply_word(xs[k])) << std::hex << xs[k];
+        ASSERT_EQ(fwd[k], apply(xs[k])) << std::hex << xs[k];
+        ASSERT_EQ(inv[k], unapply(xs[k])) << std::hex << xs[k];
       }
 
       const std::uint64_t mask = streams::width_mask(width);
-      std::vector<std::uint64_t> words(3000);
+      std::vector<std::uint64_t> words(6000);
       for (auto& w : words) w = rng();
 
       core::CodedLink link(p, prototype->clone());
@@ -599,13 +613,20 @@ TEST(CodedLink, BatchRoundtripMatchesPerWord) {
         std::size_t batch_bad = 0;
         std::size_t single_bad = 0;
         const std::size_t end = offset + words.size() / 3;
-        while (offset < end) {
-          const std::size_t take = std::min<std::size_t>(rng() % 70, end - offset);  // 0 too
+        for (std::size_t chunk_no = 0; offset < end; ++chunk_no) {
+          const std::size_t draw = chunk_no < std::size(listed) ? listed[chunk_no] : rng() % 70;
+          const std::size_t take = std::min(draw, end - offset);  // 0 too
           const std::span<const std::uint64_t> chunk(words.data() + offset, take);
           batch_bad += batch.roundtrip(chunk);
           for (const std::uint64_t w : chunk) {
             single_bad += single.roundtrip(w & mask) != (w & mask);
           }
+          // A stage that coded the wrong words would still decode them
+          // back; the encoder's history shows which words it saw.
+          const std::uint64_t probe = words[offset] & mask;
+          ASSERT_EQ(batch.transmitter().clone()->encode(probe),
+                    single.transmitter().clone()->encode(probe))
+              << "phase " << phase << " after a " << take << "-word chunk";
           offset += take;
         }
         EXPECT_EQ(batch_bad, single_bad) << "phase " << phase;
