@@ -1,10 +1,13 @@
-// Service-layer throughput: concurrent sessions streaming word batches
-// through the sharded server, plus the drift-trip -> re-anneal -> hot-swap
-// latency. Every throughput row is validated bit-identical against the
-// one-shot batch fold before its number is reported, and the swap row
-// requires zero decode desyncs — the two invariants the session layer
-// exists to uphold. Writes the BENCH JSON only to an explicit --out, so a
-// plain run never overwrites the committed BENCH_serve.json baseline.
+// Service-layer throughput: concurrent sessions, one producer thread each,
+// streaming word batches through the server, plus the drift-trip ->
+// re-anneal -> hot-swap latency. Every throughput row is validated
+// bit-identical against the one-shot batch fold before its number is
+// reported, and the swap row requires zero decode desyncs — the two
+// invariants the session layer exists to uphold. The `scaling` row records
+// whether aggregate words/s never falls as sessions are added, up to the
+// hardware thread count; it is left out of `ok`, since a tiny --words run is
+// too short to show it. Writes the BENCH JSON only to an explicit --out, so
+// a plain run never overwrites the committed BENCH_serve.json baseline.
 //
 //   serve_throughput [--words N] [--reps R] [--out PATH]
 #include <chrono>
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "opt/parallel.hpp"
 #include "phys/tsv_geometry.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
@@ -88,7 +92,7 @@ ThroughputRow run_throughput(int sessions, std::size_t words_each, std::size_t b
       streams.push_back(traffic(1000u + static_cast<unsigned>(s), words_each, words_each));
     }
 
-    serve::Server server({.shards = 4, .queue_capacity = 64});
+    serve::Server server;
     for (int s = 0; s < sessions; ++s) {
       server.open_session(static_cast<std::uint64_t>(s), session_config(0.0));
     }
@@ -99,9 +103,8 @@ ThroughputRow run_throughput(int sessions, std::size_t words_each, std::size_t b
       producers.emplace_back([&, s] {
         const std::span<const std::uint64_t> all(streams[static_cast<std::size_t>(s)]);
         for (std::size_t off = 0; off < all.size(); off += batch) {
-          const auto chunk = all.subspan(off, std::min(batch, all.size() - off));
           server.ingest(static_cast<std::uint64_t>(s),
-                        std::vector<std::uint64_t>(chunk.begin(), chunk.end()));
+                        all.subspan(off, std::min(batch, all.size() - off)));
         }
       });
     }
@@ -136,13 +139,12 @@ struct SwapRow {
 SwapRow run_swap(std::size_t words_total, std::size_t batch) {
   SwapRow row;
   const auto words = traffic(7, words_total, words_total / 4);
-  serve::Server server({.shards = 2, .queue_capacity = 32});
+  serve::Server server;
   server.open_session(1, session_config(0.05));
 
   const std::span<const std::uint64_t> all(words);
   for (std::size_t off = 0; off < all.size(); off += batch) {
-    const auto chunk = all.subspan(off, std::min(batch, all.size() - off));
-    server.ingest(1, std::vector<std::uint64_t>(chunk.begin(), chunk.end()));
+    server.ingest(1, all.subspan(off, std::min(batch, all.size() - off)));
   }
   server.drain();
 
@@ -196,15 +198,21 @@ int main(int argc, char** argv) {
               reps);
   std::printf("%10s %16s %8s %6s\n", "row", "words_per_sec", "desyncs", "ident");
 
+  const int nproc = opt::hardware_threads();
   bench::BenchJson doc("serve_throughput");
   doc.param("words_per_session", static_cast<double>(words_each))
       .param("batch_words", static_cast<double>(kBatch))
-      .param("reps", static_cast<double>(reps));
+      .param("reps", static_cast<double>(reps))
+      .param("nproc", nproc);
 
   bool ok = true;
+  bool scales_to_nproc = true;
+  double prev_words_per_sec = 0.0;
   for (const int sessions : {1, 2, 4, 8}) {
     const ThroughputRow row = run_throughput(sessions, words_each, kBatch, reps);
     ok = ok && row.bit_identical && row.desyncs == 0;
+    if (sessions <= nproc && row.words_per_sec < prev_words_per_sec) scales_to_nproc = false;
+    prev_words_per_sec = row.words_per_sec;
     std::printf("%10s %16.3e %8llu %6s\n",
                 ("sessions_" + std::to_string(sessions)).c_str(), row.words_per_sec,
                 static_cast<unsigned long long>(row.desyncs), row.bit_identical ? "yes" : "NO");
@@ -214,6 +222,10 @@ int main(int argc, char** argv) {
         .field("desyncs", static_cast<double>(row.desyncs))
         .field("bit_identical", row.bit_identical);
   }
+
+  std::printf("%10s %s (aggregate words/s never falls up to %d sessions)\n", "scaling",
+              scales_to_nproc ? "yes" : "NO", nproc);
+  doc.begin_row().field("name", "scaling").field("scales_to_nproc", scales_to_nproc);
 
   const SwapRow swap = run_swap(8 * words_each >= 32768 ? 32768 : 8 * words_each, kBatch);
   ok = ok && swap.swaps >= 1 && swap.desyncs == 0 && swap.bit_identical;

@@ -29,9 +29,8 @@ class GrayCodec final : public Codec {
   /// Widest supported word; the code is width-preserving.
   static constexpr std::size_t kMaxWidth = 64;
 
-  /// Plain binary-reflected Gray conversion helpers.
+  /// Plain binary-reflected Gray conversion.
   static std::uint64_t binary_to_gray(std::uint64_t b);
-  static std::uint64_t gray_to_binary(std::uint64_t g, std::size_t width);
 
  private:
   std::size_t width_;

@@ -64,16 +64,26 @@ bool read_frame(std::istream& in, Frame& out) {
 
   out.type = static_cast<FrameType>(type);
   out.session = load_u32le(header.data() + 8);
-  out.words.clear();
   out.text.clear();
 
   if (out.type == FrameType::data && payload_len % 8 != 0) {
     fail("data payload length " + std::to_string(payload_len) + " is not a multiple of 8");
   }
 
-  std::string payload(payload_len, '\0');
+  // A data payload lands in `words` itself (a frame as long as the last one
+  // reuses the buffer as is) and is converted from little-endian in place;
+  // any other payload lands in `text`.
+  char* dest = nullptr;
+  if (out.type == FrameType::data) {
+    out.words.resize(payload_len / 8);
+    dest = reinterpret_cast<char*>(out.words.data());
+  } else {
+    out.words.clear();
+    out.text.resize(payload_len);
+    dest = out.text.data();
+  }
   if (payload_len > 0) {
-    in.read(payload.data(), static_cast<std::streamsize>(payload_len));
+    in.read(dest, static_cast<std::streamsize>(payload_len));
     if (in.gcount() != static_cast<std::streamsize>(payload_len)) {
       fail("truncated payload (EOF after " + std::to_string(in.gcount()) + " of " +
            std::to_string(payload_len) + " payload bytes)");
@@ -81,13 +91,10 @@ bool read_frame(std::istream& in, Frame& out) {
   }
 
   switch (out.type) {
-    case FrameType::data: {
-      out.words.resize(payload_len / 8);
-      const auto* bytes = reinterpret_cast<const unsigned char*>(payload.data());
-      for (std::size_t i = 0; i < out.words.size(); ++i) out.words[i] = load_u64le(bytes + 8 * i);
+    case FrameType::data:
+      for (std::uint64_t& w : out.words) w = load_u64le(reinterpret_cast<const unsigned char*>(&w));
       break;
-    }
-    case FrameType::open: out.text = std::move(payload); break;
+    case FrameType::open: break;
     case FrameType::stats:
     case FrameType::close:
     case FrameType::shutdown:

@@ -49,13 +49,14 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 struct Frame {
   FrameType type = FrameType::shutdown;
   std::uint32_t session = 0;
-  std::vector<std::uint64_t> words;  ///< data frames
+  std::vector<std::uint64_t> words;  ///< data frames; empty for every other type
   std::string text;                  ///< open frames: key=value options
 };
 
-/// Read one frame. Returns false on clean EOF at a frame boundary; throws
-/// std::runtime_error (naming the field and stream offset) on malformed
-/// input.
+/// Read one frame into `out`, reusing its buffers: a caller that reads every
+/// frame into one Frame allocates only when a data frame is longer than any
+/// before it. Returns false on clean EOF at a frame boundary; throws
+/// std::runtime_error (naming the field and stream offset) on malformed input.
 bool read_frame(std::istream& in, Frame& out);
 
 /// Parse an open-frame option payload: whitespace-separated `key=value`

@@ -17,6 +17,14 @@ using Clock = std::chrono::steady_clock;
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(b - a).count();
 }
+
+void add_snapshot(Server::Totals& t, const SessionSnapshot& snap) {
+  t.batches += snap.batches;
+  t.words += snap.words;
+  t.desyncs += snap.desyncs;
+  t.trips += snap.trips;
+  t.swaps += snap.swaps;
+}
 }  // namespace
 
 std::string SwapEvent::to_json() const {
@@ -35,19 +43,9 @@ std::string SwapEvent::to_json() const {
   return out;
 }
 
-Server::Server(ServerOptions options) : options_(options) {
-  if (options_.shards < 1) {
-    throw std::invalid_argument("serve: --shards must be >= 1, got " +
-                                std::to_string(options_.shards));
-  }
-  if (options_.queue_capacity < 1) {
-    throw std::invalid_argument("serve: --queue-capacity must be >= 1, got " +
-                                std::to_string(options_.queue_capacity));
-  }
-  shards_.reserve(static_cast<std::size_t>(options_.shards));
-  for (int i = 0; i < options_.shards; ++i) shards_.push_back(std::make_unique<Shard>());
-  // Shard drain jobs + at least one re-anneal can always run concurrently.
-  opt::ThreadPool::shared().ensure_workers(options_.shards + 2);
+Server::Server() {
+  // A re-anneal can start while the producer keeps ingesting.
+  opt::ThreadPool::shared().ensure_workers(1);
 }
 
 Server::~Server() { drain(); }
@@ -71,95 +69,25 @@ std::shared_ptr<Session> Server::find_session(std::uint64_t id) const {
   return it->second;
 }
 
-void Server::ingest(std::uint64_t id, std::vector<std::uint64_t> words) {
-  Batch batch{find_session(id), std::move(words)};
-  Shard& shard = *shards_[static_cast<std::size_t>(id) % shards_.size()];
-
-  // Count the unit *before* it becomes visible to a drain job, so drain()
-  // can never observe the queue non-empty with a zero pending count.
-  {
-    std::lock_guard<std::mutex> lk(idle_mu_);
-    ++pending_units_;
-  }
-
-  bool schedule = false;
-  std::size_t depth = 0;
-  {
-    std::unique_lock<std::mutex> lk(shard.mu);
-    shard.not_full.wait(lk, [&] { return shard.queue.size() < options_.queue_capacity; });
-    shard.queue.push_back(std::move(batch));
-    depth = shard.queue.size();
-    if (!shard.job_scheduled) {
-      shard.job_scheduled = true;
-      schedule = true;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    if (depth > max_queue_depth_) max_queue_depth_ = depth;
-  }
-  if (schedule) {
-    // The drain job is itself a pending unit: it keeps touching shard state
-    // after the last batch's own unit is retired, so drain() (and therefore
-    // ~Server) must not return while the job is still alive.
-    {
-      std::lock_guard<std::mutex> lk(idle_mu_);
-      ++pending_units_;
-    }
-    opt::ThreadPool::shared().submit([this, &shard, parent = obs::profile_current()] {
-      obs::ProfileTaskScope scope(parent);
-      drain_shard(shard);
-    });
-  }
-}
-
-void Server::drain_shard(Shard& shard) {
-  for (;;) {
-    Batch batch;
-    {
-      std::lock_guard<std::mutex> lk(shard.mu);
-      if (shard.queue.empty()) {
-        shard.job_scheduled = false;
-        break;
-      }
-      batch = std::move(shard.queue.front());
-      shard.queue.pop_front();
-    }
-    shard.not_full.notify_one();
-    process_batch(std::move(batch));
-  }
-  finish_unit();  // retire the drain job; past this point no member is touched
-}
-
-void Server::process_batch(Batch batch) {
-  try {
-    // The span closes before the re-anneal is scheduled, so the re-anneal
-    // job is the batch's sibling in the profile, not its child.
-    const Session::IngestResult result = [&] {
-      obs::Span span("serve.batch");
-      Session::IngestResult r = batch.session->ingest(batch.words);
-      obs::profile_work("words", batch.words.size());
-      if (r.new_desyncs > 0) obs::profile_work("desyncs", r.new_desyncs);
-      if (r.tripped) obs::profile_work("trips", 1);
-      return r;
-    }();
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++batches_total_;
-      words_total_ += batch.words.size();
-    }
-    if (result.tripped) schedule_reanneal(batch.session, result);
-  } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lk(events_mu_);
-    errors_.push_back("session " + std::to_string(batch.session->id()) + ": " + e.what());
-  }
-  finish_unit();
+void Server::ingest(std::uint64_t id, std::span<const std::uint64_t> words) {
+  std::shared_ptr<Session> session = find_session(id);
+  // The span closes before the re-anneal is scheduled, so the re-anneal job
+  // is the batch's sibling in the profile, not its child.
+  Session::IngestResult result = [&] {
+    obs::Span span("serve.batch");
+    Session::IngestResult r = session->ingest(words);
+    obs::profile_work("words", words.size());
+    if (r.new_desyncs > 0) obs::profile_work("desyncs", r.new_desyncs);
+    if (r.tripped) obs::profile_work("trips", 1);
+    return r;
+  }();
+  if (result.tripped) schedule_reanneal(std::move(session), std::move(result));
 }
 
 void Server::schedule_reanneal(std::shared_ptr<Session> session, Session::IngestResult trip) {
   {
     std::lock_guard<std::mutex> lk(idle_mu_);
-    ++pending_units_;
+    ++reanneals_inflight_;
   }
   const Clock::time_point tripped_at = Clock::now();
   opt::ThreadPool::shared().submit(
@@ -167,8 +95,8 @@ void Server::schedule_reanneal(std::shared_ptr<Session> session, Session::Ingest
        parent = obs::profile_current()] {
         obs::ProfileTaskScope scope(parent);
         {
-          // Closed before finish_unit(), so drain() never returns with the
-          // span still open.
+          // Closed before the in-flight count drops, so drain() never
+          // returns with the span still open.
           obs::Span span("serve.reanneal");
           try {
             const core::OptimizeResult annealed = core::optimize_assignment(
@@ -194,14 +122,9 @@ void Server::schedule_reanneal(std::shared_ptr<Session> session, Session::Ingest
                               " re-anneal failed: " + e.what());
           }
         }
-        finish_unit();
+        std::lock_guard<std::mutex> lk(idle_mu_);
+        if (--reanneals_inflight_ == 0) idle_cv_.notify_all();
       });
-}
-
-void Server::finish_unit() {
-  std::lock_guard<std::mutex> lk(idle_mu_);
-  --pending_units_;
-  if (pending_units_ == 0) idle_cv_.notify_all();
 }
 
 void Server::drain() {
@@ -209,15 +132,15 @@ void Server::drain() {
   for (;;) {
     {
       std::lock_guard<std::mutex> lk(idle_mu_);
-      if (pending_units_ == 0) return;
+      if (reanneals_inflight_ == 0) return;
     }
     // Help run queued jobs instead of sleeping: drain() then completes even
     // when every pool worker is parked inside a long re-anneal.
     if (!pool.try_run_one()) {
       std::unique_lock<std::mutex> lk(idle_mu_);
       idle_cv_.wait_for(lk, std::chrono::milliseconds(1),
-                        [&] { return pending_units_ == 0; });
-      if (pending_units_ == 0) return;
+                        [&] { return reanneals_inflight_ == 0; });
+      if (reanneals_inflight_ == 0) return;
     }
   }
 }
@@ -228,13 +151,11 @@ SessionSnapshot Server::session_stats(std::uint64_t id) const {
 
 SessionSnapshot Server::close_session(std::uint64_t id) {
   std::shared_ptr<Session> session = find_session(id);  // throws early on bad id
-  drain();  // every queued batch and in-flight re-anneal for it has landed
+  drain();  // every in-flight re-anneal for it has landed
   SessionSnapshot snap = session->snapshot();
   std::lock_guard<std::mutex> lk(sessions_mu_);
   sessions_.erase(id);
-  closed_desyncs_ += snap.desyncs;
-  closed_trips_ += snap.trips;
-  closed_swaps_ += snap.swaps;
+  add_snapshot(closed_, snap);
   return snap;
 }
 
@@ -249,24 +170,10 @@ std::vector<std::string> Server::poll_errors() {
 }
 
 Server::Totals Server::totals() const {
-  Totals t;
-  {
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    t.sessions_opened = sessions_opened_;
-    t.desyncs = closed_desyncs_;
-    t.trips = closed_trips_;
-    t.swaps = closed_swaps_;
-    for (const auto& [id, session] : sessions_) {
-      const SessionSnapshot snap = session->snapshot();
-      t.desyncs += snap.desyncs;
-      t.trips += snap.trips;
-      t.swaps += snap.swaps;
-    }
-  }
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  t.batches = batches_total_;
-  t.words = words_total_;
-  t.max_queue_depth = max_queue_depth_;
+  std::lock_guard<std::mutex> lk(sessions_mu_);
+  Totals t = closed_;
+  t.sessions_opened = sessions_opened_;
+  for (const auto& [id, session] : sessions_) add_snapshot(t, session->snapshot());
   return t;
 }
 

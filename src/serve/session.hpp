@@ -24,9 +24,10 @@
 // via `CodedLink::reset(next)`. Concurrent traffic observes zero desyncs
 // across the swap.
 //
-// Thread safety: ingest() is serialized per session by the server's shard
-// queues; install() and snapshot() may race ingest() and are protected by the
-// session mutex.
+// Thread safety: ingest() holds the session mutex for the whole chunk, so
+// concurrent calls on one session fold one chunk after another, in the order
+// they take the lock (the server calls it on the thread that hands in the
+// batch); install() and snapshot() may race ingest() and take the same mutex.
 
 #include <chrono>
 #include <cstdint>

@@ -8,7 +8,7 @@
 // model of the AR(1) stream), or the client half of a format the library
 // only reads (service frames), or a field-solver form the library replaced
 // by a faster one that must stay bit-identical to it (the packed operator,
-// the two-colour V-cycle), or the circuit stepper the state propagator
+// the two-colour V-cycle, the bit-serial Gray decode), or the circuit stepper the state propagator
 // replaced, which the propagator must track to 1e-12.
 
 #include <algorithm>
@@ -156,6 +156,15 @@ inline double linearity_nrmse(const tsv::CapacitanceBackend& backend,
 
 /// True iff the codeword has no two adjacent 1s (the Fibonacci CAC invariant).
 inline bool is_forbidden_pattern_free(std::uint64_t code) { return (code & (code >> 1)) == 0; }
+
+/// Gray to binary one bit position at a time: the XOR of `width` shifted
+/// copies of the code, masked to the width. The form `GrayCodec::decode`
+/// replaced with a six-step prefix XOR, which it must match bit for bit.
+inline std::uint64_t gray_to_binary_loop(std::uint64_t g, std::size_t width) {
+  std::uint64_t b = 0;
+  for (std::size_t shift = 0; shift < width; ++shift) b ^= g >> shift;
+  return width >= 64 ? b : b & ((std::uint64_t{1} << width) - 1);
+}
 
 // --- Dual-bit-type model (Landman & Rabaey, TVLSI'95; paper Sec. 4) ---------
 //

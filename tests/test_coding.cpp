@@ -34,6 +34,23 @@ TEST(Gray, RoundTripAllTenBitValues) {
   }
 }
 
+TEST(Gray, DecodeMatchesTheBitwiseLoopAtEveryWidth) {
+  // The decoder's prefix XOR against the XOR of `width` shifted copies, on
+  // random words (unmasked high bits included) and random XNOR masks.
+  std::mt19937_64 rng(33);
+  for (std::size_t width = 1; width <= 64; ++width) {
+    const std::uint64_t wm = width == 64 ? ~0ull : (1ull << width) - 1;
+    const std::uint64_t mask = rng();
+    GrayCodec codec(width, mask);
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t word = rng();
+      ASSERT_EQ(codec.decode(codec.encode(word)), word & wm) << "width " << width;
+      ASSERT_EQ(codec.decode(word), reference::gray_to_binary_loop((word ^ mask) & wm, width))
+          << "width " << width << " word " << word;
+    }
+  }
+}
+
 TEST(Gray, AdjacentValuesDifferInOneBit) {
   GrayCodec codec(12);
   for (std::uint64_t v = 0; v + 1 < 4096; ++v) {

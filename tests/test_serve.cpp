@@ -1,5 +1,5 @@
 // Streaming service layer: frame protocol, per-session seam-chained
-// statistics, sharded ingestion with backpressure, the drift-triggered
+// statistics, concurrent per-session ingestion, the drift-triggered
 // re-anneal + atomic hot-swap path, and the CodedLink every session streams
 // through. The concurrency tests here are the ones the asan-serve /
 // tsan-serve presets exist for.
@@ -231,8 +231,9 @@ TEST(Session, DriftTripsOncePerReannealInFlight) {
 // --- server -----------------------------------------------------------------
 
 TEST(Server, RejectsUnknownAndDuplicateSessions) {
-  serve::Server server({.shards = 2, .queue_capacity = 4});
-  EXPECT_THROW(server.ingest(42, {1, 2, 3}), std::invalid_argument);
+  serve::Server server;
+  const std::vector<std::uint64_t> words{1, 2, 3};
+  EXPECT_THROW(server.ingest(42, words), std::invalid_argument);
   server.open_session(42, config8());
   EXPECT_THROW(server.open_session(42, config8()), std::invalid_argument);
   server.drain();
@@ -241,7 +242,7 @@ TEST(Server, RejectsUnknownAndDuplicateSessions) {
 TEST(Server, EightConcurrentSessionsStayBitIdentical) {
   // The acceptance bar: >= 8 concurrent sessions, per-session statistics
   // bit-identical to the batch fold of the same words, zero desyncs.
-  serve::Server server({.shards = 4, .queue_capacity = 8});
+  serve::Server server;
   constexpr int kSessions = 8;
   constexpr std::size_t kWords = 6000;
 
@@ -283,7 +284,7 @@ TEST(Server, EightConcurrentSessionsStayBitIdentical) {
 }
 
 TEST(Server, DriftTriggeredReannealHotSwapsWithZeroDesyncs) {
-  serve::Server server({.shards = 2, .queue_capacity = 8});
+  serve::Server server;
   auto cfg = config8();
   cfg.drift.threshold = 0.05;
   server.open_session(1, cfg);
@@ -316,22 +317,42 @@ TEST(Server, DriftTriggeredReannealHotSwapsWithZeroDesyncs) {
   EXPECT_TRUE(server.poll_errors().empty());
 }
 
-TEST(Server, BackpressureBoundsTheQueueAndLosesNothing) {
-  serve::Server server({.shards = 1, .queue_capacity = 2});
+TEST(Server, TotalsSumLiveAndClosedSessionSnapshots) {
+  serve::Server server;
+  auto drifting = config8();
+  drifting.drift.threshold = 0.05;
   server.open_session(5, config8());
+  server.open_session(6, drifting);
 
-  const auto words = traffic(8, 4096, 4096);
-  for (std::size_t offset = 0; offset < words.size(); offset += 32) {
-    server.ingest(5, {words.begin() + static_cast<std::ptrdiff_t>(offset),
-                      words.begin() + static_cast<std::ptrdiff_t>(offset + 32)});
+  const auto closed_words = traffic(8, 4096, 4096);
+  for (std::size_t offset = 0; offset < closed_words.size(); offset += 32) {
+    server.ingest(5, {closed_words.begin() + static_cast<std::ptrdiff_t>(offset),
+                      closed_words.begin() + static_cast<std::ptrdiff_t>(offset + 32)});
   }
-  server.drain();
+  const auto live_words = traffic(42, 8192, 2048);
+  for (std::size_t offset = 0; offset < live_words.size(); offset += 128) {
+    server.ingest(6, {live_words.begin() + static_cast<std::ptrdiff_t>(offset),
+                      live_words.begin() + static_cast<std::ptrdiff_t>(offset + 128)});
+  }
 
-  EXPECT_LE(server.totals().max_queue_depth, 2u);  // producer blocked, not queued
-  const auto snap = server.close_session(5);
-  EXPECT_EQ(snap.words, words.size());
-  expect_counts_equal(snap.longrun, batch_counts(words, 8));
+  const auto closed = server.close_session(5);
+  EXPECT_EQ(closed.words, closed_words.size());
+  EXPECT_EQ(closed.batches, closed_words.size() / 32);
+  expect_counts_equal(closed.longrun, batch_counts(closed_words, 8));
   EXPECT_THROW(server.session_stats(5), std::invalid_argument);  // closed
+
+  server.drain();
+  const auto live = server.session_stats(6);
+  EXPECT_GE(live.trips, 1u);
+  EXPECT_GE(live.swaps, 1u);
+  const serve::Server::Totals totals = server.totals();
+  EXPECT_EQ(totals.sessions_opened, 2u);
+  EXPECT_EQ(totals.words, closed.words + live.words);
+  EXPECT_EQ(totals.batches, closed.batches + live.batches);
+  EXPECT_EQ(totals.trips, closed.trips + live.trips);
+  EXPECT_EQ(totals.swaps, closed.swaps + live.swaps);
+  EXPECT_EQ(totals.desyncs, 0u);
+  EXPECT_TRUE(server.poll_errors().empty());
 }
 
 // --- protocol ---------------------------------------------------------------
@@ -378,6 +399,36 @@ TEST(Protocol, FramesRoundTrip) {
     EXPECT_EQ(got.type, want);
   }
   EXPECT_FALSE(serve::read_frame(in, got));  // clean EOF at a frame boundary
+}
+
+TEST(Protocol, OneFrameIsReusedAcrossFrameTypesAndLengths) {
+  // A data payload is read into the previous frame's buffer; each read must
+  // leave exactly its own words, and a control frame none.
+  const auto frame = [](serve::FrameType type, std::vector<std::uint64_t> words) {
+    serve::Frame f;
+    f.type = type;
+    f.session = 3;
+    f.words = std::move(words);
+    return f;
+  };
+  const std::vector<serve::Frame> sent = {
+      frame(serve::FrameType::data, {0x0102030405060708ull, ~0ull, 0, 0x8000000000000001ull}),
+      frame(serve::FrameType::stats, {}),
+      frame(serve::FrameType::data, {7, 0xfedcba9876543210ull}),
+      frame(serve::FrameType::data, {})};
+  std::string stream;
+  for (const serve::Frame& f : sent) stream += reference::encode_frame(f);
+
+  std::istringstream in(stream);
+  serve::Frame got;
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    ASSERT_TRUE(serve::read_frame(in, got)) << "frame " << i;
+    EXPECT_EQ(got.type, sent[i].type) << "frame " << i;
+    EXPECT_EQ(got.session, 3u) << "frame " << i;
+    EXPECT_EQ(got.words, sent[i].words) << "frame " << i;
+    EXPECT_TRUE(got.text.empty()) << "frame " << i;
+  }
+  EXPECT_FALSE(serve::read_frame(in, got));
 }
 
 TEST(Protocol, MalformedFramesFailLoudly) {

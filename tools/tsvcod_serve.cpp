@@ -1,18 +1,17 @@
 // tsvcod_serve: long-running streaming daemon. Length-prefixed binary frames
 // arrive on stdin (one frame = open/data/stats/close/shutdown, see
 // serve/protocol.hpp), JSON event lines leave on stdout. Many sessions (one
-// per bus/tenant) run concurrently, sharded across the shared thread pool;
-// each session folds its words into exact long-run and tumbling-window
-// switching statistics, round-trips every word through a CodedLink, and —
-// when the window drifts from the long-run statistics past the threshold —
-// re-anneals the assignment in the background and hot-swaps it atomically
-// with zero decode desyncs.
+// per bus/tenant) share the stream; each data frame is processed on the
+// reading thread before the next frame is read: the session folds its words
+// into exact long-run and tumbling-window switching statistics, round-trips
+// every word through a CodedLink, and — when the window drifts from the
+// long-run statistics past the threshold — re-anneals the assignment in the
+// background on the shared thread pool and hot-swaps it atomically with zero
+// decode desyncs.
 //
 //   tsvcod_serve --rows 2 --cols 4 [--radius-um R --pitch-um D --length-um L]
 //                | --model FILE
 //     [--codec gray|correlator|t0|none]      link codec (default correlator)
-//     [--shards N]                           session shards (default 4)
-//     [--queue-capacity N]                   batches/shard before backpressure
 //     [--window WORDS]                       drift window (default 4096)
 //     [--drift-threshold X]                  trip level (default 0.25; 0 = off)
 //     [--cooldown WORDS]                     min words between swaps
@@ -20,8 +19,8 @@
 //     [--trace-out FILE] [--profile-out FILE]
 //     [--snapshot-out FILE [--snapshot-interval SECONDS]] [--verbose]
 //
-// EOF on stdin is an implicit shutdown: outstanding work is drained and the
-// summary line is still emitted with "clean_exit":true.
+// EOF on stdin is an implicit shutdown: in-flight re-anneals land first and
+// the summary line is still emitted with "clean_exit":true.
 
 #include <cstdio>
 #include <exception>
@@ -102,11 +101,13 @@ void print_help() {
       "  'O' open (payload: key=value options: codec window threshold cooldown)\n"
       "  'D' data (payload: N x u64 LE words)   'S' stats   'C' close   'Q' shutdown\n"
       "JSON event lines on stdout: open/stats/close/swap/error/shutdown.\n"
+      "Each data frame is processed before the next frame is read; drift-triggered\n"
+      "re-anneals run in the background on the thread pool.\n"
       "\n"
       "model  : --rows N --cols N [--radius-um R --pitch-um D --length-um L]\n"
       "         | --model FILE\n"
-      "service: [--codec gray|correlator|t0|none] [--shards N] [--queue-capacity N]\n"
-      "         [--window WORDS] [--drift-threshold X] [--cooldown WORDS]\n"
+      "service: [--codec gray|correlator|t0|none] [--window WORDS]\n"
+      "         [--drift-threshold X] [--cooldown WORDS]\n"
       "         [--reanneal-iterations N] [--chains N] [--seed S] [--threads N]\n"
       "obs    : [--trace-out FILE] [--profile-out FILE]\n"
       "         [--snapshot-out FILE [--snapshot-interval SECONDS]] [--verbose]\n");
@@ -173,9 +174,9 @@ void emit_polled(serve::Server& server) {
 int run(int argc, char** argv) {
   const Args args(argc, argv, 1,
                   {"rows", "cols", "radius-um", "pitch-um", "length-um", "model", "codec",
-                   "shards", "queue-capacity", "window", "drift-threshold", "cooldown",
-                   "reanneal-iterations", "chains", "seed", "threads", "trace-out",
-                   "profile-out", "snapshot-out", "snapshot-interval"},
+                   "window", "drift-threshold", "cooldown", "reanneal-iterations", "chains",
+                   "seed", "threads", "trace-out", "profile-out", "snapshot-out",
+                   "snapshot-interval"},
                   {"verbose", "help"});
   if (args.has("help")) {
     print_help();
@@ -199,16 +200,14 @@ int run(int argc, char** argv) {
 
   const tsv::LinearCapacitanceModel model = model_from(args);
   const serve::SessionConfig defaults = session_defaults(args, model);
-  serve::ServerOptions options;
-  options.shards = static_cast<int>(args.size_or("shards", 4));
-  options.queue_capacity = args.size_or("queue-capacity", 64);
-  serve::Server server(options);
+  serve::Server server;
 
-  emit("{\"event\":\"ready\",\"width\":" + std::to_string(model.size()) +
-       ",\"shards\":" + std::to_string(options.shards) +
-       ",\"queue_capacity\":" + std::to_string(options.queue_capacity) + "}");
+  emit("{\"event\":\"ready\",\"width\":" + std::to_string(model.size()) + "}");
 
-  serve::Frame frame;
+  // Frames come only through std::cin and events go only through stdio, so
+  // unsynced std::cin reads from its own buffer, not one fread per call.
+  std::ios::sync_with_stdio(false);
+  serve::Frame frame;  // one buffer, reused by every frame
   bool shutdown_frame = false;
   while (!shutdown_frame && serve::read_frame(std::cin, frame)) {
     switch (frame.type) {
@@ -222,13 +221,13 @@ int run(int argc, char** argv) {
         break;
       }
       case serve::FrameType::data:
-        server.ingest(frame.session, std::move(frame.words));
+        server.ingest(frame.session, frame.words);
         if (verbose) {
           emit("{\"event\":\"batch\",\"session\":" + std::to_string(frame.session) + "}");
         }
         break;
       case serve::FrameType::stats:
-        server.drain();  // exact totals: everything queued has been folded
+        server.drain();  // settled swap counts: every re-anneal has landed
         emit("{\"event\":\"stats\",\"stats\":" + server.session_stats(frame.session).to_json() +
              "}");
         break;
@@ -250,7 +249,6 @@ int run(int argc, char** argv) {
        ",\"desyncs\":" + std::to_string(totals.desyncs) +
        ",\"trips\":" + std::to_string(totals.trips) +
        ",\"swaps\":" + std::to_string(totals.swaps) +
-       ",\"max_queue_depth\":" + std::to_string(totals.max_queue_depth) +
        ",\"clean_exit\":true}");
 
   flusher.finish();
