@@ -21,7 +21,8 @@
 //                     SIMD dispatch level up to the host's.
 //   field_consistency Jacobi- vs multigrid-preconditioned BiCGStab vs a dense
 //                     complex LU factorization of the same operator, on random
-//                     conductor layouts.
+//                     conductor layouts; half the grids are large enough that
+//                     the multigrid request must run the V-cycle.
 //   io_roundtrip      save -> load -> save byte identity for trace/model/
 //                     assignment files, plus byte-mutation fuzzing of the
 //                     parsers (only std::runtime_error may escape).

@@ -1,7 +1,8 @@
 #include "coding/bus_invert.hpp"
 
-#include <bit>
 #include <stdexcept>
+
+#include "coding/popcount.hpp"
 
 namespace tsvcod::coding {
 
@@ -36,7 +37,7 @@ void BusInvertCodec::encode(std::span<const std::uint64_t> in, std::span<std::ui
   std::uint64_t prev = prev_out_;
   for (std::size_t k = 0; k < in.size(); ++k) {
     const std::uint64_t word = in[k] & wm;
-    const std::uint64_t invert = std::popcount(word ^ prev) > half;
+    const std::uint64_t invert = popcount64(word ^ prev) > half;
     prev = word ^ (wm & (0 - invert));
     out[k] = prev | (invert << width);
   }

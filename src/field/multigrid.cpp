@@ -396,10 +396,11 @@ Multigrid::Multigrid(std::size_t nx, std::size_t ny, const std::vector<std::uint
     Level c;
     c.nx = (f.nx + 1) / 2;
     c.ny = (f.ny + 1) / 2;
-    c.dirichlet.assign(c.nx * c.ny, 0);
+    // Pinned only when every child is (see multigrid.hpp).
+    c.dirichlet.assign(c.nx * c.ny, 1);
     for (std::size_t iy = 0; iy < f.ny; ++iy) {
       for (std::size_t ix = 0; ix < f.nx; ++ix) {
-        if (f.dirichlet[iy * f.nx + ix]) c.dirichlet[(iy / 2) * c.nx + ix / 2] = 1;
+        if (!f.dirichlet[iy * f.nx + ix]) c.dirichlet[(iy / 2) * c.nx + ix / 2] = 0;
       }
     }
     c.free_count = 0;

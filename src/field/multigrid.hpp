@@ -4,9 +4,14 @@
 // (see solver.hpp).
 //
 // The hierarchy coarsens the *cell* grid 2x per level (ceil division, so odd
-// sizes are handled). A coarse cell is Dirichlet if any of its fine children
-// is Dirichlet — conductors never shrink under coarsening, which keeps the
-// coarse problems well-posed. Coefficients restrict by averaging the child
+// sizes are handled). A coarse cell is Dirichlet only if every fine child is
+// Dirichlet, so a conductor keeps the coarse cells it fills and grows into no
+// other (pinning on any child grew every conductor at every level, which
+// spoiled the coarse correction around it and about doubled the BiCGStab
+// iterations). A free coarse cell may have pinned children: restriction
+// skips them and prolongation leaves them at zero. The grounded outer
+// boundary keeps every level nonsingular even when no pinned cell is left.
+// Coefficients restrict by averaging the child
 // permittivities; coarse face weights are then rebuilt as harmonic means of
 // the coarse cell permittivities, exactly the fine-level finite-volume
 // discretization (the dimensionless 5-point operator is h-free in 2-D, so no

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "coding/popcount.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
 #include "opt/parallel.hpp"
@@ -173,7 +174,7 @@ void NocSimulator::vertical_hop(std::uint32_t v, std::size_t slot, std::size_t r
   if (coded_attached_) {
     // Codec space: the assignment's relabel would not change the toggles.
     word = encoders_[v]->encode(payload);
-    link_coded_toggles_[slot] += static_cast<std::uint64_t>(std::popcount(held ^ word));
+    link_coded_toggles_[slot] += static_cast<std::uint64_t>(coding::popcount64(held ^ word));
     reg_line_[reg] = word;
   }
   if (options_.track_vertical_stats) {
@@ -197,7 +198,7 @@ void NocSimulator::phase_arbitrate(std::size_t begin, std::size_t end, std::size
       PackedFlit grants[kPortCount];
       const std::uint8_t granted = router.arbitrate(grants);
       occ_[r] = router.occupied_mask();
-      q_[r] -= static_cast<std::uint32_t>(std::popcount(granted));
+      q_[r] -= static_cast<std::uint32_t>(coding::popcount64(granted));
       for (std::uint8_t g = granted; g != 0; g &= static_cast<std::uint8_t>(g - 1)) {
         const int out = std::countr_zero(g);
         const PackedFlit& f = grants[out];
@@ -209,7 +210,7 @@ void NocSimulator::phase_arbitrate(std::size_t begin, std::size_t end, std::size
           const std::size_t slot = link_slot(r, static_cast<Direction>(out));
           ++link_flits_[slot];
           link_toggles_[slot] +=
-              static_cast<std::uint64_t>(std::popcount(link_last_word_[slot] ^ f.payload));
+              static_cast<std::uint64_t>(coding::popcount64(link_last_word_[slot] ^ f.payload));
           link_last_word_[slot] = f.payload;
           if (vertical_work && Mesh3D::is_vertical(static_cast<Direction>(out))) {
             vertical_hop(vlink_of_reg_[reg], slot, reg, f.payload, cycle);
@@ -235,7 +236,7 @@ void NocSimulator::phase_arbitrate(std::size_t begin, std::size_t end, std::size
         word = held_word_;  // data lines hold, valid line low
       }
       trace_.push_back(word);
-      probe_toggles_ += static_cast<std::uint64_t>(std::popcount(probe_last_lines_ ^ word));
+      probe_toggles_ += static_cast<std::uint64_t>(coding::popcount64(probe_last_lines_ ^ word));
       probe_last_lines_ = word;
     }
   }

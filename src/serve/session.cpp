@@ -155,7 +155,6 @@ bool Session::window_boundary_locked(IngestResult& out) {
 
 Session::IngestResult Session::ingest(std::span<const std::uint64_t> words) {
   IngestResult out;
-  out.current = core::SignedPermutation::identity(config_.width);
 
   std::lock_guard<std::mutex> lk(mu_);
   ++batches_;

@@ -357,13 +357,13 @@ class TwoColourMultigrid {
       Level c;
       c.nx = (f.nx + 1) / 2;
       c.ny = (f.ny + 1) / 2;
-      c.dirichlet.assign(c.nx * c.ny, 0);
+      c.dirichlet.assign(c.nx * c.ny, 1);  // pinned only when every child is
       c.eps.assign(c.nx * c.ny, Complex{});
       std::vector<int> count(c.nx * c.ny, 0);
       for (std::size_t iy = 0; iy < f.ny; ++iy) {
         for (std::size_t ix = 0; ix < f.nx; ++ix) {
           const std::size_t k = (iy / 2) * c.nx + ix / 2;
-          if (f.dirichlet[iy * f.nx + ix]) c.dirichlet[k] = 1;
+          if (!f.dirichlet[iy * f.nx + ix]) c.dirichlet[k] = 0;
           c.eps[k] += f.eps[iy * f.nx + ix];
           ++count[k];
         }

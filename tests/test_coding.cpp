@@ -17,6 +17,7 @@
 #include "coding/factory.hpp"
 #include "coding/gray.hpp"
 #include "coding/fibonacci.hpp"
+#include "coding/popcount.hpp"
 #include "coding/t0.hpp"
 #include "streams/random_streams.hpp"
 
@@ -143,6 +144,20 @@ TEST(BusInvert, RoundTripAndToggleBound) {
     const std::uint64_t data = code & 0xFF;
     EXPECT_LE(std::popcount(data ^ prev_data), 4);
     prev_data = data;
+  }
+}
+
+TEST(BusInvert, Popcount64MatchesStdPopcount) {
+  // The inlined SWAR count behind the majority vote and the NoC's toggle
+  // counts: every single bit, all ones, and random words of every density.
+  EXPECT_EQ(popcount64(0), 0);
+  EXPECT_EQ(popcount64(~std::uint64_t{0}), 64);
+  for (unsigned b = 0; b < 64; ++b) EXPECT_EQ(popcount64(std::uint64_t{1} << b), 1) << b;
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t r = rng();
+    const std::uint64_t w = i % 4 == 0 ? r & rng() : i % 4 == 1 ? r | rng() : r;
+    EXPECT_EQ(popcount64(w), std::popcount(w)) << std::hex << w;
   }
 }
 
