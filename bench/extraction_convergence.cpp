@@ -16,6 +16,7 @@
 
 #include "common.hpp"
 #include "field/extractor.hpp"
+#include "opt/parallel.hpp"
 #include "tsv/analytic_model.hpp"
 
 using namespace tsvcod;
@@ -45,7 +46,7 @@ int main() {
   for (const double cell_um : {0.4, 0.3, 0.2, 0.15, 0.1}) {
     field::ExtractionOptions opts;
     opts.cell = cell_um * 1e-6;
-    opts.threads = bench::env_threads();
+    opts.threads = opt::default_threads();
     opts.allow_nonconverged = true;  // this study reports convergence itself
     const auto res = field::extract_capacitance(geom, pr, opts);
     int iters = 0;

@@ -60,8 +60,15 @@ class Parser {
   Value parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // The parser recurses once per level, so a document nested past
+        // kMaxDepth fails here instead of overflowing the stack.
+        if (++depth_ > kMaxDepth) fail("nesting deeper than " + std::to_string(kMaxDepth));
+        Value v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.type = Value::Type::string;
@@ -197,6 +204,10 @@ class Parser {
       pos_ = start;
       fail("invalid value");
     }
+    if (text_[pos_] == '0' && pos_ + 1 < text_.size() &&
+        std::isdigit(static_cast<unsigned char>(text_[pos_ + 1]))) {
+      fail("leading zero in number");
+    }
     while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
@@ -221,8 +232,11 @@ class Parser {
     return v;
   }
 
+  static constexpr std::size_t kMaxDepth = 512;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -1,10 +1,12 @@
 #pragma once
-// Minimal strict JSON parser for tooling that must *read* JSON (benchdiff,
-// tests) without growing a dependency. Strict by design: objects keep
-// insertion order, duplicate keys are rejected, numbers are doubles, and any
-// syntax error throws std::runtime_error naming the byte offset. Not a
-// general-purpose library — no DOM mutation, no serialization (the obs layer
-// renders its own JSON by hand).
+// Minimal strict JSON parser for code that must *read* JSON (`pipeline`:
+// the ledgers `--compare` reads and the profile trees of traced runs; and
+// the tests) without growing a dependency. Strict by design: objects keep
+// insertion order, duplicate keys are rejected, numbers are doubles without
+// leading zeros, nesting is bounded (512 levels), and any syntax error
+// throws std::runtime_error naming the byte offset. Not a general-purpose
+// library — no DOM mutation, no serialization (the obs layer renders its
+// own JSON by hand).
 
 #include <cstddef>
 #include <string>
@@ -28,7 +30,6 @@ struct Value {
   bool is_number() const { return type == Type::number; }
   bool is_string() const { return type == Type::string; }
   bool is_array() const { return type == Type::array; }
-  bool is_object() const { return type == Type::object; }
 
   /// Object member lookup; nullptr when absent or not an object.
   const Value* find(std::string_view key) const;

@@ -9,7 +9,8 @@
 //
 // ingest() folds and round-trips the batch before it returns, so the server
 // owns no queue and no thread: concurrency is the callers' — one producer
-// per session scales with the cores, as in `bench/serve_throughput`. A
+// per session scales with the cores, which `bench/serve_throughput` checks
+// up to the hardware thread count (ctest `serve_throughput`). A
 // session's batches are folded in the order its ingest() calls take the
 // session lock; per-session statistics stay a pure fold over the stream
 // whenever one thread at a time feeds a session.

@@ -2,16 +2,18 @@
 // deterministic projection must be bit-identical at every thread count, the
 // full projection's cpu_ns must be the span's thread CPU time, the periodic
 // snapshot exporter must rotate files and mark its final write, and the
-// benchdiff gate must catch an injected regression while passing an
-// identical pair.
+// strict JSON parser must reject malformed input naming the byte.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <time.h>
 #include <vector>
@@ -19,7 +21,6 @@
 #include "core/link.hpp"
 #include "field/extractor.hpp"
 #include "field/solver.hpp"
-#include "obs/benchdiff.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
@@ -31,7 +32,6 @@ namespace {
 
 using namespace tsvcod;
 namespace json = obs::json;
-namespace bd = obs::benchdiff;
 
 class ProfileTest : public ::testing::Test {
  protected:
@@ -600,157 +600,58 @@ TEST_F(ProfileTest, StopRacingPeriodicWritesAlwaysLeavesFinalTrue) {
 }
 
 // ---------------------------------------------------------------------------
-// Benchdiff gate
+// Strict JSON parser
 // ---------------------------------------------------------------------------
 
-constexpr const char* kBase = R"({
-  "bench": "stats_throughput", "words": 262144, "reps": 5, "threads": 4,
-  "results": [
-    {"width": 32, "scalar_words_per_sec": 1.0e7, "solve_time_ms": 12.0,
-     "bit_identical": true},
-    {"width": 64, "scalar_words_per_sec": 5.0e6, "solve_time_ms": 30.0,
-     "bit_identical": true}
-  ]
-})";
-
-std::string with_injected_regression() {
-  // 20% throughput drop on the w32 row only.
-  std::string s = kBase;
-  const std::string needle = "\"scalar_words_per_sec\": 1.0e7";
-  s.replace(s.find(needle), needle.size(), "\"scalar_words_per_sec\": 0.8e7");
-  return s;
-}
-
-TEST_F(ProfileTest, BenchdiffPassesIdenticalDocuments) {
-  const bd::DiffReport report = bd::diff_bench_json(kBase, kBase, {});
-  EXPECT_FALSE(report.regression);
-  ASSERT_FALSE(report.metrics.empty());
-  for (const auto& m : report.metrics) {
-    EXPECT_FALSE(m.regression) << m.key;
-    EXPECT_EQ(m.delta_pct, 0.0) << m.key;
+/// The parser's error message for `text`, or "" when it parses.
+std::string parse_error(std::string_view text) {
+  try {
+    json::parse(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
   }
-  EXPECT_TRUE(report.only_base.empty());
-  EXPECT_TRUE(report.only_cand.empty());
-  EXPECT_NE(bd::report_to_table(report).find("RESULT: ok"), std::string::npos);
+  return "";
 }
 
-TEST_F(ProfileTest, BenchdiffCatchesInjectedTwentyPercentRegression) {
-  const bd::DiffReport report = bd::diff_bench_json(kBase, with_injected_regression(), {});
-  EXPECT_TRUE(report.regression);
-  int flagged = 0;
-  for (const auto& m : report.metrics) {
-    if (m.regression) {
-      ++flagged;
-      EXPECT_EQ(m.key, "w32.scalar_words_per_sec");
-      EXPECT_NEAR(m.delta_pct, -20.0, 1e-9);
-      EXPECT_EQ(m.direction, bd::Direction::higher_better);
-    }
-  }
-  EXPECT_EQ(flagged, 1);
-  EXPECT_NE(bd::report_to_table(report).find("RESULT: REGRESSION"), std::string::npos);
-  // The machine report round-trips through the strict parser.
-  const json::Value doc = json::parse(bd::report_to_json(report));
-  EXPECT_EQ(doc.find("schema")->string, "tsvcod.benchdiff.v1");
-  EXPECT_TRUE(doc.find("regression")->boolean);
+TEST(Json, NestingPastTheLimitThrowsNamingTheByte) {
+  // A million levels overflowed the stack before the bound.
+  EXPECT_EQ(parse_error(std::string(1000000, '[')), "json: nesting deeper than 512 at byte 512");
+  std::string mixed;
+  for (int i = 0; i < 300; ++i) mixed += "{\"k\":[";  // two levels per 6 bytes
+  EXPECT_EQ(parse_error(mixed), "json: nesting deeper than 512 at byte 1536");
+  EXPECT_EQ(parse_error("{\"a\": " + std::string(512, '[') + std::string(512, ']') + "}"),
+            "json: nesting deeper than 512 at byte 517");
+
+  const json::Value deepest = json::parse(std::string(512, '[') + std::string(512, ']'));
+  ASSERT_TRUE(deepest.is_array());
+  // Closed levels do not count against the bound.
+  std::string siblings = "[";
+  for (int i = 0; i < 4; ++i) siblings += std::string(511, '[') + std::string(511, ']') + ",";
+  siblings += "0]";
+  EXPECT_EQ(json::parse(siblings).array.size(), 5u);
 }
 
-TEST_F(ProfileTest, BenchdiffToleranceOverridesSuppressTheGate) {
-  bd::DiffOptions opts;
-  opts.per_metric = {{"scalar_words_per_sec", 30.0}};
-  const bd::DiffReport report = bd::diff_bench_json(kBase, with_injected_regression(), opts);
-  EXPECT_FALSE(report.regression);
+TEST(Json, LeadingZerosAreRejectedNamingTheByte) {
+  EXPECT_EQ(parse_error("012"), "json: leading zero in number at byte 0");
+  EXPECT_EQ(parse_error("-01"), "json: leading zero in number at byte 1");
+  EXPECT_EQ(parse_error("[1, 00.5]"), "json: leading zero in number at byte 4");
+  EXPECT_EQ(parse_error("{\"n\": -007}"), "json: leading zero in number at byte 7");
+
+  EXPECT_EQ(json::parse("0").number, 0.0);
+  EXPECT_TRUE(std::signbit(json::parse("-0").number));
+  EXPECT_EQ(json::parse("0.5").number, 0.5);
+  EXPECT_EQ(json::parse("-0.25").number, -0.25);
+  EXPECT_EQ(json::parse("0e2").number, 0.0);
+  EXPECT_EQ(json::parse("100").number, 100.0);
+  EXPECT_EQ(json::parse("[0,10]").array[1].number, 10.0);
 }
 
-TEST_F(ProfileTest, BenchdiffDirectionHeuristics) {
-  using bd::Direction;
-  EXPECT_EQ(bd::direction_of("w32.scalar_words_per_sec"), Direction::higher_better);
-  EXPECT_EQ(bd::direction_of("w64.speedup_simd"), Direction::higher_better);
-  EXPECT_EQ(bd::direction_of("row.throughput"), Direction::higher_better);
-  EXPECT_EQ(bd::direction_of("w32.solve_time_ms"), Direction::lower_better);
-  EXPECT_EQ(bd::direction_of("bench.llc_misses"), Direction::lower_better);
-  EXPECT_EQ(bd::direction_of("w16.iterations"), Direction::lower_better);
-  EXPECT_EQ(bd::direction_of("w16.acceptance_rate"), Direction::two_sided);
-
-  // lower_better regressions fire on increases, not decreases.
-  const std::string slow = [] {
-    std::string s = kBase;
-    const std::string needle = "\"solve_time_ms\": 12.0";
-    std::string r = s;
-    r.replace(r.find(needle), needle.size(), "\"solve_time_ms\": 18.0");
-    return r;
-  }();
-  const bd::DiffReport report = bd::diff_bench_json(kBase, slow, {});
-  EXPECT_TRUE(report.regression);
-  for (const auto& m : report.metrics) {
-    if (m.regression) {
-      EXPECT_EQ(m.key, "w32.solve_time_ms");
-    }
-  }
-}
-
-TEST_F(ProfileTest, BenchdiffBooleanRegressionOnlyOnTrueToFalse) {
-  const std::string broken = [] {
-    std::string s = kBase;
-    const std::string needle = "\"width\": 64, \"scalar_words_per_sec\": 5.0e6";
-    // flip the w64 bit_identical to false
-    const std::string tneedle = "\"solve_time_ms\": 30.0,\n     \"bit_identical\": true";
-    s.replace(s.find(tneedle), tneedle.size(),
-              "\"solve_time_ms\": 30.0,\n     \"bit_identical\": false");
-    (void)needle;
-    return s;
-  }();
-  const bd::DiffReport report = bd::diff_bench_json(kBase, broken, {});
-  EXPECT_TRUE(report.regression);
-  for (const auto& m : report.metrics) {
-    if (m.regression) {
-      EXPECT_EQ(m.key, "w64.bit_identical");
-      EXPECT_EQ(m.direction, bd::Direction::boolean);
-    }
-  }
-  // false -> true is an improvement, never a regression.
-  const bd::DiffReport improved = bd::diff_bench_json(broken, kBase, {});
-  EXPECT_FALSE(improved.regression);
-}
-
-TEST_F(ProfileTest, BenchdiffReportsOnlyKeysWithoutGating) {
-  const std::string extra = [] {
-    std::string s = kBase;
-    const std::string needle = "\"bit_identical\": true\n    }";
-    const std::size_t pos = s.rfind("\"bit_identical\": true");
-    s.insert(pos + std::string("\"bit_identical\": true").size(), ", \"new_metric\": 1.5");
-    (void)needle;
-    return s;
-  }();
-  const bd::DiffReport added = bd::diff_bench_json(kBase, extra, {});
-  EXPECT_FALSE(added.regression);
-  ASSERT_EQ(added.only_cand.size(), 1u);
-  EXPECT_EQ(added.only_cand[0], "w64.new_metric");
-  const bd::DiffReport removed = bd::diff_bench_json(extra, kBase, {});
-  EXPECT_FALSE(removed.regression);
-  ASSERT_EQ(removed.only_base.size(), 1u);
-  EXPECT_TRUE(removed.lost_checks.empty());
-}
-
-// A boolean that exists in the base and is missing from the candidate is a
-// check that no longer runs: it gates like a true -> false flip.
-TEST_F(ProfileTest, BenchdiffVanishedBooleanIsARegression) {
-  const std::string base =
-      R"({"bench":"g","results":[{"width":32,"words_per_sec":1e6,"bit_identical":true}]})";
-  const std::string cand = R"({"bench":"g","results":[{"width":32,"words_per_sec":1e6}]})";
-  const bd::DiffReport report = bd::diff_bench_json(base, cand, {});
-  EXPECT_TRUE(report.regression);
-  ASSERT_EQ(report.lost_checks.size(), 1u);
-  EXPECT_EQ(report.lost_checks[0], "w32.bit_identical");
-  EXPECT_TRUE(report.only_base.empty());
-  const std::string table = bd::report_to_table(report);
-  EXPECT_NE(table.find("lost check:        w32.bit_identical"), std::string::npos) << table;
-  EXPECT_NE(table.find("RESULT: REGRESSION"), std::string::npos) << table;
-  const json::Value doc = json::parse(bd::report_to_json(report));
-  EXPECT_TRUE(doc.find("regression")->boolean);
-  ASSERT_EQ(doc.find("lost_checks")->array.size(), 1u);
-  EXPECT_EQ(doc.find("lost_checks")->array[0].string, "w32.bit_identical");
-  // A boolean that appears only in the candidate is new, not lost.
-  EXPECT_FALSE(bd::diff_bench_json(cand, base, {}).regression);
+TEST(Json, MalformedDocumentsThrowNamingTheByte) {
+  EXPECT_EQ(parse_error(R"({"a": 1, "a": 2})"), "json: duplicate object key \"a\" at byte 12");
+  EXPECT_EQ(parse_error("{} x"), "json: trailing content after document at byte 3");
+  EXPECT_EQ(parse_error("[1] [2]"), "json: trailing content after document at byte 4");
+  EXPECT_EQ(parse_error(R"(["ok", "\q"])"), "json: bad escape character at byte 10");
+  EXPECT_EQ(parse_error(R"("\u12G4")"), "json: bad \\u escape digit at byte 6");
 }
 
 }  // namespace

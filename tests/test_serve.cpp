@@ -289,14 +289,15 @@ TEST(Server, DriftTriggeredReannealHotSwapsWithZeroDesyncs) {
   cfg.drift.threshold = 0.05;
   server.open_session(1, cfg);
 
-  // Phase-shifted traffic in small batches so the swap lands mid-stream
-  // while later batches are still flowing through the link.
+  // Phase-shifted traffic in small batches. Each batch waits for a re-anneal
+  // it tripped, so every swap lands mid-stream and later batches flow
+  // through the new assignment (a re-anneal outlasts the whole stream).
   const auto words = traffic(42, 8192, 2048);
   for (std::size_t offset = 0; offset < words.size(); offset += 128) {
     server.ingest(1, {words.begin() + static_cast<std::ptrdiff_t>(offset),
                       words.begin() + static_cast<std::ptrdiff_t>(offset + 128)});
+    server.drain();
   }
-  server.drain();
 
   const auto snap = server.session_stats(1);
   EXPECT_GE(snap.swaps, 1u);
