@@ -65,16 +65,8 @@ struct ChainOutcome {
 // pure function of its seed (thread-count invariant).
 ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
                        const tsv::LinearCapacitanceModel& model, const OptimizeOptions& options,
-                       const std::vector<std::size_t>& invertible, std::uint64_t seed,
-                       std::size_t chain_index) {
+                       const std::vector<std::size_t>& invertible, std::uint64_t seed) {
   obs::Span span("opt.chain");
-  const bool tracing = span.traced();
-  // Per-chain counter-track names keep concurrent chains on separate tracks.
-  std::string track_power, track_temp;
-  if (tracing) {
-    track_power = "opt.best_power.c" + std::to_string(chain_index);
-    track_temp = "opt.temperature.c" + std::to_string(chain_index);
-  }
   const std::size_t n = bit_stats.width;
   const bool any_invertible = !invertible.empty();
 
@@ -115,9 +107,6 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
   double best_power = ev.power();
   std::vector<Move> block;
   std::size_t accepted = 0;
-  std::size_t attempted = 0;
-  // Trace sampling stride: ~64 samples per restart keeps traces compact.
-  const int stride = std::max(1, options.schedule.iterations / 64);
   constexpr std::size_t kBlockMin = 4;
   constexpr std::size_t kBlockMax = 64;
   for (int restart = 0; restart < options.schedule.restarts; ++restart) {
@@ -138,7 +127,6 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
       const Move m = block[cursor++];
       const PowerEvaluator::Score scored = ev.score(m);
       ++evaluations;
-      ++attempted;
       const double d = scored.power - current;
       if (d <= 0.0 || metropolis_accept(uni(rng), -d / t)) {
         // The scored value and the applied value agree to eps-scale drift;
@@ -158,18 +146,7 @@ ChainOutcome run_chain(const stats::SwitchingStats& bit_stats,
         // the next block draws further ahead.
         block_size = std::min(block_size * 2, kBlockMax);
       }
-      if (tracing && it % stride == 0) {
-        obs::counter(track_power, best_power);
-        obs::counter(track_temp, t);
-      }
     }
-  }
-  if (tracing) {
-    span.set_args("\"chain\":" + std::to_string(chain_index) +
-                  ",\"evaluations\":" + std::to_string(evaluations) +
-                  ",\"accepted\":" + std::to_string(accepted) +
-                  ",\"attempted\":" + std::to_string(attempted) +
-                  ",\"best_power\":" + obs::json_number(best_power));
   }
   obs::profile_work("evaluations", evaluations);
   obs::profile_work("accepted", accepted);
@@ -197,7 +174,7 @@ OptimizeResult optimize_assignment(const stats::SwitchingStats& bit_stats,
   std::vector<ChainOutcome> outcomes(chains);
   opt::parallel_for(chains, options.threads, [&](std::size_t c) {
     outcomes[c] = run_chain(bit_stats, model, options, invertible,
-                            opt::deterministic_seed(options.seed, c), c);
+                            opt::deterministic_seed(options.seed, c));
   });
 
   // Deterministic best-of reduction: strict < keeps the lowest chain index
@@ -207,12 +184,6 @@ OptimizeResult optimize_assignment(const stats::SwitchingStats& bit_stats,
   for (std::size_t c = 0; c < chains; ++c) {
     evaluations += outcomes[c].evaluations;
     if (outcomes[c].power < outcomes[best_chain].power) best_chain = c;
-  }
-  if (span.traced()) {
-    span.set_args("\"chains\":" + std::to_string(chains) +
-                  ",\"evaluations\":" + std::to_string(evaluations) +
-                  ",\"best_chain\":" + std::to_string(best_chain) +
-                  ",\"best_power\":" + obs::json_number(outcomes[best_chain].power));
   }
   obs::profile_work("chains", chains);
   obs::profile_work("evaluations", evaluations);
@@ -234,7 +205,6 @@ std::vector<OptimizeResult> optimize_assignments(std::span<const stats::Switchin
     local.threads = 1;
     out[i] = optimize_assignment(bit_stats[i], model, local);
   });
-  if (span.traced()) span.set_args("\"links\":" + std::to_string(bit_stats.size()));
   obs::profile_work("links", bit_stats.size());
   return out;
 }

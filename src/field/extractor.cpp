@@ -281,14 +281,6 @@ CapacitanceResult CapacitanceExtractor::extract(std::span<const double> probabil
     }
   }
   const std::size_t mirrored = n - solved.size();
-  if (span.traced()) {
-    long long point_iterations = 0;
-    for (const auto& s : out.stats) point_iterations += s.iterations;
-    span.set_args("\"conductors\":" + std::to_string(n) + ",\"solved\":" +
-                  std::to_string(solved.size()) + ",\"mirrored\":" + std::to_string(mirrored) +
-                  ",\"warm_started\":" + std::to_string(warm) +
-                  ",\"iterations\":" + std::to_string(point_iterations));
-  }
   obs::profile_work("solves", solved.size());
   obs::profile_work("mirrored", mirrored);
   obs::profile_work("warm_started", warm);

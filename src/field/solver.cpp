@@ -532,8 +532,6 @@ std::vector<Complex> FieldProblem::solve(std::int32_t active, const SolverOption
                                          std::span<const Complex> phi0, SolveStats* stats) const {
   opts.validate();
   obs::Span span("field.solve");
-  const bool tracing = span.traced();
-  std::vector<double> residual_history;  // per-iteration, trace-only
   long long vcycles = 0;
   const std::size_t n = grid_.size();
   if (!phi0.empty() && phi0.size() != n) {
@@ -638,7 +636,6 @@ std::vector<Complex> FieldProblem::solve(std::int32_t active, const SolverOption
           if (snorm / bnorm < opts.tolerance) {
             for (std::size_t i = 0; i < n; ++i) x[i] += mul(alpha, p[i]);
             res = snorm / bnorm;
-            if (tracing) residual_history.push_back(res);
             ++it;
             break;
           }
@@ -653,7 +650,6 @@ std::vector<Complex> FieldProblem::solve(std::int32_t active, const SolverOption
                        r.data(), rr, r0r);
           rnorm = std::sqrt(rr);
           res = rnorm / bnorm;
-          if (tracing) residual_history.push_back(res);
           if (res < opts.tolerance) {
             ++it;
             break;
@@ -670,27 +666,6 @@ std::vector<Complex> FieldProblem::solve(std::int32_t active, const SolverOption
     stats->preconditioner = pc;
     // isfinite: a residual poisoned by overflow must never count as converged.
     stats->converged = converged;
-  }
-  const char* pc_name = pc == Preconditioner::multigrid ? "multigrid" : "jacobi";
-  if (tracing) {
-    std::string args = "\"active\":" + std::to_string(active) +
-                       ",\"unknowns\":" + std::to_string(free_count_) +
-                       ",\"iterations\":" + std::to_string(it) +
-                       ",\"residual\":" + obs::json_number(res) + ",\"preconditioner\":\"" +
-                       pc_name + "\",\"vcycles\":" + std::to_string(vcycles) +
-                       ",\"trivial\":" + (trivial ? "true" : "false") +
-                       ",\"warm_start\":" + (phi0.empty() ? "false" : "true");
-    if (!residual_history.empty()) {
-      // Cap the per-iteration history so giant solves stay viewer-friendly.
-      const std::size_t stride = (residual_history.size() + 255) / 256;
-      args += ",\"residual_history\":[";
-      for (std::size_t i = 0; i < residual_history.size(); i += stride) {
-        if (i) args += ',';
-        args += obs::json_number(residual_history[i]);
-      }
-      args += ']';
-    }
-    span.set_args(std::move(args));
   }
   obs::profile_work("iterations", static_cast<std::uint64_t>(it));
   if (vcycles > 0) obs::profile_work("vcycles", static_cast<std::uint64_t>(vcycles));

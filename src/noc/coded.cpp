@@ -77,11 +77,6 @@ VerticalCodingPlan plan_vertical_coding(const Mesh3D& mesh, const TrafficConfig&
     plan.assignments.push_back(std::move(results[i].assignment));
   }
 
-  if (span.traced()) {
-    span.set_args("\"links\":" + std::to_string(plan.links.size()) +
-                  ",\"line_width\":" + std::to_string(plan.line_width) +
-                  ",\"warmup_cycles\":" + std::to_string(options.warmup_cycles));
-  }
   obs::profile_work("links", plan.links.size());
   return plan;
 }

@@ -297,12 +297,16 @@ void NocSimulator::phase_transfer(std::size_t begin, std::size_t end, std::size_
   }
 }
 
+int NocSimulator::ranks() const {
+  const std::size_t max_ranks = std::max<std::size_t>(1, mesh_.node_count() / kMinRoutersPerRank);
+  return static_cast<int>(std::min(
+      max_ranks, static_cast<std::size_t>(std::max(1, opt::resolve_threads(options_.threads)))));
+}
+
 SimStats NocSimulator::run(std::size_t cycles) {
   obs::Span span("noc.run");
   const std::size_t n = mesh_.node_count();
-  const std::size_t max_ranks = std::max<std::size_t>(1, n / kMinRoutersPerRank);
-  const int k = static_cast<int>(std::min(
-      max_ranks, static_cast<std::size_t>(std::max(1, opt::resolve_threads(options_.threads)))));
+  const int k = ranks();
   const std::uint64_t hops_before = total(link_flits_);
   const std::uint64_t vertical_hops_before = vertical_hops();
   const std::size_t injected_before = total(injected_);
@@ -374,12 +378,6 @@ SimStats NocSimulator::run(std::size_t cycles) {
   s.link_coded_toggles = link_coded_toggles_;
 
   const std::uint64_t hops = total(link_flits_) - hops_before;
-  if (span.traced()) {
-    span.set_args("\"cycles\":" + std::to_string(cycles) + ",\"threads\":" + std::to_string(k) +
-                  ",\"injected\":" + std::to_string(s.injected - injected_before) +
-                  ",\"delivered\":" + std::to_string(s.delivered - delivered_before) +
-                  ",\"flit_hops\":" + std::to_string(hops));
-  }
   obs::profile_work("cycles", cycles);
   obs::profile_work("router_cycles", static_cast<std::uint64_t>(cycles) * n);
   obs::profile_work("flit_hops", hops);

@@ -130,6 +130,10 @@ class NocSimulator {
   /// Run `cycles` cycles; keeps injecting throughout.
   SimStats run(std::size_t cycles);
 
+  /// Worker ranks run() uses: the resolved SimOptions::threads, capped so
+  /// that each rank owns at least 64 routers (1 = the serial loop).
+  int ranks() const;
+
   /// Captured link words (one per simulated cycle since probe_link()).
   const std::vector<std::uint64_t>& probe_trace() const { return trace_; }
 

@@ -4,17 +4,19 @@
 // *disabled* path is a relaxed atomic load and a branch — cheap enough to
 // leave in every hot loop (bench/obs_overhead measures it).
 //
-// Tracing (`Span`, `counter`) appends to per-thread buffers: a
-// worker only ever touches its own buffer (one uncontended per-buffer mutex,
-// never shared between workers), so tracing composes with `opt::parallel_for`
-// without serializing the pool. `trace_to_json()` merges the buffers into a
-// `chrome://tracing` / Perfetto-loadable JSON document; call it from a
-// quiescent point (no parallel section in flight).
+// Tracing (`Span`) appends one complete ("X") event per span to per-thread
+// buffers: a worker only ever touches its own buffer (one uncontended
+// per-buffer mutex, never shared between workers), so tracing composes with
+// `opt::parallel_for` without serializing the pool. `trace_to_json()` merges
+// the buffers into a `chrome://tracing` / Perfetto-loadable JSON document;
+// call it from a quiescent point (no parallel section in flight).
 //
 // Counting is the profiler's job: every count a subsystem records is either
 // the call count of a span path or a named work counter on one
 // (`profile_work`), so traces, profiles and snapshots (obs/snapshot.hpp)
-// describe a run in one vocabulary.
+// describe a run in one vocabulary. A trace event's `args` are exactly the
+// work counters recorded on its span, summed per name; the trace has no
+// other args and no counter tracks.
 //
 // Enablement: `TSVCOD_TRACE=<file>` / `TSVCOD_PROFILE=<file>` environment
 // variables (picked up by `init_from_env`, which the CLI calls) or the CLI's
@@ -29,8 +31,12 @@
 namespace tsvcod::obs {
 
 namespace detail {
-extern std::atomic<bool> g_trace_enabled;
-extern std::atomic<bool> g_profile_enabled;
+/// The enabled layers, one bit each, in one word: a call site with both
+/// layers off costs a single relaxed load.
+inline constexpr unsigned kTraceLayer = 1u;
+inline constexpr unsigned kProfileLayer = 2u;
+extern std::atomic<unsigned> g_layers;
+void set_layer(unsigned layer, bool on);
 
 struct ProfileNode;  // span-tree node (obs/profile.cpp)
 
@@ -46,11 +52,15 @@ void profile_span_begin(const char* name, ProfileHandle& h);
 void profile_span_end(ProfileHandle& h);
 ProfileNode* profile_adopt(ProfileNode* parent);  // returns the previous current
 void profile_restore(ProfileNode* previous);
+/// Add to the calling thread's innermost open traced span (no-op when none).
+void trace_work(const char* name, std::uint64_t amount);
+inline unsigned enabled_layers() { return g_layers.load(std::memory_order_relaxed); }
 }  // namespace detail
 
-/// One relaxed load: the whole cost of a disabled span/counter call site.
-inline bool trace_enabled() { return detail::g_trace_enabled.load(std::memory_order_relaxed); }
-inline bool profiling_enabled() { return detail::g_profile_enabled.load(std::memory_order_relaxed); }
+inline bool trace_enabled() { return (detail::enabled_layers() & detail::kTraceLayer) != 0; }
+inline bool profiling_enabled() {
+  return (detail::enabled_layers() & detail::kProfileLayer) != 0;
+}
 
 void enable_tracing(bool on = true);
 void enable_profiling(bool on = true);  // defined in obs/profile.cpp
@@ -114,45 +124,28 @@ std::string json_escape(std::string_view s);
 
 /// RAII scoped span: records a Chrome "X" (complete) event on destruction
 /// when tracing is enabled, and aggregates into the span-tree profiler when
-/// profiling is enabled. A span constructed while both are disabled is fully
-/// inert.
+/// profiling is enabled. The event's args are the work counters
+/// (`profile_work`) recorded while it was the thread's innermost traced
+/// span. A span constructed while both are disabled is fully inert: one
+/// relaxed load and a branch.
 class Span {
  public:
   explicit Span(const char* name) {
-    if (trace_enabled() || profiling_enabled()) begin(name);
+    if (const unsigned layers = detail::enabled_layers()) begin(name, layers);
   }
   ~Span() {
-    if (active_) end();
+    if (traced_ || prof_.node != nullptr) end();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attach arguments (the *body* of a JSON object, e.g. "\"n\":3") shown in
-  /// the trace viewer. No-op unless a trace event will be emitted.
-  void set_args(std::string args_body) {
-    if (traced_) args_ = std::move(args_body);
-  }
-  /// A trace event will be emitted at destruction — guard trace-only work
-  /// (arg strings, counter tracks) on this, not on whether the span is live
-  /// in any layer, so profiled runs don't pay for tracing they never asked
-  /// for.
-  bool traced() const { return traced_; }
-
  private:
-  void begin(const char* name);
+  void begin(const char* name, unsigned layers);
   void end();
 
-  std::string name_;
-  std::string args_;
-  std::int64_t start_us_ = 0;
   detail::ProfileHandle prof_;
-  bool active_ = false;
   bool traced_ = false;
 };
-
-/// Counter-track sample ("C"): one named value-over-time track per name.
-void counter(const char* name, double value);
-void counter(const std::string& name, double value);
 
 /// Merge every thread's buffer into one Chrome trace JSON document. Must be
 /// called from a quiescent point; events of spans still open are not

@@ -12,8 +12,6 @@ namespace tsvcod::obs {
 
 namespace detail {
 
-std::atomic<bool> g_profile_enabled{false};
-
 /// One node per distinct span *path*. `count`, `total_ns` and `cpu_ns` are
 /// atomics so concurrent spans on the same path (e.g. parallel chains
 /// adopted under one parent) accumulate without the tree lock; the
@@ -123,7 +121,7 @@ void delete_subtree(ProfileNode* node) {
 }  // namespace
 
 void enable_profiling(bool on) {
-  detail::g_profile_enabled.store(on, std::memory_order_relaxed);
+  detail::set_layer(detail::kProfileLayer, on);
 }
 
 ProfileToken profile_current() { return t_current; }
@@ -175,7 +173,10 @@ void profile_restore(ProfileNode* previous) { t_current = previous; }
 }  // namespace detail
 
 void profile_work(const char* name, std::uint64_t amount) {
-  if (!profiling_enabled()) return;
+  const unsigned layers = detail::enabled_layers();
+  if (layers == 0) return;
+  if ((layers & detail::kTraceLayer) != 0) detail::trace_work(name, amount);
+  if ((layers & detail::kProfileLayer) == 0) return;
   ProfileNode* node = t_current;
   if (node == nullptr) return;
   auto& st = profile_state();

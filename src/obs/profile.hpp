@@ -4,7 +4,9 @@
 // Each distinct span *path* (stack of span names) owns one tree node holding
 // a call count, accumulated wall time, the opening threads' accumulated CPU
 // time (`CLOCK_THREAD_CPUTIME_ID`) and named work counters attached via
-// `profile_work`.
+// `profile_work`. The same counters, per span instead of per path, are the
+// args of the trace's events (obs.hpp), so a traced and profiled run sums
+// to the same work in both.
 //
 // Determinism contract: the tree shape, per-node call counts and work
 // counters depend only on the logical call structure — `opt::parallel_for`
@@ -37,8 +39,13 @@ enum class ProfileFields {
 };
 
 /// Add to a named work counter on the calling thread's innermost open
-/// profiled span (commutative integer add → thread-count invariant). No-op
-/// when profiling is disabled or no profiled span is open.
+/// profiled span (commutative integer add → thread-count invariant), and to
+/// the same-named arg of its innermost open traced span. The two are the
+/// same span whenever the work is recorded inside a span the calling thread
+/// opened, as every call site in the library does (work recorded directly
+/// in a `ProfileTaskScope` body counts on the adopted parent in the profile
+/// but on the running thread's own open span in the trace). No-op for a
+/// layer that is disabled or has no span open.
 void profile_work(const char* name, std::uint64_t amount);
 
 /// Render the span tree. Safe while spans run (it takes the tree mutex and

@@ -12,25 +12,36 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace tsvcod::obs {
 
 namespace detail {
-std::atomic<bool> g_trace_enabled{false};
+std::atomic<unsigned> g_layers{0};
+
+void set_layer(unsigned layer, bool on) {
+  if (on) {
+    g_layers.fetch_or(layer, std::memory_order_relaxed);
+  } else {
+    g_layers.fetch_and(~layer, std::memory_order_relaxed);
+  }
+}
 }  // namespace detail
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Work counters of one span, summed per name, in first-recorded order.
+using WorkCounts = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// One complete ("X") event: a traced span's name, interval and work.
 struct Event {
   std::string name;
-  std::string args;  // pre-rendered JSON object body, "" = none
+  WorkCounts work;
   std::int64_t ts_us = 0;
-  std::int64_t dur_us = 0;  // "X" events only
-  double value = 0.0;       // "C" events only
-  char ph = 'X';
+  std::int64_t dur_us = 0;
 };
 
 /// Owned jointly by its thread (thread_local shared_ptr) and the registry, so
@@ -84,6 +95,11 @@ void push_event(Event ev) {
   buf.events.push_back(std::move(ev));
 }
 
+// The calling thread's open traced spans as their events-to-be, innermost
+// last. Spans are strictly nested RAII objects, so the span being ended is
+// always the last one.
+thread_local std::vector<Event> t_open;
+
 struct Paths {
   std::mutex mu;
   std::string trace;
@@ -102,7 +118,7 @@ void enable_tracing(bool on) {
     // Fresh session: restart the clock so timestamps start near zero.
     trace_state().epoch_ns.store(clock_ns(), std::memory_order_relaxed);
   }
-  detail::g_trace_enabled.store(on, std::memory_order_relaxed);
+  detail::set_layer(detail::kTraceLayer, on);
 }
 
 void init_from_env() {
@@ -213,44 +229,37 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-void Span::begin(const char* name) {
-  traced_ = trace_enabled();
+void Span::begin(const char* name, unsigned layers) {
+  traced_ = (layers & detail::kTraceLayer) != 0;
   if (traced_) {
-    name_ = name;
-    start_us_ = now_us();
+    Event& open = t_open.emplace_back();
+    open.name = name;
+    open.ts_us = now_us();
   }
-  if (profiling_enabled()) detail::profile_span_begin(name, prof_);
-  active_ = true;
+  if ((layers & detail::kProfileLayer) != 0) detail::profile_span_begin(name, prof_);
 }
 
 void Span::end() {
   if (prof_.node != nullptr) detail::profile_span_end(prof_);
   if (traced_) {
-    Event ev;
-    ev.name = std::move(name_);
-    ev.args = std::move(args_);
-    ev.ts_us = start_us_;
-    ev.dur_us = now_us() - start_us_;
-    ev.ph = 'X';
+    Event ev = std::move(t_open.back());
+    t_open.pop_back();
+    ev.dur_us = now_us() - ev.ts_us;
     push_event(std::move(ev));
+    traced_ = false;
   }
-  active_ = false;
-  traced_ = false;
 }
 
-void counter(const char* name, double value) {
-  if (!trace_enabled()) return;
-  counter(std::string(name), value);
-}
-
-void counter(const std::string& name, double value) {
-  if (!trace_enabled()) return;
-  Event ev;
-  ev.name = name;
-  ev.ts_us = now_us();
-  ev.value = value;
-  ev.ph = 'C';
-  push_event(std::move(ev));
+void detail::trace_work(const char* name, std::uint64_t amount) {
+  if (t_open.empty()) return;
+  WorkCounts& work = t_open.back().work;
+  for (auto& [key, sum] : work) {
+    if (key == name) {
+      sum += amount;
+      return;
+    }
+  }
+  work.emplace_back(name, amount);
 }
 
 std::string trace_to_json() {
@@ -278,19 +287,17 @@ std::string trace_to_json() {
   for (const auto& [tid, ev] : all) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"" + json_escape(ev.name) + "\",\"cat\":\"tsvcod\",\"ph\":\"";
-    out += ev.ph;
-    out += "\",\"pid\":1,\"tid\":" + std::to_string(tid);
+    out += "{\"name\":\"" + json_escape(ev.name) + "\",\"cat\":\"tsvcod\",\"ph\":\"X\"";
+    out += ",\"pid\":1,\"tid\":" + std::to_string(tid);
     out += ",\"ts\":" + std::to_string(ev.ts_us);
-    switch (ev.ph) {
-      case 'X':
-        out += ",\"dur\":" + std::to_string(ev.dur_us);
-        if (!ev.args.empty()) out += ",\"args\":{" + ev.args + "}";
-        break;
-      case 'C':
-        out += ",\"args\":{\"value\":" + json_number(ev.value) + "}";
-        break;
-      default: break;
+    out += ",\"dur\":" + std::to_string(ev.dur_us);
+    if (!ev.work.empty()) {
+      out += ",\"args\":{";
+      for (std::size_t i = 0; i < ev.work.size(); ++i) {
+        if (i > 0) out += ',';
+        out += '"' + json_escape(ev.work[i].first) + "\":" + std::to_string(ev.work[i].second);
+      }
+      out += '}';
     }
     out += '}';
   }

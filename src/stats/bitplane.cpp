@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -537,7 +536,6 @@ SwitchingCounts count_chunk(bool seamed, std::uint64_t seam, std::span<const std
   if (words.empty()) return SwitchingCounts(width);
 
   obs::Span span("stats.compute");
-  const auto t0 = std::chrono::steady_clock::now();
 
   // Virtual word sequence S: the seam word (when seamed) followed by
   // `words`. Transition t is S[t] -> S[t+1]; only unseamed chunk 0 counts
@@ -591,16 +589,6 @@ SwitchingCounts count_chunk(bool seamed, std::uint64_t seam, std::span<const std
     }
   }
 
-  if (span.traced()) {
-    const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (secs > 0.0) {
-      obs::counter("stats.compute.words_per_sec", static_cast<double>(words.size()) / secs);
-    }
-    std::ostringstream os;
-    os << "\"words\":" << words.size() << ",\"width\":" << width << ",\"chunks\":" << chunks
-       << ",\"blocks\":" << blocks;
-    span.set_args(os.str());
-  }
   obs::profile_work("words", words.size());
   // blocks, chunks and tail_words describe how the work was split, so past
   // one chunk they follow the thread count; words is the invariant total.

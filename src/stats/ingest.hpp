@@ -10,8 +10,7 @@
 // and thread count.
 //
 // Observability (when enabled): a stats.ingest span with `words` and `bytes`
-// work counters, and timing-based trace.ingest.{words_per_sec,bytes_per_sec}
-// samples on the trace counter track.
+// work counters.
 
 #include <span>
 

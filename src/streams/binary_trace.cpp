@@ -248,7 +248,7 @@ void BinaryTraceWriter::close() {
 // Memory-mapped reader
 // ---------------------------------------------------------------------------
 
-MappedTrace::MappedTrace(const std::string& path) : path_(path) {
+MappedTrace::MappedTrace(const std::string& path) {
 #if defined(TSVCOD_HAVE_MMAP)
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) fail(path, std::string("cannot open: ") + std::strerror(errno));
@@ -274,7 +274,7 @@ MappedTrace::MappedTrace(const std::string& path) : path_(path) {
   ::close(fd);  // the mapping outlives the descriptor
   try {
     view_ = parse_binary_trace(
-        std::span<const std::byte>(static_cast<const std::byte*>(map_), size_), path_);
+        std::span<const std::byte>(static_cast<const std::byte*>(map_), size_), path);
   } catch (...) {
     unmap();
     throw;
@@ -292,37 +292,11 @@ MappedTrace::MappedTrace(const std::string& path) : path_(path) {
   if (is.gcount() != static_cast<std::streamsize>(size_)) fail(path, "short read");
   view_ = parse_binary_trace(
       std::span<const std::byte>(reinterpret_cast<const std::byte*>(fallback_.data()), size_),
-      path_);
+      path);
 #endif
 }
 
 MappedTrace::~MappedTrace() { unmap(); }
-
-MappedTrace::MappedTrace(MappedTrace&& other) noexcept
-    : path_(std::move(other.path_)),
-      map_(other.map_),
-      size_(other.size_),
-      fallback_(std::move(other.fallback_)),
-      view_(other.view_) {
-  other.map_ = nullptr;
-  other.size_ = 0;
-  other.view_ = {};
-}
-
-MappedTrace& MappedTrace::operator=(MappedTrace&& other) noexcept {
-  if (this != &other) {
-    unmap();
-    path_ = std::move(other.path_);
-    map_ = other.map_;
-    size_ = other.size_;
-    fallback_ = std::move(other.fallback_);
-    view_ = other.view_;
-    other.map_ = nullptr;
-    other.size_ = 0;
-    other.view_ = {};
-  }
-  return *this;
-}
 
 void MappedTrace::unmap() noexcept {
 #if defined(TSVCOD_HAVE_MMAP)

@@ -122,8 +122,6 @@ class MappedTrace {
  public:
   explicit MappedTrace(const std::string& path);
   ~MappedTrace();
-  MappedTrace(MappedTrace&& other) noexcept;
-  MappedTrace& operator=(MappedTrace&& other) noexcept;
   MappedTrace(const MappedTrace&) = delete;
   MappedTrace& operator=(const MappedTrace&) = delete;
 
@@ -131,12 +129,10 @@ class MappedTrace {
   std::span<const std::uint64_t> words() const { return view_.words; }
   /// Total file size in bytes (header + payload).
   std::size_t bytes() const { return size_; }
-  const std::string& path() const { return path_; }
 
  private:
   void unmap() noexcept;
 
-  std::string path_;
   void* map_ = nullptr;  ///< non-null iff mmap-backed
   std::size_t size_ = 0;
   std::vector<std::uint64_t> fallback_;  ///< aligned copy when not mmap-backed

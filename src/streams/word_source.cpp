@@ -11,10 +11,10 @@
 namespace tsvcod::streams {
 
 VectorWordSource::VectorWordSource(std::vector<std::uint64_t> words, std::size_t width,
-                                   std::string source)
-    : words_(std::move(words)), width_(width), source_(std::move(source)) {
+                                   const std::string& source)
+    : words_(std::move(words)), width_(width) {
   if (width_ == 0 || width_ > 64) {
-    throw std::runtime_error("word_source: " + source_ + ": width " + std::to_string(width_) +
+    throw std::runtime_error("word_source: " + source + ": width " + std::to_string(width_) +
                              " out of range [1, 64]");
   }
 }
@@ -25,17 +25,12 @@ std::span<const std::uint64_t> VectorWordSource::next_chunk() {
   return words_;
 }
 
-MappedTraceSource::MappedTraceSource(const std::string& path, std::size_t chunk_words)
-    : map_(path), chunk_words_(chunk_words) {}
+MappedTraceSource::MappedTraceSource(const std::string& path) : map_(path) {}
 
 std::span<const std::uint64_t> MappedTraceSource::next_chunk() {
-  const auto words = map_.words();
-  if (pos_ >= words.size()) return {};
-  const std::size_t take = chunk_words_ == 0 ? words.size() - pos_
-                                             : std::min(chunk_words_, words.size() - pos_);
-  const auto chunk = words.subspan(pos_, take);
-  pos_ += take;
-  return chunk;
+  if (done_) return {};
+  done_ = true;
+  return map_.words();
 }
 
 std::unique_ptr<WordSource> open_word_source(const std::string& path, std::size_t width) {

@@ -30,8 +30,6 @@ class WordSource {
   virtual std::uint64_t size() const = 0;
   /// Bytes of backing store (file or vector) — the ingest byte counters.
   virtual std::uint64_t bytes() const = 0;
-  /// Human-readable origin for error messages (a path for file sources).
-  virtual const std::string& source() const = 0;
 
   /// Next contiguous run of words; empty exactly once the trace is
   /// exhausted. Spans stay valid for the lifetime of the source.
@@ -44,41 +42,36 @@ class WordSource {
 class VectorWordSource final : public WordSource {
  public:
   VectorWordSource(std::vector<std::uint64_t> words, std::size_t width,
-                   std::string source = "<memory>");
+                   const std::string& source = "<memory>");
 
   std::size_t width() const override { return width_; }
   std::uint64_t size() const override { return words_.size(); }
   std::uint64_t bytes() const override { return words_.size() * sizeof(std::uint64_t); }
-  const std::string& source() const override { return source_; }
   std::span<const std::uint64_t> next_chunk() override;
   void reset() override { done_ = false; }
 
  private:
   std::vector<std::uint64_t> words_;
   std::size_t width_;
-  std::string source_;
   bool done_ = false;
 };
 
-/// A memory-mapped .tsvb file. By default the whole payload is one chunk
-/// (maximally parallel, zero-copy); `chunk_words` caps the chunk size, which
-/// the tests use to drive the seam-word priming path hard.
+/// A memory-mapped .tsvb file whose whole payload is one chunk (maximally
+/// parallel, zero-copy).
 class MappedTraceSource final : public WordSource {
  public:
-  explicit MappedTraceSource(const std::string& path, std::size_t chunk_words = 0);
+  explicit MappedTraceSource(const std::string& path);
 
   const BinaryTraceHeader& header() const { return map_.header(); }
   std::size_t width() const override { return map_.header().width; }
   std::uint64_t size() const override { return map_.words().size(); }
   std::uint64_t bytes() const override { return map_.bytes(); }
-  const std::string& source() const override { return map_.path(); }
   std::span<const std::uint64_t> next_chunk() override;
-  void reset() override { pos_ = 0; }
+  void reset() override { done_ = false; }
 
  private:
   MappedTrace map_;
-  std::size_t chunk_words_;
-  std::size_t pos_ = 0;
+  bool done_ = false;
 };
 
 /// Open `path` as whichever trace format it is: the .tsvb magic selects the

@@ -15,7 +15,6 @@
 #include "noc/coded.hpp"
 #include "noc/simulator.hpp"
 #include "noc_reference.hpp"
-#include "obs/obs.hpp"
 #include "simd/dispatch.hpp"
 #include "stats/switching_stats.hpp"
 
@@ -378,20 +377,6 @@ TEST(Simulator, XyzRoutingIsDeadlockFreeAtFullLoad) {
   }
 }
 
-// Runs `sim` for `cycles` with tracing on; returns the stats and the number
-// of Z-slab ranks its noc.run span reports.
-std::pair<SimStats, int> run_traced(NocSimulator& sim, std::size_t cycles) {
-  obs::reset_trace();
-  obs::enable_tracing(true);
-  SimStats stats = sim.run(cycles);
-  obs::enable_tracing(false);
-  const std::string trace = obs::trace_to_json();
-  obs::reset_trace();
-  const std::string key = "\"threads\":";
-  const std::size_t at = trace.find(key);
-  return {std::move(stats), at == std::string::npos ? 0 : std::stoi(trace.substr(at + key.size()))};
-}
-
 TEST(Simulator, BitIdenticalAcrossThreadCounts) {
   // Each rank owns at least 64 routers, so 2 and 8 threads run 2 and 8
   // ranks on the 8x8x8 meshes, 2 ranks on 6x6x4 and the serial loop on
@@ -408,10 +393,11 @@ TEST(Simulator, BitIdenticalAcrossThreadCounts) {
       options.track_vertical_stats = coded;
       NocSimulator sim(mesh, cfg, options);
       if (coded) sim.attach_vertical_coding({.name = "bus-invert"});
-      auto [run_stats, ranks] = run_traced(sim, cycles);
       const std::size_t want = std::min<std::size_t>(
           static_cast<std::size_t>(threads), std::max<std::size_t>(1, mesh.node_count() / 64));
-      EXPECT_EQ(static_cast<std::size_t>(ranks), want) << name << " at " << threads << " threads";
+      EXPECT_EQ(static_cast<std::size_t>(sim.ranks()), want)
+          << name << " at " << threads << " threads";
+      const SimStats run_stats = sim.run(cycles);
       return std::pair{run_stats, coded ? sim.vertical_link_stats()
                                     : std::vector<stats::SwitchingStats>{}};
     };

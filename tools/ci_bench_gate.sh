@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI bench gate: build, run the tier-1 test suite and the dead-API lint
-# (tools/dead_api.sh on the `lint` preset).
+# CI bench gate: build, run the tier-1 test suite, rerun it at each forced
+# SIMD level, and run the dead-API lint (tools/dead_api.sh on the `lint`
+# preset).
 #
 # Tier-1 includes the claims benches, which judge their own results: the
 # `paper` label's seven benches, serve_throughput (session bit-identity, zero
@@ -25,6 +26,18 @@ cmake --build "$BUILD" -j
 
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
+
+# The same suite with the SIMD dispatch clamped to each lower level, so every
+# kernel clone is checked against the goldens, not only the host's best one.
+# A level above the host's clamps down to it (src/simd/dispatch.hpp), so the
+# loop runs anywhere. The `bench` label (serve_throughput's timed scaling
+# claim, pipeline_smoke) is left out: the run above covers it at the host's
+# own level, and a forced lower level only slows it.
+for level in scalar popcnt avx2; do
+  echo
+  echo "== tier-1 tests, TSVCOD_SIMD=$level =="
+  TSVCOD_SIMD=$level ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)" -LE bench
+done
 
 echo
 echo "== dead-API lint =="
